@@ -11,15 +11,19 @@ Artifacts per run directory:
   parser).
 
 Exit codes: 0 ok, 2 configuration error, 3 solver failure, 4 blow-up halt.
+A sweep exits 3 if any point failed or aborted, else 4 if any point halted
+on blow-up, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import sys
+import traceback
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -168,14 +172,18 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
 
 
 def _sweep_point(args) -> dict:
-    """Worker: run one sweep point from primitives (safe across processes)."""
+    """Worker: run one sweep point from primitives (safe across processes).
+
+    Any exception stays with its point: the row reads status ``failed`` and
+    carries the error, and the other points still run.
+    """
     config_path, axis, value, subdir, seed = args
-    config = cfgmod.parse_config(config_path)
-    config = replace(config, out_dir=subdir, seed=seed)
-    config = cfgmod.apply_axis(config, axis, value)
     row = {"axis": axis, "value": value, "status": "failed", "drift_max": "",
            "blowup": "", "monitors_finite": "", "error": ""}
     try:
+        config = cfgmod.parse_config(config_path)
+        config = replace(config, out_dir=subdir, seed=seed)
+        config = cfgmod.apply_axis(config, axis, value)
         traj = dyn.run(config)
         _write_artifacts(config, traj, subdir)
         row.update(
@@ -187,12 +195,19 @@ def _sweep_point(args) -> dict:
         )
     except ViscowaveError as exc:
         row["error"] = str(exc)
+    except Exception as exc:  # one bad point must not end the sweep
+        traceback.print_exc()
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
 def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
               seed: int | None = None) -> int:
-    """Run every sweep point, aggregate one summary row per point."""
+    """Run every sweep point, aggregate one summary row per point.
+
+    Returns EXIT_SOLVER if any point failed or aborted, else EXIT_BLOWUP if
+    any point halted on blow-up, else EXIT_OK.
+    """
     try:
         sweep = cfgmod.parse_sweep_config(config_path)
     except ConfigError as exc:
@@ -216,13 +231,17 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
 
     agg = os.path.join(out, "sweep.csv")
     cols = ("axis", "value", "status", "drift_max", "blowup", "monitors_finite", "error")
-    with open(agg, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in results:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+    with open(agg, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([str(row[c]) for c in cols] for row in results)
     bad = [r for r in results if r["status"] not in ("completed", "blowup_halt")]
     print(f"sweep over {sweep.axis}: {len(results)} points, "
           f"{len(results) - len(bad)} finished, aggregate in {agg}")
+    if bad:
+        return EXIT_SOLVER
+    if any(r["status"] == "blowup_halt" for r in results):
+        return EXIT_BLOWUP
     return EXIT_OK
 
 

@@ -13,8 +13,9 @@ parameters derived from it are assembled by :func:`theory_constants`.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +23,65 @@ import scipy.linalg
 from . import grid as g
 from . import material as mat
 from .errors import ConfigError, DomainError
+
+# --------------------------------------------------------------------------
+# per-state evaluation
+# --------------------------------------------------------------------------
+
+
+class StateEval:
+    """One snapshot with its derived fields, each computed on first use.
+
+    Every diagnostic below reads its snapshot through this cache and accepts
+    either a plain state or a ``StateEval``.  A driver that passes the same
+    ``StateEval`` to all of them (a sampled state that is also the left end of
+    the next step) differentiates and integrates that state once.  The
+    snapshot fields ``t``, ``u``, ``v``, ``theta`` are exposed unchanged.
+    """
+
+    def __init__(self, state, grid_: g.Grid1D):
+        self.state = state
+        self.grid = grid_
+        self.t, self.u, self.v, self.theta = state.t, state.u, state.v, state.theta
+        self.inst: dict[float, dict] = {}  # instantaneous monitors by exponent q
+
+    @functools.cached_property
+    def vx(self) -> np.ndarray:
+        return g.d1(self.v, self.grid)
+
+    @functools.cached_property
+    def ux(self) -> np.ndarray:
+        return g.d1(self.u, self.grid)
+
+    @functools.cached_property
+    def thx(self) -> np.ndarray:
+        return g.d1(self.theta, self.grid)
+
+    @functools.cached_property
+    def vxx(self) -> np.ndarray:
+        return g.d2(self.v, self.grid, g.BcKind.DIRICHLET_BOTH)
+
+    @functools.cached_property
+    def uxx(self) -> np.ndarray:
+        return g.d2(self.u, self.grid, g.BcKind.DIRICHLET_BOTH)
+
+    @functools.cached_property
+    def thxx(self) -> np.ndarray:
+        return g.d2(self.theta, self.grid, g.BcKind.NEUMANN_BOTH)
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        """Antiderivative int_0^x v."""
+        return g.cumulative_integral(self.v, self.grid)
+
+
+def _eval(state, grid_: g.Grid1D) -> StateEval:
+    if not isinstance(state, StateEval):
+        return StateEval(state, grid_)
+    if state.grid != grid_:
+        raise ConfigError("StateEval was built on a different grid")
+    return state
+
 
 # --------------------------------------------------------------------------
 # energy budget
@@ -85,39 +145,50 @@ class TheoryMonitors:
 
 
 def instantaneous_monitors(state, q: float, grid_: g.Grid1D) -> dict:
-    """Pointwise-in-time monitor values for one snapshot."""
-    vx = g.d1(state.v, grid_)
-    thx = g.d1(state.theta, grid_)
-    uxx = g.d2(state.u, grid_, g.BcKind.DIRICHLET_BOTH)
-    return {
-        "l2_thetax": g.integrate(thx ** 2, grid_),
-        "l2_vx": g.integrate(vx ** 2, grid_),
-        "l2_uxx": g.integrate(uxx ** 2, grid_),
-        "lq_value": g.integrate((state.theta + 1.0) ** q, grid_),
-        "w12_theta": math.sqrt(g.integrate(state.theta ** 2, grid_) + g.integrate(thx ** 2, grid_)),
-    }
+    """Pointwise-in-time monitor values for one snapshot.
+
+    On a :class:`StateEval` the values are kept, so asking again with the same
+    ``q`` recomputes nothing.
+    """
+    ev = _eval(state, grid_)
+    if q not in ev.inst:
+        l2_thetax = g.integrate(ev.thx ** 2, grid_)
+        ev.inst[q] = {
+            "l2_thetax": l2_thetax,
+            "l2_vx": g.integrate(ev.vx ** 2, grid_),
+            "l2_uxx": g.integrate(ev.uxx ** 2, grid_),
+            "lq_value": g.integrate((ev.theta + 1.0) ** q, grid_),
+            "w12_theta": math.sqrt(g.integrate(ev.theta ** 2, grid_) + l2_thetax),
+        }
+    return dict(ev.inst[q])
 
 
-def monitors_update(prev: TheoryMonitors, state, dt: float, q: float, alpha: float,
-                    grid_: g.Grid1D) -> TheoryMonitors:
-    """Advance the accumulators by ``dt`` x (integrand at ``state``).
+def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha: float,
+                        grid_: g.Grid1D) -> TheoryMonitors:
+    """Advance only the four ``cum_*`` accumulators by ``dt`` x (integrand at
+    ``state``); the instantaneous fields of the result are zero.
 
     The time quadrature is the left-rectangle rule: the caller passes the
     snapshot at the left end of the step about to be taken.
     """
     if dt <= 0:
         raise DomainError("monitor update requires dt > 0")
-    vx = g.d1(state.v, grid_)
-    thxx = g.d2(state.theta, grid_, g.BcKind.NEUMANN_BOTH)
-    vxx = g.d2(state.v, grid_, g.BcKind.DIRICHLET_BOTH)
-    inst = instantaneous_monitors(state, q, grid_)
+    ev = _eval(state, grid_)
     return TheoryMonitors(
-        cum_vx4=prev.cum_vx4 + dt * g.integrate(vx ** 4, grid_),
-        cum_theta_pow=prev.cum_theta_pow + dt * g.integrate((state.theta + 1.0) ** (4.0 * alpha), grid_),
-        cum_thetaxx2=prev.cum_thetaxx2 + dt * g.integrate(thxx ** 2, grid_),
-        cum_vxx2=prev.cum_vxx2 + dt * g.integrate(vxx ** 2, grid_),
-        **inst,
+        cum_vx4=prev.cum_vx4 + dt * g.integrate(ev.vx ** 4, grid_),
+        cum_theta_pow=prev.cum_theta_pow + dt * g.integrate((ev.theta + 1.0) ** (4.0 * alpha), grid_),
+        cum_thetaxx2=prev.cum_thetaxx2 + dt * g.integrate(ev.thxx ** 2, grid_),
+        cum_vxx2=prev.cum_vxx2 + dt * g.integrate(ev.vxx ** 2, grid_),
     )
+
+
+def monitors_update(prev: TheoryMonitors, state, dt: float, q: float, alpha: float,
+                    grid_: g.Grid1D) -> TheoryMonitors:
+    """Advance the accumulators by ``dt`` x (integrand at ``state``) and set
+    the instantaneous fields to their values at ``state``."""
+    ev = _eval(state, grid_)
+    return replace(accumulate_monitors(prev, ev, dt, alpha, grid_),
+                   **instantaneous_monitors(ev, q, grid_))
 
 
 # --------------------------------------------------------------------------
@@ -143,9 +214,8 @@ def lq_balance(state, laws: mat.MaterialLaws, q: float, grid_: g.Grid1D) -> LqBa
     """Evaluate the three right-hand terms of the Lq rate identity."""
     if q <= 1.0:
         raise DomainError(f"lq_balance requires q > 1, got q={q}")
-    theta = state.theta
-    vx = g.d1(state.v, grid_)
-    thx = g.d1(theta, grid_)
+    ev = _eval(state, grid_)
+    theta, vx, thx = ev.theta, ev.vx, ev.thx
     w = theta + 1.0
     gam = np.asarray(mat.eval_gamma(laws, np.maximum(theta, 0.0)))
     f = np.asarray(mat.eval_f(laws, np.maximum(theta, 0.0)))
@@ -172,9 +242,8 @@ def z_transform(state, kappa: float, grid_: g.Grid1D):
     v(L), so states with pinned velocity give z the mixed boundary pair
     z(0) = 0, z_x(L) = 0 up to stencil error.
     """
-    V = g.cumulative_integral(state.v, grid_)
-    z = math.exp(-kappa * state.t) * V
-    return z, V
+    ev = _eval(state, grid_)
+    return math.exp(-kappa * ev.t) * ev.V, ev.V
 
 
 def left_end_flux(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D) -> float:
@@ -185,9 +254,10 @@ def left_end_flux(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D) -> f
     subtracted, so the residual below carries it as a spatially constant
     source correction.
     """
-    th0 = max(float(state.theta[0]), 0.0)
-    vx0 = float(g.d1(state.v, grid_)[0])
-    ux0 = float(g.d1(state.u, grid_)[0])
+    ev = _eval(state, grid_)
+    th0 = max(float(ev.theta[0]), 0.0)
+    vx0 = float(ev.vx[0])
+    ux0 = float(ev.ux[0])
     return mat.eval_gamma(laws, th0) * vx0 + a * ux0 - mat.eval_f(laws, th0)
 
 
@@ -205,16 +275,17 @@ def z_residual(state_prev, state_next, laws: mat.MaterialLaws, a: float, kappa: 
     dt = state_next.t - state_prev.t
     if dt <= 0:
         raise DomainError("z_residual needs snapshots in increasing time order")
-    z_new, _ = z_transform(state_next, kappa, grid_)
+    new = _eval(state_next, grid_)
+    z_new, _ = z_transform(new, kappa, grid_)
     z_old, _ = z_transform(state_prev, kappa, grid_)
     zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-    damp = math.exp(-kappa * state_next.t)
-    theta = np.maximum(state_next.theta, 0.0)
+    damp = math.exp(-kappa * new.t)
+    theta = np.maximum(new.theta, 0.0)
     gam = np.asarray(mat.eval_gamma(laws, theta))
     h = (gam - laws.gamma0) * zxx \
-        + a * damp * g.d1(state_next.u, grid_) \
+        + a * damp * new.ux \
         - damp * np.asarray(mat.eval_f(laws, theta))
-    correction = damp * left_end_flux(state_next, laws, a, grid_)
+    correction = damp * left_end_flux(new, laws, a, grid_)
     res = (z_new - z_old) / dt - (laws.gamma0 * zxx - kappa * z_new + h - correction)
     return math.sqrt(g.integrate(res ** 2, grid_))
 
@@ -372,6 +443,16 @@ class BlowupReport:
     tail: tuple[float, ...] = field(default=())
 
 
+@functools.lru_cache(maxsize=16)
+def _slope_weights(window: int) -> np.ndarray:
+    """Weights c with c . y the least-squares slope of y against 0..window-1."""
+    x = np.arange(window, dtype=float)
+    x -= x.mean()
+    c = x / np.dot(x, x)
+    c.flags.writeable = False
+    return c
+
+
 def blowup_check(trace, window: int, threshold: float, rate_min: float,
                  times=None) -> BlowupReport:
     """Fire iff the last trace value exceeds ``threshold`` AND the fitted
@@ -379,7 +460,9 @@ def blowup_check(trace, window: int, threshold: float, rate_min: float,
     ``rate_min``.
 
     The rate is the slope of a least-squares line through log(trace) per
-    sample, so benign large-but-decaying transients do not trigger.
+    sample, so benign large-but-decaying transients do not trigger.  ``trace``
+    may be any sequence holding at least ``window`` samples, such as a
+    ``deque`` bounded at ``window``.
     """
     trace = np.asarray(trace, dtype=float)
     if window < 2:
@@ -387,8 +470,7 @@ def blowup_check(trace, window: int, threshold: float, rate_min: float,
     if trace.size < window:
         raise DomainError(f"trace has {trace.size} samples, needs >= {window}")
     tail = trace[-window:]
-    safe = np.maximum(tail, 1e-300)
-    rate = float(np.polyfit(np.arange(window, dtype=float), np.log(safe), 1)[0])
+    rate = float(np.dot(_slope_weights(window), np.log(np.maximum(tail, 1e-300))))
     fired = bool(tail[-1] > threshold and rate > rate_min)
     t_fire = None
     if fired:
@@ -428,15 +510,10 @@ class MonitorConfig:
 # diagnostic row (the timeseries schema)
 # --------------------------------------------------------------------------
 
-DIAG_COLUMNS = (
-    "t", "E_total", "E_kin", "E_el", "E_th", "drift", "mass_theta", "min_theta",
-    "l2_vx", "l2_uxx", "l2_thetax", "cum_vx4", "cum_theta_pow", "cum_thetaxx2",
-    "cum_vxx2", "lq_value", "w12_theta", "z_residual", "clamp_count",
-)
-
-
 @dataclass(frozen=True)
 class DiagRow:
+    """One timeseries row; the field order is the CSV column order."""
+
     t: float
     E_total: float
     E_kin: float
@@ -461,30 +538,30 @@ class DiagRow:
         return tuple(getattr(self, c) for c in DIAG_COLUMNS)
 
 
+DIAG_COLUMNS = tuple(f.name for f in fields(DiagRow))
+
+
 def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q: float,
              e0: float, z_res: float, clamp_count: int) -> DiagRow:
-    """Assemble one timeseries row; instantaneous monitors are recomputed at
-    the sampled state, cumulative ones are taken from the accumulator."""
-    budget = energy(state, a, grid_)
-    inst = instantaneous_monitors(state, q, grid_)
+    """Assemble one timeseries row: energy split, mass, min(theta) and the
+    instantaneous monitors at the sampled state; cumulative monitors are
+    taken from the accumulator."""
+    ev = _eval(state, grid_)
+    budget = energy(ev, a, grid_)
     return DiagRow(
-        t=state.t,
+        t=ev.t,
         E_total=budget.total,
         E_kin=budget.kinetic,
         E_el=budget.elastic,
         E_th=budget.thermal,
         drift=budget.total - e0,
-        mass_theta=g.integrate(state.theta, grid_),
-        min_theta=float(np.min(state.theta)),
-        l2_vx=inst["l2_vx"],
-        l2_uxx=inst["l2_uxx"],
-        l2_thetax=inst["l2_thetax"],
+        mass_theta=budget.thermal,
+        min_theta=float(np.min(ev.theta)),
         cum_vx4=monitors.cum_vx4,
         cum_theta_pow=monitors.cum_theta_pow,
         cum_thetaxx2=monitors.cum_thetaxx2,
         cum_vxx2=monitors.cum_vxx2,
-        lq_value=inst["lq_value"],
-        w12_theta=inst["w12_theta"],
         z_residual=z_res,
         clamp_count=clamp_count,
+        **instantaneous_monitors(ev, q, grid_),
     )

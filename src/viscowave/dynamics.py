@@ -26,7 +26,8 @@ variant cancels it and conserves the discrete energy to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -415,7 +416,15 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
              t_end: float, scheme_cfg: SchemeConfig, monitor_cfg: diag.MonitorConfig | None = None,
              forcing: Forcing | None = None) -> Trajectory:
     """Integrate from t = 0 to t_end, recording diagnostics at the configured
-    cadence; halts early if the blow-up detector fires."""
+    cadence; halts early if the blow-up detector fires.
+
+    Each state is wrapped once in a :class:`diagnostics.StateEval`.  Every
+    step advances the accumulators at its left state; a sampled state also
+    gets its row and transformed residual, and its evaluation is reused as
+    the left state of the next step.  The instantaneous fields of
+    ``traj.monitors`` (taken at the left state of the last accepted step) are
+    filled in once, on return.
+    """
     if monitor_cfg is None:
         monitor_cfg = diag.MonitorConfig()
     if data.u0.shape != (grid_.n,):
@@ -426,16 +435,24 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
     state = State(t=0.0, u=data.u0, v=data.v0, theta=data.theta0)
     traj = Trajectory(grid=grid_, laws=laws, a=a)
     traj.e0 = diag.energy(state, a, grid_).total
-    monitors = diag.TheoryMonitors()
+    cum = diag.TheoryMonitors()
     q, alpha = monitor_cfg.q, laws.alpha
+    w12 = deque(maxlen=monitor_cfg.blowup_window)
+    last_left = None
 
-    def record(st: State, z_res: float):
-        traj.times.append(st.t)
-        traj.states.append(st)
-        traj.rows.append(diag.make_row(st, a, grid_, monitors, q, traj.e0, z_res, traj.clamp_total))
+    def record(ev: diag.StateEval, z_res: float):
+        traj.times.append(ev.t)
+        traj.states.append(ev.state)
+        traj.rows.append(diag.make_row(ev, a, grid_, cum, q, traj.e0, z_res, traj.clamp_total))
+        w12.append(traj.rows[-1].w12_theta)
 
-    record(state, 0.0)
-    w12_trace = [traj.rows[0].w12_theta]
+    def finish() -> Trajectory:
+        if last_left is not None:
+            traj.monitors = replace(cum, **diag.instantaneous_monitors(last_left, q, grid_))
+        return traj
+
+    ev = diag.StateEval(state, grid_)
+    record(ev, 0.0)
 
     eps_end = 1e-12 * max(t_end, 1.0)
     steps_since_sample = 0
@@ -443,40 +460,40 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
         dt = adapt_dt(state, laws, grid_, scheme_cfg) if scheme_cfg.adaptive else scheme_cfg.dt_initial
         dt = min(dt, t_end - state.t)
 
-        prev = state
+        prev = ev
         retries = 0
         while True:
             try:
-                state, clamped = step_with_count(prev, laws, a, grid_, scheme_cfg, dt, forcing)
+                state, clamped = step_with_count(prev.state, laws, a, grid_, scheme_cfg, dt, forcing)
                 break
             except StepError as exc:
                 if exc.suggested_dt is None or retries >= scheme_cfg.max_step_retries:
                     traj.status = "aborted"
                     traj.error = str(exc)
-                    return traj
+                    return finish()
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
-        monitors = diag.monitors_update(monitors, prev, dt, q, alpha, grid_)
-        traj.monitors = monitors
+        cum = diag.accumulate_monitors(cum, prev, dt, alpha, grid_)
+        last_left = prev
+        ev = diag.StateEval(state, grid_)
         traj.clamp_total += clamped
         traj.steps_taken += 1
         steps_since_sample += 1
 
         if steps_since_sample >= monitor_cfg.cadence or state.t >= t_end - eps_end:
-            z_res = diag.z_residual(prev, state, laws, a, monitor_cfg.kappa, grid_)
-            record(state, z_res)
+            z_res = diag.z_residual(prev, ev, laws, a, monitor_cfg.kappa, grid_)
+            record(ev, z_res)
             steps_since_sample = 0
-            w12_trace.append(traj.rows[-1].w12_theta)
-            if len(w12_trace) >= monitor_cfg.blowup_window:
+            if len(w12) == monitor_cfg.blowup_window:
                 report = diag.blowup_check(
-                    w12_trace, monitor_cfg.blowup_window, monitor_cfg.blowup_threshold,
+                    w12, monitor_cfg.blowup_window, monitor_cfg.blowup_threshold,
                     monitor_cfg.blowup_rate_min, times=traj.times)
                 if report.fired:
                     traj.blowup = report
                     traj.status = "blowup_halt"
-                    return traj
+                    return finish()
 
-    return traj
+    return finish()
 
 
 def run(config: "RunConfig") -> Trajectory:

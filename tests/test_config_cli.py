@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -308,6 +309,37 @@ def test_cmd_sweep_delta(tmp_path):
     assert all("False" in line.split(",")[4] for line in agg[1:])  # no blow-up
     for i in range(3):
         assert (tmp_path / "sw" / f"point_delta_{i:02d}" / "timeseries.csv").exists()
+
+
+def test_cmd_sweep_records_failing_point_and_exits_solver(tmp_path, monkeypatch, capsys):
+    # one point raises an exception that is not a ViscowaveError; the other
+    # points are still run and written, and the sweep exits non-zero
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
+    out = tmp_path / "sw"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(out))
+    real_run = cli.dyn.run
+
+    def run(config):
+        if config.scenario.laws.delta == 0.05:
+            raise RuntimeError("injected fault, with a comma")
+        return real_run(config)
+
+    monkeypatch.setattr(cli.dyn, "run", run)
+    code = cli.main(["sweep", "--config", path, "--out", str(out), "--workers", "1"])
+    assert code == cli.EXIT_SOLVER
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["completed", "failed", "completed"]
+    assert rows[1]["error"] == "RuntimeError: injected fault, with a comma"
+    for i in (0, 2):
+        assert (out / f"point_delta_{i:02d}" / "timeseries.csv").exists()
+    assert "RuntimeError" in capsys.readouterr().err
+
+
+def test_cmd_sweep_blowup_exit_code(tmp_path):
+    text = BLOWUP_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sb"))
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sb")) == cli.EXIT_BLOWUP
 
 
 def test_cmd_sweep_bad_config(tmp_path):

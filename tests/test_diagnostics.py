@@ -334,6 +334,39 @@ def test_blowup_argument_checks():
         diag.blowup_check([1.0, 2.0, 3.0], window=1, threshold=1.0, rate_min=0.1)
 
 
+def test_blowup_slope_matches_polyfit():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        window = int(rng.integers(2, 41))
+        trace = np.exp(rng.normal(0.0, 5.0) + rng.normal(0.0, 3.0, window + int(rng.integers(0, 5))))
+        rep = diag.blowup_check(trace, window=window, threshold=1.0, rate_min=0.0)
+        ref = np.polyfit(np.arange(window, dtype=float), np.log(trace[-window:]), 1)[0]
+        assert rep.rate == pytest.approx(ref, rel=0.0, abs=1e-12)
+
+
+def test_simulate_keeps_w12_history_bounded(monkeypatch):
+    # 300 samples through a window of 4: the history simulate hands the
+    # detector is one object that never holds more than the window
+    seen = []
+    real_check = diag.blowup_check
+
+    def spy(trace, window, *args, **kwargs):
+        seen.append((trace, len(trace)))
+        return real_check(trace, window, *args, **kwargs)
+
+    monkeypatch.setattr(diag, "blowup_check", spy)
+    grid_ = make_grid(17)
+    data = mat.InitialData(u0=np.zeros(17), v0=np.zeros(17), theta0=np.ones(17))
+    mon = diag.MonitorConfig(blowup_window=4)
+    scheme = dyn.SchemeConfig(dt_initial=1e-3, dt_max=1e-3)
+    traj = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 0.3, scheme, mon)
+    assert traj.status == "completed" and len(traj.rows) == 301
+    assert len(seen) == 301 - 4 + 1
+    assert {id(trace) for trace, _ in seen} == {id(seen[0][0])}
+    assert {size for _, size in seen} == {4}
+    assert len(seen[0][0]) == 4
+
+
 # --------------------------------------------------------------------------
 # diagnostic rows
 # --------------------------------------------------------------------------

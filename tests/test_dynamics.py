@@ -6,6 +6,7 @@ from viscowave import diagnostics as diag
 from viscowave import dynamics as dyn
 from viscowave import grid as g
 from viscowave import material as mat
+from viscowave import scenarios as sc
 from viscowave.errors import ConfigError, DomainError, StepError
 
 CONST_LAWS = mat.MaterialLaws(gamma_family="constant", f_family="zero", gamma0=1.0)
@@ -361,3 +362,79 @@ def test_blowup_halt_on_forced_growth():
     assert traj.status == "blowup_halt"
     assert traj.blowup is not None and traj.blowup.fired
     assert traj.times[-1] < 2.0
+
+
+# --------------------------------------------------------------------------
+# simulate's per-state cache against the public per-function diagnostics
+# --------------------------------------------------------------------------
+
+COUPLED_LAWS = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
+                                gamma0=1.0, delta=0.1, K_f=1.0, alpha=1.0)
+
+
+def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
+    """simulate's loop at fixed dt, with every diagnostic recomputed from a
+    plain State through the public functions and the blow-up slope taken by
+    np.polyfit.  Returns (rows, monitors, steps, t_fire)."""
+    state = dyn.State(t=0.0, u=data.u0, v=data.v0, theta=data.theta0)
+    e0 = diag.energy(state, a, grid_).total
+    monitors = diag.TheoryMonitors()
+    rows = [diag.make_row(state, a, grid_, monitors, mon.q, e0, 0.0, 0)]
+    clamp_total = steps = since = 0
+    eps_end = 1e-12 * max(t_end, 1.0)
+    win = mon.blowup_window
+    while state.t < t_end - eps_end:
+        dt = min(cfg.dt_initial, t_end - state.t)
+        prev = state
+        state, clamped = dyn.step_with_count(prev, laws, a, grid_, cfg, dt, forcing)
+        monitors = diag.monitors_update(monitors, prev, dt, mon.q, laws.alpha, grid_)
+        clamp_total += clamped
+        steps += 1
+        since += 1
+        if since >= mon.cadence or state.t >= t_end - eps_end:
+            z_res = diag.z_residual(prev, state, laws, a, mon.kappa, grid_)
+            rows.append(diag.make_row(state, a, grid_, monitors, mon.q, e0, z_res, clamp_total))
+            since = 0
+            if len(rows) >= win:
+                tail = np.array([r.w12_theta for r in rows[-win:]])
+                rate = np.polyfit(np.arange(win, dtype=float), np.log(np.maximum(tail, 1e-300)), 1)[0]
+                if tail[-1] > mon.blowup_threshold and rate > mon.blowup_rate_min:
+                    return rows, monitors, steps, state.t
+    return rows, monitors, steps, None
+
+
+@pytest.mark.parametrize("cadence,scheme", [(1, "imex_be"), (3, "imex_cn")])
+def test_simulate_diagnostics_equal_per_function_replay(cadence, scheme):
+    # t_end = 0.0213 at dt = 1e-3: 21 full steps and a clipped final step,
+    # which at cadence 3 is sampled off the cadence
+    grid_ = make_grid(33)
+    data = sc.gen_coupled_smooth(grid_)
+    mon = diag.MonitorConfig(q=2.5, kappa=1.5, cadence=cadence)
+    cfg = cfg_for(1e-3, scheme)
+    traj = dyn.simulate(COUPLED_LAWS, 1.0, grid_, data, 0.0213, cfg, mon)
+    rows, monitors, steps, _ = replay(COUPLED_LAWS, 1.0, grid_, data, 0.0213, cfg, mon)
+    assert traj.status == "completed" and traj.steps_taken == steps == 22
+    assert len(traj.rows) == (23 if cadence == 1 else 9)
+    assert traj.rows == rows
+    assert traj.monitors == monitors
+    assert [r.t for r in rows] == traj.times
+
+
+def test_blowup_halt_fires_where_polyfit_detector_fired():
+    # the forced-growth case of test_blowup_halt_on_forced_growth
+    grid_ = make_grid(33)
+    data = mat.InitialData(u0=np.zeros(33), v0=np.zeros(33), theta0=np.ones(33))
+    forcing = dyn.Forcing(
+        fv=lambda x, t: np.zeros_like(x),
+        ftheta=lambda x, t: 40.0 * np.exp(8.0 * t) * np.ones_like(x),
+    )
+    mon = diag.MonitorConfig(blowup_threshold=50.0, blowup_window=4, blowup_rate_min=0.01)
+    cfg = cfg_for(1e-2)
+    traj = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 2.0, cfg, mon, forcing)
+    rows, monitors, steps, t_fire = replay(CONST_LAWS, 1.0, grid_, data, 2.0, cfg, mon, forcing)
+    assert t_fire is not None
+    assert traj.status == "blowup_halt"
+    assert traj.blowup.t_fire == t_fire
+    assert traj.steps_taken == steps
+    assert traj.rows == rows
+    assert traj.monitors == monitors
