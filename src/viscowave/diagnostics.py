@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import grid as g
 from . import material as mat
+from . import tridiag
 from .errors import ConfigError, DomainError
 
 # --------------------------------------------------------------------------
@@ -44,6 +44,26 @@ class StateEval:
         self.grid = grid_
         self.t, self.u, self.v, self.theta = state.t, state.u, state.v, state.theta
         self.inst: dict[float, dict] = {}  # instantaneous monitors by exponent q
+        self._laws = None
+        self._material = None
+
+    @classmethod
+    def of(cls, state, grid_: g.Grid1D) -> "StateEval":
+        """``state`` itself if it is a ``StateEval`` on ``grid_``, else a new one."""
+        if not isinstance(state, cls):
+            return cls(state, grid_)
+        if state.grid != grid_:
+            raise ConfigError("StateEval was built on a different grid")
+        return state
+
+    def material(self, laws: mat.MaterialLaws) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, f) at max(theta, 0), kept for the last ``laws`` asked."""
+        if self._laws is not laws:
+            theta = np.maximum(self.theta, 0.0)
+            self._material = (np.asarray(mat.eval_gamma(laws, theta)),
+                              np.asarray(mat.eval_f(laws, theta)))
+            self._laws = laws
+        return self._material
 
     @functools.cached_property
     def vx(self) -> np.ndarray:
@@ -73,14 +93,6 @@ class StateEval:
     def V(self) -> np.ndarray:
         """Antiderivative int_0^x v."""
         return g.cumulative_integral(self.v, self.grid)
-
-
-def _eval(state, grid_: g.Grid1D) -> StateEval:
-    if not isinstance(state, StateEval):
-        return StateEval(state, grid_)
-    if state.grid != grid_:
-        raise ConfigError("StateEval was built on a different grid")
-    return state
 
 
 # --------------------------------------------------------------------------
@@ -150,7 +162,7 @@ def instantaneous_monitors(state, q: float, grid_: g.Grid1D) -> dict:
     On a :class:`StateEval` the values are kept, so asking again with the same
     ``q`` recomputes nothing.
     """
-    ev = _eval(state, grid_)
+    ev = StateEval.of(state, grid_)
     if q not in ev.inst:
         l2_thetax = g.integrate(ev.thx ** 2, grid_)
         ev.inst[q] = {
@@ -173,7 +185,7 @@ def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha: float,
     """
     if dt <= 0:
         raise DomainError("monitor update requires dt > 0")
-    ev = _eval(state, grid_)
+    ev = StateEval.of(state, grid_)
     return TheoryMonitors(
         cum_vx4=prev.cum_vx4 + dt * g.integrate(ev.vx ** 4, grid_),
         cum_theta_pow=prev.cum_theta_pow + dt * g.integrate((ev.theta + 1.0) ** (4.0 * alpha), grid_),
@@ -186,7 +198,7 @@ def monitors_update(prev: TheoryMonitors, state, dt: float, q: float, alpha: flo
                     grid_: g.Grid1D) -> TheoryMonitors:
     """Advance the accumulators by ``dt`` x (integrand at ``state``) and set
     the instantaneous fields to their values at ``state``."""
-    ev = _eval(state, grid_)
+    ev = StateEval.of(state, grid_)
     return replace(accumulate_monitors(prev, ev, dt, alpha, grid_),
                    **instantaneous_monitors(ev, q, grid_))
 
@@ -214,11 +226,10 @@ def lq_balance(state, laws: mat.MaterialLaws, q: float, grid_: g.Grid1D) -> LqBa
     """Evaluate the three right-hand terms of the Lq rate identity."""
     if q <= 1.0:
         raise DomainError(f"lq_balance requires q > 1, got q={q}")
-    ev = _eval(state, grid_)
+    ev = StateEval.of(state, grid_)
     theta, vx, thx = ev.theta, ev.vx, ev.thx
     w = theta + 1.0
-    gam = np.asarray(mat.eval_gamma(laws, np.maximum(theta, 0.0)))
-    f = np.asarray(mat.eval_f(laws, np.maximum(theta, 0.0)))
+    gam, f = ev.material(laws)
     dissipation = q * (q - 1.0) * g.integrate(w ** (q - 2.0) * thx ** 2, grid_)
     viscous_gain = q * g.integrate(gam * w ** (q - 1.0) * vx ** 2, grid_)
     coupling_loss = q * g.integrate(f * w ** (q - 1.0) * vx, grid_)
@@ -242,7 +253,7 @@ def z_transform(state, kappa: float, grid_: g.Grid1D):
     v(L), so states with pinned velocity give z the mixed boundary pair
     z(0) = 0, z_x(L) = 0 up to stencil error.
     """
-    ev = _eval(state, grid_)
+    ev = StateEval.of(state, grid_)
     return math.exp(-kappa * ev.t) * ev.V, ev.V
 
 
@@ -254,7 +265,7 @@ def left_end_flux(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D) -> f
     subtracted, so the residual below carries it as a spatially constant
     source correction.
     """
-    ev = _eval(state, grid_)
+    ev = StateEval.of(state, grid_)
     th0 = max(float(ev.theta[0]), 0.0)
     vx0 = float(ev.vx[0])
     ux0 = float(ev.ux[0])
@@ -275,16 +286,13 @@ def z_residual(state_prev, state_next, laws: mat.MaterialLaws, a: float, kappa: 
     dt = state_next.t - state_prev.t
     if dt <= 0:
         raise DomainError("z_residual needs snapshots in increasing time order")
-    new = _eval(state_next, grid_)
+    new = StateEval.of(state_next, grid_)
     z_new, _ = z_transform(new, kappa, grid_)
     z_old, _ = z_transform(state_prev, kappa, grid_)
     zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
     damp = math.exp(-kappa * new.t)
-    theta = np.maximum(new.theta, 0.0)
-    gam = np.asarray(mat.eval_gamma(laws, theta))
-    h = (gam - laws.gamma0) * zxx \
-        + a * damp * new.ux \
-        - damp * np.asarray(mat.eval_f(laws, theta))
+    gam, f = new.material(laws)
+    h = (gam - laws.gamma0) * zxx + a * damp * new.ux - damp * f
     correction = damp * left_end_flux(new, laws, a, grid_)
     res = (z_new - z_old) / dt - (laws.gamma0 * zxx - kappa * z_new + h - correction)
     return math.sqrt(g.integrate(res ** 2, grid_))
@@ -330,13 +338,7 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> float:
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     r = 0.5 * dt * D / dgrid.dx ** 2
-    nn = dgrid.n
-    ab = np.zeros((3, nn))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[0, 2:] = -r
-    ab[2, :-2] = -r
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = ab[2, -2] = 0.0
+    op = tridiag.dirichlet_factored(dgrid.n, r)
 
     def zxx_p(zfull):
         zres = zfull[:grid_.n]
@@ -348,7 +350,7 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> float:
         rhs = zh.copy()
         rhs[1:-1] += r * (zh[2:] - 2.0 * zh[1:-1] + zh[:-2]) + dt * gh[1:-1]
         rhs[0] = rhs[-1] = 0.0
-        zh = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+        zh = op.solve(rhs)
         acc += zxx_p(zh)
     acc -= 0.5 * zxx_p(zh)
     return acc * dt
@@ -546,7 +548,7 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q: floa
     """Assemble one timeseries row: energy split, mass, min(theta) and the
     instantaneous monitors at the sampled state; cumulative monitors are
     taken from the accumulator."""
-    ev = _eval(state, grid_)
+    ev = StateEval.of(state, grid_)
     budget = energy(ev, a, grid_)
     return DiagRow(
         t=ev.t,

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import diagnostics as diag
 from . import grid as g
 from . import material as mat
+from . import tridiag
 from .errors import ConfigError, DomainError, StepError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -150,29 +150,23 @@ def adapt_dt(state: State, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeC
 # --------------------------------------------------------------------------
 
 
-def _solve_banded(diag_, lower, upper, rhs_, tol, label):
-    """Solve a tridiagonal system and verify the residual."""
-    n = diag_.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag_
-    ab[2, :-1] = lower
+def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
+    """Solve ``op x = rhs_``; check that x is finite and that the residual
+    against the unfactored matrix is at most ``tol * max(1, |rhs_|_inf)``."""
     try:
-        x = scipy.linalg.solve_banded((1, 1), ab, rhs_, check_finite=False)
+        x = op.solve(rhs_)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise StepError(f"{label} solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise StepError(f"{label} solve produced non-finite values")
-    res = diag_ * x - rhs_
-    res[1:] += lower * x[:-1]
-    res[:-1] += upper * x[1:]
+    res = op.residual(x, rhs_)
     scale = max(1.0, float(np.max(np.abs(rhs_))))
     if float(np.max(np.abs(res))) > tol * scale:
         raise StepError(f"{label} solve residual exceeds tolerance")
     return x
 
 
-def _solve_v_stage(v, u, src, gam_mid, a, grid_, dt, theta_weight, tol):
+def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
     """Implicit velocity stage shared by both schemes.
 
     Solves (I - theta_weight*dt*L_gamma - a*(theta_weight*dt)^2*D2) v_new =
@@ -190,7 +184,7 @@ def _solve_v_stage(v, u, src, gam_mid, a, grid_, dt, theta_weight, tol):
     upper[1:] = -w * gam_mid[1:] / dx2 - a * w * w / dx2
     rhs_ = np.zeros(n)
     rhs_[1:-1] = src
-    return _solve_banded(diag_, lower, upper, rhs_, tol, "velocity")
+    return _solve_banded(tridiag.Tridiag(lower, diag_, upper), rhs_, tol, label="velocity")
 
 
 def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
@@ -198,16 +192,11 @@ def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
 
     The mirror-ghost Neumann rows keep the trapezoid mass of the operator
     identically zero, so the solve conserves int Theta up to the sources
-    already contained in ``rhs_``.
+    already contained in ``rhs_``.  The matrix depends only on (n, dt,
+    theta_weight) and is factored once per value.
     """
-    n = grid_.n
-    r = theta_weight * dt / grid_.dx ** 2
-    diag_ = np.full(n, 1.0 + 2.0 * r)
-    lower = np.full(n - 1, -r)
-    upper = np.full(n - 1, -r)
-    upper[0] = -2.0 * r
-    lower[-1] = -2.0 * r
-    return _solve_banded(diag_, lower, upper, rhs_, tol, "heat")
+    op = tridiag.neumann_factored(grid_.n, theta_weight * dt / grid_.dx ** 2)
+    return _solve_banded(op, rhs_, tol, label="heat")
 
 
 def _heat_source(v_used, theta_old, f_old, gam_mid, grid_):
@@ -230,9 +219,13 @@ def step(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     return new_state
 
 
-def step_with_count(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
+def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
                     cfg: SchemeConfig, dt: float, forcing: Forcing | None = None):
-    """As :func:`step` but also returns the number of clamped temperature nodes."""
+    """As :func:`step` but also returns the number of clamped temperature nodes.
+
+    ``state`` may be a :class:`diagnostics.StateEval`; its cached (gamma, f)
+    are then used, and kept for the next caller.
+    """
     if dt <= 0:
         raise DomainError("dt must be positive")
     if a <= 0:
@@ -243,10 +236,9 @@ def step_with_count(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Gri
     dx2 = grid_.dx ** 2
 
     theta_old = np.maximum(state.theta, 0.0)
-    gam = np.asarray(mat.eval_gamma(laws, theta_old))
+    gam, f_old = diag.StateEval.of(state, grid_).material(laws)
     if np.any(gam <= 0.0):
         raise DomainError("viscosity must stay positive")
-    f_old = np.asarray(mat.eval_f(laws, theta_old))
     gam_mid = 0.5 * (gam[1:] + gam[:-1])
 
     d2u = (state.u[2:] - 2.0 * state.u[1:-1] + state.u[:-2]) / dx2
@@ -256,7 +248,7 @@ def step_with_count(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Gri
         src = state.v[1:-1] + dt * (a * d2u - dfdx)
         if forcing is not None:
             src = src + dt * forcing.fv(grid_.nodes, state.t + dt)[1:-1]
-        v_new = _solve_v_stage(state.v, state.u, src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
+        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
         u_new = state.u + dt * v_new
         v_used = v_new
         heat_extra = np.zeros(n)
@@ -271,7 +263,7 @@ def step_with_count(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Gri
             + 0.25 * a * dt * dt * d2v - dt * dfdx
         if forcing is not None:
             src = src + dt * forcing.fv(grid_.nodes, state.t + 0.5 * dt)[1:-1]
-        v_new = _solve_v_stage(state.v, state.u, src, gam_mid, a, grid_, dt, 0.5, cfg.solver_tol)
+        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 0.5, cfg.solver_tol)
         u_new = state.u + 0.5 * dt * (state.v + v_new)
         v_used = 0.5 * (state.v + v_new)
         heat_extra = np.zeros(n)
@@ -346,31 +338,19 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     dx2 = grid_.dx ** 2
 
     d2u = (state.u_eta[2:] - 2.0 * state.u_eta[1:-1] + state.u_eta[:-2]) / dx2
-    r = dt * A / dx2
-    diag_ = np.ones(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-    diag_[1:-1] = 1.0 + 2.0 * r[1:-1]
-    lower[:-1] = -r[1:-1]
-    upper[1:] = -r[1:-1]
     rhs_ = np.zeros(n)
     rhs_[1:-1] = state.v_eta[1:-1] + dt * (a * d2u + gsrc[1:-1])
-    v_new = _solve_banded(diag_, lower, upper, rhs_, cfg.solver_tol, "eta velocity")
+    op = tridiag.dirichlet(n, dt * A[1:-1] / dx2)
+    v_new = _solve_banded(op, rhs_, cfg.solver_tol, label="eta velocity")
     v_new[0] = v_new[-1] = 0.0
 
     if state.eta == 0.0:
         u_new = state.u_eta + dt * v_new
     else:
-        s = dt * state.eta / dx2
-        diag_u = np.ones(n)
-        lower_u = np.zeros(n - 1)
-        upper_u = np.zeros(n - 1)
-        diag_u[1:-1] = 1.0 + 2.0 * s
-        lower_u[:-1] = -s
-        upper_u[1:] = -s
         rhs_u = np.zeros(n)
         rhs_u[1:-1] = state.u_eta[1:-1] + dt * v_new[1:-1]
-        u_new = _solve_banded(diag_u, lower_u, upper_u, rhs_u, cfg.solver_tol, "eta displacement")
+        op = tridiag.dirichlet_factored(n, dt * state.eta / dx2)
+        u_new = _solve_banded(op, rhs_u, cfg.solver_tol, label="eta displacement")
     u_new[0] = u_new[-1] = 0.0
     return EtaState(t=state.t + dt, v_eta=v_new, u_eta=u_new, eta=state.eta)
 
@@ -420,8 +400,8 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
 
     Each state is wrapped once in a :class:`diagnostics.StateEval`.  Every
     step advances the accumulators at its left state; a sampled state also
-    gets its row and transformed residual, and its evaluation is reused as
-    the left state of the next step.  The instantaneous fields of
+    gets its row and transformed residual, and its evaluation (material
+    coefficients included) is reused as the left state of the next step.  The instantaneous fields of
     ``traj.monitors`` (taken at the left state of the last accepted step) are
     filled in once, on return.
     """
@@ -464,7 +444,7 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
         retries = 0
         while True:
             try:
-                state, clamped = step_with_count(prev.state, laws, a, grid_, scheme_cfg, dt, forcing)
+                state, clamped = step_with_count(prev, laws, a, grid_, scheme_cfg, dt, forcing)
                 break
             except StepError as exc:
                 if exc.suggested_dt is None or retries >= scheme_cfg.max_step_retries:

@@ -182,7 +182,8 @@ def div_flux(coef: FloatArray, w: FloatArray, grid: Grid1D) -> FloatArray:
 def integrate(w: FloatArray, grid: Grid1D) -> float:
     """Trapezoid quadrature over (0, L); exact for piecewise-linear node data."""
     w = _check_size(w, grid)
-    return float(np.trapezoid(w, dx=grid.dx))
+    # np.trapezoid's own expression, without its call overhead
+    return float((grid.dx * (w[1:] + w[:-1]) / 2.0).sum())
 
 
 def inner(w: FloatArray, z: FloatArray, grid: Grid1D) -> float:
