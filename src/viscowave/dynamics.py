@@ -401,9 +401,9 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
     Each state is wrapped once in a :class:`diagnostics.StateEval`.  Every
     step advances the accumulators at its left state; a sampled state also
     gets its row and transformed residual, and its evaluation (material
-    coefficients included) is reused as the left state of the next step.  The instantaneous fields of
-    ``traj.monitors`` (taken at the left state of the last accepted step) are
-    filled in once, on return.
+    coefficients included) is reused as the left state of the next step.
+    The instantaneous fields of ``traj.monitors`` are taken at the last
+    accepted state, once, on return; a sampled state already holds them.
     """
     if monitor_cfg is None:
         monitor_cfg = diag.MonitorConfig()
@@ -418,7 +418,6 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
     cum = diag.TheoryMonitors()
     q, alpha = monitor_cfg.q, laws.alpha
     w12 = deque(maxlen=monitor_cfg.blowup_window)
-    last_left = None
 
     def record(ev: diag.StateEval, z_res: float):
         traj.times.append(ev.t)
@@ -427,8 +426,7 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
         w12.append(traj.rows[-1].w12_theta)
 
     def finish() -> Trajectory:
-        if last_left is not None:
-            traj.monitors = replace(cum, **diag.instantaneous_monitors(last_left, q, grid_))
+        traj.monitors = replace(cum, **diag.instantaneous_monitors(ev, q, grid_))
         return traj
 
     ev = diag.StateEval(state, grid_)
@@ -454,7 +452,6 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
         cum = diag.accumulate_monitors(cum, prev, dt, alpha, grid_)
-        last_left = prev
         ev = diag.StateEval(state, grid_)
         traj.clamp_total += clamped
         traj.steps_taken += 1

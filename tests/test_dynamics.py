@@ -375,7 +375,8 @@ COUPLED_LAWS = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
 def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
     """simulate's loop at fixed dt, with every diagnostic recomputed from a
     plain State through the public functions and the blow-up slope taken by
-    np.polyfit.  Returns (rows, monitors, steps, t_fire)."""
+    np.polyfit.  The instantaneous monitors are those of the final state.
+    Returns (rows, monitors, steps, t_fire)."""
     state = dyn.State(t=0.0, u=data.u0, v=data.v0, theta=data.theta0)
     e0 = diag.energy(state, a, grid_).total
     monitors = diag.TheoryMonitors()
@@ -399,8 +400,12 @@ def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
                 tail = np.array([r.w12_theta for r in rows[-win:]])
                 rate = np.polyfit(np.arange(win, dtype=float), np.log(np.maximum(tail, 1e-300)), 1)[0]
                 if tail[-1] > mon.blowup_threshold and rate > mon.blowup_rate_min:
-                    return rows, monitors, steps, state.t
-    return rows, monitors, steps, None
+                    t_fire = state.t
+                    break
+    else:
+        t_fire = None
+    final = replace(monitors, **diag.instantaneous_monitors(state, mon.q, grid_))
+    return rows, final, steps, t_fire
 
 
 @pytest.mark.parametrize("cadence,scheme", [(1, "imex_be"), (3, "imex_cn")])
@@ -438,3 +443,41 @@ def test_blowup_halt_fires_where_polyfit_detector_fired():
     assert traj.steps_taken == steps
     assert traj.rows == rows
     assert traj.monitors == monitors
+
+
+INSTANTANEOUS = ("l2_vx", "l2_uxx", "l2_thetax", "lq_value", "w12_theta")
+
+
+def _nan_after(t_bad):
+    """Velocity forcing that turns non-finite once t exceeds ``t_bad``."""
+    return dyn.Forcing(
+        fv=lambda x, t: np.full_like(x, np.nan) if t > t_bad else np.zeros_like(x),
+        ftheta=lambda x, t: np.zeros_like(x),
+    )
+
+
+@pytest.mark.parametrize("case", ["completed", "aborted", "blowup_halt"])
+def test_monitors_final_are_the_last_rows_instantaneous_values(case):
+    grid_ = make_grid(33)
+    mon = diag.MonitorConfig(q=2.5)
+    if case == "blowup_halt":
+        # the forced-growth case of test_blowup_halt_on_forced_growth
+        data = mat.InitialData(u0=np.zeros(33), v0=np.zeros(33), theta0=np.ones(33))
+        forcing = dyn.Forcing(
+            fv=lambda x, t: np.zeros_like(x),
+            ftheta=lambda x, t: 40.0 * np.exp(8.0 * t) * np.ones_like(x),
+        )
+        mon = diag.MonitorConfig(q=2.5, blowup_threshold=50.0, blowup_window=4,
+                                 blowup_rate_min=0.01)
+        traj = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 2.0, cfg_for(1e-2), mon, forcing)
+    else:
+        data = sc.gen_coupled_smooth(grid_)
+        forcing = _nan_after(0.0105) if case == "aborted" else None
+        traj = dyn.simulate(COUPLED_LAWS, 1.0, grid_, data, 0.0213, cfg_for(1e-3), mon, forcing)
+    assert traj.status == case
+    assert traj.steps_taken == {"completed": 22, "aborted": 10}.get(case, traj.steps_taken)
+    last = traj.rows[-1]
+    assert last.t == traj.final_state.t
+    assert {k: getattr(traj.monitors, k) for k in INSTANTANEOUS} \
+        == {k: getattr(last, k) for k in INSTANTANEOUS}
+    assert traj.monitors.cum_vx4 == last.cum_vx4
