@@ -199,7 +199,7 @@ def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
     return _solve_banded(op, rhs_, tol, label="heat")
 
 
-def _heat_source(v_used, theta_old, f_old, gam_mid, grid_):
+def _heat_source(v_used, f_old, gam_mid, grid_):
     """Nodal heating/coupling source matched to the mechanical losses.
 
     Dissipation is gamma_mid * (strain rate)^2 per cell scattered back to the
@@ -235,7 +235,6 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
         raise ConfigError("state not sized to grid")
     dx2 = grid_.dx ** 2
 
-    theta_old = np.maximum(state.theta, 0.0)
     gam, f_old = diag.StateEval.of(state, grid_).material(laws)
     if np.any(gam <= 0.0):
         raise DomainError("viscosity must stay positive")
@@ -254,7 +253,7 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
         heat_extra = np.zeros(n)
         if forcing is not None:
             heat_extra = forcing.ftheta(grid_.nodes, state.t + dt)
-        rhs_theta = state.theta + dt * (_heat_source(v_used, theta_old, f_old, gam_mid, grid_) + heat_extra)
+        rhs_theta = state.theta + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
         theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
     else:  # imex_cn
         lgam_v = g.div_flux(gam, state.v, grid_)[1:-1]
@@ -271,7 +270,7 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
             heat_extra = forcing.ftheta(grid_.nodes, state.t + 0.5 * dt)
         d2th = g.d2(state.theta, grid_, g.BcKind.NEUMANN_BOTH)
         rhs_theta = state.theta + 0.5 * dt * d2th \
-            + dt * (_heat_source(v_used, theta_old, f_old, gam_mid, grid_) + heat_extra)
+            + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
         theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
 
     v_new[0] = v_new[-1] = 0.0
