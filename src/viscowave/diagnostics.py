@@ -338,7 +338,7 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> float:
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     r = 0.5 * dt * D / dgrid.dx ** 2
-    op = tridiag.dirichlet_factored(dgrid.n, r)
+    op = tridiag.dirichlet(dgrid.n, r)
 
     def zxx_p(zfull):
         zres = zfull[:grid_.n]

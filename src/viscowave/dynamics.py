@@ -152,7 +152,7 @@ def adapt_dt(state: State, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeC
 
 def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
     """Solve ``op x = rhs_``; check that x is finite and that the residual
-    against the unfactored matrix is at most ``tol * max(1, |rhs_|_inf)``."""
+    is at most ``tol * max(1, |rhs_|_inf)``."""
     try:
         x = op.solve(rhs_)
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -192,10 +192,9 @@ def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
 
     The mirror-ghost Neumann rows keep the trapezoid mass of the operator
     identically zero, so the solve conserves int Theta up to the sources
-    already contained in ``rhs_``.  The matrix depends only on (n, dt,
-    theta_weight) and is factored once per value.
+    already contained in ``rhs_``.
     """
-    op = tridiag.neumann_factored(grid_.n, theta_weight * dt / grid_.dx ** 2)
+    op = tridiag.neumann(grid_.n, theta_weight * dt / grid_.dx ** 2)
     return _solve_banded(op, rhs_, tol, label="heat")
 
 
@@ -348,7 +347,7 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     else:
         rhs_u = np.zeros(n)
         rhs_u[1:-1] = state.u_eta[1:-1] + dt * v_new[1:-1]
-        op = tridiag.dirichlet_factored(n, dt * state.eta / dx2)
+        op = tridiag.dirichlet(n, dt * state.eta / dx2)
         u_new = _solve_banded(op, rhs_u, cfg.solver_tol, label="eta displacement")
     u_new[0] = u_new[-1] = 0.0
     return EtaState(t=state.t + dt, v_eta=v_new, u_eta=u_new, eta=state.eta)

@@ -2,27 +2,16 @@
 
 Every implicit stage of the stepper, and the Crank-Nicolson march of
 :func:`diagnostics.estimate_K`, is one tridiagonal solve.  A :class:`Tridiag`
-holds the three diagonals.  Its :meth:`~Tridiag.solve` calls ``dgtsv``
-(Gaussian elimination with partial pivoting), or ``dgttrs`` on a ``dgttrf``
-factorization made once when the matrix is built with ``factor=True``.  Both
-give the same bits as ``scipy.linalg.solve_banded``, which validates its input
-and then calls ``dgtsv``.
-
-Matrices that stay fixed over a run (the heat stage at fixed dt, the eta
-displacement, the Crank-Nicolson matrix of ``estimate_K``) come factored from
-:func:`neumann_factored` and :func:`dirichlet_factored`.  Both are LRU caches
-keyed on (n, coefficient) and bounded at :data:`CACHE_SIZE` entries, so a run
-whose dt changes every step does not grow memory.
+holds the three diagonals, and its :meth:`~Tridiag.solve` calls ``dgtsv``
+(Gaussian elimination with partial pivoting).  That gives the same bits as
+``scipy.linalg.solve_banded``, which validates its input and then calls
+``dgtsv``.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.linalg import lapack
-
-CACHE_SIZE = 8
 
 
 class Tridiag:
@@ -31,27 +20,18 @@ class Tridiag:
     Row i reads ``lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1]``.
     """
 
-    __slots__ = ("lower", "diag", "upper", "_lu", "_info")
+    __slots__ = ("lower", "diag", "upper")
 
-    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                 factor: bool = False):
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
         self.lower, self.diag, self.upper = lower, diag, upper
-        self._lu, self._info = None, 0
-        if factor:
-            *self._lu, self._info = lapack.dgttrf(lower, diag, upper)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with A x = b; ``b`` is left unchanged.
+        """x with A x = b; the matrix and ``b`` are left unchanged.
 
         Raises ``numpy.linalg.LinAlgError`` on an exactly singular matrix and
         ``ValueError`` if LAPACK rejects an argument, as ``solve_banded`` does.
         """
-        if self._lu is None:
-            *_, x, info = lapack.dgtsv(self.lower, self.diag, self.upper, b)
-        elif self._info:
-            x, info = None, self._info
-        else:
-            x, info = lapack.dgttrs(*self._lu, b)
+        *_, x, info = lapack.dgtsv(self.lower, self.diag, self.upper, b)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
@@ -66,7 +46,7 @@ class Tridiag:
         return res
 
 
-def dirichlet(n: int, s, factor: bool = False) -> Tridiag:
+def dirichlet(n: int, s) -> Tridiag:
     """Identity end rows and interior rows ``(-s, 1 + 2 s, -s)``.
 
     ``s`` is a scalar or the n-2 interior values.  This is I - s dx^2 D2 with
@@ -78,18 +58,11 @@ def dirichlet(n: int, s, factor: bool = False) -> Tridiag:
     diag[1:-1] = 1.0 + 2.0 * s
     lower[:-1] = -s
     upper[1:] = -s
-    return Tridiag(lower, diag, upper, factor)
+    return Tridiag(lower, diag, upper)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def dirichlet_factored(n: int, s: float) -> Tridiag:
-    """:func:`dirichlet` at a scalar ``s``, factored and cached."""
-    return dirichlet(n, s, factor=True)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def neumann_factored(n: int, r: float) -> Tridiag:
-    """I - r dx^2 D2_N with mirror-ghost Neumann rows, factored and cached.
+def neumann(n: int, r: float) -> Tridiag:
+    """I - r dx^2 D2_N with mirror-ghost Neumann rows.
 
     The end rows carry the doubled neighbour ``-2 r``, so the trapezoid mass of
     the operator is identically zero.
@@ -99,4 +72,4 @@ def neumann_factored(n: int, r: float) -> Tridiag:
     upper = np.full(n - 1, -r)
     upper[0] = -2.0 * r
     lower[-1] = -2.0 * r
-    return Tridiag(lower, diag, upper, factor=True)
+    return Tridiag(lower, diag, upper)

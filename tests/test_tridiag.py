@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from viscowave import diagnostics as diag
 from viscowave import dynamics as dyn
 from viscowave import grid as g
 from viscowave import material as mat
@@ -28,9 +27,9 @@ def reference_solve(op, rhs_, tol, *, label):
     return scipy.linalg.solve_banded((1, 1), banded(op), rhs_, check_finite=False)
 
 
-def random_op(n, rng, factor):
+def random_op(n, rng):
     return tridiag.Tridiag(rng.uniform(-1, 1, n - 1), rng.uniform(2.5, 3.5, n),
-                           rng.uniform(-1, 1, n - 1), factor=factor)
+                           rng.uniform(-1, 1, n - 1))
 
 
 def cfg_for(dt, scheme="imex_be", **kw):
@@ -44,24 +43,22 @@ def cfg_for(dt, scheme="imex_be", **kw):
 
 @pytest.mark.parametrize("n,dt,weight", [(3, 1e-3, 1.0), (33, 1e-3, 0.5), (129, 1e-3, 1.0),
                                          (129, 7.3e-4, 0.5), (2049, 1e-2, 1.0)])
-def test_factored_operators_bitwise_equal_solve_banded(n, dt, weight):
+def test_constant_operators_bitwise_equal_solve_banded(n, dt, weight):
     rng = np.random.default_rng(n)
     r = weight * dt * (n - 1) ** 2
     b = rng.standard_normal(n)
-    for op in (tridiag.neumann_factored(n, r), tridiag.dirichlet_factored(n, r)):
-        x = op.solve(b)
-        assert np.array_equal(x, reference_solve(op, b, 0.0, label=""))
-        assert np.array_equal(x, tridiag.Tridiag(op.lower, op.diag, op.upper).solve(b))
+    for op in (tridiag.neumann(n, r), tridiag.dirichlet(n, r)):
+        assert np.array_equal(op.solve(b), reference_solve(op, b, 0.0, label=""))
 
 
-def test_unfactored_operator_bitwise_equal_solve_banded():
+def test_random_operator_bitwise_equal_solve_banded():
     rng = np.random.default_rng(1)
     for n in (3, 17, 129, 1025):
-        op = random_op(n, rng, factor=False)
+        op = random_op(n, rng)
         b = rng.standard_normal(n)
-        b0 = b.copy()
+        before = [a.copy() for a in (op.lower, op.diag, op.upper, b)]
         assert np.array_equal(op.solve(b), reference_solve(op, b, 0.0, label=""))
-        assert np.array_equal(b, b0)
+        assert all(np.array_equal(a, c) for a, c in zip((op.lower, op.diag, op.upper, b), before))
 
 
 def test_variable_dirichlet_rows():
@@ -74,7 +71,7 @@ def test_variable_dirichlet_rows():
 
 def test_residual_is_matvec_minus_rhs():
     rng = np.random.default_rng(2)
-    op = random_op(9, rng, factor=True)
+    op = random_op(9, rng)
     x, b = rng.standard_normal(9), rng.standard_normal(9)
     dense = np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)
     assert op.residual(x, b) == pytest.approx(dense @ x - b, abs=1e-14)
@@ -85,28 +82,25 @@ def test_residual_is_matvec_minus_rhs():
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("factor", [False, True])
-def test_singular_matrix_raises_step_error(factor):
+def test_singular_matrix_raises_step_error():
     n = 9
-    op = tridiag.Tridiag(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), factor=factor)
+    op = tridiag.Tridiag(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1))
     with pytest.raises(StepError, match="heat solve failed: singular matrix"):
         dyn._solve_banded(op, np.ones(n), 1e-8, label="heat")
 
 
-@pytest.mark.parametrize("factor", [False, True])
-def test_non_finite_rhs_raises_step_error(factor):
+def test_non_finite_rhs_raises_step_error():
     rng = np.random.default_rng(3)
-    op = random_op(9, rng, factor)
+    op = random_op(9, rng)
     rhs_ = rng.standard_normal(9)
     rhs_[4] = np.nan
     with pytest.raises(StepError, match="velocity solve produced non-finite values"):
         dyn._solve_banded(op, rhs_, 1e-8, label="velocity")
 
 
-@pytest.mark.parametrize("factor", [False, True])
-def test_residual_above_tolerance_raises_step_error(factor):
+def test_residual_above_tolerance_raises_step_error():
     rng = np.random.default_rng(4)
-    op = random_op(65, rng, factor)
+    op = random_op(65, rng)
     rhs_ = rng.standard_normal(65)
     x = dyn._solve_banded(op, rhs_, 1e-8, label="eta displacement")
     assert np.max(np.abs(op.residual(x, rhs_))) > 0.0
@@ -135,18 +129,16 @@ def test_stepper_solves_report_their_label():
 
 
 # --------------------------------------------------------------------------
-# the factor cache inside runs
+# the operator inside runs whose dt changes
 # --------------------------------------------------------------------------
 
 
 def both_ways(monkeypatch, run):
-    """run() with the LAPACK operator and its factor cache, then with every
-    matrix built afresh and solved by solve_banded."""
+    """run() with the LAPACK operator, then with every matrix solved by
+    solve_banded."""
     fast = run()
     with monkeypatch.context() as m:
         m.setattr(dyn, "_solve_banded", reference_solve)
-        for name in ("neumann_factored", "dirichlet_factored"):
-            m.setattr(tridiag, name, getattr(tridiag, name).__wrapped__)
         ref = run()
     return fast, ref
 
@@ -199,16 +191,3 @@ def test_eta_steps_match_reference(monkeypatch):
     fast, ref = both_ways(monkeypatch, run)
     assert np.array_equal(fast.v_eta, ref.v_eta) and np.array_equal(fast.u_eta, ref.u_eta)
 
-
-def test_adaptive_run_keeps_the_cache_bounded():
-    tridiag.neumann_factored.cache_clear()
-    grid_ = g.Grid1D(1.0, 33)
-    smooth = sc.gen_coupled_smooth(grid_)
-    data = mat.InitialData(u0=smooth.u0, v0=20.0 * smooth.v0, theta0=smooth.theta0)
-    cfg = dyn.SchemeConfig(dt_max=0.1, adaptive=True)
-    traj = dyn.simulate(COUPLED_LAWS, 1.0, grid_, data, 0.2, cfg,
-                        diag.MonitorConfig(cadence=10))
-    info = tridiag.neumann_factored.cache_info()
-    assert traj.status == "completed"
-    assert info.misses > tridiag.CACHE_SIZE  # dt moved often enough to fill the cache
-    assert info.currsize <= tridiag.CACHE_SIZE == info.maxsize
