@@ -400,8 +400,9 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
     step advances the accumulators at its left state; a sampled state also
     gets its row and transformed residual, and its evaluation (material
     coefficients included) is reused as the left state of the next step.
-    The instantaneous fields of ``traj.monitors`` are taken at the last
-    accepted state, once, on return; a sampled state already holds them.
+    The last accepted state is always recorded: at t_end, and on an abort
+    even off the cadence.  The instantaneous fields of ``traj.monitors`` are
+    taken at it, once, on return; its evaluation already holds them.
     """
     if monitor_cfg is None:
         monitor_cfg = diag.MonitorConfig()
@@ -429,6 +430,7 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
 
     ev = diag.StateEval(state, grid_)
     record(ev, 0.0)
+    left = ev  # the left state of the step that produced ev
 
     eps_end = 1e-12 * max(t_end, 1.0)
     steps_since_sample = 0
@@ -446,17 +448,19 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
                 if exc.suggested_dt is None or retries >= scheme_cfg.max_step_retries:
                     traj.status = "aborted"
                     traj.error = str(exc)
+                    if steps_since_sample:
+                        record(ev, diag.z_residual(left, ev, laws, a, monitor_cfg.kappa, grid_))
                     return finish()
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
         cum = diag.accumulate_monitors(cum, prev, dt, alpha, grid_)
-        ev = diag.StateEval(state, grid_)
+        left, ev = prev, diag.StateEval(state, grid_)
         traj.clamp_total += clamped
         traj.steps_taken += 1
         steps_since_sample += 1
 
         if steps_since_sample >= monitor_cfg.cadence or state.t >= t_end - eps_end:
-            z_res = diag.z_residual(prev, ev, laws, a, monitor_cfg.kappa, grid_)
+            z_res = diag.z_residual(left, ev, laws, a, monitor_cfg.kappa, grid_)
             record(ev, z_res)
             steps_since_sample = 0
             if len(w12) == monitor_cfg.blowup_window:

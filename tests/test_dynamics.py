@@ -481,3 +481,17 @@ def test_monitors_final_are_the_last_rows_instantaneous_values(case):
     assert {k: getattr(traj.monitors, k) for k in INSTANTANEOUS} \
         == {k: getattr(last, k) for k in INSTANTANEOUS}
     assert traj.monitors.cum_vx4 == last.cum_vx4
+
+
+def test_aborted_run_records_its_last_accepted_state_off_the_cadence():
+    grid_ = make_grid(33)
+    data = sc.gen_coupled_smooth(grid_)
+    every, third = (dyn.simulate(COUPLED_LAWS, 1.0, grid_, data, 0.0213, cfg_for(1e-3),
+                                 diag.MonitorConfig(q=2.5, cadence=cadence), _nan_after(0.0105))
+                    for cadence in (1, 3))
+    assert every.status == third.status == "aborted"
+    assert third.steps_taken == 10
+    # samples at steps 0, 3, 6 and 9, then step 10, the last accepted state
+    assert third.rows == every.rows[::3] + every.rows[-1:]
+    assert np.array_equal(third.final_state.u, every.final_state.u)
+    assert third.monitors == every.monitors
