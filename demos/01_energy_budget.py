@@ -45,7 +45,7 @@ print(f"trapezoidal scheme drift: {traj_cn.max_drift:.3e}  (machine precision)")
 
 # the conserved budget also pins the trajectory under the a-priori bounds
 # derived from the aggregate data norm M
-state0 = traj.states[0]
+state0 = traj.initial_state
 data = InitialData(u0=state0.u, v0=state0.v, theta0=state0.theta)
 M = data_bound_M(data, traj.grid)
 lam = lambda1_bound(M, scenario.a, scenario.length)

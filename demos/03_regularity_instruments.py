@@ -19,11 +19,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from viscowave import battery_scenario, estimate_K, lq_balance, theory_constants
+from viscowave import Snapshots, battery_scenario, estimate_K, lq_balance, theory_constants
 from viscowave.grid import Grid1D
 
 scenario = battery_scenario("coupled")
-traj = scenario.run()
+snaps = Snapshots()  # keep the sampled states as well as the rows
+traj = scenario.run(recorders=[snaps])
 
 print(f"coupled run, n={scenario.n}, T_end={scenario.t_end}")
 print("\nfinal trajectory monitors (all must stay finite):")
@@ -33,7 +34,7 @@ for name in ("cum_vx4", "cum_theta_pow", "cum_thetaxx2", "cum_vxx2",
     print(f"  {name:15s} {getattr(m, name):.6f}")
 
 # --- the Lq balance: rate identity for int (Theta+1)^q --------------------
-mid = traj.states[len(traj.states) // 2]
+mid = snaps.states[len(snaps.states) // 2]
 bal = lq_balance(mid, scenario.laws, q=2.0, grid_=traj.grid)
 print(f"\nLq balance at t = {mid.t:.2f} (q = 2):")
 print(f"  dissipation    {bal.dissipation:+.6f}")

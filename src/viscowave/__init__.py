@@ -30,15 +30,18 @@ from .material import (
 from .dynamics import (
     EtaState,
     Forcing,
+    Recorder,
+    Rows,
     SchemeConfig,
+    Snapshots,
     State,
     Trajectory,
     adapt_dt,
     rhs,
     run,
     simulate,
-    step,
     step_eta,
+    step_with_count,
 )
 from .diagnostics import (
     BlowupReport,

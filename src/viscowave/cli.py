@@ -61,10 +61,32 @@ def write_final_state(state, grid_: g.Grid1D, path: str) -> None:
             fh.write(f"{_fmt(x)},{_fmt(u)},{_fmt(v)},{_fmt(th)}\n")
 
 
+class FieldDump(dyn.Recorder):
+    """Writes each recorded state to ``fields_%05d.csv`` in ``fields_dir``
+    as it is sampled (columns as in ``final_state.csv``)."""
+
+    def __init__(self, fields_dir: str):
+        self.dir = fields_dir
+        self.count = 0
+
+    def sample(self, left, ev, clamp_total):
+        if self.count == 0:
+            os.makedirs(self.dir, exist_ok=True)
+        write_final_state(ev, ev.grid, os.path.join(self.dir, f"fields_{self.count:05d}.csv"))
+        self.count += 1
+
+
+def _run(config: cfgmod.RunConfig) -> dyn.Trajectory:
+    """``dyn.run`` with the rows, plus the field dumps when ``dump_fields``."""
+    if not config.dump_fields:
+        return dyn.run(config)
+    return dyn.run(config, recorders=(FieldDump(os.path.join(config.out_dir, "fields")),))
+
+
 def _bounds_block(traj: dyn.Trajectory) -> dict:
     """Observed trajectory maxima against the conserved-budget bounds."""
-    data = mat.InitialData(u0=traj.states[0].u, v0=traj.states[0].v,
-                           theta0=traj.states[0].theta)
+    init = traj.initial_state
+    data = mat.InitialData(u0=init.u, v0=init.v, theta0=init.theta)
     M = mat.data_bound_M(data, traj.grid)
     lam = mat.lambda1_bound(M, traj.a, traj.grid.length)
     max_v2 = max(2.0 * r.E_kin for r in traj.rows)
@@ -124,12 +146,6 @@ def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: st
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(traj.rows, os.path.join(out_dir, "timeseries.csv"))
     write_final_state(traj.final_state, traj.grid, os.path.join(out_dir, "final_state.csv"))
-    if config.dump_fields:
-        fields_dir = os.path.join(out_dir, "fields")
-        os.makedirs(fields_dir, exist_ok=True)
-        for i, state in enumerate(traj.states):
-            write_final_state(state, traj.grid,
-                              os.path.join(fields_dir, f"fields_{i:05d}.csv"))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(_summary_payload(config, traj), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -150,7 +166,7 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
             config = replace(config, out_dir=out_dir)
         if seed is not None:
             config = replace(config, seed=seed)
-        traj = dyn.run(config)
+        traj = _run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -184,7 +200,7 @@ def _sweep_point(args) -> dict:
         config = cfgmod.parse_config(config_path)
         config = replace(config, out_dir=subdir, seed=seed)
         config = cfgmod.apply_axis(config, axis, value)
-        traj = dyn.run(config)
+        traj = _run(config)
         _write_artifacts(config, traj, subdir)
         row.update(
             status=traj.status,
@@ -262,7 +278,7 @@ def _converge_errors(config: cfgmod.RunConfig, n_values, dt_scaling: str):
         dt = base_dt if dt_scaling == "fixed" else base_dt * (dx / base_dx) ** 2
         point = replace(config, scenario=replace(
             scen, n=int(n), scheme=replace(scen.scheme, dt_initial=dt, dt_max=dt)))
-        traj = dyn.run(point)
+        traj = dyn.run(point, rows=False)
         st = traj.final_state
         grid_ = traj.grid
         for fname, fn in exact.items():

@@ -211,16 +211,10 @@ def _heat_source(v_used, f_old, gam_mid, grid_):
     return visc - f_old * g.d1_lowend(v_used, grid_)
 
 
-def step(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
-         cfg: SchemeConfig, dt: float, forcing: Forcing | None = None) -> State:
-    """Advance one IMEX step; raises StepError on solver failure or rejection."""
-    new_state, _ = step_with_count(state, laws, a, grid_, cfg, dt, forcing)
-    return new_state
-
-
 def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
                     cfg: SchemeConfig, dt: float, forcing: Forcing | None = None):
-    """As :func:`step` but also returns the number of clamped temperature nodes.
+    """Advance one IMEX step; returns (new state, number of clamped
+    temperature nodes).  Raises StepError on solver failure or rejection.
 
     ``state`` may be a :class:`diagnostics.StateEval`; its cached (gamma, f)
     are then used, and kept for the next caller.
@@ -354,31 +348,81 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
 
 
 # --------------------------------------------------------------------------
+# recorders: what a run keeps of the states it passes through
+# --------------------------------------------------------------------------
+
+
+class Recorder:
+    """Base of the objects :func:`simulate` feeds; both hooks do nothing.
+
+    ``step`` is called once per accepted step, at its left state and dt.
+    ``sample`` is called once per recorded state ``ev``, with ``left`` the
+    left state of the step that produced it (None for the initial state) and
+    the clamp count so far.  Both states are :class:`diagnostics.StateEval`.
+    """
+
+    def step(self, left: diag.StateEval, dt: float) -> None:
+        pass
+
+    def sample(self, left: diag.StateEval | None, ev: diag.StateEval, clamp_total: int) -> None:
+        pass
+
+
+class Rows(Recorder):
+    """The timeseries: the four accumulators advanced every step, and one
+    row with its transformed residual per recorded state."""
+
+    def __init__(self, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
+                 monitor_cfg: diag.MonitorConfig, e0: float):
+        self.laws, self.a, self.grid, self.cfg, self.e0 = laws, a, grid_, monitor_cfg, e0
+        self.cum = diag.TheoryMonitors()
+        self.rows: list[diag.DiagRow] = []
+
+    def step(self, left, dt):
+        self.cum = diag.accumulate_monitors(self.cum, left, dt, self.laws.alpha, self.grid)
+
+    def sample(self, left, ev, clamp_total):
+        z_res = 0.0 if left is None else diag.z_residual(
+            left, ev, self.laws, self.a, self.cfg.kappa, self.grid)
+        self.rows.append(diag.make_row(ev, self.a, self.grid, self.cum, self.cfg.q,
+                                       self.e0, z_res, clamp_total))
+
+
+class Snapshots(Recorder):
+    """Every recorded state, in order, for callers that need a history."""
+
+    def __init__(self):
+        self.states: list[State] = []
+
+    def sample(self, left, ev, clamp_total):
+        self.states.append(ev.state)
+
+
+# --------------------------------------------------------------------------
 # full trajectory driver
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class Trajectory:
-    """Everything a run produced: sampled states, diagnostics, and verdicts."""
+    """What a run produced: its first and last states, the sample times, the
+    rows of its :class:`Rows` recorder, and its verdict.  A run without that
+    recorder has no rows, and its ``monitors`` is None."""
 
     grid: g.Grid1D
     laws: mat.MaterialLaws
     a: float
+    initial_state: State | None = None
+    final_state: State | None = None
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-    monitors: diag.TheoryMonitors = field(default_factory=diag.TheoryMonitors)
+    monitors: diag.TheoryMonitors | None = None
     e0: float = 0.0
     clamp_total: int = 0
     steps_taken: int = 0
     blowup: diag.BlowupReport | None = None
     status: str = "completed"
     error: str | None = None
-
-    @property
-    def final_state(self) -> State:
-        return self.states[-1]
 
     @property
     def max_drift(self) -> float:
@@ -392,17 +436,22 @@ class Trajectory:
 
 def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.InitialData,
              t_end: float, scheme_cfg: SchemeConfig, monitor_cfg: diag.MonitorConfig | None = None,
-             forcing: Forcing | None = None) -> Trajectory:
-    """Integrate from t = 0 to t_end, recording diagnostics at the configured
-    cadence; halts early if the blow-up detector fires.
+             forcing: Forcing | None = None, *, rows: bool = True,
+             recorders=()) -> Trajectory:
+    """Integrate from t = 0 to t_end, recording at the configured cadence;
+    halts early if the blow-up detector fires.
 
-    Each state is wrapped once in a :class:`diagnostics.StateEval`.  Every
-    step advances the accumulators at its left state; a sampled state also
-    gets its row and transformed residual, and its evaluation (material
-    coefficients included) is reused as the left state of the next step.
-    The last accepted state is always recorded: at t_end, and on an abort
-    even off the cadence.  The instantaneous fields of ``traj.monitors`` are
-    taken at it, once, on return; its evaluation already holds them.
+    The loop keeps what decides how the run ends: every step check and
+    retry, the clamp count, the sample times, the first and last accepted
+    states, and the blow-up detector, fed the W^{1,2} norm of the
+    temperature at every recorded state.  Everything else is left to the
+    recorders: a :class:`Rows` recorder when ``rows`` is true (it fills
+    ``traj.rows`` and ``traj.monitors``), then ``recorders`` in order.
+
+    Each state is wrapped once in a :class:`diagnostics.StateEval`, and a
+    recorded state's evaluation (material coefficients included) is reused
+    as the left state of the next step.  The last accepted state is always
+    recorded: at t_end, and on an abort even off the cadence.
     """
     if monitor_cfg is None:
         monitor_cfg = diag.MonitorConfig()
@@ -412,24 +461,30 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
         raise ConfigError("t_end must be positive")
 
     state = State(t=0.0, u=data.u0, v=data.v0, theta=data.theta0)
-    traj = Trajectory(grid=grid_, laws=laws, a=a)
+    traj = Trajectory(grid=grid_, laws=laws, a=a, initial_state=state)
     traj.e0 = diag.energy(state, a, grid_).total
-    cum = diag.TheoryMonitors()
-    q, alpha = monitor_cfg.q, laws.alpha
+    recs = list(recorders)
+    if rows:
+        row_rec = Rows(laws, a, grid_, monitor_cfg, traj.e0)
+        recs.insert(0, row_rec)
+        traj.rows = row_rec.rows
+    q = monitor_cfg.q
     w12 = deque(maxlen=monitor_cfg.blowup_window)
 
-    def record(ev: diag.StateEval, z_res: float):
+    def record(left: diag.StateEval | None, ev: diag.StateEval):
         traj.times.append(ev.t)
-        traj.states.append(ev.state)
-        traj.rows.append(diag.make_row(ev, a, grid_, cum, q, traj.e0, z_res, traj.clamp_total))
-        w12.append(traj.rows[-1].w12_theta)
+        for rec in recs:
+            rec.sample(left, ev, traj.clamp_total)
+        w12.append(diag.instantaneous_monitors(ev, q, grid_)["w12_theta"])
 
     def finish() -> Trajectory:
-        traj.monitors = replace(cum, **diag.instantaneous_monitors(ev, q, grid_))
+        traj.final_state = ev.state
+        if rows:
+            traj.monitors = replace(row_rec.cum, **diag.instantaneous_monitors(ev, q, grid_))
         return traj
 
     ev = diag.StateEval(state, grid_)
-    record(ev, 0.0)
+    record(None, ev)
     left = ev  # the left state of the step that produced ev
 
     eps_end = 1e-12 * max(t_end, 1.0)
@@ -449,19 +504,19 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
                     traj.status = "aborted"
                     traj.error = str(exc)
                     if steps_since_sample:
-                        record(ev, diag.z_residual(left, ev, laws, a, monitor_cfg.kappa, grid_))
+                        record(left, ev)
                     return finish()
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
-        cum = diag.accumulate_monitors(cum, prev, dt, alpha, grid_)
+        for rec in recs:
+            rec.step(prev, dt)
         left, ev = prev, diag.StateEval(state, grid_)
         traj.clamp_total += clamped
         traj.steps_taken += 1
         steps_since_sample += 1
 
         if steps_since_sample >= monitor_cfg.cadence or state.t >= t_end - eps_end:
-            z_res = diag.z_residual(left, ev, laws, a, monitor_cfg.kappa, grid_)
-            record(ev, z_res)
+            record(left, ev)
             steps_since_sample = 0
             if len(w12) == monitor_cfg.blowup_window:
                 report = diag.blowup_check(
@@ -475,9 +530,10 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
     return finish()
 
 
-def run(config: "RunConfig") -> Trajectory:
+def run(config: "RunConfig", *, rows: bool = True, recorders=()) -> Trajectory:
     """Validated front door: check the material hypotheses, build the grid
-    and initial data from the configured scenario, then integrate."""
+    and initial data from the configured scenario, then integrate with the
+    given recorders (see :func:`simulate`)."""
     scen = config.scenario
     report = mat.validate_hypotheses(scen.laws)
     if not report.ok:
@@ -485,5 +541,5 @@ def run(config: "RunConfig") -> Trajectory:
         raise ConfigError(f"material laws fail hypothesis validation: {msgs}")
     grid_ = scen.make_grid()
     data = scen.make_data(grid_)
-    return simulate(scen.laws, scen.a, grid_, data, scen.t_end,
-                    scen.scheme, scen.monitors, scen.make_forcing())
+    return simulate(scen.laws, scen.a, grid_, data, scen.t_end, scen.scheme,
+                    scen.monitors, scen.make_forcing(), rows=rows, recorders=recorders)

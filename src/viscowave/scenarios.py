@@ -255,10 +255,11 @@ class Scenario:
             }
         return None
 
-    def run(self) -> dyn.Trajectory:
+    def run(self, *, rows: bool = True, recorders=()) -> dyn.Trajectory:
         grid_ = self.make_grid()
         return dyn.simulate(self.laws, self.a, grid_, self.make_data(grid_),
-                            self.t_end, self.scheme, self.monitors, self.make_forcing())
+                            self.t_end, self.scheme, self.monitors, self.make_forcing(),
+                            rows=rows, recorders=recorders)
 
 
 def builtin_battery() -> list[Scenario]:
@@ -390,8 +391,11 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     measure sup-norm distances between consecutive solutions.
 
     All runs share the grid, the step size, and the sampling cadence, so
-    snapshots align in time.  The report flags Cauchy behavior per field:
-    each consecutive distance smaller than the previous one.
+    snapshots align in time.  Each run keeps only its snapshots (no
+    diagnostic rows) and is compared with the previous one as soon as it
+    ends, over their common prefix; a run that halts early shortens it.  The
+    report flags Cauchy behavior per field: each consecutive distance
+    smaller than the previous one.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
@@ -402,33 +406,28 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
 
     grid_ = scenario.make_grid()
     base = scenario.make_data(grid_)
-    trajs = []
     statuses = []
     error = None
+    sup_dists = {"u": [], "v": [], "theta": []}
+    w12_dists = []
+    prev = None
     for eps in eps_ladder:
-        data = mollify(base, eps, grid_)
-        traj = dyn.simulate(scenario.laws, scenario.a, grid_, data, scenario.t_end,
-                            scheme, scenario.monitors)
-        trajs.append(traj)
+        snaps = dyn.Snapshots()
+        traj = dyn.simulate(scenario.laws, scenario.a, grid_, mollify(base, eps, grid_),
+                            scenario.t_end, scheme, scenario.monitors,
+                            rows=False, recorders=(snaps,))
         statuses.append(traj.status)
+        if prev is not None:  # zip stops at the shorter run
+            for name in sup_dists:
+                sup_dists[name].append(max(
+                    float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
+                    for sa, sb in zip(prev, snaps.states)))
+            w12_dists.append(max(w12_distance(sa.theta, sb.theta, grid_)
+                                 for sa, sb in zip(prev, snaps.states)))
+        prev = snaps.states  # the rung before is released here
         if traj.status == "aborted":
             error = traj.error
             break
-
-    sup_dists = {"u": [], "v": [], "theta": []}
-    w12_dists = []
-    for ta, tb in zip(trajs, trajs[1:]):
-        m = min(len(ta.states), len(tb.states))
-        for name in sup_dists:
-            dist = max(
-                float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
-                for sa, sb in zip(ta.states[:m], tb.states[:m])
-            )
-            sup_dists[name].append(dist)
-        w12_dists.append(max(
-            w12_distance(sa.theta, sb.theta, grid_)
-            for sa, sb in zip(ta.states[:m], tb.states[:m])
-        ))
 
     cauchy = {
         name: all(b < a for a, b in zip(vals, vals[1:])) if len(vals) >= 2 else True

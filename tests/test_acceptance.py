@@ -69,8 +69,8 @@ def test_criterion_02_conserved_budget_bounds(battery_runs):
         runs, battery_wall = battery_runs
         for name, (scenario, traj) in runs.items():
             assert traj.status == "completed", name
-            data = mat.InitialData(u0=traj.states[0].u, v0=traj.states[0].v,
-                                   theta0=traj.states[0].theta)
+            init = traj.initial_state
+            data = mat.InitialData(u0=init.u, v0=init.v, theta0=init.theta)
             lam = mat.lambda1_bound(mat.data_bound_M(data, traj.grid),
                                     scenario.a, scenario.length)
             tol = 2.0 * traj.max_drift + 1e-9
@@ -99,11 +99,12 @@ def test_criterion_04_lq_balance_identity():
         scenario = sc.battery_scenario("coupled")
 
         def residual(dt):
-            traj = with_dt(scenario, dt).run()
+            snaps = dyn.Snapshots()
+            traj = with_dt(scenario, dt).run(recorders=[snaps])
             ts = np.array(traj.times)
             lq = np.array([r.lq_value for r in traj.rows])
             rates = np.array([diag.lq_balance(st, scenario.laws, 2.0, traj.grid).lhs_rate
-                              for st in traj.states])
+                              for st in snaps.states])
             fd = (lq[2:] - lq[:-2]) / (ts[2:] - ts[:-2])
             return float(np.linalg.norm(fd - rates[1:-1]) / np.linalg.norm(rates[1:-1]))
 
@@ -117,8 +118,9 @@ def test_criterion_05_z_transform_diagnostics():
         scenario = sc.battery_scenario("coupled")
         norms = []
         for n, dt in ((33, 2e-3), (65, 1e-3), (129, 5e-4)):
-            traj = with_dt(replace(scenario, n=n, t_end=0.25), dt).run()
-            for st in traj.states:
+            snaps = dyn.Snapshots()
+            traj = with_dt(replace(scenario, n=n, t_end=0.25), dt).run(recorders=[snaps])
+            for st in snaps.states:
                 z, _ = diag.z_transform(st, scenario.monitors.kappa, traj.grid)
                 assert z[0] == 0.0  # exact, by construction of the antiderivative
             norms.append(max(r.z_residual for r in traj.rows[1:]))

@@ -8,6 +8,7 @@ import pytest
 
 from viscowave import cli
 from viscowave import config as cfgmod
+from viscowave import dynamics as dyn
 from viscowave.errors import ConfigError
 
 COUPLED_INI = """
@@ -230,6 +231,26 @@ def test_cmd_run_field_dumps_at_cadence(tmp_path):
     assert set(first.dtype.names) == {"x", "u", "v", "theta"}
 
 
+def test_field_dumps_are_the_sampled_states_written_as_final_state(tmp_path):
+    # cadence 3 over 50 steps: samples at steps 0, 3, ..., 48 and the final 50
+    text = COUPLED_INI.replace("seed = 11\n", "seed = 11\ndump_fields = true\n") \
+        + "\n[monitors]\ncadence = 3\n"
+    out = tmp_path / "dumps"
+    path = write_ini(tmp_path, text, out=str(out))
+    assert cli.cmd_run(path, out_dir=str(out)) == cli.EXIT_OK
+    dumps = sorted((out / "fields").glob("fields_*.csv"))
+    assert [p.name for p in dumps] == [f"fields_{i:05d}.csv" for i in range(18)]
+
+    snaps = dyn.Snapshots()
+    traj = dyn.run(cfgmod.parse_config(path), recorders=[snaps])
+    assert len(snaps.states) == len(traj.rows) == 18
+    for dump, state in zip(dumps, snaps.states):
+        ref = tmp_path / "ref.csv"
+        cli.write_final_state(state, traj.grid, str(ref))
+        assert dump.read_bytes() == ref.read_bytes()
+    assert dumps[-1].read_bytes() == (out / "final_state.csv").read_bytes()
+
+
 def test_parse_tabulated_law_from_file(tmp_path):
     table = tmp_path / "gamma.txt"
     table.write_text("0.0 1.0\n1.0 1.08\n3.0 1.1\n")
@@ -431,6 +452,21 @@ def test_cmd_mms_verify(tmp_path, capsys):
     assert cli.main(["mms-verify", "--config", path]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "theta" in out and "observed order" in out
+
+
+def test_cmd_mms_verify_computes_no_rows(tmp_path, capsys, monkeypatch):
+    # the study reads only final states, so its runs carry no Rows recorder
+    path = write_ini(tmp_path, MMS_INI, name="mms.ini", out=str(tmp_path / "mm"))
+    assert cli.main(["mms-verify", "--config", path]) == cli.EXIT_OK
+    table = capsys.readouterr().out
+
+    def no_row(*args, **kwargs):
+        raise AssertionError("a diagnostic row was computed")
+
+    monkeypatch.setattr(cli.diag, "make_row", no_row)
+    monkeypatch.setattr(cli.diag, "z_residual", no_row)
+    assert cli.main(["mms-verify", "--config", path]) == cli.EXIT_OK
+    assert capsys.readouterr().out == table
 
 
 def test_cmd_mms_verify_requires_mms(tmp_path):

@@ -100,10 +100,11 @@ def test_lq_rate_matches_trajectory_finite_difference():
     v0[0] = v0[-1] = 0.0
     data = mat.InitialData(u0=np.zeros(65), v0=v0, theta0=1.0 + 0.25 * np.cos(np.pi * x))
     cfg = dyn.SchemeConfig(dt_initial=5e-4, dt_max=5e-4, scheme="imex_be")
-    traj = dyn.simulate(laws, 1.0, grid_, data, 0.25, cfg)
+    snaps = dyn.Snapshots()
+    traj = dyn.simulate(laws, 1.0, grid_, data, 0.25, cfg, recorders=[snaps])
     ts = np.array(traj.times)
     lq = np.array([r.lq_value for r in traj.rows])
-    rates = np.array([diag.lq_balance(st, laws, 2.0, grid_).lhs_rate for st in traj.states])
+    rates = np.array([diag.lq_balance(st, laws, 2.0, grid_).lhs_rate for st in snaps.states])
     fd = (lq[2:] - lq[:-2]) / (ts[2:] - ts[:-2])
     rel = np.linalg.norm(fd - rates[1:-1]) / np.linalg.norm(rates[1:-1])
     assert rel < 0.03

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -83,7 +86,7 @@ def test_step_stationary_fixed_point(scheme):
     grid_ = make_grid()
     state = zero_state(grid_, theta=3.0)
     for dt in (1e-4, 1e-2, 0.5):
-        new = dyn.step(state, CONST_LAWS, 1.0, grid_, cfg_for(dt, scheme), dt)
+        new, _ = dyn.step_with_count(state, CONST_LAWS, 1.0, grid_, cfg_for(dt, scheme), dt)
         assert np.all(new.u == 0.0) and np.all(new.v == 0.0)
         assert new.theta == pytest.approx(np.full(grid_.n, 3.0), rel=1e-13)
 
@@ -97,7 +100,7 @@ def test_step_decoupled_heat_eigenmode(scheme, tol):
     dt, T = 1e-3, 0.1
     cfg = cfg_for(dt, scheme)
     for _ in range(round(T / dt)):
-        state = dyn.step(state, CONST_LAWS, 1.0, grid_, cfg, dt)
+        state, _ = dyn.step_with_count(state, CONST_LAWS, 1.0, grid_, cfg, dt)
     exact = 1.0 + np.exp(-np.pi ** 2 * T) * np.cos(np.pi * x)
     assert np.max(np.abs(state.theta - exact)) < tol
 
@@ -112,7 +115,7 @@ def test_damped_wave_mechanical_energy_monotone(scheme):
     cfg = cfg_for(2e-3, scheme)
     prev_e = mech_energy(state, 1.0, grid_)
     for _ in range(100):
-        state = dyn.step(state, CONST_LAWS, 1.0, grid_, cfg, 2e-3)
+        state, _ = dyn.step_with_count(state, CONST_LAWS, 1.0, grid_, cfg, 2e-3)
         e = mech_energy(state, 1.0, grid_)
         assert e <= prev_e + 1e-13
         prev_e = e
@@ -129,7 +132,7 @@ def test_boundary_values_exact_after_steps(scheme):
     state = dyn.State(0.0, np.zeros(grid_.n), v0, np.ones(grid_.n))
     cfg = cfg_for(1e-3, scheme)
     for _ in range(50):
-        state = dyn.step(state, laws, 1.0, grid_, cfg, 1e-3)
+        state, _ = dyn.step_with_count(state, laws, 1.0, grid_, cfg, 1e-3)
         assert state.u[0] == 0.0 and state.u[-1] == 0.0
         assert state.v[0] == 0.0 and state.v[-1] == 0.0
 
@@ -143,7 +146,7 @@ def test_pure_heat_mass_exactly_conserved(scheme):
     mass0 = g.integrate(state.theta, grid_)
     cfg = cfg_for(5e-3, scheme)
     for _ in range(40):
-        state = dyn.step(state, CONST_LAWS, 1.0, grid_, cfg, 5e-3)
+        state, _ = dyn.step_with_count(state, CONST_LAWS, 1.0, grid_, cfg, 5e-3)
     assert g.integrate(state.theta, grid_) == pytest.approx(mass0, rel=1e-13)
 
 
@@ -198,10 +201,10 @@ def test_step_argument_checks():
     grid_ = make_grid()
     state = zero_state(grid_)
     with pytest.raises(DomainError):
-        dyn.step(state, CONST_LAWS, 1.0, grid_, cfg_for(1e-3), -1e-3)
+        dyn.step_with_count(state, CONST_LAWS, 1.0, grid_, cfg_for(1e-3), -1e-3)
     with pytest.raises(ConfigError):
-        dyn.step(dyn.State(0.0, np.zeros(5), np.zeros(5), np.zeros(5)),
-                 CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
+        dyn.step_with_count(dyn.State(0.0, np.zeros(5), np.zeros(5), np.zeros(5)),
+                            CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +235,7 @@ def test_reject_policy_raises_with_suggestion():
     cfg = cfg_for(dt, "imex_cn", positivity_policy="reject_step")
     state = dyn.State(0.0, data.u0, data.v0, data.theta0)
     with pytest.raises(StepError) as exc_info:
-        dyn.step(state, CONST_LAWS, 1.0, grid_, cfg, dt)
+        dyn.step_with_count(state, CONST_LAWS, 1.0, grid_, cfg, dt)
     assert exc_info.value.suggested_dt == pytest.approx(dt / 2)
 
 
@@ -495,3 +498,110 @@ def test_aborted_run_records_its_last_accepted_state_off_the_cadence():
     assert third.rows == every.rows[::3] + every.rows[-1:]
     assert np.array_equal(third.final_state.u, every.final_state.u)
     assert third.monitors == every.monitors
+
+
+# --------------------------------------------------------------------------
+# recorders
+# --------------------------------------------------------------------------
+
+
+def _forced_growth():
+    """The forced-growth case of test_blowup_halt_on_forced_growth."""
+    grid_ = make_grid(33)
+    data = mat.InitialData(u0=np.zeros(33), v0=np.zeros(33), theta0=np.ones(33))
+    forcing = dyn.Forcing(
+        fv=lambda x, t: np.zeros_like(x),
+        ftheta=lambda x, t: 40.0 * np.exp(8.0 * t) * np.ones_like(x),
+    )
+    mon = diag.MonitorConfig(blowup_threshold=50.0, blowup_window=4, blowup_rate_min=0.01)
+    return grid_, data, forcing, mon
+
+
+def test_blowup_halt_is_the_same_with_only_snapshots():
+    grid_, data, forcing, mon = _forced_growth()
+    with_rows = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 2.0, cfg_for(1e-2), mon, forcing)
+    snaps = dyn.Snapshots()
+    bare = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 2.0, cfg_for(1e-2), mon, forcing,
+                        rows=False, recorders=[snaps])
+    assert with_rows.status == bare.status == "blowup_halt"
+    assert bare.blowup == with_rows.blowup
+    assert bare.blowup.t_fire == with_rows.blowup.t_fire
+    assert bare.steps_taken == with_rows.steps_taken
+    assert bare.times == with_rows.times
+    assert bare.rows == [] and bare.monitors is None
+    assert [s.t for s in snaps.states] == bare.times
+    assert snaps.states[0] is bare.initial_state and snaps.states[-1] is bare.final_state
+    assert np.array_equal(bare.final_state.theta, with_rows.final_state.theta)
+
+
+class _Counting(dyn.Recorder):
+    def __init__(self):
+        self.steps, self.dts, self.samples = [], [], []
+
+    def step(self, left, dt):
+        self.steps.append(left.t)
+        self.dts.append(dt)
+
+    def sample(self, left, ev, clamp_total):
+        self.samples.append((None if left is None else left.t, ev.t, clamp_total))
+
+
+def test_recorder_hooks_see_every_step_and_every_sample():
+    # 21 full steps and a clipped one at cadence 3: samples at steps
+    # 0, 3, ..., 21 and the clipped final step
+    grid_ = make_grid(33)
+    data = sc.gen_coupled_smooth(grid_)
+    rec = _Counting()
+    traj = dyn.simulate(LINEAR_LAWS, 1.0, grid_, data, 0.0213, cfg_for(1e-3),
+                        diag.MonitorConfig(cadence=3), recorders=[rec])
+    assert traj.steps_taken == len(rec.steps) == 22
+    assert sum(rec.dts) == pytest.approx(0.0213, rel=1e-12)
+    assert [s[1] for s in rec.samples] == traj.times
+    assert rec.samples[0] == (None, 0.0, 0)
+    # each sample's left state is the left end of the step that produced it
+    assert [s[0] for s in rec.samples[1:]] == [rec.steps[i] for i in (2, 5, 8, 11, 14, 17, 20, 21)]
+    assert len(traj.rows) == len(traj.times)
+
+
+def _states_left_alive(monkeypatch, **kw):
+    """Run the coupled case at cadence 1 and return how many of the states
+    made by the stepper are still referenced once simulate has returned."""
+    refs = []
+    real = dyn.step_with_count
+
+    def tracked(*args, **kwargs):
+        state, clamped = real(*args, **kwargs)
+        refs.append(weakref.ref(state))
+        return state, clamped
+
+    monkeypatch.setattr(dyn, "step_with_count", tracked)
+    grid_ = make_grid(65)
+    traj = dyn.simulate(LINEAR_LAWS, 1.0, grid_, sc.gen_coupled_smooth(grid_), 0.05,
+                        cfg_for(1e-3), **kw)
+    alive = [r() for r in refs if r() is not None]
+    return traj, alive
+
+
+def test_default_simulate_releases_every_intermediate_state(monkeypatch):
+    traj, alive = _states_left_alive(monkeypatch)
+    assert traj.steps_taken == 50 and len(traj.rows) == 51
+    assert len(alive) == 1 and alive[0] is traj.final_state
+    snaps = dyn.Snapshots()
+    _, alive = _states_left_alive(monkeypatch, recorders=[snaps])
+    assert len(alive) == 50  # the check sees states a recorder keeps
+
+
+def test_default_simulate_memory_is_bounded_in_the_run_length():
+    n, steps = 513, 2000
+    grid_ = make_grid(n)
+    data = sc.gen_coupled_smooth(grid_)
+    tracemalloc.start()
+    try:
+        traj = dyn.simulate(LINEAR_LAWS, 1.0, grid_, data, steps * 5e-4, cfg_for(5e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = len(traj.times)
+    assert traj.status == "completed" and traj.steps_taken == steps and samples == steps + 1
+    held_states = samples * 3 * n * 8  # ~24.6 MB if every sampled state were kept
+    assert peak < held_states / 8, (peak, held_states)

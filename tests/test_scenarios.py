@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from viscowave import diagnostics as diag
 from viscowave import dynamics as dyn
 from viscowave import grid as g
 from viscowave import material as mat
@@ -204,6 +207,89 @@ def test_eps_cascade_single_rung_has_no_pairs():
     assert all(len(v) == 0 for v in rep.sup_dists.values())
     assert rep.w12_theta_dists == ()
     assert all(rep.cauchy.values())
+
+
+def _cascade_from_histories(scenario, eps_ladder, simulate):
+    """The eps-cascade report computed from every rung's full snapshot
+    history, compared pairwise over the common prefix once all have run."""
+    grid_ = scenario.make_grid()
+    base = scenario.make_data(grid_)
+    runs, statuses, error = [], [], None
+    for eps in eps_ladder:
+        snaps = dyn.Snapshots()
+        traj = simulate(scenario.laws, scenario.a, grid_, sc.mollify(base, eps, grid_),
+                        scenario.t_end, scenario.scheme, scenario.monitors, recorders=[snaps])
+        runs.append(snaps.states)
+        statuses.append(traj.status)
+        if traj.status == "aborted":
+            error = traj.error
+            break
+    sup = {"u": [], "v": [], "theta": []}
+    w12 = []
+    for ta, tb in zip(runs, runs[1:]):
+        m = min(len(ta), len(tb))
+        for name in sup:
+            sup[name].append(max(float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
+                                 for sa, sb in zip(ta[:m], tb[:m])))
+        w12.append(max(sc.w12_distance(sa.theta, sb.theta, grid_)
+                       for sa, sb in zip(ta[:m], tb[:m])))
+    return sc.CascadeReport(
+        eps_ladder=tuple(eps_ladder),
+        sup_dists={k: tuple(v) for k, v in sup.items()},
+        w12_theta_dists=tuple(w12),
+        cauchy={k: all(b < a for a, b in zip(v, v[1:])) for k, v in sup.items()},
+        statuses=tuple(statuses),
+        blowup_fired="blowup_halt" in statuses,
+        error=error,
+    )
+
+
+def _simulate_with_fault(fault):
+    """dyn.simulate, except that rung 1 halts on blow-up ("halts") or rung 2
+    aborts on a non-finite forcing ("aborts").  Also records, at the start of
+    each rung, how many earlier rungs still hold their initial state."""
+    real = dyn.simulate
+    firsts, alive = [], []
+    growth = dyn.Forcing(fv=lambda x, t: np.zeros_like(x),
+                         ftheta=lambda x, t: 40.0 * np.exp(8.0 * t) * np.ones_like(x))
+    nan_v = dyn.Forcing(fv=lambda x, t: np.full_like(x, np.nan) if t > 0.03 else np.zeros_like(x),
+                        ftheta=lambda x, t: np.zeros_like(x))
+    low = diag.MonitorConfig(blowup_threshold=3.0, blowup_window=4, blowup_rate_min=1e-5)
+
+    def simulate(laws, a, grid_, data, t_end, scheme, monitors, **kw):
+        alive.append(sum(r() is not None for r in firsts))
+        rung = len(firsts)
+        if fault == "halts" and rung == 1:
+            traj = real(laws, a, grid_, data, t_end, scheme, low, growth, **kw)
+        elif fault == "aborts" and rung == 2:
+            traj = real(laws, a, grid_, data, t_end, scheme, monitors, nan_v, **kw)
+        else:
+            traj = real(laws, a, grid_, data, t_end, scheme, monitors, **kw)
+        firsts.append(weakref.ref(traj.initial_state))
+        return traj
+
+    simulate.alive = alive
+    return simulate
+
+
+@pytest.mark.parametrize("fault,statuses", [
+    (None, ("completed",) * 4),
+    ("halts", ("completed", "blowup_halt", "completed", "completed")),
+    ("aborts", ("completed", "completed", "aborted")),
+])
+def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, statuses):
+    from dataclasses import replace
+    scenario = replace(sc.battery_scenario("rough_theta"), n=33, t_end=0.05)
+    ladder = (0.5, 0.3, 0.2, 0.1)
+    expected = _cascade_from_histories(scenario, ladder, _simulate_with_fault(fault))
+    faulty = _simulate_with_fault(fault)
+    monkeypatch.setattr(dyn, "simulate", faulty)
+    rep = sc.eps_cascade(scenario, ladder)
+    assert rep == expected
+    assert rep.statuses == statuses
+    assert all(len(v) == len(statuses) - 1 for v in rep.sup_dists.values())
+    # while a rung runs, only the rung before it is still held
+    assert faulty.alive == [0] + [1] * (len(statuses) - 1)
 
 
 def test_eps_cascade_requires_decreasing_ladder():

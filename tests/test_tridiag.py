@@ -114,15 +114,15 @@ def test_stepper_solves_report_their_label():
     state = dyn.State(0.0, data.u0, data.v0, data.theta0)
     tight = cfg_for(1e-3, solver_tol=1e-300)
     with pytest.raises(StepError, match="velocity solve residual"):
-        dyn.step(state, COUPLED_LAWS, 1.0, grid_, tight, 1e-3)
+        dyn.step_with_count(state, COUPLED_LAWS, 1.0, grid_, tight, 1e-3)
     # at rest the velocity solve is exact (x = 0), so the heat solve is the one to fail
     rest = dyn.State(0.0, np.zeros(33), np.zeros(33), data.theta0)
     with pytest.raises(StepError, match="heat solve residual"):
-        dyn.step(rest, CONST_LAWS, 1.0, grid_, tight, 1e-3)
+        dyn.step_with_count(rest, CONST_LAWS, 1.0, grid_, tight, 1e-3)
     nan_heat = dyn.Forcing(fv=lambda x, t: np.zeros_like(x),
                            ftheta=lambda x, t: np.full_like(x, np.nan))
     with pytest.raises(StepError, match="heat solve produced non-finite values"):
-        dyn.step(state, COUPLED_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3, nan_heat)
+        dyn.step_with_count(state, COUPLED_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3, nan_heat)
     eta = dyn.EtaState(0.0, np.sin(np.pi * grid_.nodes), np.zeros(33), eta=0.1)
     with pytest.raises(StepError, match="eta velocity solve residual"):
         dyn.step_eta(eta, np.ones(33), np.zeros(33), 1.0, grid_, tight, 1e-3)
