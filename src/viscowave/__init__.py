@@ -31,7 +31,6 @@ from .dynamics import (
     EtaState,
     Forcing,
     Recorder,
-    Rows,
     SchemeConfig,
     Snapshots,
     State,

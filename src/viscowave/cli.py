@@ -68,19 +68,42 @@ class FieldDump(dyn.Recorder):
     def __init__(self, fields_dir: str):
         self.dir = fields_dir
         self.count = 0
+        self.made_dir = False
 
     def sample(self, left, ev, clamp_total):
-        if self.count == 0:
-            os.makedirs(self.dir, exist_ok=True)
-        write_final_state(ev, ev.grid, os.path.join(self.dir, f"fields_{self.count:05d}.csv"))
+        if self.count == 0 and not os.path.isdir(self.dir):
+            os.makedirs(self.dir)
+            self.made_dir = True
+        write_final_state(ev, ev.grid, self._path(self.count))
         self.count += 1
+
+    def _path(self, i: int) -> str:
+        return os.path.join(self.dir, f"fields_{i:05d}.csv")
+
+    def discard(self) -> None:
+        """Removes the dumps written so far, and the directory if this
+        recorder made it."""
+        for i in range(self.count):
+            os.remove(self._path(i))
+        if self.made_dir:
+            os.rmdir(self.dir)
 
 
 def _run(config: cfgmod.RunConfig) -> dyn.Trajectory:
-    """``dyn.run`` with the rows, plus the field dumps when ``dump_fields``."""
+    """``dyn.run`` with the rows, plus the field dumps when ``dump_fields``.
+
+    A run that raises leaves no dumps behind, like it leaves no other
+    artifact; a run that ends on a status (``aborted``, ``blowup_halt``)
+    keeps them.
+    """
     if not config.dump_fields:
         return dyn.run(config)
-    return dyn.run(config, recorders=(FieldDump(os.path.join(config.out_dir, "fields")),))
+    dump = FieldDump(os.path.join(config.out_dir, "fields"))
+    try:
+        return dyn.run(config, recorders=(dump,))
+    except BaseException:
+        dump.discard()
+        raise
 
 
 def _bounds_block(traj: dyn.Trajectory) -> dict:

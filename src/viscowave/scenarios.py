@@ -255,11 +255,11 @@ class Scenario:
             }
         return None
 
-    def run(self, *, rows: bool = True, recorders=()) -> dyn.Trajectory:
+    def run(self, *, recorders=()) -> dyn.Trajectory:
         grid_ = self.make_grid()
         return dyn.simulate(self.laws, self.a, grid_, self.make_data(grid_),
                             self.t_end, self.scheme, self.monitors, self.make_forcing(),
-                            rows=rows, recorders=recorders)
+                            recorders=recorders)
 
 
 def builtin_battery() -> list[Scenario]:

@@ -251,6 +251,47 @@ def test_field_dumps_are_the_sampled_states_written_as_final_state(tmp_path):
     assert dumps[-1].read_bytes() == (out / "final_state.csv").read_bytes()
 
 
+def _step_raising_after(monkeypatch, calls, exc):
+    real = dyn.step_with_count
+    seen = []
+
+    def step(*args, **kwargs):
+        seen.append(None)
+        if len(seen) > calls:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "step_with_count", step)
+
+
+def test_run_that_raises_leaves_no_field_dumps(tmp_path, monkeypatch):
+    from viscowave.errors import DomainError
+    text = COUPLED_INI.replace("seed = 11\n", "seed = 11\ndump_fields = true\n")
+    out = tmp_path / "dumps"
+    path = write_ini(tmp_path, text, out=str(out))
+    # 7 steps at cadence 1 have written 8 dumps when the step raises
+    _step_raising_after(monkeypatch, 7, DomainError("viscosity must stay positive"))
+    assert cli.cmd_run(path, out_dir=str(out)) == cli.EXIT_SOLVER
+    assert not (out / "fields").exists()
+
+    # a fields directory that was there before keeps what it held
+    (out / "fields").mkdir(parents=True)
+    (out / "fields" / "notes.txt").write_text("kept\n")
+    assert cli.cmd_run(path, out_dir=str(out)) == cli.EXIT_SOLVER
+    assert [p.name for p in (out / "fields").iterdir()] == ["notes.txt"]
+
+
+def test_sweep_point_that_raises_leaves_no_field_dumps(tmp_path, monkeypatch):
+    text = COUPLED_INI.replace("seed = 11\n", "seed = 11\ndump_fields = true\n")
+    path = write_ini(tmp_path, text, out=str(tmp_path / "o"))
+    sub = tmp_path / "point"
+    _step_raising_after(monkeypatch, 5, RuntimeError("boom"))
+    row = cli._sweep_point((path, "delta", 0.2, str(sub), 11))
+    assert row["status"] == "failed"
+    assert row["error"] == "RuntimeError: boom"
+    assert not (sub / "fields").exists()
+
+
 def test_parse_tabulated_law_from_file(tmp_path):
     table = tmp_path / "gamma.txt"
     table.write_text("0.0 1.0\n1.0 1.08\n3.0 1.1\n")
