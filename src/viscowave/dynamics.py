@@ -217,7 +217,7 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     temperature nodes).  Raises StepError on solver failure or rejection.
 
     ``state`` may be a :class:`diagnostics.StateEval`; its cached (gamma, f)
-    are then used, and kept for the next caller.
+    and second differences are then used, and kept for the next caller.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -226,14 +226,16 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     n = grid_.n
     if state.u.shape != (n,):
         raise ConfigError("state not sized to grid")
-    dx2 = grid_.dx ** 2
+    if n < 4:
+        raise ConfigError("the stepper needs at least 4 nodes (Dirichlet d2 closure)")
 
-    gam, f_old = diag.StateEval.of(state, grid_).material(laws)
+    ev = diag.StateEval.of(state, grid_)
+    gam, f_old = ev.material(laws)
     if np.any(gam <= 0.0):
         raise DomainError("viscosity must stay positive")
     gam_mid = 0.5 * (gam[1:] + gam[:-1])
 
-    d2u = (state.u[2:] - 2.0 * state.u[1:-1] + state.u[:-2]) / dx2
+    d2u = ev.uxx[1:-1]
     dfdx = (f_old[2:] - f_old[:-2]) / (2.0 * grid_.dx)
 
     if cfg.scheme == "imex_be":
@@ -250,7 +252,7 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
         theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
     else:  # imex_cn
         lgam_v = g.div_flux(gam, state.v, grid_)[1:-1]
-        d2v = (state.v[2:] - 2.0 * state.v[1:-1] + state.v[:-2]) / dx2
+        d2v = ev.vxx[1:-1]
         src = state.v[1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
             + 0.25 * a * dt * dt * d2v - dt * dfdx
         if forcing is not None:
@@ -261,8 +263,7 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
         heat_extra = np.zeros(n)
         if forcing is not None:
             heat_extra = forcing.ftheta(grid_.nodes, state.t + 0.5 * dt)
-        d2th = g.d2(state.theta, grid_, g.BcKind.NEUMANN_BOTH)
-        rhs_theta = state.theta + 0.5 * dt * d2th \
+        rhs_theta = state.theta + 0.5 * dt * ev.thxx \
             + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
         theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
 
@@ -475,7 +476,7 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
         traj.times.append(ev.t)
         for rec in recs:
             rec.sample(left, ev, traj.clamp_total)
-        w12.append(diag.instantaneous_monitors(ev, q, grid_)["w12_theta"])
+        w12.append(ev.w12_theta)
 
     def finish() -> Trajectory:
         traj.final_state = ev.state

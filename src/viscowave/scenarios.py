@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from . import diagnostics as diag
 from . import dynamics as dyn
@@ -335,6 +334,7 @@ def mollify(data: mat.InitialData, eps: float, grid_: g.Grid1D) -> mat.InitialDa
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if data.u0.shape != (grid_.n,):
         raise ConfigError("data not sized to grid")
+    import scipy.fft  # here, not at module level: only mollify needs it
 
     # norm=None keeps the transforms diagonal on the analytic mode families
     # sin(k pi x / L) and cos(k pi x / L); the 'ortho' variants rescale the

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -537,3 +539,11 @@ def test_cmd_report_missing_artifact(tmp_path, capsys):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     assert cli.cmd_report(str(tmp_path / "empty")) == cli.EXIT_CONFIG
     assert "timeseries.csv not found" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_fft():
+    # only scenarios.mollify uses scipy.fft, and imports it when called
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, viscowave.cli; sys.exit(int('scipy.fft' in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -301,6 +301,38 @@ def test_monitors_require_positive_dt():
         diag.monitors_update(diag.TheoryMonitors(), state_of(grid_), 0.0, 2.0, 1.0, grid_)
 
 
+def _sign_changing_velocities(n):
+    x = np.linspace(0.0, 1.0, n)
+    yield np.sin(3 * np.pi * x)
+    rng = np.random.default_rng(5)
+    for scale in (1e-3, 1.0, 40.0):
+        v = scale * rng.standard_normal(n)
+        v[0] = v[-1] = 0.0
+        yield v
+
+
+@pytest.mark.parametrize("n", [33, 513])
+def test_cum_vx4_on_sign_changing_vx_is_the_integral_of_the_power(n):
+    # the accumulator squares twice; the power is the definition
+    grid_ = make_grid(n)
+    for v in _sign_changing_velocities(n):
+        vx = g.d1(v, grid_)
+        assert vx.min() < 0.0 < vx.max()
+        out = diag.accumulate_monitors(diag.TheoryMonitors(), state_of(grid_, v=v), 0.01, 1.0, grid_)
+        assert out.cum_vx4 == pytest.approx(0.01 * g.integrate(vx ** 4, grid_), rel=1e-14, abs=0.0)
+
+
+def test_state_eval_w12_theta_is_the_instantaneous_monitor():
+    grid_ = make_grid(65)
+    x = grid_.nodes
+    state = state_of(grid_, v=np.sin(np.pi * x), theta=1.0 + 0.3 * np.cos(2 * np.pi * x))
+    ev = diag.StateEval(state, grid_)
+    w12, l2_thetax = ev.w12_theta, ev.l2_thetax
+    inst = diag.instantaneous_monitors(state, 2.0, grid_)  # fresh, from the plain state
+    assert (inst["w12_theta"], inst["l2_thetax"]) == (w12, l2_thetax)
+    assert w12 == math.sqrt(g.integrate(state.theta ** 2, grid_) + g.integrate(g.d1(state.theta, grid_) ** 2, grid_))
+
+
 # --------------------------------------------------------------------------
 # blow-up detector
 # --------------------------------------------------------------------------

@@ -207,6 +207,93 @@ def test_step_argument_checks():
                             CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
 
 
+def test_step_needs_four_nodes():
+    grid_ = make_grid(3)
+    with pytest.raises(ConfigError):
+        dyn.step_with_count(zero_state(grid_), CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
+
+
+# --------------------------------------------------------------------------
+# the stepper reads its second differences from the per-state cache
+# --------------------------------------------------------------------------
+
+
+def _inline_stencil_step(state, laws, a, grid_, cfg, dt):
+    """step_with_count without forcing, with the second differences of u and
+    v written out inline as the stepper computed them before it read them
+    from a StateEval.  Returns (state, clamped) under clamp_and_count."""
+    n = grid_.n
+    dx2 = grid_.dx ** 2
+    theta = np.maximum(state.theta, 0.0)
+    gam = np.asarray(mat.eval_gamma(laws, theta))
+    f_old = np.asarray(mat.eval_f(laws, theta))
+    gam_mid = 0.5 * (gam[1:] + gam[:-1])
+    d2u = (state.u[2:] - 2.0 * state.u[1:-1] + state.u[:-2]) / dx2
+    dfdx = (f_old[2:] - f_old[:-2]) / (2.0 * grid_.dx)
+    if cfg.scheme == "imex_be":
+        src = state.v[1:-1] + dt * (a * d2u - dfdx)
+        v_new = dyn._solve_v_stage(src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
+        u_new = state.u + dt * v_new
+        rhs_theta = state.theta + dt * (dyn._heat_source(v_new, f_old, gam_mid, grid_) + np.zeros(n))
+        theta_new = dyn._solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
+    else:
+        lgam_v = g.div_flux(gam, state.v, grid_)[1:-1]
+        d2v = (state.v[2:] - 2.0 * state.v[1:-1] + state.v[:-2]) / dx2
+        src = state.v[1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
+            + 0.25 * a * dt * dt * d2v - dt * dfdx
+        v_new = dyn._solve_v_stage(src, gam_mid, a, grid_, dt, 0.5, cfg.solver_tol)
+        u_new = state.u + 0.5 * dt * (state.v + v_new)
+        v_used = 0.5 * (state.v + v_new)
+        d2th = g.d2(state.theta, grid_, g.BcKind.NEUMANN_BOTH)
+        rhs_theta = state.theta + 0.5 * dt * d2th \
+            + dt * (dyn._heat_source(v_used, f_old, gam_mid, grid_) + np.zeros(n))
+        theta_new = dyn._solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
+    v_new[0] = v_new[-1] = 0.0
+    u_new[0] = u_new[-1] = 0.0
+    mask = theta_new < 0.0
+    return (dyn.State(t=state.t + dt, u=u_new, v=v_new, theta=np.where(mask, 0.0, theta_new)),
+            int(np.count_nonzero(mask)))
+
+
+def _rough_coupled_state(grid_, seed):
+    rng = np.random.default_rng(seed)
+    data = sc.gen_coupled_smooth(grid_)
+    u = data.u0 + 1e-3 * rng.standard_normal(grid_.n)
+    v = data.v0 + 1e-2 * rng.standard_normal(grid_.n)
+    u[0] = u[-1] = v[0] = v[-1] = 0.0
+    theta = np.abs(data.theta0 + 1e-2 * rng.standard_normal(grid_.n))
+    return dyn.State(t=0.25, u=u, v=v, theta=theta)
+
+
+@pytest.mark.parametrize("scheme", ["imex_be", "imex_cn"])
+@pytest.mark.parametrize("cached", [False, True])
+def test_step_is_bitwise_the_inline_stencil_step(scheme, cached):
+    for n, seed in ((33, 0), (129, 1), (513, 2)):
+        grid_ = make_grid(n)
+        state = _rough_coupled_state(grid_, seed)
+        cfg = cfg_for(1e-3, scheme)
+        want, want_clamped = _inline_stencil_step(state, COUPLED_LAWS, 1.0, grid_, cfg, 1e-3)
+        arg = state
+        if cached:
+            arg = diag.StateEval(state, grid_)
+            arg.uxx, arg.vxx, arg.thxx  # filled before the step, as a sampled state's are
+        got, clamped = dyn.step_with_count(arg, COUPLED_LAWS, 1.0, grid_, cfg, 1e-3)
+        assert got.t == want.t and clamped == want_clamped
+        for name in ("u", "v", "theta"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (n, name)
+
+
+@pytest.mark.parametrize("scheme", ["imex_be", "imex_cn"])
+def test_step_leaves_its_stencils_for_the_accumulators(scheme):
+    grid_ = make_grid(65)
+    ev = diag.StateEval(_rough_coupled_state(grid_, 3), grid_)
+    dyn.step_with_count(ev, COUPLED_LAWS, 1.0, grid_, cfg_for(1e-3, scheme), 1e-3)
+    cached = {"uxx"} | ({"vxx", "thxx"} if scheme == "imex_cn" else set())
+    assert cached <= set(vars(ev))
+    for name in cached:
+        assert getattr(ev, name) is vars(ev)[name]
+
+
 # --------------------------------------------------------------------------
 # positivity policies
 # --------------------------------------------------------------------------
@@ -532,6 +619,36 @@ def test_blowup_halt_is_the_same_with_only_snapshots():
     assert [s.t for s in snaps.states] == bare.times
     assert snaps.states[0] is bare.initial_state and snaps.states[-1] is bare.final_state
     assert np.array_equal(bare.final_state.theta, with_rows.final_state.theta)
+
+
+@pytest.mark.parametrize("case,status", [("blowup", "blowup_halt"), ("cadence3_cn", "completed")])
+def test_run_without_rows_integrates_twice_per_sample(case, status, monkeypatch):
+    # the detector needs only the W^{1,2} norm: int theta^2 and int theta_x^2
+    if case == "blowup":
+        grid_, data, forcing, mon = _forced_growth()
+        laws, t_end, cfg = CONST_LAWS, 2.0, cfg_for(1e-2)
+    else:
+        grid_ = make_grid(33)
+        data, forcing = sc.gen_coupled_smooth(grid_), None
+        mon = diag.MonitorConfig(cadence=3)
+        laws, t_end, cfg = COUPLED_LAWS, 0.0213, cfg_for(1e-3, "imex_cn")
+    with_rows = dyn.simulate(laws, 1.0, grid_, data, t_end, cfg, mon, forcing)
+    calls = []
+    integrate = g.integrate
+
+    def counting(w, grid_arg):
+        calls.append(1)
+        return integrate(w, grid_arg)
+
+    monkeypatch.setattr(g, "integrate", counting)
+    bare = dyn.simulate(laws, 1.0, grid_, data, t_end, cfg, mon, forcing, rows=False)
+    assert bare.status == with_rows.status == status
+    assert bare.blowup == with_rows.blowup
+    assert bare.times == with_rows.times
+    if case == "cadence3_cn":
+        assert len(bare.times) == 9 and bare.steps_taken == 22
+    # two for E0 (kinetic and thermal parts), then two per sample
+    assert len(calls) == 2 + 2 * len(bare.times)
 
 
 class _Counting(dyn.Recorder):
