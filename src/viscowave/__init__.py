@@ -28,6 +28,7 @@ from .material import (
     validate_hypotheses,
 )
 from .dynamics import (
+    Ensemble,
     EtaState,
     Forcing,
     Recorder,

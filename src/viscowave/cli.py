@@ -13,6 +13,12 @@ Artifacts per run directory:
 Exit codes: 0 ok, 2 configuration error, 3 solver failure, 4 blow-up halt.
 A sweep exits 3 if any point failed or aborted, else 4 if any point halted
 on blow-up, else 0.
+
+A sweep over ``delta``, ``alpha`` or ``kappa`` changes neither the grid nor
+dt, so its points are split into one ensemble per worker, each integrated as
+one batch (see :func:`viscowave.dynamics.simulate`); every point's artifacts
+are byte-identical to its own run's.  ``grid_n`` and ``dt`` points run one
+per task.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -39,6 +47,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BLOWUP = 4
+
+# sweep axes that change neither the grid nor dt: their points run as ensembles
+ENSEMBLE_AXES = ("delta", "alpha", "kappa")
 
 
 def _fmt(value) -> str:
@@ -88,21 +99,31 @@ class FieldDump(dyn.Recorder):
         if self.made_dir:
             os.rmdir(self.dir)
 
+    def restart(self) -> None:
+        self.discard()
+        self.count = 0
+        self.made_dir = False
 
-def _run(config: cfgmod.RunConfig) -> dyn.Trajectory:
-    """``dyn.run`` with the rows, plus the field dumps when ``dump_fields``.
+
+def _run(config):
+    """``dyn.run`` with the rows, plus the field dumps when ``dump_fields``;
+    a list of configs runs as one ensemble.
 
     A run that raises leaves no dumps behind, like it leaves no other
     artifact; a run that ends on a status (``aborted``, ``blowup_halt``)
     keeps them.
     """
-    if not config.dump_fields:
+    batch = isinstance(config, list)
+    dumps = [[FieldDump(os.path.join(c.out_dir, "fields"))] if c.dump_fields else []
+             for c in (config if batch else [config])]
+    if not any(dumps):
         return dyn.run(config)
-    dump = FieldDump(os.path.join(config.out_dir, "fields"))
     try:
-        return dyn.run(config, recorders=(dump,))
+        return dyn.run(config, recorders=dumps if batch else dumps[0])
     except BaseException:
-        dump.discard()
+        for recs in dumps:
+            for dump in recs:
+                dump.discard()
         raise
 
 
@@ -124,11 +145,20 @@ def _bounds_block(traj: dyn.Trajectory) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=64)
+def _estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
+                seed: int) -> diag.KEstimate:
+    """``diag.estimate_K`` once per distinct key in this process: it depends
+    on neither the data nor delta, alpha or kappa, so the points of a sweep
+    share it."""
+    return diag.estimate_K(p=p, D=D, trials=trials, grid_=grid_, T=T, seed=seed)
+
+
 def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory) -> dict:
     scen = config.scenario
     last = traj.rows[-1]
-    kest = diag.estimate_K(p=4.0, D=scen.laws.gamma0, trials=config.k_trials,
-                           grid_=traj.grid, T=scen.monitors.T0, seed=config.seed)
+    kest = _estimate_K(4.0, scen.laws.gamma0, config.k_trials, traj.grid, scen.monitors.T0,
+                       config.seed)
     consts = diag.theory_constants(kest.K, scen.a, scen.monitors.T0, scen.laws.alpha)
     return {
         "scenario": scen.name,
@@ -210,39 +240,77 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
     return EXIT_OK
 
 
-def _sweep_point(args) -> dict:
-    """Worker: run one sweep point from primitives (safe across processes).
+def _point_config(config_path: str, axis: str, value, subdir: str, seed: int):
+    config = cfgmod.parse_config(config_path)
+    config = replace(config, out_dir=subdir, seed=seed)
+    return cfgmod.apply_axis(config, axis, value)
 
-    Any exception stays with its point: the row reads status ``failed`` and
-    carries the error, and the other points still run.
-    """
-    config_path, axis, value, subdir, seed = args
-    row = {"axis": axis, "value": value, "status": "failed", "drift_max": "",
-           "blowup": "", "monitors_finite": "", "error": ""}
-    try:
-        config = cfgmod.parse_config(config_path)
-        config = replace(config, out_dir=subdir, seed=seed)
-        config = cfgmod.apply_axis(config, axis, value)
-        traj = _run(config)
-        _write_artifacts(config, traj, subdir)
-        row.update(
-            status=traj.status,
-            drift_max=traj.max_drift,
-            blowup=(traj.blowup is not None and traj.blowup.fired),
-            monitors_finite=traj.monitors.all_finite(),
-            error=traj.error or "",
-        )
-    except ViscowaveError as exc:
-        row["error"] = str(exc)
-    except Exception as exc:  # one bad point must not end the sweep
+
+def _failed_row(axis: str, value, exc: Exception) -> dict:
+    """The row of a point that raised ``exc``; call it in the handler, so
+    that an exception from outside the package prints its traceback."""
+    if isinstance(exc, ViscowaveError):
+        error = str(exc)
+    else:
         traceback.print_exc()
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        error = f"{type(exc).__name__}: {exc}"
+    return {"axis": axis, "value": value, "status": "failed", "drift_max": "",
+            "blowup": "", "monitors_finite": "", "error": error}
+
+
+def _run_ensemble(configs: list) -> list | None:
+    """The trajectories of the configs, integrated as one batch.  None if
+    there are fewer than two, or if the batch raised: each point is then run
+    on its own."""
+    if len(configs) < 2:
+        return None
+    try:
+        return _run(configs)
+    except Exception:
+        return None
+
+
+def _sweep_point(task):
+    """Worker: run one task of a sweep from primitives (safe across processes).
+
+    A task ``(config_path, axis, value, subdir, seed)`` is one point, run on
+    its own, and returns the point's row.  With a tuple of values and one of
+    subdirectories it is an ensemble: its points are integrated as one batch,
+    and it returns one row per point.  Any exception stays with its point:
+    the row reads status ``failed`` and carries the error, and the other
+    points still run.
+    """
+    config_path, axis, value, subdir, seed = task
+    ensemble = isinstance(value, tuple)
+    values, subdirs = (value, subdir) if ensemble else ((value,), (subdir,))
+    rows, configs = {}, {}
+    for i, (val, sub) in enumerate(zip(values, subdirs)):
+        try:
+            configs[i] = _point_config(config_path, axis, val, sub, seed)
+        except Exception as exc:  # one bad point must not end the sweep
+            rows[i] = _failed_row(axis, val, exc)
+    trajs = dict(zip(configs, _run_ensemble(list(configs.values())) or ()))
+    for i, config in configs.items():
+        try:
+            traj = trajs[i] if i in trajs else _run(config)
+            _write_artifacts(config, traj, config.out_dir)
+            rows[i] = {"axis": axis, "value": values[i], "status": traj.status,
+                       "drift_max": traj.max_drift,
+                       "blowup": traj.blowup is not None and traj.blowup.fired,
+                       "monitors_finite": traj.monitors.all_finite(),
+                       "error": traj.error or ""}
+        except Exception as exc:
+            rows[i] = _failed_row(axis, values[i], exc)
+    result = [rows[i] for i in range(len(values))]
+    return result if ensemble else result[0]
 
 
 def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
               seed: int | None = None) -> int:
     """Run every sweep point, aggregate one summary row per point.
+
+    Points of an ``ENSEMBLE_AXES`` sweep go to the workers as ensembles of
+    ceil(points / workers) points each; other points go one per task.
 
     Returns EXIT_SOLVER if any point failed or aborted, else EXIT_BLOWUP if
     any point halted on blow-up, else EXIT_OK.
@@ -257,16 +325,20 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
     base_seed = sweep.base.seed if seed is None else seed
     workers = max(1, workers if workers else sweep.workers)
 
-    tasks = [
-        (config_path, sweep.axis, val,
-         os.path.join(out, f"point_{sweep.axis}_{i:02d}"), base_seed)
-        for i, val in enumerate(sweep.values)
-    ]
+    values = list(sweep.values)
+    subdirs = [os.path.join(out, f"point_{sweep.axis}_{i:02d}") for i in range(len(values))]
+    if sweep.axis in ENSEMBLE_AXES:
+        size = math.ceil(len(values) / workers)
+        tasks = [(config_path, sweep.axis, tuple(values[i:i + size]), tuple(subdirs[i:i + size]),
+                  base_seed) for i in range(0, len(values), size)]
+    else:
+        tasks = [(config_path, sweep.axis, val, sub, base_seed) for val, sub in zip(values, subdirs)]
     if workers == 1:
-        results = [_sweep_point(t) for t in tasks]
+        done = [_sweep_point(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            done = list(pool.map(_sweep_point, tasks))
+    results = [row for res in done for row in (res if isinstance(res, list) else [res])]
 
     agg = os.path.join(out, "sweep.csv")
     cols = ("axis", "value", "status", "drift_max", "blowup", "monitors_finite", "error")

@@ -38,15 +38,22 @@ class StateEval:
     stepped, accumulated, and, if it was sampled, recorded and fed to the
     blow-up detector) differentiates and integrates that state once.  The
     snapshot fields ``t``, ``u``, ``v``, ``theta`` are exposed unchanged.
+
+    The fields of an ensemble state are ``(B, n)`` arrays, one row per member
+    at the same time t; each derived field then has one row (an integral one
+    value) per member.  Per-member parameters (``laws``, ``q``, ``alpha``,
+    ``kappa``) are then either one value shared by every member or a tuple of
+    one value per row.
     """
 
     def __init__(self, state, grid_: g.Grid1D):
         self.state = state
         self.grid = grid_
         self.t, self.u, self.v, self.theta = state.t, state.u, state.v, state.theta
-        self.inst: dict[float, dict] = {}  # instantaneous monitors by exponent q
+        self.inst: dict = {}  # instantaneous monitors by exponent q
         self._laws = None
         self._material = None
+        self._members: dict[int, StateEval] = {}
 
     @classmethod
     def of(cls, state, grid_: g.Grid1D) -> "StateEval":
@@ -57,14 +64,40 @@ class StateEval:
             raise ConfigError("StateEval was built on a different grid")
         return state
 
-    def material(self, laws: mat.MaterialLaws) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, f) at max(theta, 0), kept for the last ``laws`` asked."""
+    def member(self, i: int) -> "StateEval":
+        """Member ``i`` of an ensemble state on its own (copied arrays), made
+        once; a single state is its own member 0."""
+        if self.v.ndim == 1:
+            return self
+        if i not in self._members:
+            s = self.state
+            self._members[i] = StateEval(
+                type(s)(s.t, s.u[i].copy(), s.v[i].copy(), s.theta[i].copy()), self.grid)
+        return self._members[i]
+
+    def material(self, laws) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, f) at max(theta, 0), kept for the last ``laws`` asked.
+
+        A tuple of laws evaluates each row with its own law.
+        """
         if self._laws is not laws:
-            theta = np.maximum(self.theta, 0.0)
-            self._material = (np.asarray(mat.eval_gamma(laws, theta)),
-                              np.asarray(mat.eval_f(laws, theta)))
+            theta = self.theta_pos
+            if isinstance(laws, tuple):
+                gam, f = np.empty_like(theta), np.empty_like(theta)
+                for i, law in enumerate(laws):
+                    gam[i] = mat.eval_gamma(law, theta[i])
+                    f[i] = mat.eval_f(law, theta[i])
+                self._material = (gam, f)
+            else:
+                self._material = (np.asarray(mat.eval_gamma(laws, theta)),
+                                  np.asarray(mat.eval_f(laws, theta)))
             self._laws = laws
         return self._material
+
+    @functools.cached_property
+    def theta_pos(self) -> np.ndarray:
+        """max(theta, 0), where the material laws are evaluated."""
+        return np.maximum(self.theta, 0.0)
 
     @functools.cached_property
     def vx(self) -> np.ndarray:
@@ -106,7 +139,35 @@ class StateEval:
     @functools.cached_property
     def w12_theta(self) -> float:
         """W^{1,2} norm of the temperature, the blow-up detector's input."""
-        return math.sqrt(g.integrate(self.theta ** 2, self.grid) + self.l2_thetax)
+        return _sqrt(g.integrate(self.theta ** 2, self.grid) + self.l2_thetax)
+
+
+def _sqrt(x):
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _scalar_or_rows(x):
+    """A reduction over the last axis: a float for one field, one value per
+    row for a batch."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _column(p):
+    """A per-member parameter as an operand: itself when shared, else a (B, 1)
+    column, so that each row meets its own value."""
+    return np.array(p)[:, None] if isinstance(p, tuple) else p
+
+
+def _power(base: np.ndarray, p) -> np.ndarray:
+    """``base ** p`` with a per-member exponent.  Each row is raised to its own
+    scalar, as in a solo run: an array exponent may take another numpy path
+    (no fast ``square`` for 2, say) and round differently."""
+    if not isinstance(p, tuple):
+        return base ** p
+    out = np.empty_like(base)
+    for i, e in enumerate(p):
+        out[i] = base[i] ** e
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +199,7 @@ def energy(state, a: float, grid_: g.Grid1D) -> EnergyBudget:
     """
     kin = 0.5 * g.integrate(state.v ** 2, grid_)
     du = g.gradient_mid(state.u, grid_)
-    ela = 0.5 * a * float(np.sum(du * du)) * grid_.dx
+    ela = 0.5 * a * _scalar_or_rows((du * du).sum(axis=-1)) * grid_.dx
     th = g.integrate(state.theta, grid_)
     return EnergyBudget(t=state.t, kinetic=kin, elastic=ela, thermal=th)
 
@@ -170,7 +231,7 @@ class TheoryMonitors:
         return all(math.isfinite(getattr(self, f.name)) for f in fields(self))
 
 
-def instantaneous_monitors(state, q: float, grid_: g.Grid1D) -> dict:
+def instantaneous_monitors(state, q, grid_: g.Grid1D) -> dict:
     """Pointwise-in-time monitor values for one snapshot.
 
     On a :class:`StateEval` the values are kept, so asking again with the same
@@ -182,13 +243,13 @@ def instantaneous_monitors(state, q: float, grid_: g.Grid1D) -> dict:
             "l2_thetax": ev.l2_thetax,
             "l2_vx": g.integrate(ev.vx2, grid_),
             "l2_uxx": g.integrate(ev.uxx ** 2, grid_),
-            "lq_value": g.integrate((ev.theta + 1.0) ** q, grid_),
+            "lq_value": g.integrate(_power(ev.theta + 1.0, q), grid_),
             "w12_theta": ev.w12_theta,
         }
     return dict(ev.inst[q])
 
 
-def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha: float,
+def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha,
                         grid_: g.Grid1D) -> TheoryMonitors:
     """Advance only the four ``cum_*`` accumulators by ``dt`` x (integrand at
     ``state``); the instantaneous fields of the result are zero.
@@ -201,9 +262,10 @@ def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha: float,
     if dt <= 0:
         raise DomainError("monitor update requires dt > 0")
     ev = StateEval.of(state, grid_)
+    expo = tuple(4.0 * x for x in alpha) if isinstance(alpha, tuple) else 4.0 * alpha
     return TheoryMonitors(
         cum_vx4=prev.cum_vx4 + dt * g.integrate(ev.vx2 * ev.vx2, grid_),
-        cum_theta_pow=prev.cum_theta_pow + dt * g.integrate((ev.theta + 1.0) ** (4.0 * alpha), grid_),
+        cum_theta_pow=prev.cum_theta_pow + dt * g.integrate(_power(ev.theta + 1.0, expo), grid_),
         cum_thetaxx2=prev.cum_thetaxx2 + dt * g.integrate(ev.thxx ** 2, grid_),
         cum_vxx2=prev.cum_vxx2 + dt * g.integrate(ev.vxx ** 2, grid_),
     )
@@ -261,7 +323,14 @@ def lq_balance(state, laws: mat.MaterialLaws, q: float, grid_: g.Grid1D) -> LqBa
 # --------------------------------------------------------------------------
 
 
-def z_transform(state, kappa: float, grid_: g.Grid1D):
+def _damping(kappa, t: float):
+    """e^{-kappa t}, by ``math.exp`` for each member's kappa."""
+    if isinstance(kappa, tuple):
+        return _column(tuple(math.exp(-k * t) for k in kappa))
+    return math.exp(-kappa * t)
+
+
+def z_transform(state, kappa, grid_: g.Grid1D):
     """Antiderivative V(x) = int_0^x v and its damped version z = e^{-kappa t} V.
 
     Both vanish at x = 0 by construction; the right-end slope of V equals
@@ -269,26 +338,32 @@ def z_transform(state, kappa: float, grid_: g.Grid1D):
     z(0) = 0, z_x(L) = 0 up to stencil error.
     """
     ev = StateEval.of(state, grid_)
-    return math.exp(-kappa * ev.t) * ev.V, ev.V
+    return _damping(kappa, ev.t) * ev.V, ev.V
 
 
-def left_end_flux(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D) -> float:
+def left_end_flux(state, laws, a: float, grid_: g.Grid1D):
     """Discrete left-boundary flux  gamma(Theta) v_x + a u_x - f(Theta)  at x=0.
 
     Integrating the velocity equation from the left end picks up this term;
     the scalar parabolic form of the antiderivative is exact only after it is
     subtracted, so the residual below carries it as a spatially constant
-    source correction.
+    source correction.  The laws are evaluated at a scalar: on an ensemble
+    state, once per member (a (B, 1) column of fluxes).
     """
     ev = StateEval.of(state, grid_)
-    th0 = max(float(ev.theta[0]), 0.0)
-    vx0 = float(ev.vx[0])
-    ux0 = float(ev.ux[0])
-    return mat.eval_gamma(laws, th0) * vx0 + a * ux0 - mat.eval_f(laws, th0)
+    if ev.v.ndim == 1:
+        return _flux(laws, ev.theta[0], ev.vx[0], ev.ux[0], a)
+    rows = len(ev.v)
+    return _column(tuple(map(_flux, _per_row(laws, rows), ev.theta[:, 0].tolist(),
+                             ev.vx[:, 0].tolist(), ev.ux[:, 0].tolist(), (a,) * rows)))
 
 
-def z_residual(state_prev, state_next, laws: mat.MaterialLaws, a: float, kappa: float,
-               grid_: g.Grid1D) -> float:
+def _flux(laws: mat.MaterialLaws, th0, vx0, ux0, a: float) -> float:
+    th0 = max(float(th0), 0.0)
+    return mat.eval_gamma(laws, th0) * float(vx0) + a * float(ux0) - mat.eval_f(laws, th0)
+
+
+def z_residual(state_prev, state_next, laws, a: float, kappa, grid_: g.Grid1D):
     """L2 norm of the discrete residual of the transformed parabolic problem.
 
     The pair of consecutive snapshots provides the backward time difference;
@@ -296,7 +371,8 @@ def z_residual(state_prev, state_next, laws: mat.MaterialLaws, a: float, kappa: 
     diffusion ``(gamma(Theta) - gamma0) z_xx``, the damped elastic term
     ``a e^{-kappa t} u_x``, the damped coupling ``-e^{-kappa t} f(Theta)``,
     and the left-end flux correction.  Vanishes at first order in dt and
-    second order in dx along smooth trajectories.
+    second order in dx along smooth trajectories.  On ensemble states, one
+    value per member.
     """
     dt = state_next.t - state_prev.t
     if dt <= 0:
@@ -305,12 +381,13 @@ def z_residual(state_prev, state_next, laws: mat.MaterialLaws, a: float, kappa: 
     z_new, _ = z_transform(new, kappa, grid_)
     z_old, _ = z_transform(state_prev, kappa, grid_)
     zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-    damp = math.exp(-kappa * new.t)
+    damp = _damping(kappa, new.t)
     gam, f = new.material(laws)
-    h = (gam - laws.gamma0) * zxx + a * damp * new.ux - damp * f
+    gamma0 = _column(tuple(law.gamma0 for law in laws)) if isinstance(laws, tuple) else laws.gamma0
+    h = (gam - gamma0) * zxx + a * damp * new.ux - damp * f
     correction = damp * left_end_flux(new, laws, a, grid_)
-    res = (z_new - z_old) / dt - (laws.gamma0 * zxx - kappa * z_new + h - correction)
-    return math.sqrt(g.integrate(res ** 2, grid_))
+    res = (z_new - z_old) / dt - (gamma0 * zxx - _column(kappa) * z_new + h - correction)
+    return _sqrt(g.integrate(res ** 2, grid_))
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +430,8 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> float:
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     r = 0.5 * dt * D / dgrid.dx ** 2
-    op = tridiag.dirichlet(dgrid.n, r)
+    solve = tridiag.dirichlet(dgrid.n, r).factor()  # one matrix for every step
+    src = dt * gh[1:-1]
 
     def zxx_p(zfull):
         zres = zfull[:grid_.n]
@@ -363,9 +441,9 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> float:
     acc = 0.5 * zxx_p(zh)
     for _ in range(nsteps):
         rhs = zh.copy()
-        rhs[1:-1] += r * (zh[2:] - 2.0 * zh[1:-1] + zh[:-2]) + dt * gh[1:-1]
+        rhs[1:-1] += r * (zh[2:] - 2.0 * zh[1:-1] + zh[:-2]) + src
         rhs[0] = rhs[-1] = 0.0
-        zh = op.solve(rhs)
+        zh = solve(rhs)
         acc += zxx_p(zh)
     acc -= 0.5 * zxx_p(zh)
     return acc * dt
@@ -558,22 +636,25 @@ class DiagRow:
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagRow))
 
 
-def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q: float,
-             e0: float, z_res: float, clamp_count: int) -> DiagRow:
+def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
+             e0, z_res, clamp_count):
     """Assemble one timeseries row: energy split, mass, min(theta) and the
     instantaneous monitors at the sampled state; cumulative monitors are
-    taken from the accumulator."""
+    taken from the accumulator.
+
+    On an ensemble state the other arguments hold one value per member
+    (``clamp_count`` a sequence), and the result is the list of their rows.
+    """
     ev = StateEval.of(state, grid_)
     budget = energy(ev, a, grid_)
-    return DiagRow(
-        t=ev.t,
+    values = dict(
         E_total=budget.total,
         E_kin=budget.kinetic,
         E_el=budget.elastic,
         E_th=budget.thermal,
         drift=budget.total - e0,
         mass_theta=budget.thermal,
-        min_theta=float(np.min(ev.theta)),
+        min_theta=_scalar_or_rows(ev.theta.min(axis=-1)),
         cum_vx4=monitors.cum_vx4,
         cum_theta_pow=monitors.cum_theta_pow,
         cum_thetaxx2=monitors.cum_thetaxx2,
@@ -582,3 +663,13 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q: floa
         clamp_count=clamp_count,
         **instantaneous_monitors(ev, q, grid_),
     )
+    if ev.v.ndim == 1:
+        return DiagRow(t=ev.t, **values)
+    columns = [_per_row(values[c], len(ev.v)) for c in DIAG_COLUMNS[1:]]
+    return [DiagRow(ev.t, *member) for member in zip(*columns)]
+
+
+def _per_row(value, rows: int) -> list:
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, (list, tuple)) else [value] * rows

@@ -26,8 +26,9 @@ variant cancels it and conserves the discrete energy to roundoff.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -122,23 +123,25 @@ def rhs(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D):
     return dv, du, dtheta
 
 
-def adapt_dt(state: State, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) -> float:
+def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) -> float:
     """Step-size suggestion from the explicit terms.
 
     dt = min(dt_max, cfl_safety * dx / max(1, |v|_inf), cfl_safety / L) where
     L is the nodal Lipschitz scale of the explicit sources; inactive terms
     (zero velocity, zero source slope) impose no restriction, so the zero
-    state returns dt_max.
+    state returns dt_max.  ``state`` may be a :class:`diagnostics.StateEval`,
+    whose v_x and max(theta, 0) are then shared with the step and the
+    accumulators.
     """
+    ev = diag.StateEval.of(state, grid_)
     dt = cfg.dt_max
-    vmax = float(np.max(np.abs(state.v)))
+    vmax = float(np.max(np.abs(ev.v)))
     if vmax > 0.0:
         dt = min(dt, cfg.cfl_safety * grid_.dx / max(1.0, vmax))
-    theta = np.maximum(state.theta, 0.0)
-    vx = g.d1(state.v, grid_)
+    theta = ev.theta_pos
     lip = float(np.max(
-        np.abs(np.asarray(mat.eval_f_prime(laws, theta))) * np.abs(vx)
-        + np.abs(np.asarray(mat.eval_gamma_prime(laws, theta))) * vx ** 2
+        np.abs(np.asarray(mat.eval_f_prime(laws, theta))) * np.abs(ev.vx)
+        + np.abs(np.asarray(mat.eval_gamma_prime(laws, theta))) * ev.vx2
     ))
     if lip > 0.0:
         dt = min(dt, cfg.cfl_safety / lip)
@@ -150,19 +153,42 @@ def adapt_dt(state: State, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeC
 # --------------------------------------------------------------------------
 
 
-def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
-    """Solve ``op x = rhs_``; check that x is finite and that the residual
-    is at most ``tol * max(1, |rhs_|_inf)``."""
+def _checked_solve(op: tridiag.Tridiag, rhs_, tol, label):
     try:
         x = op.solve(rhs_)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise StepError(f"{label} solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise StepError(f"{label} solve produced non-finite values")
-    res = op.residual(x, rhs_)
-    scale = max(1.0, float(np.max(np.abs(rhs_))))
-    if float(np.max(np.abs(res))) > tol * scale:
+    res = np.abs(op.residual(x, rhs_)).max(axis=-1)
+    scale = np.abs(rhs_).max(axis=-1)
+    if ((res > tol) & (res > tol * scale)).any():  # res > tol * max(1, scale)
         raise StepError(f"{label} solve residual exceeds tolerance")
+    return x
+
+
+def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
+    """Solve ``op x = rhs_``; check that x is finite and that the residual
+    is at most ``tol * max(1, |rhs_|_inf)``.
+
+    A batch (``rhs_`` of shape (B, n)) is solved in one stacked call, and
+    each member's residual is checked at its own scale.  One member's NaN or
+    singular matrix spoils the stacked solve for the others, so when the
+    stacked solve or a check fails, the members are solved again one at a
+    time: only a failing member raises, with its row in ``StepError.member``.
+    """
+    try:
+        return _checked_solve(op, rhs_, tol, label)
+    except StepError:
+        if rhs_.ndim == 1:
+            raise
+    x = np.empty_like(rhs_)
+    for i in range(len(rhs_)):
+        try:
+            x[i] = _checked_solve(op.member(i), rhs_[i], tol, label)
+        except StepError as exc:
+            exc.member = i
+            raise
     return x
 
 
@@ -173,17 +199,17 @@ def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
     rhs with homogeneous Dirichlet rows; ``src`` holds the fully assembled
     explicit part of the right-hand side (interior nodes).
     """
-    n = grid_.n
+    shape = gam_mid.shape[:-1] + (grid_.n,)
     dx2 = grid_.dx ** 2
     w = theta_weight * dt
-    diag_ = np.ones(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-    diag_[1:-1] = 1.0 + w * (gam_mid[:-1] + gam_mid[1:]) / dx2 + 2.0 * a * w * w / dx2
-    lower[:-1] = -w * gam_mid[:-1] / dx2 - a * w * w / dx2
-    upper[1:] = -w * gam_mid[1:] / dx2 - a * w * w / dx2
-    rhs_ = np.zeros(n)
-    rhs_[1:-1] = src
+    diag_ = np.ones(shape)
+    lower = np.zeros(gam_mid.shape)
+    upper = np.zeros(gam_mid.shape)
+    diag_[..., 1:-1] = 1.0 + w * (gam_mid[..., :-1] + gam_mid[..., 1:]) / dx2 + 2.0 * a * w * w / dx2
+    lower[..., :-1] = -w * gam_mid[..., :-1] / dx2 - a * w * w / dx2
+    upper[..., 1:] = -w * gam_mid[..., 1:] / dx2 - a * w * w / dx2
+    rhs_ = np.zeros(shape)
+    rhs_[..., 1:-1] = src
     return _solve_banded(tridiag.Tridiag(lower, diag_, upper), rhs_, tol, label="velocity")
 
 
@@ -218,28 +244,31 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
 
     ``state`` may be a :class:`diagnostics.StateEval`; its cached (gamma, f)
     and second differences are then used, and kept for the next caller.
+
+    An ensemble state ((B, n) fields, ``laws`` shared or a tuple with one law
+    per row) takes the step of every member at once, each member's bits as
+    in its own step; the clamp counts are then one per member, and a
+    StepError names the failing member's row in ``member``.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
     if a <= 0:
         raise DomainError("a must be positive")
     n = grid_.n
-    if state.u.shape != (n,):
+    if state.u.ndim not in (1, 2) or state.u.shape[-1] != n:
         raise ConfigError("state not sized to grid")
-    if n < 4:
-        raise ConfigError("the stepper needs at least 4 nodes (Dirichlet d2 closure)")
 
     ev = diag.StateEval.of(state, grid_)
     gam, f_old = ev.material(laws)
-    if np.any(gam <= 0.0):
+    if (gam <= 0.0).any():
         raise DomainError("viscosity must stay positive")
-    gam_mid = 0.5 * (gam[1:] + gam[:-1])
+    gam_mid = 0.5 * (gam[..., 1:] + gam[..., :-1])
 
-    d2u = ev.uxx[1:-1]
-    dfdx = (f_old[2:] - f_old[:-2]) / (2.0 * grid_.dx)
+    d2u = ev.uxx[..., 1:-1]
+    dfdx = (f_old[..., 2:] - f_old[..., :-2]) / (2.0 * grid_.dx)
 
     if cfg.scheme == "imex_be":
-        src = state.v[1:-1] + dt * (a * d2u - dfdx)
+        src = state.v[..., 1:-1] + dt * (a * d2u - dfdx)
         if forcing is not None:
             src = src + dt * forcing.fv(grid_.nodes, state.t + dt)[1:-1]
         v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
@@ -251,9 +280,9 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
         rhs_theta = state.theta + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
         theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
     else:  # imex_cn
-        lgam_v = g.div_flux(gam, state.v, grid_)[1:-1]
-        d2v = ev.vxx[1:-1]
-        src = state.v[1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
+        lgam_v = g.div_flux(gam, state.v, grid_)[..., 1:-1]
+        d2v = ev.vxx[..., 1:-1]
+        src = state.v[..., 1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
             + 0.25 * a * dt * dt * d2v - dt * dfdx
         if forcing is not None:
             src = src + dt * forcing.fv(grid_.nodes, state.t + 0.5 * dt)[1:-1]
@@ -267,24 +296,27 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
             + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
         theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
 
-    v_new[0] = v_new[-1] = 0.0
-    u_new[0] = u_new[-1] = 0.0
+    v_new[..., 0] = v_new[..., -1] = 0.0
+    u_new[..., 0] = u_new[..., -1] = 0.0
 
-    clamped = 0
-    min_theta = float(np.min(theta_new))
-    if min_theta < 0.0:
+    clamped = np.zeros(theta_new.shape[:-1], dtype=int)
+    if theta_new.min() < 0.0:
         if cfg.positivity_policy == "reject_step":
-            if min_theta < -cfg.positivity_tolerance:
+            min_theta = np.atleast_1d(theta_new.min(axis=-1))
+            dipped = np.flatnonzero(min_theta < -cfg.positivity_tolerance)
+            if dipped.size:
+                i = int(dipped[0])
                 raise StepError(
-                    f"temperature dipped to {min_theta:.3e}; retry with smaller dt",
-                    suggested_dt=0.5 * dt,
+                    f"temperature dipped to {min_theta[i]:.3e}; retry with smaller dt",
+                    suggested_dt=0.5 * dt, member=i if theta_new.ndim == 2 else None,
                 )
         else:
             mask = theta_new < 0.0
-            clamped = int(np.count_nonzero(mask))
+            clamped = np.count_nonzero(mask, axis=-1)
             theta_new = np.where(mask, 0.0, theta_new)
 
-    return State(t=state.t + dt, u=u_new, v=v_new, theta=theta_new), clamped
+    new = State(t=state.t + dt, u=u_new, v=v_new, theta=theta_new)
+    return new, (clamped if theta_new.ndim == 2 else int(clamped))
 
 
 # --------------------------------------------------------------------------
@@ -354,12 +386,15 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
 
 
 class Recorder:
-    """Base of the objects :func:`simulate` feeds; both hooks do nothing.
+    """Base of the objects :func:`simulate` feeds; the hooks do nothing.
 
     ``step`` is called once per accepted step, at its left state and dt.
     ``sample`` is called once per recorded state ``ev``, with ``left`` the
     left state of the step that produced it (None for the initial state) and
-    the clamp count so far.  Both states are :class:`diagnostics.StateEval`.
+    the clamp count so far.  Both states are :class:`diagnostics.StateEval`
+    of one run, also in an ensemble.  ``restart`` is called before an
+    ensemble member is run again alone from t = 0 (its step failed in the
+    batch): a recorder must then forget what it was fed.
     """
 
     def step(self, left: diag.StateEval, dt: float) -> None:
@@ -368,25 +403,60 @@ class Recorder:
     def sample(self, left: diag.StateEval | None, ev: diag.StateEval, clamp_total: int) -> None:
         pass
 
+    def restart(self) -> None:
+        pass
+
 
 class Rows(Recorder):
     """The timeseries: the four accumulators advanced every step, and one
-    row with its transformed residual per recorded state."""
+    row with its transformed residual per recorded state.
 
-    def __init__(self, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
-                 monitor_cfg: diag.MonitorConfig, e0: float):
-        self.laws, self.a, self.grid, self.cfg, self.e0 = laws, a, grid_, monitor_cfg, e0
+    Over an ensemble state it does this for every member at once: ``laws``,
+    ``q`` and ``kappa`` are then per-member parameters (see
+    :class:`diagnostics.StateEval`), ``e0`` and the accumulators hold one
+    value per member, ``sample`` takes one clamp count per member, and
+    ``rows[i]`` is the i-th member's timeseries.
+    """
+
+    def __init__(self, laws, a: float, grid_: g.Grid1D, q, kappa, e0, members: int = 1):
+        self.laws, self.a, self.grid, self.q, self.kappa, self.e0 = laws, a, grid_, q, kappa, e0
+        self.alpha = tuple(law.alpha for law in laws) if isinstance(laws, tuple) else laws.alpha
         self.cum = diag.TheoryMonitors()
-        self.rows: list[diag.DiagRow] = []
+        self.rows: list[list[diag.DiagRow]] = [[] for _ in range(members)]
 
     def step(self, left, dt):
-        self.cum = diag.accumulate_monitors(self.cum, left, dt, self.laws.alpha, self.grid)
+        self.cum = diag.accumulate_monitors(self.cum, left, dt, self.alpha, self.grid)
 
     def sample(self, left, ev, clamp_total):
         z_res = 0.0 if left is None else diag.z_residual(
-            left, ev, self.laws, self.a, self.cfg.kappa, self.grid)
-        self.rows.append(diag.make_row(ev, self.a, self.grid, self.cum, self.cfg.q,
-                                       self.e0, z_res, clamp_total))
+            left, ev, self.laws, self.a, self.kappa, self.grid)
+        if ev.v.ndim == 1:
+            clamp_total = clamp_total[0]
+        made = diag.make_row(ev, self.a, self.grid, self.cum, self.q, self.e0, z_res, clamp_total)
+        for rows, row in zip(self.rows, made if ev.v.ndim == 2 else [made]):
+            rows.append(row)
+
+    def monitors(self, i: int, ev: diag.StateEval) -> diag.TheoryMonitors:
+        """Member ``i``'s final monitors at its last recorded state ``ev``."""
+        inst = diag.instantaneous_monitors(ev, self.q, self.grid)
+        if ev.v.ndim == 1:
+            return replace(self.cum, **inst)
+        values = {**_monitor_values(self.cum), **inst}
+        return diag.TheoryMonitors(**{k: float(v[i]) if isinstance(v, np.ndarray) else v
+                                      for k, v in values.items()})
+
+    def keep(self, idx: list) -> None:
+        """Go on with the members at rows ``idx`` only."""
+        self.laws, self.alpha, self.q, self.kappa = (
+            _pick(p, idx) for p in (self.laws, self.alpha, self.q, self.kappa))
+        self.e0 = self.e0[idx]
+        self.cum = diag.TheoryMonitors(**{k: v[idx] if isinstance(v, np.ndarray) else v
+                                          for k, v in _monitor_values(self.cum).items()})
+        self.rows = [self.rows[i] for i in idx]
+
+
+def _monitor_values(mon: diag.TheoryMonitors) -> dict:
+    return {f.name: getattr(mon, f.name) for f in fields(mon)}
 
 
 class Snapshots(Recorder):
@@ -397,6 +467,9 @@ class Snapshots(Recorder):
 
     def sample(self, left, ev, clamp_total):
         self.states.append(ev.state)
+
+    def restart(self):
+        self.states.clear()
 
 
 # --------------------------------------------------------------------------
@@ -435,10 +508,73 @@ class Trajectory:
         return self.clamp_total / (self.grid.n * self.steps_taken)
 
 
-def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.InitialData,
-             t_end: float, scheme_cfg: SchemeConfig, monitor_cfg: diag.MonitorConfig | None = None,
-             forcing: Forcing | None = None, *, rows: bool = True,
-             recorders=()) -> Trajectory:
+class Ensemble(list):
+    """The trajectories of an ensemble run, in member order."""
+
+    @property
+    def steps_taken(self) -> int:
+        """Accepted steps, summed over the members."""
+        return sum(traj.steps_taken for traj in self)
+
+
+class _Member:
+    """One run of a :func:`simulate` call: its inputs and recorders, its
+    trajectory, and the W^{1,2} history its blow-up detector reads."""
+
+    def __init__(self, laws, data, monitor_cfg, recorders, grid_, a):
+        self.laws, self.data, self.cfg, self.recs = laws, data, monitor_cfg, list(recorders)
+        self.traj = Trajectory(grid=grid_, laws=laws, a=a)
+        self.w12 = deque(maxlen=monitor_cfg.blowup_window)
+
+    def restart(self) -> None:
+        """Forget the run so far, recorders included."""
+        for rec in self.recs:
+            rec.restart()
+        self.traj = Trajectory(grid=self.traj.grid, laws=self.laws, a=self.traj.a)
+        self.w12.clear()
+
+    def halts(self) -> bool:
+        """Run the blow-up detector on a full window; True if it fires."""
+        cfg = self.cfg
+        if len(self.w12) < cfg.blowup_window:
+            return False
+        report = diag.blowup_check(self.w12, cfg.blowup_window, cfg.blowup_threshold,
+                                   cfg.blowup_rate_min, times=self.traj.times)
+        if report.fired:
+            self.traj.blowup = report
+            self.traj.status = "blowup_halt"
+        return report.fired
+
+
+def _same_law(x: mat.MaterialLaws, y: mat.MaterialLaws) -> bool:
+    # the tables do not take part in ==
+    return x is y or (x == y and x.gamma_table is y.gamma_table and x.f_table is y.f_table)
+
+
+def _shared(values: list, same=operator.eq):
+    """A per-member parameter: the one value when every member has it, else
+    a tuple of one value per member."""
+    first = values[0]
+    return first if all(same(v, first) for v in values[1:]) else tuple(values)
+
+
+def _pick(p, idx: list):
+    return tuple(p[i] for i in idx) if isinstance(p, tuple) else p
+
+
+def _listed(x) -> list:
+    """A per-member result as a list (one value, for a single run)."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _rows(ev: diag.StateEval, idx: list) -> diag.StateEval:
+    s = ev.state
+    return diag.StateEval(State(s.t, s.u[idx], s.v[idx], s.theta[idx]), ev.grid)
+
+
+def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: SchemeConfig,
+             monitor_cfg=None, forcing: Forcing | None = None, *, rows: bool = True,
+             recorders=()):
     """Integrate from t = 0 to t_end, recording at the configured cadence;
     halts early if the blow-up detector fires.
 
@@ -453,46 +589,101 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
     recorded state's evaluation (material coefficients included) is reused
     as the left state of the next step.  The last accepted state is always
     recorded: at t_end, and on an abort even off the cadence.
+
+    A list ``data`` integrates an ensemble, one member per entry, and
+    returns an :class:`Ensemble` of their trajectories.  ``laws``,
+    ``monitor_cfg`` and ``recorders`` (if any) then hold one entry per
+    member, a sequence of recorders each.  The members share the grid, ``a``,
+    ``t_end`` and ``scheme_cfg`` with a fixed dt, and the cadence, without
+    forcing.  Their fields are the rows of (B, n) arrays: every operator,
+    the accumulators and the rows act on all of them at once, and each
+    stage is one stacked tridiagonal solve.  Each member keeps its own
+    laws, monitors, clamp count, detector, verdict and recorders, and gets
+    the bits of its own run.  A member that halts leaves the batch.  A
+    member whose step raises StepError leaves it too, and is run again
+    alone from t = 0 when the batch is done, so its outcome is its solo
+    outcome.
     """
-    if monitor_cfg is None:
-        monitor_cfg = diag.MonitorConfig()
-    if data.u0.shape != (grid_.n,):
+    batch = isinstance(data, (list, tuple))
+    if not batch:
+        laws, data, monitor_cfg, recorders = [laws], [data], [monitor_cfg], [recorders]
+    recorders = list(recorders) or [()] * len(data)
+    monitor_cfg = [diag.MonitorConfig() if c is None else c for c in monitor_cfg]
+    if not data or not len(laws) == len(data) == len(monitor_cfg) == len(recorders):
+        raise ConfigError("an ensemble needs laws, monitors and recorders for each member")
+    if any(d.u0.shape != (grid_.n,) for d in data):
         raise ConfigError("initial data not sized to grid")
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
+    if len(data) > 1 and (forcing is not None or scheme_cfg.adaptive
+                          or len({c.cadence for c in monitor_cfg}) > 1):
+        raise ConfigError("ensemble members share a fixed dt and the cadence, without forcing")
 
-    state = State(t=0.0, u=data.u0, v=data.v0, theta=data.theta0)
-    traj = Trajectory(grid=grid_, laws=laws, a=a, initial_state=state)
-    traj.e0 = diag.energy(state, a, grid_).total
-    recs = list(recorders)
+    members = [_Member(*inputs, grid_, a) for inputs in zip(laws, data, monitor_cfg, recorders)]
+    for m in _march(members, a, grid_, t_end, scheme_cfg, forcing, rows):
+        m.restart()
+        _march([m], a, grid_, t_end, scheme_cfg, forcing, rows)
+    trajs = [m.traj for m in members]
+    return Ensemble(trajs) if batch else trajs[0]
+
+
+def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
+    """The loop of :func:`simulate` over the members ``act``, whose fields
+    are the rows of (B, n) arrays, or (n,) arrays for a single member.
+    Returns the members whose step failed in the batch."""
+    fields0 = [np.stack(f) if len(act) > 1 else f[0]
+               for f in zip(*((m.data.u0, m.data.v0, m.data.theta0) for m in act))]
+    state = State(0.0, *fields0)
+    ev = diag.StateEval(state, grid_)
+    e0 = diag.energy(state, a, grid_).total
+    for i, (m, e) in enumerate(zip(act, _listed(e0))):
+        m.traj.initial_state, m.traj.e0 = ev.member(i).state, e
+    laws = _shared([m.laws for m in act], _same_law)
+    row_rec = None
     if rows:
-        row_rec = Rows(laws, a, grid_, monitor_cfg, traj.e0)
-        recs.insert(0, row_rec)
-        traj.rows = row_rec.rows
-    q = monitor_cfg.q
-    w12 = deque(maxlen=monitor_cfg.blowup_window)
+        row_rec = Rows(laws, a, grid_, _shared([m.cfg.q for m in act]),
+                       _shared([m.cfg.kappa for m in act]), e0, len(act))
+        for m, own in zip(act, row_rec.rows):
+            m.traj.rows = own
+    cadence = act[0].cfg.cadence
+    failed = []
 
     def record(left: diag.StateEval | None, ev: diag.StateEval):
-        traj.times.append(ev.t)
-        for rec in recs:
-            rec.sample(left, ev, traj.clamp_total)
-        w12.append(ev.w12_theta)
+        for m in act:
+            m.traj.times.append(ev.t)
+        if row_rec is not None:
+            row_rec.sample(left, ev, [m.traj.clamp_total for m in act])
+        for i, m in enumerate(act):
+            for rec in m.recs:
+                rec.sample(None if left is None else left.member(i), ev.member(i),
+                           m.traj.clamp_total)
+        for m, w12 in zip(act, _listed(ev.w12_theta)):
+            m.w12.append(w12)
 
-    def finish() -> Trajectory:
-        traj.final_state = ev.state
-        if rows:
-            traj.monitors = replace(row_rec.cum, **diag.instantaneous_monitors(ev, q, grid_))
-        return traj
+    def finish(i: int, ev: diag.StateEval):
+        act[i].traj.final_state = ev.member(i).state
+        if row_rec is not None:
+            act[i].traj.monitors = row_rec.monitors(i, ev)
 
-    ev = diag.StateEval(state, grid_)
+    def drop(out, ev: diag.StateEval) -> diag.StateEval:
+        """Go on without the members at rows ``out``; returns ``ev`` without them."""
+        nonlocal act, laws
+        idx = [i for i in range(len(act)) if i not in out]
+        act, laws = [act[i] for i in idx], _pick(laws, idx)
+        if not act:
+            return ev
+        if row_rec is not None:
+            row_rec.keep(idx)
+        return _rows(ev, idx)
+
     record(None, ev)
     left = ev  # the left state of the step that produced ev
 
     eps_end = 1e-12 * max(t_end, 1.0)
     steps_since_sample = 0
-    while state.t < t_end - eps_end:
-        dt = adapt_dt(state, laws, grid_, scheme_cfg) if scheme_cfg.adaptive else scheme_cfg.dt_initial
-        dt = min(dt, t_end - state.t)
+    while act and ev.t < t_end - eps_end:
+        dt = adapt_dt(ev, laws, grid_, scheme_cfg) if scheme_cfg.adaptive else scheme_cfg.dt_initial
+        dt = min(dt, t_end - ev.t)
 
         prev = ev
         retries = 0
@@ -501,46 +692,74 @@ def simulate(laws: mat.MaterialLaws, a: float, grid_: g.Grid1D, data: mat.Initia
                 state, clamped = step_with_count(prev, laws, a, grid_, scheme_cfg, dt, forcing)
                 break
             except StepError as exc:
+                if prev.v.ndim == 2:  # the member's own run will decide
+                    failed.append(act[exc.member])
+                    prev = drop([exc.member], prev)
+                    if not act:
+                        return failed
+                    continue
                 if exc.suggested_dt is None or retries >= scheme_cfg.max_step_retries:
-                    traj.status = "aborted"
-                    traj.error = str(exc)
+                    act[0].traj.status = "aborted"
+                    act[0].traj.error = str(exc)
                     if steps_since_sample:
                         record(left, ev)
-                    return finish()
+                    finish(0, ev)
+                    return failed
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
-        for rec in recs:
-            rec.step(prev, dt)
+        if row_rec is not None:
+            row_rec.step(prev, dt)
+        for i, m in enumerate(act):
+            for rec in m.recs:
+                rec.step(prev.member(i), dt)
         left, ev = prev, diag.StateEval(state, grid_)
-        traj.clamp_total += clamped
-        traj.steps_taken += 1
+        for m, c in zip(act, _listed(clamped)):
+            m.traj.clamp_total += c
+            m.traj.steps_taken += 1
         steps_since_sample += 1
 
-        if steps_since_sample >= monitor_cfg.cadence or state.t >= t_end - eps_end:
+        if steps_since_sample >= cadence or ev.t >= t_end - eps_end:
             record(left, ev)
             steps_since_sample = 0
-            if len(w12) == monitor_cfg.blowup_window:
-                report = diag.blowup_check(
-                    w12, monitor_cfg.blowup_window, monitor_cfg.blowup_threshold,
-                    monitor_cfg.blowup_rate_min, times=traj.times)
-                if report.fired:
-                    traj.blowup = report
-                    traj.status = "blowup_halt"
-                    return finish()
+            halted = [i for i, m in enumerate(act) if m.halts()]
+            if halted:
+                for i in halted:
+                    finish(i, ev)
+                ev = drop(halted, ev)
 
-    return finish()
+    for i in range(len(act)):
+        finish(i, ev)
+    return failed
 
 
-def run(config: "RunConfig", *, rows: bool = True, recorders=()) -> Trajectory:
+def run(config, *, rows: bool = True, recorders=()):
     """Validated front door: check the material hypotheses, build the grid
     and initial data from the configured scenario, then integrate with the
-    given recorders (see :func:`simulate`)."""
-    scen = config.scenario
-    report = mat.validate_hypotheses(scen.laws)
-    if not report.ok:
-        msgs = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-        raise ConfigError(f"material laws fail hypothesis validation: {msgs}")
+    given recorders (see :func:`simulate`).
+
+    A list of configs runs as one ensemble (``recorders`` then holds one
+    sequence per config) and returns an :class:`Ensemble`; the configs must
+    agree on everything but the material laws, the initial data and the
+    monitors.
+    """
+    batch = isinstance(config, (list, tuple))
+    scens = [c.scenario for c in config] if batch else [config.scenario]
+    for scen in scens:
+        report = mat.validate_hypotheses(scen.laws)
+        if not report.ok:
+            msgs = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+            raise ConfigError(f"material laws fail hypothesis validation: {msgs}")
+    scen = scens[0]
     grid_ = scen.make_grid()
-    data = scen.make_data(grid_)
-    return simulate(scen.laws, scen.a, grid_, data, scen.t_end, scen.scheme,
-                    scen.monitors, scen.make_forcing(), rows=rows, recorders=recorders)
+    if not batch:
+        return simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), scen.t_end,
+                        scen.scheme, scen.monitors, scen.make_forcing(), rows=rows,
+                        recorders=recorders)
+    shared = (grid_, scen.a, scen.t_end, scen.scheme)
+    if any((s.make_grid(), s.a, s.t_end, s.scheme) != shared or s.make_forcing() is not None
+           for s in scens):
+        raise ConfigError("ensemble configs must share the grid, a, T_end and the scheme, "
+                          "without forcing")
+    return simulate([s.laws for s in scens], scen.a, grid_, [s.make_data(grid_) for s in scens],
+                    scen.t_end, scen.scheme, [s.monitors for s in scens], rows=rows,
+                    recorders=recorders)

@@ -1,7 +1,10 @@
 """Uniform 1D mesh and second-order finite-difference operators.
 
-All fields are plain float64 arrays co-located with the grid nodes.  The
-operators come in matched pairs so that discrete integration by parts holds
+All fields are plain float64 arrays co-located with the grid nodes.  Every
+operator acts on the last axis, so a ``(B, n)`` array holds one field of each
+of B runs on the same grid (an ensemble; see :func:`dynamics.simulate`), and
+each row gets the same bits as the 1D field would.  The operators come in
+matched pairs so that discrete integration by parts holds
 exactly where the time integrator needs it:
 
 * ``div_flux`` is the conservative form ``(c w_x)_x`` built from half-node
@@ -52,8 +55,8 @@ class Grid1D:
     def __post_init__(self):
         if self.length <= 0:
             raise ConfigError(f"grid length must be positive, got {self.length}")
-        if self.n < 3:
-            raise ConfigError(f"grid needs at least 3 nodes, got {self.n}")
+        if self.n < 4:
+            raise ConfigError(f"grid needs at least 4 nodes (the Dirichlet d2 closure), got {self.n}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.length, self.n))
 
     @property
@@ -67,9 +70,15 @@ class Grid1D:
 
 def _check_size(w: FloatArray, grid: Grid1D, name: str = "field") -> FloatArray:
     w = np.asarray(w, dtype=float)
-    if w.shape != (grid.n,):
-        raise ConfigError(f"{name} has shape {w.shape}, expected ({grid.n},)")
+    if w.ndim not in (1, 2) or w.shape[-1] != grid.n:
+        raise ConfigError(f"{name} has shape {w.shape}, expected ({grid.n},) or (B, {grid.n})")
     return w
+
+
+# The stencils index the node axis through the transpose: ``w.T[0]`` is a
+# numpy scalar for one field and the column of end values for a batch, while
+# ``w[..., 0]`` of a 1D array is a 0-d array, on which every arithmetic
+# operation is a full ufunc call.
 
 
 def d1(w: FloatArray, grid: Grid1D) -> FloatArray:
@@ -80,9 +89,10 @@ def d1(w: FloatArray, grid: Grid1D) -> FloatArray:
     w = _check_size(w, grid)
     dx = grid.dx
     out = np.empty_like(w)
-    out[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dx)
-    out[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dx)
+    o, w = out.T, w.T
+    o[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
+    o[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dx)
+    o[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dx)
     return out
 
 
@@ -100,9 +110,10 @@ def d1_lowend(w: FloatArray, grid: Grid1D) -> FloatArray:
     w = _check_size(w, grid)
     dx = grid.dx
     out = np.empty_like(w)
-    out[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
-    out[0] = (w[1] - w[0]) / dx
-    out[-1] = (w[-1] - w[-2]) / dx
+    o, w = out.T, w.T
+    o[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
+    o[0] = (w[1] - w[0]) / dx
+    o[-1] = (w[-1] - w[-2]) / dx
     return out
 
 
@@ -116,7 +127,8 @@ def d2(w: FloatArray, grid: Grid1D, bc: BcKind) -> FloatArray:
     w = _check_size(w, grid)
     dx2 = grid.dx * grid.dx
     out = np.empty_like(w)
-    out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx2
+    o, w = out.T, w.T
+    o[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx2
 
     def left_dirichlet():
         return (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / dx2
@@ -125,14 +137,14 @@ def d2(w: FloatArray, grid: Grid1D, bc: BcKind) -> FloatArray:
         return (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / dx2
 
     if bc is BcKind.DIRICHLET_BOTH:
-        out[0] = left_dirichlet()
-        out[-1] = right_dirichlet()
+        o[0] = left_dirichlet()
+        o[-1] = right_dirichlet()
     elif bc is BcKind.NEUMANN_BOTH:
-        out[0] = 2.0 * (w[1] - w[0]) / dx2
-        out[-1] = 2.0 * (w[-2] - w[-1]) / dx2
+        o[0] = 2.0 * (w[1] - w[0]) / dx2
+        o[-1] = 2.0 * (w[-2] - w[-1]) / dx2
     elif bc is BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN:
-        out[0] = left_dirichlet()
-        out[-1] = 2.0 * (w[-2] - w[-1]) / dx2
+        o[0] = left_dirichlet()
+        o[-1] = 2.0 * (w[-2] - w[-1]) / dx2
     else:  # pragma: no cover
         raise DomainError(f"unknown boundary kind {bc}")
     return out
@@ -152,12 +164,13 @@ def mid_to_node(psi_mid: FloatArray, grid: Grid1D) -> FloatArray:
     deposited on nodes without creating or destroying mass.
     """
     psi_mid = np.asarray(psi_mid, dtype=float)
-    if psi_mid.shape != (grid.n - 1,):
+    if psi_mid.shape[-1:] != (grid.n - 1,):
         raise ConfigError(f"midpoint field has shape {psi_mid.shape}, expected ({grid.n - 1},)")
-    out = np.empty(grid.n)
-    out[1:-1] = 0.5 * (psi_mid[:-1] + psi_mid[1:])
-    out[0] = psi_mid[0]
-    out[-1] = psi_mid[-1]
+    out = np.empty(psi_mid.shape[:-1] + (grid.n,))
+    o, psi = out.T, psi_mid.T
+    o[1:-1] = 0.5 * (psi[:-1] + psi[1:])
+    o[0] = psi[0]
+    o[-1] = psi[-1]
     return out
 
 
@@ -170,20 +183,25 @@ def div_flux(coef: FloatArray, w: FloatArray, grid: Grid1D) -> FloatArray:
     """
     coef = _check_size(coef, grid, "coefficient")
     w = _check_size(w, grid)
-    if np.any(coef <= 0.0):
+    if (coef <= 0.0).any():
         raise DomainError("div_flux requires a strictly positive coefficient")
-    c_mid = 0.5 * (coef[1:] + coef[:-1])
+    c_mid = 0.5 * (coef[..., 1:] + coef[..., :-1])
     flux = c_mid * np.diff(w)  # dx * (c w_x) at midpoints
     out = np.zeros_like(w)
-    out[1:-1] = np.diff(flux) / (grid.dx * grid.dx)
+    out[..., 1:-1] = np.diff(flux) / (grid.dx * grid.dx)
     return out
 
 
 def integrate(w: FloatArray, grid: Grid1D) -> float:
-    """Trapezoid quadrature over (0, L); exact for piecewise-linear node data."""
+    """Trapezoid quadrature over (0, L); exact for piecewise-linear node data.
+
+    A float for one field, one value per row for a batch.
+    """
     w = _check_size(w, grid)
-    # np.trapezoid's own expression, without its call overhead
-    return float((grid.dx * (w[1:] + w[:-1]) / 2.0).sum())
+    # np.trapezoid's own expression, without its call overhead; the sum runs
+    # along the contiguous last axis, so a row sums pairwise like one field
+    total = (grid.dx * (w[..., 1:] + w[..., :-1]) / 2.0).sum(axis=-1)
+    return float(total) if w.ndim == 1 else total
 
 
 def inner(w: FloatArray, z: FloatArray, grid: Grid1D) -> float:
@@ -195,8 +213,8 @@ def cumulative_integral(w: FloatArray, grid: Grid1D) -> FloatArray:
     """Running trapezoid antiderivative from the left end; result[0] == 0."""
     w = _check_size(w, grid)
     out = np.empty_like(w)
-    out[0] = 0.0
-    np.cumsum(0.5 * grid.dx * (w[1:] + w[:-1]), out=out[1:])
+    out[..., 0] = 0.0
+    np.cumsum(0.5 * grid.dx * (w[..., 1:] + w[..., :-1]), axis=-1, out=out[..., 1:])
     return out
 
 

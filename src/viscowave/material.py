@@ -82,7 +82,7 @@ class MaterialLaws:
 
 def _check_xi(xi):
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
+    if (xi < 0).any():
         raise DomainError("material laws are defined for xi >= 0 only")
     return xi
 

@@ -6,6 +6,11 @@ holds the three diagonals, and its :meth:`~Tridiag.solve` calls ``dgtsv``
 (Gaussian elimination with partial pivoting).  That gives the same bits as
 ``scipy.linalg.solve_banded``, which validates its input and then calls
 ``dgtsv``.
+
+A batch of B systems of size n (the rows of ``(B, n)`` arrays) is solved as
+one block-diagonal system of size B n: the couplings across the seams
+between consecutive systems are zero, so no row is ever eliminated against
+another system's, and each system gets the bits of its own ``dgtsv`` call.
 """
 
 from __future__ import annotations
@@ -14,10 +19,27 @@ import numpy as np
 from scipy.linalg import lapack
 
 
+def _check_info(info: int) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the tridiagonal solver")
+
+
+def _flat(w: np.ndarray, shape: tuple) -> np.ndarray:
+    """A diagonal of the B systems of ``shape`` as one flat array of B n
+    entries; an off-diagonal (n - 1 per system) gets a zero at each seam."""
+    out = np.zeros(shape)
+    out[..., :w.shape[-1]] = w
+    return out.ravel()
+
+
 class Tridiag:
     """Tridiagonal matrix given by ``lower`` (n-1), ``diag`` (n), ``upper`` (n-1).
 
-    Row i reads ``lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1]``.
+    Row i reads ``lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1]``.  The
+    diagonals may carry a leading batch axis (one system per row); 1D
+    diagonals are shared by every row of a batched right-hand side.
     """
 
     __slots__ = ("lower", "diag", "upper")
@@ -28,22 +50,43 @@ class Tridiag:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b; the matrix and ``b`` are left unchanged.
 
+        ``b`` of shape (B, n) solves the B systems in one stacked call.
         Raises ``numpy.linalg.LinAlgError`` on an exactly singular matrix and
         ``ValueError`` if LAPACK rejects an argument, as ``solve_banded`` does.
         """
-        *_, x, info = lapack.dgtsv(self.lower, self.diag, self.upper, b)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of the tridiagonal solver")
-        return x
+        if b.ndim == 1:
+            *_, x, info = lapack.dgtsv(self.lower, self.diag, self.upper, b)
+            _check_info(info)
+            return x
+        *_, x, info = lapack.dgtsv(_flat(self.lower, b.shape)[:-1], _flat(self.diag, b.shape),
+                                   _flat(self.upper, b.shape)[:-1], b.ravel(),
+                                   overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        _check_info(info)
+        return x.reshape(b.shape)
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """A x - b."""
         res = self.diag * x - b
-        res[1:] += self.lower * x[:-1]
-        res[:-1] += self.upper * x[1:]
+        res[..., 1:] += self.lower * x[..., :-1]
+        res[..., :-1] += self.upper * x[..., 1:]
         return res
+
+    def member(self, i: int) -> "Tridiag":
+        """System ``i`` of a batch, alone."""
+        return Tridiag(*(w if w.ndim == 1 else w[i] for w in (self.lower, self.diag, self.upper)))
+
+    def factor(self):
+        """LU factors (``dgttrf``) once; returns the solve (``dgttrs`` on them)
+        for right-hand sides that come one at a time."""
+        *factors, info = lapack.dgttrf(self.lower, self.diag, self.upper)
+        _check_info(info)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            x, info = lapack.dgttrs(*factors, b)
+            _check_info(info)
+            return x
+
+        return solve
 
 
 def dirichlet(n: int, s) -> Tridiag:

@@ -375,6 +375,94 @@ def test_cmd_sweep_delta(tmp_path):
         assert (tmp_path / "sw" / f"point_delta_{i:02d}" / "timeseries.csv").exists()
 
 
+class _InlinePool:
+    """A process pool that runs its tasks in this process and keeps them."""
+
+    tasks: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        _InlinePool.tasks = tasks
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("axis,values,tasks", [
+    ("delta", "0.0, 0.05, 0.1", [(0.0, 0.05), (0.1,)]),
+    ("kappa", "1.0, 2.0, 3.0, 4.0", [(1.0, 2.0), (3.0, 4.0)]),
+    ("grid_n", "17, 33, 65", [17.0, 33.0, 65.0]),
+    ("dt", "1e-3, 5e-4", [1e-3, 5e-4]),
+])
+def test_sweep_tasks_per_axis(tmp_path, monkeypatch, axis, values, tasks):
+    # delta, alpha and kappa points go to the workers as ensembles of
+    # ceil(points / workers); grid_n and dt points one per task
+    text = COUPLED_INI + f"\n[sweep]\naxis = {axis}\nvalues = {values}\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=2) == cli.EXIT_OK
+    assert [t[2] for t in _InlinePool.tasks] == tasks
+    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
+    assert [r["status"] for r in rows] == ["completed"] * len(values.split(","))
+
+
+def test_ensemble_sweep_points_are_byte_identical_to_solo_points(tmp_path, monkeypatch):
+    text = COUPLED_INI.replace("seed = 11\n", "seed = 11\ndump_fields = true\n")
+    text += "\n[sweep]\naxis = alpha\nvalues = 1.0, 1.2, 1.4\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    sims = []
+    simulate = dyn.simulate
+    monkeypatch.setattr(dyn, "simulate", lambda *a, **k: sims.append(1) or simulate(*a, **k))
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
+    assert len(sims) == 1  # the three points were one batch
+    sweep_rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
+    for i, value in enumerate((1.0, 1.2, 1.4)):
+        point = tmp_path / "sw" / f"point_alpha_{i:02d}"
+        solo = tmp_path / f"solo_{i}"
+        row = cli._sweep_point((path, "alpha", value, str(solo), 11))
+        assert {k: str(v) for k, v in row.items()} == sweep_rows[i]
+        names = sorted(p.relative_to(solo).as_posix() for p in solo.rglob("*.csv"))
+        assert "fields/fields_00050.csv" in names and "summary.json" not in names
+        for name in names + ["summary.json"]:
+            assert (point / name).read_bytes() == (solo / name).read_bytes(), name
+    assert len(sims) == 4
+
+
+def test_ensemble_with_an_invalid_point_gives_the_solo_rows(tmp_path):
+    # alpha = 0.8 breaks the growth bound of the linear coupling: the batch
+    # is refused, and every point runs on its own
+    text = COUPLED_INI + "\n[sweep]\naxis = alpha\nvalues = 0.8, 1.0\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
+    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
+    solo = [cli._sweep_point((path, "alpha", v, str(tmp_path / f"solo_{v}"), 11))
+            for v in (0.8, 1.0)]
+    assert rows == [{k: str(v) for k, v in r.items()} for r in solo]
+    assert [r["status"] for r in rows] == ["failed", "completed"]
+    assert "hypothesis validation" in rows[0]["error"]
+
+
+def test_sweep_computes_estimate_K_once(tmp_path, monkeypatch):
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    calls = []
+    estimate_K = cli.diag.estimate_K
+    monkeypatch.setattr(cli.diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
+    cli._estimate_K.cache_clear()
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
+    assert len(calls) == 1
+    summaries = [json.loads((tmp_path / "sw" / f"point_delta_{i:02d}" / "summary.json").read_text())
+                 for i in range(3)]
+    assert len({json.dumps(s["theory_constants"]) for s in summaries}) == 1
+
+
 def test_cmd_sweep_records_failing_point_and_exits_solver(tmp_path, monkeypatch, capsys):
     # one point raises an exception that is not a ViscowaveError; the other
     # points are still run and written, and the sweep exits non-zero

@@ -415,3 +415,40 @@ def test_make_row_energy_decomposition_exact():
     assert row.E_total == row.E_kin + row.E_el + row.E_th
     assert row.mass_theta == pytest.approx(row.E_th, rel=1e-14)
     assert len(row.as_tuple()) == len(diag.DIAG_COLUMNS)
+
+
+def _dgtsv_march(z0, gsrc, D, T, dt, grid_, p):
+    """``_solve_mixed_heat`` with a full dgtsv solve at every step."""
+    from scipy.linalg import lapack
+    zh, dgrid = g.reflect_extend(z0, grid_)
+    gh, _ = g.reflect_extend(gsrc, grid_)
+    nsteps = max(1, int(round(T / dt)))
+    dt = T / nsteps
+    r = 0.5 * dt * D / dgrid.dx ** 2
+    diag_ = np.ones(dgrid.n)
+    lower, upper = np.zeros(dgrid.n - 1), np.zeros(dgrid.n - 1)
+    diag_[1:-1] = 1.0 + 2.0 * r
+    lower[:-1] = upper[1:] = -r
+
+    def zxx_p(zfull):
+        zxx = g.d2(zfull[:grid_.n], grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
+        return g.integrate(np.abs(zxx) ** p, grid_)
+
+    acc = 0.5 * zxx_p(zh)
+    for _ in range(nsteps):
+        rhs = zh.copy()
+        rhs[1:-1] += r * (zh[2:] - 2.0 * zh[1:-1] + zh[:-2]) + dt * gh[1:-1]
+        rhs[0] = rhs[-1] = 0.0
+        zh = lapack.dgtsv(lower, diag_, upper, rhs)[3]
+        acc += zxx_p(zh)
+    acc -= 0.5 * zxx_p(zh)
+    return acc * dt
+
+
+@pytest.mark.parametrize("n", [33, 129])
+def test_estimate_K_factored_march_is_the_dgtsv_march(n, monkeypatch):
+    grid_ = g.Grid1D(1.0, n)
+    fast = diag.estimate_K(4.0, 1.3, 4, grid_, 1.0, seed=3)
+    monkeypatch.setattr(diag, "_solve_mixed_heat", _dgtsv_march)
+    ref = diag.estimate_K(4.0, 1.3, 4, grid_, 1.0, seed=3)
+    assert [r.hex() for r in fast.ratios] == [r.hex() for r in ref.ratios]

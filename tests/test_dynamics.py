@@ -208,8 +208,8 @@ def test_step_argument_checks():
 
 
 def test_step_needs_four_nodes():
-    grid_ = make_grid(3)
     with pytest.raises(ConfigError):
+        grid_ = make_grid(3)
         dyn.step_with_count(zero_state(grid_), CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
 
 
@@ -375,6 +375,49 @@ def test_adapt_dt_clamped_by_dt_max():
     state = dyn.State(0.0, np.zeros(n), v, np.zeros(n))
     cfg = dyn.SchemeConfig(dt_initial=1e-6, dt_max=1e-6, cfl_safety=0.5)
     assert dyn.adapt_dt(state, CONST_LAWS, grid_, cfg) == 1e-6
+
+
+def _adapt_dt_differentiating(state, laws, grid_, cfg):
+    """adapt_dt as it was: on the plain state, with its own d1 of v."""
+    state = getattr(state, "state", state)
+    dt = cfg.dt_max
+    vmax = float(np.max(np.abs(state.v)))
+    if vmax > 0.0:
+        dt = min(dt, cfg.cfl_safety * grid_.dx / max(1.0, vmax))
+    theta = np.maximum(state.theta, 0.0)
+    vx = g.d1(state.v, grid_)
+    lip = float(np.max(
+        np.abs(np.asarray(mat.eval_f_prime(laws, theta))) * np.abs(vx)
+        + np.abs(np.asarray(mat.eval_gamma_prime(laws, theta))) * vx ** 2
+    ))
+    if lip > 0.0:
+        dt = min(dt, cfg.cfl_safety / lip)
+    return max(dt, 1e-14)
+
+
+def test_adaptive_run_reads_vx_from_the_state_eval(monkeypatch):
+    scen = sc.battery_scenario("coupled")
+    grid_ = scen.make_grid()
+    cfg = replace(scen.scheme, adaptive=True)
+
+    def counted_run():
+        calls = []
+        d1 = g.d1
+        with monkeypatch.context() as m:
+            m.setattr(g, "d1", lambda w, grid_arg: calls.append(1) or d1(w, grid_arg))
+            traj = dyn.simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), 0.1, cfg,
+                                scen.monitors)
+        return traj, len(calls)
+
+    traj, calls = counted_run()
+    monkeypatch.setattr(dyn, "adapt_dt", _adapt_dt_differentiating)
+    ref, ref_calls = counted_run()
+    assert traj.steps_taken == ref.steps_taken == 100
+    assert ref_calls - calls == 100
+    assert [t.hex() for t in traj.times] == [t.hex() for t in ref.times]
+    assert [repr(r) for r in traj.rows] == [repr(r) for r in ref.rows]
+    for name in ("u", "v", "theta"):
+        assert getattr(traj.final_state, name).tobytes() == getattr(ref.final_state, name).tobytes()
 
 
 # --------------------------------------------------------------------------

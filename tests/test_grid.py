@@ -22,6 +22,8 @@ def test_grid_invalid():
         g.Grid1D(-1.0, 11)
     with pytest.raises(ConfigError):
         g.Grid1D(1.0, 2)
+    with pytest.raises(ConfigError):  # the Dirichlet d2 closure reads 4 nodes
+        g.Grid1D(1.0, 3)
 
 
 def test_d1_constant_and_linear(grid101):
@@ -187,3 +189,32 @@ def test_convergence_order(op_name):
             err = abs(g.integrate(w, grid_) - exact)
         errs.append(err)
     assert _observed_order(errs) >= 1.9
+
+
+@pytest.mark.parametrize("n", [4, 33, 129])
+def test_operators_act_row_wise_on_batches(n):
+    # each row of a (B, n) field gets the bits of the 1D field
+    grid_ = g.Grid1D(2.0, n)
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal((5, n))
+    c = rng.uniform(0.5, 2.0, (5, n))
+    ops = {
+        "d1": lambda f: g.d1(f, grid_),
+        "d1_lowend": lambda f: g.d1_lowend(f, grid_),
+        "gradient_mid": lambda f: g.gradient_mid(f, grid_),
+        "mid_to_node": lambda f: g.mid_to_node(f[..., 1:], grid_),
+        "cumulative_integral": lambda f: g.cumulative_integral(f, grid_),
+        "integrate": lambda f: g.integrate(f, grid_),
+        **{f"d2_{bc.name}": (lambda f, bc=bc: g.d2(f, grid_, bc)) for bc in g.BcKind},
+    }
+    for name, op in ops.items():
+        batch = op(w)
+        assert np.asarray(batch).shape[0] == 5, name
+        for row, wi in zip(batch, w):
+            assert np.asarray(row).tobytes() == np.asarray(op(wi)).tobytes(), name
+    assert isinstance(g.integrate(w[0], grid_), float)
+    batch = g.div_flux(c, w, grid_)
+    for row, ci, wi in zip(batch, c, w):
+        assert row.tobytes() == g.div_flux(ci, wi, grid_).tobytes()
+    with pytest.raises(ConfigError):
+        g.d1(np.zeros((2, 3, n)), grid_)

@@ -191,3 +191,82 @@ def test_eta_steps_match_reference(monkeypatch):
     fast, ref = both_ways(monkeypatch, run)
     assert np.array_equal(fast.v_eta, ref.v_eta) and np.array_equal(fast.u_eta, ref.u_eta)
 
+
+
+# --------------------------------------------------------------------------
+# a batch of systems in one stacked call
+# --------------------------------------------------------------------------
+
+
+def stack(ops):
+    return tridiag.Tridiag(*(np.stack([getattr(op, k) for op in ops])
+                             for k in ("lower", "diag", "upper")))
+
+
+def test_stacked_solve_bitwise_equals_solo_solves():
+    # the stepper's systems: Dirichlet rows with +0 at both ends of the
+    # right-hand side (the velocity stage), and Neumann rows
+    rng = np.random.default_rng(5)
+    for draw in range(200):
+        members, n = int(rng.integers(2, 9)), int(rng.integers(4, 200))
+        b = rng.standard_normal((members, n))
+        if draw % 2:
+            ops = [tridiag.dirichlet(n, rng.uniform(0.0, 50.0, n - 2)) for _ in range(members)]
+            b[:, 0] = b[:, -1] = 0.0
+        else:
+            ops = [tridiag.neumann(n, rng.uniform(0.0, 50.0)) for _ in range(members)]
+        x = stack(ops).solve(b)
+        assert x.shape == b.shape
+        for op, xi, bi in zip(ops, x, b):
+            assert xi.tobytes() == op.solve(bi).tobytes()  # sign bits included
+    # one shared operator for every row
+    op, b = tridiag.neumann(129, 3.7), rng.standard_normal((8, 129))
+    assert all(xi.tobytes() == op.solve(bi).tobytes() for xi, bi in zip(op.solve(b), b))
+
+
+def test_stacked_solve_blames_the_failing_member():
+    rng = np.random.default_rng(6)
+    n = 17
+    op = tridiag.neumann(n, 2.0)
+    rhs_ = rng.standard_normal((3, n))
+    rhs_[1, 5] = np.nan
+    # one NaN spoils every member of the stacked call ...
+    assert not np.isfinite(op.solve(rhs_)).any(axis=1).any()
+    # ... so the checked solve solves the members alone, and only member 1 raises
+    with pytest.raises(StepError, match="heat solve produced non-finite values") as info:
+        dyn._solve_banded(op, rhs_, 1e-8, label="heat")
+    assert info.value.member == 1
+    # a singular member stops the elimination for the members after it
+    ops = [random_op(n, rng) for _ in range(3)]
+    ops[0] = tridiag.Tridiag(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1))
+    with pytest.raises(StepError, match="velocity solve failed: singular matrix") as info:
+        dyn._solve_banded(stack(ops), rng.standard_normal((3, n)), 1e-8, label="velocity")
+    assert info.value.member == 0
+
+
+def test_stacked_residual_checked_at_each_members_scale():
+    # members 0 and 2 are exact (identity systems) and large; member 1 is a
+    # random system of order-one data, whose residual fails a tolerance below
+    # its own relative residual, though it would pass against member 0's scale
+    rng = np.random.default_rng(7)
+    n = 65
+    eye = tridiag.Tridiag(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
+    ops = [eye, random_op(n, rng), eye]
+    rhs_ = rng.standard_normal((3, n)) * np.array([[1e6], [1.0], [1e3]])
+    x = stack(ops).solve(rhs_)
+    res = np.max(np.abs(ops[1].residual(x[1], rhs_[1])))
+    rel = res / max(1.0, np.max(np.abs(rhs_[1])))
+    assert res > 0.0
+    assert np.array_equal(dyn._solve_banded(stack(ops), rhs_, rel, label="heat"), x)
+    with pytest.raises(StepError, match="heat solve residual exceeds tolerance") as info:
+        dyn._solve_banded(stack(ops), rhs_, 0.5 * rel, label="heat")
+    assert info.value.member == 1
+    assert res <= 0.5 * rel * np.max(np.abs(rhs_))  # a shared scale would let it pass
+
+
+def test_factored_solve_bitwise_equals_dgtsv():
+    rng = np.random.default_rng(8)
+    for op in (tridiag.dirichlet(257, 0.3), tridiag.neumann(100, 7.0), random_op(33, rng)):
+        solve = op.factor()
+        for b in rng.standard_normal((20, op.diag.size)):
+            assert solve(b).tobytes() == op.solve(b).tobytes()
