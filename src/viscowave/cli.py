@@ -241,9 +241,13 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
 
 
 def _point_config(config_path: str, axis: str, value, subdir: str, seed: int):
+    """The point's config; ConfigError if its laws fail the hypotheses, as
+    ``dyn.run`` would raise, so that an ensemble holds only points it can run."""
     config = cfgmod.parse_config(config_path)
     config = replace(config, out_dir=subdir, seed=seed)
-    return cfgmod.apply_axis(config, axis, value)
+    config = cfgmod.apply_axis(config, axis, value)
+    mat.require_hypotheses(config.scenario.laws)
+    return config
 
 
 def _failed_row(axis: str, value, exc: Exception) -> dict:
@@ -261,12 +265,17 @@ def _failed_row(axis: str, value, exc: Exception) -> dict:
 def _run_ensemble(configs: list) -> list | None:
     """The trajectories of the configs, integrated as one batch.  None if
     there are fewer than two, or if the batch raised: each point is then run
-    on its own."""
+    on its own, so that its own run decides its row.  An exception from
+    outside the package prints its traceback first."""
     if len(configs) < 2:
         return None
     try:
         return _run(configs)
+    except ViscowaveError:  # say, one member's DomainError
+        return None
     except Exception:
+        print("ensemble run failed; running its points one at a time", file=sys.stderr)
+        traceback.print_exc()
         return None
 
 
@@ -310,7 +319,8 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
     """Run every sweep point, aggregate one summary row per point.
 
     Points of an ``ENSEMBLE_AXES`` sweep go to the workers as ensembles of
-    ceil(points / workers) points each; other points go one per task.
+    ceil(points / workers) points each, when ``dyn.can_batch`` allows the
+    base config's scheme and forcing; other points go one per task.
 
     Returns EXIT_SOLVER if any point failed or aborted, else EXIT_BLOWUP if
     any point halted on blow-up, else EXIT_OK.
@@ -327,7 +337,8 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
 
     values = list(sweep.values)
     subdirs = [os.path.join(out, f"point_{sweep.axis}_{i:02d}") for i in range(len(values))]
-    if sweep.axis in ENSEMBLE_AXES:
+    scen = sweep.base.scenario
+    if sweep.axis in ENSEMBLE_AXES and dyn.can_batch(scen.scheme, scen.make_forcing()):
         size = math.ceil(len(values) / workers)
         tasks = [(config_path, sweep.axis, tuple(values[i:i + size]), tuple(subdirs[i:i + size]),
                   base_seed) for i in range(0, len(values), size)]

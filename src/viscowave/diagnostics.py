@@ -41,16 +41,16 @@ class StateEval:
 
     The fields of an ensemble state are ``(B, n)`` arrays, one row per member
     at the same time t; each derived field then has one row (an integral one
-    value) per member.  Per-member parameters (``laws``, ``q``, ``alpha``,
-    ``kappa``) are then either one value shared by every member or a tuple of
-    one value per row.
+    value) per member.  The laws are then a :class:`material.LawRows`, and
+    ``q``, ``alpha`` and ``kappa`` are ``(B, 1)`` columns: each row meets its
+    own member's parameters.
     """
 
     def __init__(self, state, grid_: g.Grid1D):
         self.state = state
         self.grid = grid_
         self.t, self.u, self.v, self.theta = state.t, state.u, state.v, state.theta
-        self.inst: dict = {}  # instantaneous monitors by exponent q
+        self.inst = None  # (q, the instantaneous monitors at q) for the last q asked
         self._laws = None
         self._material = None
         self._members: dict[int, StateEval] = {}
@@ -76,18 +76,11 @@ class StateEval:
         return self._members[i]
 
     def material(self, laws) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, f) at max(theta, 0), kept for the last ``laws`` asked.
-
-        A tuple of laws evaluates each row with its own law.
-        """
+        """(gamma, f) at max(theta, 0), kept for the last ``laws`` asked."""
         if self._laws is not laws:
             theta = self.theta_pos
-            if isinstance(laws, tuple):
-                gam, f = np.empty_like(theta), np.empty_like(theta)
-                for i, law in enumerate(laws):
-                    gam[i] = mat.eval_gamma(law, theta[i])
-                    f[i] = mat.eval_f(law, theta[i])
-                self._material = (gam, f)
+            if isinstance(laws, mat.LawRows):
+                self._material = laws.evaluate(theta)
             else:
                 self._material = (np.asarray(mat.eval_gamma(laws, theta)),
                                   np.asarray(mat.eval_f(laws, theta)))
@@ -152,20 +145,14 @@ def _scalar_or_rows(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _column(p):
-    """A per-member parameter as an operand: itself when shared, else a (B, 1)
-    column, so that each row meets its own value."""
-    return np.array(p)[:, None] if isinstance(p, tuple) else p
-
-
 def _power(base: np.ndarray, p) -> np.ndarray:
-    """``base ** p`` with a per-member exponent.  Each row is raised to its own
+    """``base ** p``; a ``(B, 1)`` column ``p`` raises each row to its own
     scalar, as in a solo run: an array exponent may take another numpy path
     (no fast ``square`` for 2, say) and round differently."""
-    if not isinstance(p, tuple):
+    if not isinstance(p, np.ndarray):
         return base ** p
     out = np.empty_like(base)
-    for i, e in enumerate(p):
+    for i, e in enumerate(p[:, 0].tolist()):
         out[i] = base[i] ** e
     return out
 
@@ -234,19 +221,20 @@ class TheoryMonitors:
 def instantaneous_monitors(state, q, grid_: g.Grid1D) -> dict:
     """Pointwise-in-time monitor values for one snapshot.
 
-    On a :class:`StateEval` the values are kept, so asking again with the same
-    ``q`` recomputes nothing.
+    On a :class:`StateEval` the values are kept for the last ``q`` asked (as
+    for its material coefficients, the same object), so asking again with it
+    recomputes nothing.
     """
     ev = StateEval.of(state, grid_)
-    if q not in ev.inst:
-        ev.inst[q] = {
+    if ev.inst is None or ev.inst[0] is not q:
+        ev.inst = q, {
             "l2_thetax": ev.l2_thetax,
             "l2_vx": g.integrate(ev.vx2, grid_),
             "l2_uxx": g.integrate(ev.uxx ** 2, grid_),
             "lq_value": g.integrate(_power(ev.theta + 1.0, q), grid_),
             "w12_theta": ev.w12_theta,
         }
-    return dict(ev.inst[q])
+    return dict(ev.inst[1])
 
 
 def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha,
@@ -262,10 +250,9 @@ def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha,
     if dt <= 0:
         raise DomainError("monitor update requires dt > 0")
     ev = StateEval.of(state, grid_)
-    expo = tuple(4.0 * x for x in alpha) if isinstance(alpha, tuple) else 4.0 * alpha
     return TheoryMonitors(
         cum_vx4=prev.cum_vx4 + dt * g.integrate(ev.vx2 * ev.vx2, grid_),
-        cum_theta_pow=prev.cum_theta_pow + dt * g.integrate(_power(ev.theta + 1.0, expo), grid_),
+        cum_theta_pow=prev.cum_theta_pow + dt * g.integrate(_power(ev.theta + 1.0, 4.0 * alpha), grid_),
         cum_thetaxx2=prev.cum_thetaxx2 + dt * g.integrate(ev.thxx ** 2, grid_),
         cum_vxx2=prev.cum_vxx2 + dt * g.integrate(ev.vxx ** 2, grid_),
     )
@@ -324,9 +311,10 @@ def lq_balance(state, laws: mat.MaterialLaws, q: float, grid_: g.Grid1D) -> LqBa
 
 
 def _damping(kappa, t: float):
-    """e^{-kappa t}, by ``math.exp`` for each member's kappa."""
-    if isinstance(kappa, tuple):
-        return _column(tuple(math.exp(-k * t) for k in kappa))
+    """e^{-kappa t} by ``math.exp``; a column of rates, entry by entry
+    (``np.exp`` may round differently)."""
+    if isinstance(kappa, np.ndarray):
+        return np.array([math.exp(-k * t) for k in kappa[:, 0].tolist()])[:, None]
     return math.exp(-kappa * t)
 
 
@@ -353,9 +341,8 @@ def left_end_flux(state, laws, a: float, grid_: g.Grid1D):
     ev = StateEval.of(state, grid_)
     if ev.v.ndim == 1:
         return _flux(laws, ev.theta[0], ev.vx[0], ev.ux[0], a)
-    rows = len(ev.v)
-    return _column(tuple(map(_flux, _per_row(laws, rows), ev.theta[:, 0].tolist(),
-                             ev.vx[:, 0].tolist(), ev.ux[:, 0].tolist(), (a,) * rows)))
+    ends = zip(laws, ev.theta[:, 0].tolist(), ev.vx[:, 0].tolist(), ev.ux[:, 0].tolist())
+    return np.array([[_flux(law, th0, vx0, ux0, a)] for law, th0, vx0, ux0 in ends])
 
 
 def _flux(laws: mat.MaterialLaws, th0, vx0, ux0, a: float) -> float:
@@ -378,15 +365,14 @@ def z_residual(state_prev, state_next, laws, a: float, kappa, grid_: g.Grid1D):
     if dt <= 0:
         raise DomainError("z_residual needs snapshots in increasing time order")
     new = StateEval.of(state_next, grid_)
-    z_new, _ = z_transform(new, kappa, grid_)
+    damp = _damping(kappa, new.t)
+    z_new = damp * new.V  # z_transform(new)
     z_old, _ = z_transform(state_prev, kappa, grid_)
     zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-    damp = _damping(kappa, new.t)
     gam, f = new.material(laws)
-    gamma0 = _column(tuple(law.gamma0 for law in laws)) if isinstance(laws, tuple) else laws.gamma0
-    h = (gam - gamma0) * zxx + a * damp * new.ux - damp * f
+    h = (gam - laws.gamma0) * zxx + a * damp * new.ux - damp * f
     correction = damp * left_end_flux(new, laws, a, grid_)
-    res = (z_new - z_old) / dt - (gamma0 * zxx - _column(kappa) * z_new + h - correction)
+    res = (z_new - z_old) / dt - (laws.gamma0 * zxx - kappa * z_new + h - correction)
     return _sqrt(g.integrate(res ** 2, grid_))
 
 
@@ -643,7 +629,8 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
     taken from the accumulator.
 
     On an ensemble state the other arguments hold one value per member
-    (``clamp_count`` a sequence), and the result is the list of their rows.
+    (``clamp_count`` a sequence) or one value for all, and the result is the
+    list of the members' rows.
     """
     ev = StateEval.of(state, grid_)
     budget = energy(ev, a, grid_)
@@ -665,11 +652,5 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
     )
     if ev.v.ndim == 1:
         return DiagRow(t=ev.t, **values)
-    columns = [_per_row(values[c], len(ev.v)) for c in DIAG_COLUMNS[1:]]
+    columns = [np.full(len(ev.v), values[c]).tolist() for c in DIAG_COLUMNS[1:]]
     return [DiagRow(ev.t, *member) for member in zip(*columns)]
-
-
-def _per_row(value, rows: int) -> list:
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return list(value) if isinstance(value, (list, tuple)) else [value] * rows

@@ -26,9 +26,8 @@ variant cancels it and conserves the discrete energy to roundoff.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -245,10 +244,10 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     ``state`` may be a :class:`diagnostics.StateEval`; its cached (gamma, f)
     and second differences are then used, and kept for the next caller.
 
-    An ensemble state ((B, n) fields, ``laws`` shared or a tuple with one law
-    per row) takes the step of every member at once, each member's bits as
-    in its own step; the clamp counts are then one per member, and a
-    StepError names the failing member's row in ``member``.
+    An ensemble state ((B, n) fields, ``laws`` a :class:`material.LawRows`
+    with one law per row) takes the step of every member at once, each
+    member's bits as in its own step; the clamp counts are then one per
+    member, and a StepError names the failing member's row in ``member``.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -412,28 +411,27 @@ class Rows(Recorder):
     row with its transformed residual per recorded state.
 
     Over an ensemble state it does this for every member at once: ``laws``,
-    ``q`` and ``kappa`` are then per-member parameters (see
-    :class:`diagnostics.StateEval`), ``e0`` and the accumulators hold one
-    value per member, ``sample`` takes one clamp count per member, and
-    ``rows[i]`` is the i-th member's timeseries.
+    ``q`` and ``kappa`` are then the per-member parameters of
+    :func:`_params`, ``e0`` and the accumulators hold one value per member,
+    ``sample`` takes one clamp count per member, and ``rows[i]`` is the i-th
+    member's timeseries.
     """
 
     def __init__(self, laws, a: float, grid_: g.Grid1D, q, kappa, e0, members: int = 1):
         self.laws, self.a, self.grid, self.q, self.kappa, self.e0 = laws, a, grid_, q, kappa, e0
-        self.alpha = tuple(law.alpha for law in laws) if isinstance(laws, tuple) else laws.alpha
         self.cum = diag.TheoryMonitors()
+        if members > 1:  # one running value per member
+            self.cum = diag.TheoryMonitors(**dict.fromkeys(_CUMULATIVE, np.zeros(members)))
         self.rows: list[list[diag.DiagRow]] = [[] for _ in range(members)]
 
     def step(self, left, dt):
-        self.cum = diag.accumulate_monitors(self.cum, left, dt, self.alpha, self.grid)
+        self.cum = diag.accumulate_monitors(self.cum, left, dt, self.laws.alpha, self.grid)
 
     def sample(self, left, ev, clamp_total):
         z_res = 0.0 if left is None else diag.z_residual(
             left, ev, self.laws, self.a, self.kappa, self.grid)
-        if ev.v.ndim == 1:
-            clamp_total = clamp_total[0]
         made = diag.make_row(ev, self.a, self.grid, self.cum, self.q, self.e0, z_res, clamp_total)
-        for rows, row in zip(self.rows, made if ev.v.ndim == 2 else [made]):
+        for rows, row in zip(self.rows, made if isinstance(made, list) else [made]):
             rows.append(row)
 
     def monitors(self, i: int, ev: diag.StateEval) -> diag.TheoryMonitors:
@@ -441,22 +439,22 @@ class Rows(Recorder):
         inst = diag.instantaneous_monitors(ev, self.q, self.grid)
         if ev.v.ndim == 1:
             return replace(self.cum, **inst)
-        values = {**_monitor_values(self.cum), **inst}
-        return diag.TheoryMonitors(**{k: float(v[i]) if isinstance(v, np.ndarray) else v
-                                      for k, v in values.items()})
+        values = {**_cumulative(self.cum), **inst}
+        return diag.TheoryMonitors(**{k: float(v[i]) for k, v in values.items()})
 
-    def keep(self, idx: list) -> None:
-        """Go on with the members at rows ``idx`` only."""
-        self.laws, self.alpha, self.q, self.kappa = (
-            _pick(p, idx) for p in (self.laws, self.alpha, self.q, self.kappa))
-        self.e0 = self.e0[idx]
-        self.cum = diag.TheoryMonitors(**{k: v[idx] if isinstance(v, np.ndarray) else v
-                                          for k, v in _monitor_values(self.cum).items()})
+    def keep(self, idx: list, laws, q, kappa) -> None:
+        """Go on with the members at rows ``idx`` only, whose parameters are
+        now ``laws``, ``q`` and ``kappa``."""
+        self.laws, self.q, self.kappa, self.e0 = laws, q, kappa, self.e0[idx]
+        self.cum = diag.TheoryMonitors(**{k: v[idx] for k, v in _cumulative(self.cum).items()})
         self.rows = [self.rows[i] for i in idx]
 
 
-def _monitor_values(mon: diag.TheoryMonitors) -> dict:
-    return {f.name: getattr(mon, f.name) for f in fields(mon)}
+_CUMULATIVE = ("cum_vx4", "cum_theta_pow", "cum_thetaxx2", "cum_vxx2")
+
+
+def _cumulative(mon: diag.TheoryMonitors) -> dict:
+    return {k: getattr(mon, k) for k in _CUMULATIVE}
 
 
 class Snapshots(Recorder):
@@ -546,20 +544,14 @@ class _Member:
         return report.fired
 
 
-def _same_law(x: mat.MaterialLaws, y: mat.MaterialLaws) -> bool:
-    # the tables do not take part in ==
-    return x is y or (x == y and x.gamma_table is y.gamma_table and x.f_table is y.f_table)
-
-
-def _shared(values: list, same=operator.eq):
-    """A per-member parameter: the one value when every member has it, else
-    a tuple of one value per member."""
-    first = values[0]
-    return first if all(same(v, first) for v in values[1:]) else tuple(values)
-
-
-def _pick(p, idx: list):
-    return tuple(p[i] for i in idx) if isinstance(p, tuple) else p
+def _params(act: list, batch: bool):
+    """The laws, q and kappa of the members ``act`` as the diagnostics take
+    them: one member's own, or for a batch a :class:`material.LawRows` and
+    (B, 1) columns, one row per member.  Built once per active set."""
+    if not batch:
+        return act[0].laws, act[0].cfg.q, act[0].cfg.kappa
+    return (mat.LawRows(m.laws for m in act), np.array([[m.cfg.q] for m in act]),
+            np.array([[m.cfg.kappa] for m in act]))
 
 
 def _listed(x) -> list:
@@ -570,6 +562,12 @@ def _listed(x) -> list:
 def _rows(ev: diag.StateEval, idx: list) -> diag.StateEval:
     s = ev.state
     return diag.StateEval(State(s.t, s.u[idx], s.v[idx], s.theta[idx]), ev.grid)
+
+
+def can_batch(scheme_cfg: SchemeConfig, forcing: Forcing | None) -> bool:
+    """Whether runs with this scheme and forcing can be the members of one
+    :func:`simulate` ensemble: only with a fixed dt and without forcing."""
+    return not scheme_cfg.adaptive and forcing is None
 
 
 def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: SchemeConfig,
@@ -615,7 +613,7 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
         raise ConfigError("initial data not sized to grid")
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
-    if len(data) > 1 and (forcing is not None or scheme_cfg.adaptive
+    if len(data) > 1 and (not can_batch(scheme_cfg, forcing)
                           or len({c.cadence for c in monitor_cfg}) > 1):
         raise ConfigError("ensemble members share a fixed dt and the cadence, without forcing")
 
@@ -631,18 +629,18 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
     """The loop of :func:`simulate` over the members ``act``, whose fields
     are the rows of (B, n) arrays, or (n,) arrays for a single member.
     Returns the members whose step failed in the batch."""
-    fields0 = [np.stack(f) if len(act) > 1 else f[0]
+    batch = len(act) > 1
+    fields0 = [np.stack(f) if batch else f[0]
                for f in zip(*((m.data.u0, m.data.v0, m.data.theta0) for m in act))]
     state = State(0.0, *fields0)
     ev = diag.StateEval(state, grid_)
     e0 = diag.energy(state, a, grid_).total
     for i, (m, e) in enumerate(zip(act, _listed(e0))):
         m.traj.initial_state, m.traj.e0 = ev.member(i).state, e
-    laws = _shared([m.laws for m in act], _same_law)
+    laws, q, kappa = _params(act, batch)
     row_rec = None
     if rows:
-        row_rec = Rows(laws, a, grid_, _shared([m.cfg.q for m in act]),
-                       _shared([m.cfg.kappa for m in act]), e0, len(act))
+        row_rec = Rows(laws, a, grid_, q, kappa, e0, len(act))
         for m, own in zip(act, row_rec.rows):
             m.traj.rows = own
     cadence = act[0].cfg.cadence
@@ -652,7 +650,8 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
         for m in act:
             m.traj.times.append(ev.t)
         if row_rec is not None:
-            row_rec.sample(left, ev, [m.traj.clamp_total for m in act])
+            clamps = [m.traj.clamp_total for m in act]
+            row_rec.sample(left, ev, clamps if batch else clamps[0])
         for i, m in enumerate(act):
             for rec in m.recs:
                 rec.sample(None if left is None else left.member(i), ev.member(i),
@@ -669,11 +668,12 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
         """Go on without the members at rows ``out``; returns ``ev`` without them."""
         nonlocal act, laws
         idx = [i for i in range(len(act)) if i not in out]
-        act, laws = [act[i] for i in idx], _pick(laws, idx)
+        act = [act[i] for i in idx]
         if not act:
             return ev
+        laws, q, kappa = _params(act, batch)
         if row_rec is not None:
-            row_rec.keep(idx)
+            row_rec.keep(idx, laws, q, kappa)
         return _rows(ev, idx)
 
     record(None, ev)
@@ -692,7 +692,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                 state, clamped = step_with_count(prev, laws, a, grid_, scheme_cfg, dt, forcing)
                 break
             except StepError as exc:
-                if prev.v.ndim == 2:  # the member's own run will decide
+                if batch:  # the member's own run will decide
                     failed.append(act[exc.member])
                     prev = drop([exc.member], prev)
                     if not act:
@@ -745,10 +745,7 @@ def run(config, *, rows: bool = True, recorders=()):
     batch = isinstance(config, (list, tuple))
     scens = [c.scenario for c in config] if batch else [config.scenario]
     for scen in scens:
-        report = mat.validate_hypotheses(scen.laws)
-        if not report.ok:
-            msgs = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-            raise ConfigError(f"material laws fail hypothesis validation: {msgs}")
+        mat.require_hypotheses(scen.laws)
     scen = scens[0]
     grid_ = scen.make_grid()
     if not batch:

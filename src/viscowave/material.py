@@ -11,6 +11,7 @@ candidate law violates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,31 @@ def eval_f_prime(laws: MaterialLaws, xi):
     return out if out.ndim else float(out)
 
 
+class LawRows(tuple):
+    """The laws of an ensemble, one per row of its ``(B, n)`` fields.
+
+    It reads like one law whose parameters are ``(B, 1)`` columns: ``gamma0``
+    and ``alpha`` meet each row with its own member's value as plain operands.
+    """
+
+    @functools.cached_property
+    def gamma0(self) -> np.ndarray:
+        return np.array([[law.gamma0] for law in self])
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        return np.array([[law.alpha] for law in self])
+
+    def evaluate(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, f) at ``xi``, each row by its own law: the bits of that
+        member's own evaluation."""
+        gam, f = np.empty_like(xi), np.empty_like(xi)
+        for i, law in enumerate(self):
+            gam[i] = eval_gamma(law, xi[i])
+            f[i] = eval_f(law, xi[i])
+        return gam, f
+
+
 def _table_slope(tab, xi):
     """Piecewise slope of a clamped linear interpolant (0 beyond the knots)."""
     xs, ys = tab[:, 0], tab[:, 1]
@@ -222,6 +248,14 @@ def validate_hypotheses(laws: MaterialLaws, xi_max: float = 50.0, n_samples: int
         checks.append(CheckResult("f_growth_bound", True))
 
     return ValidationReport(tuple(checks))
+
+
+def require_hypotheses(laws: MaterialLaws) -> None:
+    """Raise ConfigError naming every hypothesis ``laws`` fails."""
+    report = validate_hypotheses(laws)
+    if not report.ok:
+        msgs = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+        raise ConfigError(f"material laws fail hypothesis validation: {msgs}")
 
 
 @dataclass(frozen=True)

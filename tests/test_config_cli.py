@@ -400,11 +400,15 @@ class _InlinePool:
     ("kappa", "1.0, 2.0, 3.0, 4.0", [(1.0, 2.0), (3.0, 4.0)]),
     ("grid_n", "17, 33, 65", [17.0, 33.0, 65.0]),
     ("dt", "1e-3, 5e-4", [1e-3, 5e-4]),
+    ("delta, adaptive", "0.0, 0.05, 0.1", [0.0, 0.05, 0.1]),
 ])
 def test_sweep_tasks_per_axis(tmp_path, monkeypatch, axis, values, tasks):
     # delta, alpha and kappa points go to the workers as ensembles of
-    # ceil(points / workers); grid_n and dt points one per task
-    text = COUPLED_INI + f"\n[sweep]\naxis = {axis}\nvalues = {values}\n"
+    # ceil(points / workers), unless dt is adaptive; grid_n and dt points
+    # one per task
+    axis, *adaptive = axis.split(", ")
+    text = COUPLED_INI + "adaptive = true\n" * len(adaptive)
+    text += f"\n[sweep]\naxis = {axis}\nvalues = {values}\n"
     path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=2) == cli.EXIT_OK
@@ -435,18 +439,41 @@ def test_ensemble_sweep_points_are_byte_identical_to_solo_points(tmp_path, monke
     assert len(sims) == 4
 
 
-def test_ensemble_with_an_invalid_point_gives_the_solo_rows(tmp_path):
-    # alpha = 0.8 breaks the growth bound of the linear coupling: the batch
-    # is refused, and every point runs on its own
-    text = COUPLED_INI + "\n[sweep]\naxis = alpha\nvalues = 0.8, 1.0\n"
+def test_ensemble_batches_only_its_valid_points(tmp_path, monkeypatch):
+    # alpha = 0.8 breaks the growth bound of the linear coupling: that point
+    # fails on its own, and the other two still run as one batch
+    text = COUPLED_INI + "\n[sweep]\naxis = alpha\nvalues = 1.0, 0.8, 1.2\n"
     path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    sims = []
+    simulate = dyn.simulate
+    monkeypatch.setattr(dyn, "simulate", lambda *a, **k: sims.append(a[3]) or simulate(*a, **k))
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
+    assert len(sims) == 1 and len(sims[0]) == 2
     rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
     solo = [cli._sweep_point((path, "alpha", v, str(tmp_path / f"solo_{v}"), 11))
-            for v in (0.8, 1.0)]
+            for v in (1.0, 0.8, 1.2)]
     assert rows == [{k: str(v) for k, v in r.items()} for r in solo]
-    assert [r["status"] for r in rows] == ["failed", "completed"]
-    assert "hypothesis validation" in rows[0]["error"]
+    assert [r["status"] for r in rows] == ["completed", "failed", "completed"]
+    assert "hypothesis validation" in rows[1]["error"]
+
+
+def test_ensemble_that_raises_outside_the_package_is_reported_and_run_point_by_point(
+        tmp_path, monkeypatch, capsys):
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    simulate = dyn.simulate
+
+    def batch_fault(laws, a, grid_, data, *args, **kw):
+        if isinstance(data, list):
+            raise TypeError("fault in the batch")
+        return simulate(laws, a, grid_, data, *args, **kw)
+
+    monkeypatch.setattr(dyn, "simulate", batch_fault)
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert "ensemble run failed" in err and "TypeError: fault in the batch" in err
+    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
+    assert [r["status"] for r in rows] == ["completed", "completed"]
 
 
 def test_sweep_computes_estimate_K_once(tmp_path, monkeypatch):

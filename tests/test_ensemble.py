@@ -81,6 +81,20 @@ def test_members_equal_their_solo_runs(scheme, cadence, t_end):
     assert len(ens[0].rows) == (21 if cadence == 1 else 9)
 
 
+@pytest.mark.parametrize("scheme", ["imex_be", "imex_cn"])
+def test_a_kappa_ensemble_equals_its_solo_runs(scheme):
+    # the points of a kappa sweep: one law (the same object) for every member
+    grid_ = g.Grid1D(1.0, 65)
+    _, data, _ = members(grid_)
+    laws = [LAWS[1]] * 3
+    mons = [diag.MonitorConfig(kappa=k, cadence=3) for k in KAPPAS]
+    cfg = cfg_for(1e-3, scheme)
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.0213, cfg, mons)
+    for traj, solo in zip(ens, solo_runs(laws, data, mons, grid_, 0.0213, cfg)):
+        assert_same_run(traj, solo)
+    assert len({r.z_residual for r in (ens[0].rows[-1], ens[1].rows[-1])}) == 2
+
+
 def test_members_without_rows_and_with_snapshots():
     grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_, cadence=2)
