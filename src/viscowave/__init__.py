@@ -37,7 +37,6 @@ from .dynamics import (
     State,
     Trajectory,
     adapt_dt,
-    rhs,
     run,
     simulate,
     step_eta,

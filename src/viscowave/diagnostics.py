@@ -60,7 +60,7 @@ class StateEval:
         """``state`` itself if it is a ``StateEval`` on ``grid_``, else a new one."""
         if not isinstance(state, cls):
             return cls(state, grid_)
-        if state.grid != grid_:
+        if state.grid is not grid_ and state.grid != grid_:
             raise ConfigError("StateEval was built on a different grid")
         return state
 

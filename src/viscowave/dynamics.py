@@ -99,29 +99,6 @@ class Forcing:
     ftheta: Callable[[np.ndarray, float], np.ndarray]
 
 
-def rhs(state: State, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D):
-    """Instantaneous right-hand side of the first-order system.
-
-    Returns (dv, du, dtheta) with nodal sources: the heating term is
-    gamma(Theta) (d1 v)^2 and the coupling loss f(Theta) (d1 v); boundary
-    entries of dv and du are forced to zero.
-    """
-    if a <= 0:
-        raise DomainError("a must be positive")
-    theta = np.maximum(state.theta, 0.0)
-    gam = np.asarray(mat.eval_gamma(laws, theta))
-    f = np.asarray(mat.eval_f(laws, theta))
-    dv = g.div_flux(gam, state.v, grid_) \
-        + a * g.d2(state.u, grid_, g.BcKind.DIRICHLET_BOTH) \
-        - g.d1(f, grid_)
-    dv[0] = dv[-1] = 0.0
-    du = state.v.copy()
-    du[0] = du[-1] = 0.0
-    vx = g.d1(state.v, grid_)
-    dtheta = g.d2(theta, grid_, g.BcKind.NEUMANN_BOTH) + gam * vx ** 2 - f * vx
-    return dv, du, dtheta
-
-
 def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) -> float:
     """Step-size suggestion from the explicit terms.
 
@@ -202,8 +179,7 @@ def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
     dx2 = grid_.dx ** 2
     w = theta_weight * dt
     diag_ = np.ones(shape)
-    lower = np.zeros(gam_mid.shape)
-    upper = np.zeros(gam_mid.shape)
+    lower, upper = np.zeros(gam_mid.shape), np.zeros(gam_mid.shape)
     diag_[..., 1:-1] = 1.0 + w * (gam_mid[..., :-1] + gam_mid[..., 1:]) / dx2 + 2.0 * a * w * w / dx2
     lower[..., :-1] = -w * gam_mid[..., :-1] / dx2 - a * w * w / dx2
     upper[..., 1:] = -w * gam_mid[..., 1:] / dx2 - a * w * w / dx2
@@ -213,12 +189,8 @@ def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
 
 
 def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
-    """Implicit heat stage: (I - theta_weight*dt*D2_N) theta_new = rhs.
-
-    The mirror-ghost Neumann rows keep the trapezoid mass of the operator
-    identically zero, so the solve conserves int Theta up to the sources
-    already contained in ``rhs_``.
-    """
+    """Implicit heat stage (I - theta_weight*dt*D2_N) theta_new = rhs; its
+    mirror-ghost Neumann rows conserve int Theta up to the sources in ``rhs_``."""
     op = tridiag.neumann(grid_.n, theta_weight * dt / grid_.dx ** 2)
     return _solve_banded(op, rhs_, tol, label="heat")
 
@@ -229,7 +201,7 @@ def _heat_source(v_used, f_old, gam_mid, grid_):
     Dissipation is gamma_mid * (strain rate)^2 per cell scattered back to the
     nodes (mass-exact); the coupling gradient uses the SBP closure so the
     kinetic/thermal cross terms telescope exactly.  Both agree with the nodal
-    forms of :func:`rhs` to O(dx^2) in the interior.
+    forms gamma v_x^2 and f v_x to O(dx^2) in the interior.
     """
     dv = np.diff(v_used) / grid_.dx
     visc = g.mid_to_node(gam_mid * dv * dv, grid_)
@@ -266,34 +238,25 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     d2u = ev.uxx[..., 1:-1]
     dfdx = (f_old[..., 2:] - f_old[..., :-2]) / (2.0 * grid_.dx)
 
-    if cfg.scheme == "imex_be":
+    w = 1.0 if cfg.scheme == "imex_be" else 0.5  # the implicit weight; imex_cn is trapezoidal
+    t_src = state.t + w * dt  # where the forcing is taken
+    if w == 1.0:
         src = state.v[..., 1:-1] + dt * (a * d2u - dfdx)
-        if forcing is not None:
-            src = src + dt * forcing.fv(grid_.nodes, state.t + dt)[1:-1]
-        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
-        u_new = state.u + dt * v_new
-        v_used = v_new
-        heat_extra = np.zeros(n)
-        if forcing is not None:
-            heat_extra = forcing.ftheta(grid_.nodes, state.t + dt)
-        rhs_theta = state.theta + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
-        theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
-    else:  # imex_cn
-        lgam_v = g.div_flux(gam, state.v, grid_)[..., 1:-1]
-        d2v = ev.vxx[..., 1:-1]
-        src = state.v[..., 1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
-            + 0.25 * a * dt * dt * d2v - dt * dfdx
-        if forcing is not None:
-            src = src + dt * forcing.fv(grid_.nodes, state.t + 0.5 * dt)[1:-1]
-        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 0.5, cfg.solver_tol)
+    else:
+        src = state.v[..., 1:-1] + 0.5 * dt * g.div_flux(gam, state.v, grid_)[..., 1:-1] \
+            + dt * a * d2u + 0.25 * a * dt * dt * ev.vxx[..., 1:-1] - dt * dfdx
+    if forcing is not None:
+        src = src + dt * forcing.fv(grid_.nodes, t_src)[1:-1]
+    v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, w, cfg.solver_tol)
+    if w == 1.0:
+        u_new, v_used, rhs_theta = state.u + dt * v_new, v_new, state.theta
+    else:
         u_new = state.u + 0.5 * dt * (state.v + v_new)
         v_used = 0.5 * (state.v + v_new)
-        heat_extra = np.zeros(n)
-        if forcing is not None:
-            heat_extra = forcing.ftheta(grid_.nodes, state.t + 0.5 * dt)
-        rhs_theta = state.theta + 0.5 * dt * ev.thxx \
-            + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
-        theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
+        rhs_theta = state.theta + 0.5 * dt * ev.thxx
+    heat_extra = np.zeros(n) if forcing is None else forcing.ftheta(grid_.nodes, t_src)
+    rhs_theta = rhs_theta + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
+    theta_new = _solve_theta_stage(rhs_theta, grid_, dt, w, cfg.solver_tol)
 
     v_new[..., 0] = v_new[..., -1] = 0.0
     u_new[..., 0] = u_new[..., -1] = 0.0
@@ -325,15 +288,16 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
 
 @dataclass(frozen=True)
 class EtaState:
-    """Snapshot of the regularized triangular system (v_eta, u_eta)."""
+    """Snapshot of the regularized triangular system (v_eta, u_eta); a batch
+    holds (B, n) fields and one ``eta`` per row."""
 
     t: float
     v_eta: np.ndarray
     u_eta: np.ndarray
-    eta: float
+    eta: float | np.ndarray
 
     def __post_init__(self):
-        if self.eta < 0:
+        if np.any(np.asarray(self.eta) < 0):
             raise ConfigError("eta must be nonnegative")
         for name in ("v_eta", "u_eta"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
@@ -349,6 +313,11 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     terms are implicit (two tridiagonal solves); the couplings are explicit.
     At eta = 0 the displacement update reduces to the backward form used by
     the main stepper.
+
+    A batch state steps every row at once, each with the bits of its own
+    step: the velocity stage is one stacked solve, the rows with eta > 0
+    share one stacked displacement solve, and a StepError names the failing
+    row in ``member``.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -360,22 +329,29 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     if np.any(A <= 0.0):
         raise DomainError("A must be bounded below by a positive constant")
     dx2 = grid_.dx ** 2
+    tol = cfg.solver_tol
 
-    d2u = (state.u_eta[2:] - 2.0 * state.u_eta[1:-1] + state.u_eta[:-2]) / dx2
-    rhs_ = np.zeros(n)
-    rhs_[1:-1] = state.v_eta[1:-1] + dt * (a * d2u + gsrc[1:-1])
-    op = tridiag.dirichlet(n, dt * A[1:-1] / dx2)
-    v_new = _solve_banded(op, rhs_, cfg.solver_tol, label="eta velocity")
-    v_new[0] = v_new[-1] = 0.0
+    d2u = g.d2(state.u_eta, grid_, g.BcKind.DIRICHLET_BOTH)[..., 1:-1]
+    rhs_ = np.zeros(state.v_eta.shape)
+    rhs_[..., 1:-1] = state.v_eta[..., 1:-1] + dt * (a * d2u + gsrc[1:-1])
+    v_new = _solve_banded(tridiag.dirichlet(n, dt * A[1:-1] / dx2), rhs_, tol, label="eta velocity")
+    v_new[..., 0] = v_new[..., -1] = 0.0
 
-    if state.eta == 0.0:
-        u_new = state.u_eta + dt * v_new
-    else:
-        rhs_u = np.zeros(n)
-        rhs_u[1:-1] = state.u_eta[1:-1] + dt * v_new[1:-1]
-        op = tridiag.dirichlet(n, dt * state.eta / dx2)
-        u_new = _solve_banded(op, rhs_u, cfg.solver_tol, label="eta displacement")
-    u_new[0] = u_new[-1] = 0.0
+    u_new = state.u_eta + dt * v_new  # the backward update, and the right-hand side where eta > 0
+    u_new[..., 0] = u_new[..., -1] = 0.0
+    eta = np.asarray(state.eta, dtype=float)
+    rows = np.flatnonzero(eta > 0.0)
+    if eta.ndim == 0 and rows.size:
+        u_new = _solve_banded(tridiag.dirichlet(n, dt * state.eta / dx2), u_new, tol,
+                              label="eta displacement")
+    elif rows.size:
+        try:
+            u_new[rows] = _solve_banded(tridiag.dirichlet(n, dt * eta[rows, None] / dx2),
+                                        u_new[rows], tol, label="eta displacement")
+        except StepError as exc:
+            exc.member = int(rows[exc.member])
+            raise
+    u_new[..., 0] = u_new[..., -1] = 0.0
     return EtaState(t=state.t + dt, v_eta=v_new, u_eta=u_new, eta=state.eta)
 
 
@@ -393,7 +369,8 @@ class Recorder:
     the clamp count so far.  Both states are :class:`diagnostics.StateEval`
     of one run, also in an ensemble.  ``restart`` is called before an
     ensemble member is run again alone from t = 0 (its step failed in the
-    batch): a recorder must then forget what it was fed.
+    batch): a recorder must then forget what it was fed.  ``end`` is called
+    once the run is over: completed, halted or aborted.
     """
 
     def step(self, left: diag.StateEval, dt: float) -> None:
@@ -403,6 +380,9 @@ class Recorder:
         pass
 
     def restart(self) -> None:
+        pass
+
+    def end(self) -> None:
         pass
 
 
@@ -663,6 +643,8 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
         act[i].traj.final_state = ev.member(i).state
         if row_rec is not None:
             act[i].traj.monitors = row_rec.monitors(i, ev)
+        for rec in act[i].recs:
+            rec.end()
 
     def drop(out, ev: diag.StateEval) -> diag.StateEval:
         """Go on without the members at rows ``out``; returns ``ev`` without them."""

@@ -386,16 +386,74 @@ class CascadeReport:
     error: str | None = None
 
 
+class _Rung(dyn.Recorder):
+    """One rung of an eps-cascade, compared with its neighbours while they
+    run: the pair (i, i + 1) compares the k-th samples of both runs, over
+    their common prefix.
+
+    A sample is held until both neighbours have delivered their k-th sample
+    or ended, so rungs in lockstep hold one sample each.  A rung whose step
+    failed in the batch runs again alone after it: its neighbours' later
+    samples wait for it, and the samples it repeats (with the bits of its
+    batch run, up to the failed step) are not compared twice.
+    """
+
+    def __init__(self, ladder: list, i: int, grid_: g.Grid1D):
+        self.ladder, self.i, self.grid = ladder, i, grid_
+        self.count = self.replay = 0  # samples of the current run; samples a rerun repeats
+        self.ended = False
+        self.held: dict = {}
+        self.dists = None  # against the next rung: the max over k of (u, v, theta, W12)
+
+    def near(self) -> list:
+        return [self.ladder[j] for j in (self.i - 1, self.i + 1) if 0 <= j < len(self.ladder)]
+
+    def release(self, k: int) -> None:
+        """Drop sample k once neither neighbour can still deliver its own."""
+        if all(r.ended or k < max(r.count, r.replay) for r in self.near()):
+            self.held.pop(k, None)
+
+    def sample(self, left, ev, clamp_total):
+        k, self.count = self.count, self.count + 1
+        if k < self.replay:
+            return
+        for r in self.near():
+            if k in r.held:
+                low, pair = (r, (r.held[k], ev.state)) if r.i < self.i else (self, (ev.state, r.held[k]))
+                low.compare(*pair)
+                r.release(k)
+        self.held[k] = ev.state
+        self.release(k)
+
+    def restart(self):
+        self.count, self.replay = 0, max(self.count, self.replay)
+
+    def end(self):
+        self.ended = True
+        for r in self.near():
+            for k in list(r.held):
+                r.release(k)
+
+    def compare(self, sa, sb) -> None:
+        new = [float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
+               for name in ("u", "v", "theta")] + [w12_distance(sa.theta, sb.theta, self.grid)]
+        # a running max(): a value replaces the one before only if it is greater
+        self.dists = new if self.dists is None else [
+            x if x > y else y for x, y in zip(new, self.dists)]
+
+
 def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None = None) -> CascadeReport:
     """Run the scenario with data mollified at each rung of the ladder and
     measure sup-norm distances between consecutive solutions.
 
     All runs share the grid, the step size, and the sampling cadence, so
-    snapshots align in time.  Each run keeps only its snapshots (no
-    diagnostic rows) and is compared with the previous one as soon as it
-    ends, over their common prefix; a run that halts early shortens it.  The
-    report flags Cauchy behavior per field: each consecutive distance
-    smaller than the previous one.
+    snapshots align in time.  With a fixed dt the rungs are the members of
+    one :func:`dynamics.simulate` ensemble, otherwise they run one after
+    another; either way no run keeps its snapshots, and consecutive rungs are
+    compared sample by sample as they run, over their common prefix (a run
+    that halts early shortens it).  An aborted rung ends the ladder.  The
+    report flags Cauchy behavior per field: each consecutive distance smaller
+    than the previous one.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
@@ -406,41 +464,29 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
 
     grid_ = scenario.make_grid()
     base = scenario.make_data(grid_)
-    statuses = []
-    error = None
-    sup_dists = {"u": [], "v": [], "theta": []}
-    w12_dists = []
-    prev = None
-    for eps in eps_ladder:
-        snaps = dyn.Snapshots()
-        traj = dyn.simulate(scenario.laws, scenario.a, grid_, mollify(base, eps, grid_),
-                            scenario.t_end, scheme, scenario.monitors,
-                            rows=False, recorders=(snaps,))
-        statuses.append(traj.status)
-        if prev is not None:  # zip stops at the shorter run
-            for name in sup_dists:
-                sup_dists[name].append(max(
-                    float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
-                    for sa, sb in zip(prev, snaps.states)))
-            w12_dists.append(max(w12_distance(sa.theta, sb.theta, grid_)
-                                 for sa, sb in zip(prev, snaps.states)))
-        prev = snaps.states  # the rung before is released here
-        if traj.status == "aborted":
-            error = traj.error
-            break
-
-    cauchy = {
-        name: all(b < a for a, b in zip(vals, vals[1:])) if len(vals) >= 2 else True
-        for name, vals in sup_dists.items()
-    }
+    data = [mollify(base, eps, grid_) for eps in eps_ladder]
+    ladder: list[_Rung] = []
+    ladder.extend(_Rung(ladder, i, grid_) for i in range(len(data)))
+    if dyn.can_batch(scheme, None):
+        trajs = dyn.simulate([scenario.laws] * len(data), scenario.a, grid_, data, scenario.t_end,
+                             scheme, [scenario.monitors] * len(data), rows=False,
+                             recorders=[(r,) for r in ladder])
+    else:  # each rung takes its own steps
+        trajs = [dyn.simulate(scenario.laws, scenario.a, grid_, d, scenario.t_end, scheme,
+                              scenario.monitors, rows=False, recorders=(r,))
+                 for d, r in zip(data, ladder)]
+    statuses = [traj.status for traj in trajs]
+    last = statuses.index("aborted") if "aborted" in statuses else len(statuses) - 1
+    dists = [r.dists for r in ladder[:last]]
+    sup_dists = {name: tuple(d[i] for d in dists) for i, name in enumerate(("u", "v", "theta"))}
     return CascadeReport(
         eps_ladder=eps_ladder,
-        sup_dists={k: tuple(v) for k, v in sup_dists.items()},
-        w12_theta_dists=tuple(w12_dists),
-        cauchy=cauchy,
-        statuses=tuple(statuses),
-        blowup_fired=any(s == "blowup_halt" for s in statuses),
-        error=error,
+        sup_dists=sup_dists,
+        w12_theta_dists=tuple(d[3] for d in dists),
+        cauchy={name: all(b < a for a, b in zip(vals, vals[1:])) for name, vals in sup_dists.items()},
+        statuses=tuple(statuses[:last + 1]),
+        blowup_fired="blowup_halt" in statuses[:last + 1],
+        error=trajs[last].error,
     )
 
 
@@ -474,25 +520,18 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D,
     nsteps = max(1, int(round(t_end / dt)))
     dt = t_end / nsteps
 
-    def run_one(eta: float) -> list[dyn.EtaState]:
-        st = dyn.EtaState(t=0.0, v_eta=v0.copy(), u_eta=u0.copy(), eta=eta)
-        states = [st]
-        for _ in range(nsteps):
+    rows = len(etas) + 1  # row 0 is the reference
+    st = dyn.EtaState(t=0.0, v_eta=np.tile(v0, (rows, 1)), u_eta=np.tile(u0, (rows, 1)),
+                      eta=np.array((0.0,) + etas))
+    y_max = np.zeros(len(etas))
+    for step in range(nsteps + 1):
+        if step:
             st = dyn.step_eta(st, A, gsrc, a, grid_, cfg, dt)
-            states.append(st)
-        return states
-
-    ref = run_one(0.0)
-    sup_y = []
-    for eta in etas:
-        states = run_one(eta)
-        y_max = 0.0
-        for se, sr in zip(states, ref):
-            dv = se.v_eta - sr.v_eta
-            du_mid = g.gradient_mid(se.u_eta - sr.u_eta, grid_)
-            y = g.integrate(dv ** 2, grid_) + a * float(np.sum(du_mid ** 2)) * grid_.dx
-            y_max = max(y_max, y)
-        sup_y.append(y_max)
+        dv = st.v_eta[1:] - st.v_eta[0]
+        du_mid = g.gradient_mid(st.u_eta[1:] - st.u_eta[0], grid_)
+        y = g.integrate(dv ** 2, grid_) + a * (du_mid ** 2).sum(axis=-1) * grid_.dx
+        y_max = np.where(y > y_max, y, y_max)  # max(): a value replaces it only if greater
+    sup_y = y_max.tolist()
 
     slope = float(np.polyfit(np.log(np.asarray(etas)), np.log(np.maximum(sup_y, 1e-300)), 1)[0])
     return EtaCascadeReport(etas=etas, sup_y=tuple(sup_y), slope=slope)

@@ -93,14 +93,16 @@ def dirichlet(n: int, s) -> Tridiag:
     """Identity end rows and interior rows ``(-s, 1 + 2 s, -s)``.
 
     ``s`` is a scalar or the n-2 interior values.  This is I - s dx^2 D2 with
-    homogeneous Dirichlet rows.
+    homogeneous Dirichlet rows.  A (B, 1) column ``s`` gives B systems, one
+    per row, each with its own scalar.
     """
-    diag = np.ones(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-    diag[1:-1] = 1.0 + 2.0 * s
-    lower[:-1] = -s
-    upper[1:] = -s
+    lead = np.shape(s)[:-1]
+    diag = np.ones(lead + (n,))
+    lower = np.zeros(lead + (n - 1,))
+    upper = np.zeros(lead + (n - 1,))
+    diag[..., 1:-1] = 1.0 + 2.0 * s
+    lower[..., :-1] = -s
+    upper[..., 1:] = -s
     return Tridiag(lower, diag, upper)
 
 

@@ -35,45 +35,94 @@ def mech_energy(state, a, grid_):
 
 
 # --------------------------------------------------------------------------
-# rhs
+# the stepper's spatial operators
 # --------------------------------------------------------------------------
 
+SMOOTH_LAWS = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
+                               gamma0=1.0, delta=0.1, K_f=1.0, alpha=1.0)
 
-def test_rhs_stationary_is_zero():
+
+def smooth_fields(grid_):
+    """Smooth fields with pinned u, v and flat theta ends, with the exact
+    derivatives the nodal forms need."""
+    x, w = grid_.nodes, np.pi
+    v, vx, vxx = 0.3 * np.sin(2 * w * x), 0.6 * w * np.cos(2 * w * x), -1.2 * w * w * np.sin(2 * w * x)
+    uxx = -w * w * np.sin(w * x)
+    theta, thx = 1.0 + 0.5 * np.cos(w * x), -0.5 * w * np.sin(w * x)
+    return dict(u=np.sin(w * x), v=v, vx=vx, vxx=vxx, uxx=uxx, theta=theta, thx=thx)
+
+
+def operator_errors(n, a=1.7):
+    """Interior max errors of the stepper's heat source and velocity
+    operator against the nodal forms gamma v_x^2 - f v_x and
+    (gamma v_x)_x + a u_xx - f_x, evaluated exactly."""
+    grid_ = make_grid(n)
+    fl = smooth_fields(grid_)
+    gam = mat.eval_gamma(SMOOTH_LAWS, fl["theta"])
+    f = mat.eval_f(SMOOTH_LAWS, fl["theta"])
+    gam_mid = 0.5 * (gam[1:] + gam[:-1])
+    heat = dyn._heat_source(fl["v"], f, gam_mid, grid_)
+    heat_exact = gam * fl["vx"] ** 2 - f * fl["vx"]
+    ev = diag.StateEval(dyn.State(0.0, fl["u"], fl["v"], fl["theta"]), grid_)
+    vel = g.div_flux(gam, fl["v"], grid_) + a * ev.uxx - g.d1(f, grid_)
+    vel_exact = (mat.eval_gamma_prime(SMOOTH_LAWS, fl["theta"]) * fl["thx"] * fl["vx"]
+                 + gam * fl["vxx"] + a * fl["uxx"]
+                 - mat.eval_f_prime(SMOOTH_LAWS, fl["theta"]) * fl["thx"])
+    return (np.max(np.abs(heat - heat_exact)[1:-1]), np.max(np.abs(vel - vel_exact)[1:-1]))
+
+
+def test_stepper_operators_match_the_nodal_forms_to_second_order():
+    coarse, fine = operator_errors(65), operator_errors(129)
+    assert max(fine) < 5e-3
+    for e_coarse, e_fine in zip(coarse, fine):
+        assert np.log2(e_coarse / e_fine) > 1.9
+
+
+def test_stepper_operators_vanish_on_the_rest_state():
     grid_ = make_grid()
-    dv, du, dth = dyn.rhs(zero_state(grid_, theta=2.0), CONST_LAWS, 1.0, grid_)
-    assert np.all(dv == 0.0) and np.all(du == 0.0)
-    assert dth == pytest.approx(np.zeros(grid_.n), abs=1e-11)
+    state = zero_state(grid_, theta=2.0)
+    ev = diag.StateEval(state, grid_)
+    gam, f = ev.material(LINEAR_LAWS)
+    gam_mid = 0.5 * (gam[1:] + gam[:-1])
+    assert np.all(dyn._heat_source(state.v, f, gam_mid, grid_) == 0.0)
+    assert np.all(g.div_flux(gam, state.v, grid_) == 0.0)
+    assert np.all(ev.uxx == 0.0) and np.all(ev.thxx == 0.0) and np.all(g.d1(f, grid_) == 0.0)
+    new, clamped = dyn.step_with_count(ev, LINEAR_LAWS, 1.0, grid_, cfg_for(1e-2), 1e-2)
+    assert np.all(new.u == 0.0) and np.all(new.v == 0.0) and clamped == 0
+    assert new.theta == pytest.approx(state.theta, abs=1e-12)
 
 
-def test_rhs_heat_cosine():
+def test_stepper_operators_on_a_heat_cosine():
     grid_ = make_grid(129)
     x = grid_.nodes
     theta = 1.0 + np.cos(np.pi * x)
-    state = dyn.State(0.0, np.zeros(grid_.n), np.zeros(grid_.n), theta)
-    dv, _, dth = dyn.rhs(state, LINEAR_LAWS, 1.0, grid_)
-    assert dth == pytest.approx(-np.pi ** 2 * np.cos(np.pi * x), abs=2e-3)
-    # with v = 0 the velocity only feels the coupling gradient
-    f = mat.eval_f(LINEAR_LAWS, theta)
-    expected = -g.d1(np.asarray(f), grid_)
-    expected[0] = expected[-1] = 0.0
-    assert dv == pytest.approx(expected, rel=1e-12)
+    ev = diag.StateEval(dyn.State(0.0, np.zeros(grid_.n), np.zeros(grid_.n), theta), grid_)
+    assert ev.thxx == pytest.approx(-np.pi ** 2 * np.cos(np.pi * x), abs=2e-3)
+    # at rest the heat source is zero and the velocity only feels the coupling gradient
+    gam, f = ev.material(LINEAR_LAWS)
+    gam_mid = 0.5 * (gam[1:] + gam[:-1])
+    assert np.all(dyn._heat_source(ev.v, f, gam_mid, grid_) == 0.0)
+    assert -g.d1(f, grid_)[1:-1] == pytest.approx(np.pi * np.sin(np.pi * x[1:-1]), abs=2e-3)
 
 
-def test_rhs_quadratic_displacement():
+def test_stepper_d2u_on_a_quadratic_displacement():
     grid_ = make_grid()
     x = grid_.nodes
     state = dyn.State(0.0, x * (1.0 - x), np.zeros(grid_.n), np.zeros(grid_.n))
     a = 1.7
-    dv, du, _ = dyn.rhs(state, CONST_LAWS, a, grid_)
-    assert dv[1:-1] == pytest.approx(-2.0 * a * np.ones(grid_.n - 2), rel=1e-10)
-    assert dv[0] == dv[-1] == 0.0
+    ev = diag.StateEval(state, grid_)
+    assert a * ev.uxx == pytest.approx(-2.0 * a * np.ones(grid_.n), rel=1e-10)
+    new, _ = dyn.step_with_count(ev, CONST_LAWS, a, grid_, cfg_for(1e-3), 1e-3)
+    assert new.v[0] == new.v[-1] == new.u[0] == new.u[-1] == 0.0
+    assert np.all(new.v[1:-1] < 0.0)  # the elastic force a u_xx = -2a pulls the string back
+    assert np.array_equal(new.u[1:-1], state.u[1:-1] + 1e-3 * new.v[1:-1])
 
 
-def test_rhs_rejects_bad_a():
+def test_step_rejects_bad_a():
     grid_ = make_grid()
-    with pytest.raises(DomainError):
-        dyn.rhs(zero_state(grid_), CONST_LAWS, -1.0, grid_)
+    for a in (-1.0, 0.0):
+        with pytest.raises(DomainError):
+            dyn.step_with_count(zero_state(grid_), CONST_LAWS, a, grid_, cfg_for(1e-3), 1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -456,6 +505,59 @@ def test_step_eta_requires_positive_coefficient():
     st = dyn.EtaState(0.0, np.zeros(n), np.zeros(n), 0.0)
     with pytest.raises(DomainError):
         dyn.step_eta(st, A, np.zeros(n), 1.0, grid_, cfg_for(1e-3), 1e-3)
+
+
+def eta_batch(n, etas, seed=0):
+    """A batch of random eta states on n nodes (signed zeros at the ends of
+    some rows) and the coefficient fields of the triangular system."""
+    grid_ = make_grid(n)
+    x = grid_.nodes
+    rng = np.random.default_rng(seed)
+    v, u = rng.standard_normal((2, len(etas), n))
+    v[:, 0] = v[:, -1] = u[:, 0] = 0.0
+    u[1::2, -1] = v[::2, 0] = -0.0
+    A, gsrc = 1.0 + 0.3 * np.sin(np.pi * x), 0.5 * np.sin(np.pi * x)
+    return grid_, dyn.EtaState(0.0, v, u, np.array(etas)), A, gsrc
+
+
+@pytest.mark.parametrize("n", [33, 129])
+def test_batched_step_eta_gives_each_row_its_own_step(n):
+    grid_, batch, A, gsrc = eta_batch(n, [0.0, 1e-1, 1e-3, 0.0, 1e-2])
+    cfg = cfg_for(1e-3)
+    solos = [dyn.EtaState(0.0, batch.v_eta[i], batch.u_eta[i], float(e))
+             for i, e in enumerate(batch.eta)]
+    for dt in (1e-3, 5e-4, 1e-3):
+        batch = dyn.step_eta(batch, A, gsrc, 1.3, grid_, cfg, dt)
+        solos = [dyn.step_eta(st, A, gsrc, 1.3, grid_, cfg, dt) for st in solos]
+        for i, solo in enumerate(solos):
+            assert batch.v_eta[i].tobytes() == solo.v_eta.tobytes()
+            assert batch.u_eta[i].tobytes() == solo.u_eta.tobytes()
+            assert solo.t == batch.t
+    # the eta = 0 rows took the backward update
+    assert np.array_equal(batch.eta, [0.0, 1e-1, 1e-3, 0.0, 1e-2])
+
+
+def test_batched_step_eta_blames_the_failing_row(monkeypatch):
+    grid_, batch, A, gsrc = eta_batch(33, [0.0, 1e-1, 0.0, 1e-2])
+    v = batch.v_eta.copy()
+    v[3, 7] = np.nan
+    with pytest.raises(StepError, match="eta velocity") as err:
+        dyn.step_eta(dyn.EtaState(0.0, v, batch.u_eta, batch.eta), A, gsrc, 1.0, grid_,
+                     cfg_for(1e-3), 1e-3)
+    assert err.value.member == 3
+    # the displacement solve holds the eta > 0 rows only (rows 1 and 3); a
+    # failure of its second row is row 3 of the batch
+    real = dyn._solve_banded
+
+    def fail_second(op, rhs_, tol, *, label):
+        if label == "eta displacement":
+            raise StepError("eta displacement solve failed", member=1)
+        return real(op, rhs_, tol, label=label)
+
+    monkeypatch.setattr(dyn, "_solve_banded", fail_second)
+    with pytest.raises(StepError, match="eta displacement") as err:
+        dyn.step_eta(batch, A, gsrc, 1.0, grid_, cfg_for(1e-3), 1e-3)
+    assert err.value.member == 3
 
 
 # --------------------------------------------------------------------------

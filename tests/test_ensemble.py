@@ -142,6 +142,38 @@ class _Log(dyn.Recorder):
         self.log.clear()
 
 
+class _Ends(dyn.Recorder):
+    def __init__(self):
+        self.events = []
+
+    def sample(self, left, ev, clamp_total):
+        self.events.append("sample")
+
+    def restart(self):
+        self.events.append("restart")
+
+    def end(self):
+        self.events.append("end")
+
+
+def test_every_member_run_ends_once_after_its_last_sample():
+    # member 0 aborts on a NaN (it leaves the batch and is rerun alone),
+    # member 1 halts on blow-up, member 2 completes
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, mons = members(grid_)
+    theta0 = data[0].theta0.copy()
+    theta0[7] = np.nan
+    data[0] = mat.InitialData(u0=data[0].u0, v0=data[0].v0, theta0=theta0)
+    mons[1] = diag.MonitorConfig(kappa=KAPPAS[1], q=QS[1], blowup_threshold=1e-9,
+                                 blowup_rate_min=-100.0, blowup_window=4)
+    recs = [[_Ends()] for _ in laws]
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3), mons, recorders=recs)
+    assert [t.status for t in ens] == ["aborted", "blowup_halt", "completed"]
+    assert recs[0][0].events == ["sample", "restart", "sample", "end"]
+    for (rec,), traj in zip(recs[1:], ens[1:]):
+        assert rec.events == ["sample"] * len(traj.times) + ["end"]
+
+
 def test_a_rejected_member_is_finished_by_its_solo_run():
     # the heat spike makes the trapezoidal step dip below zero: alone, the
     # member retries with halved steps; in the batch it leaves and is rerun

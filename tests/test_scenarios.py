@@ -8,7 +8,7 @@ from viscowave import dynamics as dyn
 from viscowave import grid as g
 from viscowave import material as mat
 from viscowave import scenarios as sc
-from viscowave.errors import ConfigError, DomainError
+from viscowave.errors import ConfigError, DomainError, StepError
 
 
 def make_grid(n=129, L=1.0):
@@ -244,52 +244,107 @@ def _cascade_from_histories(scenario, eps_ladder, simulate):
     )
 
 
-def _simulate_with_fault(fault):
-    """dyn.simulate, except that rung 1 halts on blow-up ("halts") or rung 2
-    aborts on a non-finite forcing ("aborts").  Also records, at the start of
-    each rung, how many earlier rungs still hold their initial state."""
-    real = dyn.simulate
-    firsts, alive = [], []
-    growth = dyn.Forcing(fv=lambda x, t: np.zeros_like(x),
-                         ftheta=lambda x, t: 40.0 * np.exp(8.0 * t) * np.ones_like(x))
-    nan_v = dyn.Forcing(fv=lambda x, t: np.full_like(x, np.nan) if t > 0.03 else np.zeros_like(x),
-                        ftheta=lambda x, t: np.zeros_like(x))
-    low = diag.MonitorConfig(blowup_threshold=3.0, blowup_window=4, blowup_rate_min=1e-5)
+class _RungFault:
+    """``dyn.step_with_count``, except that the run started from temperature
+    ``theta0`` gets a fault on its first step from t = 0.03 on: a NaN
+    velocity ("aborts") or a rejection that asks for half the step
+    ("reject_step"), which the run retries at that dt when it runs alone.
+    The run's row is found by its temperature, followed from step to step,
+    in a batch or alone."""
 
-    def simulate(laws, a, grid_, data, t_end, scheme, monitors, **kw):
-        alive.append(sum(r() is not None for r in firsts))
-        rung = len(firsts)
-        if fault == "halts" and rung == 1:
-            traj = real(laws, a, grid_, data, t_end, scheme, low, growth, **kw)
-        elif fault == "aborts" and rung == 2:
-            traj = real(laws, a, grid_, data, t_end, scheme, monitors, nan_v, **kw)
-        else:
-            traj = real(laws, a, grid_, data, t_end, scheme, monitors, **kw)
-        firsts.append(weakref.ref(traj.initial_state))
-        return traj
+    def __init__(self, fault, theta0):
+        self.fault, self.theta0, self.last = fault, theta0, None
+        self.real = dyn.step_with_count
 
-    simulate.alive = alive
-    return simulate
+    def __call__(self, state, laws, a, grid_, cfg, dt, forcing=None):
+        mark = self.theta0 if state.t == 0.0 else self.last
+        rows = np.atleast_2d(state.theta)
+        hit = [i for i, row in enumerate(rows) if np.array_equal(row, mark)]
+        if hit and state.t == 0.0:
+            self.done = False
+        if hit and state.t >= 0.03 and not self.done:
+            i = hit[0]
+            member = i if state.theta.ndim == 2 else None
+            if self.fault == "reject_step":
+                self.done = True
+                raise StepError("temperature dipped; retry with smaller dt",
+                                suggested_dt=0.5 * dt, member=member)
+            v = np.array(state.v)
+            np.atleast_2d(v)[i, 1:-1] = np.nan
+            state = dyn.State(state.t, state.u, v, state.theta)
+        new, clamped = self.real(state, laws, a, grid_, cfg, dt, forcing)
+        if hit:
+            self.last = np.atleast_2d(new.theta)[hit[0]]
+        return new, clamped
+
+
+def _inject(monkeypatch, fault, scenario, ladder):
+    """Put ``fault`` on one rung of the ladder, for batches and solo runs
+    alike: rung 1's blow-up detector trips on any trace ("halts"), rung 2
+    aborts ("aborts"), rung 1 retries one step at half the dt ("reject_step")."""
+    grid_ = scenario.make_grid()
+    theta0 = [sc.mollify(scenario.make_data(grid_), eps, grid_).theta0 for eps in ladder]
+    if fault == "halts":
+        low = diag.MonitorConfig(blowup_threshold=1e-9, blowup_rate_min=-100.0, blowup_window=4)
+        real_init = dyn._Member.__init__
+
+        def init(self, laws, data, monitor_cfg, *rest):
+            if np.array_equal(data.theta0, theta0[1]):
+                monitor_cfg = low
+            real_init(self, laws, data, monitor_cfg, *rest)
+
+        monkeypatch.setattr(dyn._Member, "__init__", init)
+    elif fault is not None:
+        rung = 2 if fault == "aborts" else 1
+        monkeypatch.setattr(dyn, "step_with_count", _RungFault(fault, theta0[rung]))
+
+
+class _Held:
+    """The most states the ladder's recorders held alive at once."""
+
+    def __init__(self, monkeypatch):
+        self.refs, self.most = [], 0
+        real = sc._Rung.sample
+
+        def sample(rung, left, ev, clamp_total):
+            real(rung, left, ev, clamp_total)
+            self.refs = [r for r in self.refs if r() is not None] + [weakref.ref(ev.state)]
+            self.most = max(self.most, len(self.refs))
+
+        monkeypatch.setattr(sc._Rung, "sample", sample)
 
 
 @pytest.mark.parametrize("fault,statuses", [
     (None, ("completed",) * 4),
     ("halts", ("completed", "blowup_halt", "completed", "completed")),
     ("aborts", ("completed", "completed", "aborted")),
+    ("reject_step", ("completed",) * 4),
 ])
 def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, statuses):
     from dataclasses import replace
     scenario = replace(sc.battery_scenario("rough_theta"), n=33, t_end=0.05)
     ladder = (0.5, 0.3, 0.2, 0.1)
-    expected = _cascade_from_histories(scenario, ladder, _simulate_with_fault(fault))
-    faulty = _simulate_with_fault(fault)
-    monkeypatch.setattr(dyn, "simulate", faulty)
+    _inject(monkeypatch, fault, scenario, ladder)
+    expected = _cascade_from_histories(scenario, ladder, dyn.simulate)
+    monkeypatch.undo()
+    _inject(monkeypatch, fault, scenario, ladder)  # the same fault, fresh, for the cascade
+    monkeypatch.setattr(dyn.Snapshots, "__init__", None)  # the cascade keeps no history
+    held = _Held(monkeypatch)
     rep = sc.eps_cascade(scenario, ladder)
     assert rep == expected
     assert rep.statuses == statuses
     assert all(len(v) == len(statuses) - 1 for v in rep.sup_dists.values())
-    # while a rung runs, only the rung before it is still held
-    assert faulty.alive == [0] + [1] * (len(statuses) - 1)
+    # a rung's samples live as long as the batch state that holds them (the
+    # state and the left state of the step after it) and until the next rung
+    # has compared its own: at most three per rung, where a history holds 251.
+    # A rung that fails in the batch runs again alone after it; its two
+    # neighbours' samples from the failure on (t >= 0.03) wait for that run.
+    if fault in (None, "halts"):
+        assert held.most <= 3 * len(ladder)
+    else:
+        dt = scenario.scheme.dt_initial
+        waiting = 2 * (round((scenario.t_end - 0.03) / dt) + 1)
+        assert 3 * len(ladder) < held.most <= 3 * len(ladder) + waiting
 
 
 def test_eps_cascade_requires_decreasing_ladder():
@@ -326,6 +381,26 @@ def test_eta_cascade_decays_with_eta():
     rep = sc.eta_cascade(A, gsrc, 1.0, grid_, v0, u0, [1e-1, 1e-2, 1e-3], 0.25, 1e-3)
     assert rep.sup_y[0] > rep.sup_y[1] > rep.sup_y[2] > 0.0
     assert rep.slope >= 0.5
+
+
+def test_eta_cascade_steps_every_eta_in_one_batch(monkeypatch):
+    grid_ = make_grid(33)
+    x = grid_.nodes
+    v0 = np.sin(np.pi * x)
+    v0[0] = v0[-1] = 0.0
+    calls = []
+    real = dyn.step_eta
+
+    def step_eta(state, *args):
+        calls.append(np.array(state.eta))
+        return real(state, *args)
+
+    monkeypatch.setattr(dyn, "step_eta", step_eta)
+    rep = sc.eta_cascade(np.ones(33), np.zeros(33), 1.0, grid_, v0, np.zeros(33),
+                         [1e-1, 1e-2], 0.05, 1e-3)
+    assert len(calls) == 50  # one call per step, the reference (row 0) included
+    assert all(np.array_equal(eta, [0.0, 1e-1, 1e-2]) for eta in calls)
+    assert rep.sup_y[0] > rep.sup_y[1] > 0.0
 
 
 def test_eta_cascade_rejects_nonpositive_eta():
