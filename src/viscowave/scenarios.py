@@ -406,7 +406,7 @@ class _Rung(dyn.Recorder):
         self.dists = None  # against the next rung: the max over k of (u, v, theta, W12)
 
     def near(self) -> list:
-        return [self.ladder[j] for j in (self.i - 1, self.i + 1) if 0 <= j < len(self.ladder)]
+        return self.ladder[max(self.i - 1, 0):self.i] + self.ladder[self.i + 1:self.i + 2]
 
     def release(self, k: int) -> None:
         """Drop sample k once neither neighbour can still deliver its own."""
@@ -417,12 +417,13 @@ class _Rung(dyn.Recorder):
         k, self.count = self.count, self.count + 1
         if k < self.replay:
             return
+        fields = np.stack((ev.u, ev.v, ev.theta))
         for r in self.near():
             if k in r.held:
-                low, pair = (r, (r.held[k], ev.state)) if r.i < self.i else (self, (ev.state, r.held[k]))
+                low, pair = (r, (r.held[k], fields)) if r.i < self.i else (self, (fields, r.held[k]))
                 low.compare(*pair)
                 r.release(k)
-        self.held[k] = ev.state
+        self.held[k] = fields
         self.release(k)
 
     def restart(self):
@@ -434,9 +435,8 @@ class _Rung(dyn.Recorder):
             for k in list(r.held):
                 r.release(k)
 
-    def compare(self, sa, sb) -> None:
-        new = [float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
-               for name in ("u", "v", "theta")] + [w12_distance(sa.theta, sb.theta, self.grid)]
+    def compare(self, fa, fb) -> None:  # samples as rows u, v, theta
+        new = np.abs(fa - fb).max(axis=1).tolist() + [w12_distance(fa[2], fb[2], self.grid)]
         # a running max(): a value replaces the one before only if it is greater
         self.dists = new if self.dists is None else [
             x if x > y else y for x, y in zip(new, self.dists)]

@@ -1,4 +1,3 @@
-import weakref
 
 import numpy as np
 import pytest
@@ -300,16 +299,15 @@ def _inject(monkeypatch, fault, scenario, ladder):
 
 
 class _Held:
-    """The most states the ladder's recorders held alive at once."""
+    """The most samples the ladder held at once, over all its rungs."""
 
     def __init__(self, monkeypatch):
-        self.refs, self.most = [], 0
+        self.most = 0
         real = sc._Rung.sample
 
         def sample(rung, left, ev, clamp_total):
             real(rung, left, ev, clamp_total)
-            self.refs = [r for r in self.refs if r() is not None] + [weakref.ref(ev.state)]
-            self.most = max(self.most, len(self.refs))
+            self.most = max(self.most, sum(len(r.held) for r in rung.ladder))
 
         monkeypatch.setattr(sc._Rung, "sample", sample)
 
@@ -334,17 +332,16 @@ def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, s
     assert rep == expected
     assert rep.statuses == statuses
     assert all(len(v) == len(statuses) - 1 for v in rep.sup_dists.values())
-    # a rung's samples live as long as the batch state that holds them (the
-    # state and the left state of the step after it) and until the next rung
-    # has compared its own: at most three per rung, where a history holds 251.
+    # in lockstep a rung's sample waits only for the next rung's, in the same
+    # batch sample: one sample at a time, where a history holds 251 per rung.
     # A rung that fails in the batch runs again alone after it; its two
     # neighbours' samples from the failure on (t >= 0.03) wait for that run.
     if fault in (None, "halts"):
-        assert held.most <= 3 * len(ladder)
+        assert held.most == 1
     else:
         dt = scenario.scheme.dt_initial
         waiting = 2 * (round((scenario.t_end - 0.03) / dt) + 1)
-        assert 3 * len(ladder) < held.most <= 3 * len(ladder) + waiting
+        assert 1 < held.most <= waiting
 
 
 def test_eps_cascade_requires_decreasing_ladder():
