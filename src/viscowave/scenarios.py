@@ -393,14 +393,15 @@ class _Rung(dyn.Recorder):
 
     A sample is held until both neighbours have delivered their k-th sample
     or ended, so rungs in lockstep hold one sample each.  A rung whose step
-    failed in the batch runs again alone after it: its neighbours' later
-    samples wait for it, and the samples it repeats (with the bits of its
-    batch run, up to the failed step) are not compared twice.
+    failed in the batch runs again alone after it, and its neighbours'
+    samples from the failure on wait for it.  Up to the failed step the
+    rerun has the bits of its batch run, so a sample it compares again
+    leaves every maximum as it was.
     """
 
     def __init__(self, ladder: list, i: int, grid_: g.Grid1D):
         self.ladder, self.i, self.grid = ladder, i, grid_
-        self.count = self.replay = 0  # samples of the current run; samples a rerun repeats
+        self.count = 0  # samples delivered by the current run
         self.ended = False
         self.held: dict = {}
         self.dists = None  # against the next rung: the max over k of (u, v, theta, W12)
@@ -410,13 +411,11 @@ class _Rung(dyn.Recorder):
 
     def release(self, k: int) -> None:
         """Drop sample k once neither neighbour can still deliver its own."""
-        if all(r.ended or k < max(r.count, r.replay) for r in self.near()):
+        if all(r.ended or k < r.count for r in self.near()):
             self.held.pop(k, None)
 
     def sample(self, left, ev, clamp_total):
         k, self.count = self.count, self.count + 1
-        if k < self.replay:
-            return
         fields = np.stack((ev.u, ev.v, ev.theta))
         for r in self.near():
             if k in r.held:
@@ -427,13 +426,10 @@ class _Rung(dyn.Recorder):
         self.release(k)
 
     def restart(self):
-        self.count, self.replay = 0, max(self.count, self.replay)
+        self.count = 0
 
     def end(self):
         self.ended = True
-        for r in self.near():
-            for k in list(r.held):
-                r.release(k)
 
     def compare(self, fa, fb) -> None:  # samples as rows u, v, theta
         new = np.abs(fa - fb).max(axis=1).tolist() + [w12_distance(fa[2], fb[2], self.grid)]
@@ -456,6 +452,8 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     than the previous one.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
+    if not eps_ladder:
+        raise ConfigError("eps ladder needs at least one rung")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ConfigError("eps ladder must be strictly decreasing")
     if any(not (0.0 < e < 1.0) for e in eps_ladder):

@@ -7,7 +7,7 @@ from viscowave import diagnostics as diag
 from viscowave import dynamics as dyn
 from viscowave import grid as g
 from viscowave import material as mat
-from viscowave.errors import DomainError
+from viscowave.errors import ConfigError, DomainError
 
 CONST_LAWS = mat.MaterialLaws(gamma_family="constant", f_family="zero", gamma0=1.0)
 
@@ -320,6 +320,16 @@ def test_cum_vx4_on_sign_changing_vx_is_the_integral_of_the_power(n):
         assert vx.min() < 0.0 < vx.max()
         out = diag.accumulate_monitors(diag.TheoryMonitors(), state_of(grid_, v=v), 0.01, 1.0, grid_)
         assert out.cum_vx4 == pytest.approx(0.01 * g.integrate(vx ** 4, grid_), rel=1e-14, abs=0.0)
+
+
+def test_state_eval_of_takes_an_equal_grid_and_rejects_another():
+    grid_ = make_grid(33)
+    ev = diag.StateEval(state_of(grid_, theta=np.ones(33)), grid_)
+    assert diag.StateEval.of(ev, grid_) is ev
+    assert diag.StateEval.of(ev, g.Grid1D(1.0, 33)) is ev  # equal, another object
+    for other in (g.Grid1D(2.0, 33), g.Grid1D(1.0, 65)):
+        with pytest.raises(ConfigError):
+            diag.StateEval.of(ev, other)
 
 
 def test_state_eval_w12_theta_is_the_instantaneous_monitor():

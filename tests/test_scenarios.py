@@ -252,14 +252,14 @@ class _RungFault:
     in a batch or alone."""
 
     def __init__(self, fault, theta0):
-        self.fault, self.theta0, self.last = fault, theta0, None
+        self.fault, self.theta0, self.last, self.done = fault, theta0, None, False
         self.real = dyn.step_with_count
 
     def __call__(self, state, laws, a, grid_, cfg, dt, forcing=None):
         mark = self.theta0 if state.t == 0.0 else self.last
         rows = np.atleast_2d(state.theta)
         hit = [i for i, row in enumerate(rows) if np.array_equal(row, mark)]
-        if hit and state.t == 0.0:
+        if hit and state.t == 0.0:  # a run from the start, the rerun too: the fault is armed again
             self.done = False
         if hit and state.t >= 0.03 and not self.done:
             i = hit[0]
@@ -344,12 +344,36 @@ def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, s
         assert 1 < held.most <= waiting
 
 
+def test_eps_cascade_batches_a_fixed_dt_and_runs_an_adaptive_one_rung_by_rung(monkeypatch):
+    from dataclasses import replace
+    base = replace(sc.battery_scenario("rough_theta"), n=33, t_end=0.02)
+    ladder = (0.5, 0.3, 0.2)
+    calls = []
+    real = dyn.simulate
+
+    def simulate(*args, **kw):
+        calls.append(len(args[3]) if isinstance(args[3], list) else 1)
+        return real(*args, **kw)
+
+    for adaptive, made in ((False, [3]), (True, [1, 1, 1])):
+        scenario = replace(base, scheme=replace(base.scheme, adaptive=adaptive, dt_max=1e-2))
+        expected = _cascade_from_histories(scenario, ladder, real)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(dyn, "simulate", simulate)
+            rep = sc.eps_cascade(scenario, ladder)
+        assert calls == made
+        assert rep == expected
+
+
 def test_eps_cascade_requires_decreasing_ladder():
     base = sc.battery_scenario("rough_theta")
     with pytest.raises(ConfigError):
         sc.eps_cascade(base, [0.25, 0.5])
     with pytest.raises(ConfigError):
         sc.eps_cascade(base, [0.5, 0.0])
+    with pytest.raises(ConfigError):
+        sc.eps_cascade(base, [])
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +422,34 @@ def test_eta_cascade_steps_every_eta_in_one_batch(monkeypatch):
     assert len(calls) == 50  # one call per step, the reference (row 0) included
     assert all(np.array_equal(eta, [0.0, 1e-1, 1e-2]) for eta in calls)
     assert rep.sup_y[0] > rep.sup_y[1] > 0.0
+
+
+def test_eta_cascade_equals_the_report_from_sequential_runs():
+    # the reference and every eta run alone, each keeping its full history
+    grid_ = make_grid(33)
+    x = grid_.nodes
+    A, gsrc = 1.0 + 0.3 * np.sin(np.pi * x), 0.5 * np.sin(np.pi * x)
+    v0, u0 = np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)
+    for w in (gsrc, v0, u0):
+        w[0] = w[-1] = 0.0
+    etas, dt, a = (1e-1, 1e-2, 1e-3), 1e-3, 1.3
+    cfg = dyn.SchemeConfig(dt_initial=dt, dt_max=dt)
+
+    def run_one(eta):
+        states = [dyn.EtaState(0.0, v0.copy(), u0.copy(), eta)]
+        for _ in range(40):
+            states.append(dyn.step_eta(states[-1], A, gsrc, a, grid_, cfg, dt))
+        return states
+
+    ref = run_one(0.0)
+    sup_y = []
+    for eta in etas:
+        ys = [g.integrate((se.v_eta - sr.v_eta) ** 2, grid_)
+              + a * float(np.sum(g.gradient_mid(se.u_eta - sr.u_eta, grid_) ** 2)) * grid_.dx
+              for se, sr in zip(run_one(eta), ref)]
+        sup_y.append(max([0.0] + ys))
+    rep = sc.eta_cascade(A, gsrc, a, grid_, v0, u0, etas, 0.04, dt)
+    assert [y.hex() for y in rep.sup_y] == [y.hex() for y in sup_y]
 
 
 def test_eta_cascade_rejects_nonpositive_eta():
