@@ -205,9 +205,10 @@ def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: st
     try:
         text = cfgmod.serialize_config(config)
     except ConfigError:
-        return  # tabulated laws: keep the user's original file authoritative
-    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
-        fh.write(text)
+        text = None  # tabulated laws: keep the user's original file authoritative
+    if text is not None:
+        with open(os.path.join(out_dir, "config.ini"), "w") as fh:
+            fh.write(text)
 
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
@@ -480,17 +481,22 @@ def main(argv=None) -> int:
                                      description="1D viscous-wave/heat simulator batch front-end")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_ in (("run", "execute one configured run"),
-                        ("sweep", "run a parameter sweep"),
-                        ("converge", "grid-refinement study against exact fields"),
+    p_run = sub.add_parser("run", help="execute one configured run")
+    p_run.add_argument("--config", required=True)
+    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--seed", type=int, default=None)
+
+    p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
+    p_sweep.add_argument("--config", required=True)
+    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--seed", type=int, default=None)
+
+    for name, help_ in (("converge", "grid-refinement study against exact fields"),
                         ("mms-verify", "converge restricted to manufactured-solution scenarios")):
         p_c = sub.add_parser(name, help=help_)
         p_c.add_argument("--config", required=True)
         p_c.add_argument("--out", default=None)
-        if name == "sweep":
-            p_c.add_argument("--workers", type=int, default=None)
-        if name in ("run", "sweep"):
-            p_c.add_argument("--seed", type=int, default=None)
 
     p_rep = sub.add_parser("report", help="summarize a run directory")
     p_rep.add_argument("--out", required=True, help="run directory holding the artifacts")

@@ -180,25 +180,21 @@ def _parse_gen_params(parser) -> dict:
     return params
 
 
-def _read(source):
-    """A parser that has read ``source`` (a path or a file-like object), and
-    a source that gives the same text again."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if hasattr(source, "read"):
-        text = source.read()
-        parser.read_string(text)
-        return parser, io.StringIO(text)
-    if not parser.read(source):
-        raise ConfigError(f"cannot read config file {source!r}")
-    return parser, source
-
-
 def parse_config(source) -> RunConfig:
     """Parse a run config from a path or a file-like object."""
-    parser, _ = _read(source)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    if hasattr(source, "read"):
+        parser.read_file(source)
+    else:
+        loaded = parser.read(source)
+        if not loaded:
+            raise ConfigError(f"cannot read config file {source!r}")
 
     name = _get(parser, "run", "scenario", str, "custom")
-    base = sc.battery_scenario(name) if name != "custom" else None
+    if name != "custom":
+        base = sc.battery_scenario(name)
+    else:
+        base = None
 
     laws = _parse_laws(parser, base.laws if base else None)
     length = _get(parser, "domain", "L", float, base.length if base else 1.0)
@@ -259,8 +255,16 @@ def parse_config(source) -> RunConfig:
 
 
 def parse_sweep_config(source) -> SweepConfig:
-    parser, again = _read(source)
-    base = parse_config(again)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    if hasattr(source, "read"):
+        text = source.read()
+        parser.read_string(text)
+        base = parse_config(io.StringIO(text))
+    else:
+        loaded = parser.read(source)
+        if not loaded:
+            raise ConfigError(f"cannot read config file {source!r}")
+        base = parse_config(source)
     if not parser.has_section("sweep"):
         raise ConfigError("sweep config needs a [sweep] section")
     axis = _get(parser, "sweep", "axis", str, required=True)
@@ -273,8 +277,16 @@ def parse_sweep_config(source) -> SweepConfig:
 
 
 def parse_converge_config(source) -> ConvergeConfig:
-    parser, again = _read(source)
-    base = parse_config(again)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    if hasattr(source, "read"):
+        text = source.read()
+        parser.read_string(text)
+        base = parse_config(io.StringIO(text))
+    else:
+        loaded = parser.read(source)
+        if not loaded:
+            raise ConfigError(f"cannot read config file {source!r}")
+        base = parse_config(source)
     if not parser.has_section("converge"):
         raise ConfigError("convergence config needs a [converge] section")
     raw_values = _get(parser, "converge", "n_values", str, required=True)

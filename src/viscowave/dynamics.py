@@ -179,7 +179,8 @@ def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
     dx2 = grid_.dx ** 2
     w = theta_weight * dt
     diag_ = np.ones(shape)
-    lower, upper = np.zeros(gam_mid.shape), np.zeros(gam_mid.shape)
+    lower = np.zeros(gam_mid.shape)
+    upper = np.zeros(gam_mid.shape)
     diag_[..., 1:-1] = 1.0 + w * (gam_mid[..., :-1] + gam_mid[..., 1:]) / dx2 + 2.0 * a * w * w / dx2
     lower[..., :-1] = -w * gam_mid[..., :-1] / dx2 - a * w * w / dx2
     upper[..., 1:] = -w * gam_mid[..., 1:] / dx2 - a * w * w / dx2
@@ -189,8 +190,12 @@ def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
 
 
 def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
-    """Implicit heat stage (I - theta_weight*dt*D2_N) theta_new = rhs; its
-    mirror-ghost Neumann rows conserve int Theta up to the sources in ``rhs_``."""
+    """Implicit heat stage: (I - theta_weight*dt*D2_N) theta_new = rhs.
+
+    The mirror-ghost Neumann rows keep the trapezoid mass of the operator
+    identically zero, so the solve conserves int Theta up to the sources
+    already contained in ``rhs_``.
+    """
     op = tridiag.neumann(grid_.n, theta_weight * dt / grid_.dx ** 2)
     return _solve_banded(op, rhs_, tol, label="heat")
 
@@ -238,25 +243,34 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     d2u = ev.uxx[..., 1:-1]
     dfdx = (f_old[..., 2:] - f_old[..., :-2]) / (2.0 * grid_.dx)
 
-    w = 1.0 if cfg.scheme == "imex_be" else 0.5  # the implicit weight; imex_cn is trapezoidal
-    t_src = state.t + w * dt  # where the forcing is taken
-    if w == 1.0:
+    if cfg.scheme == "imex_be":
         src = state.v[..., 1:-1] + dt * (a * d2u - dfdx)
-    else:
-        src = state.v[..., 1:-1] + 0.5 * dt * g.div_flux(gam, state.v, grid_)[..., 1:-1] \
-            + dt * a * d2u + 0.25 * a * dt * dt * ev.vxx[..., 1:-1] - dt * dfdx
-    if forcing is not None:
-        src = src + dt * forcing.fv(grid_.nodes, t_src)[1:-1]
-    v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, w, cfg.solver_tol)
-    if w == 1.0:
-        u_new, v_used, rhs_theta = state.u + dt * v_new, v_new, state.theta
-    else:
+        if forcing is not None:
+            src = src + dt * forcing.fv(grid_.nodes, state.t + dt)[1:-1]
+        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
+        u_new = state.u + dt * v_new
+        v_used = v_new
+        heat_extra = np.zeros(n)
+        if forcing is not None:
+            heat_extra = forcing.ftheta(grid_.nodes, state.t + dt)
+        rhs_theta = state.theta + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
+        theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
+    else:  # imex_cn
+        lgam_v = g.div_flux(gam, state.v, grid_)[..., 1:-1]
+        d2v = ev.vxx[..., 1:-1]
+        src = state.v[..., 1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
+            + 0.25 * a * dt * dt * d2v - dt * dfdx
+        if forcing is not None:
+            src = src + dt * forcing.fv(grid_.nodes, state.t + 0.5 * dt)[1:-1]
+        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 0.5, cfg.solver_tol)
         u_new = state.u + 0.5 * dt * (state.v + v_new)
         v_used = 0.5 * (state.v + v_new)
-        rhs_theta = state.theta + 0.5 * dt * ev.thxx
-    heat_extra = np.zeros(n) if forcing is None else forcing.ftheta(grid_.nodes, t_src)
-    rhs_theta = rhs_theta + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
-    theta_new = _solve_theta_stage(rhs_theta, grid_, dt, w, cfg.solver_tol)
+        heat_extra = np.zeros(n)
+        if forcing is not None:
+            heat_extra = forcing.ftheta(grid_.nodes, state.t + 0.5 * dt)
+        rhs_theta = state.theta + 0.5 * dt * ev.thxx \
+            + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
+        theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
 
     v_new[..., 0] = v_new[..., -1] = 0.0
     u_new[..., 0] = u_new[..., -1] = 0.0
@@ -339,17 +353,15 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
 
     u_new = state.u_eta + dt * v_new  # the backward update, and the right-hand side where eta > 0
     u_new[..., 0] = u_new[..., -1] = 0.0
-    eta = np.asarray(state.eta, dtype=float)
+    eta = np.atleast_1d(state.eta)
     rows = np.flatnonzero(eta > 0.0)
-    if eta.ndim == 0 and rows.size:
-        u_new = _solve_banded(tridiag.dirichlet(n, dt * state.eta / dx2), u_new, tol,
-                              label="eta displacement")
-    elif rows.size:
+    if rows.size:
+        u2 = u_new.reshape(-1, n)  # a view; a single state is a batch of one
         try:
-            u_new[rows] = _solve_banded(tridiag.dirichlet(n, dt * eta[rows, None] / dx2),
-                                        u_new[rows], tol, label="eta displacement")
+            u2[rows] = _solve_banded(tridiag.dirichlet(n, dt * eta[rows, None] / dx2),
+                                     u2[rows], tol, label="eta displacement")
         except StepError as exc:
-            exc.member = int(rows[exc.member])
+            exc.member = int(rows[exc.member]) if u_new.ndim > 1 else None
             raise
     u_new[..., 0] = u_new[..., -1] = 0.0
     return EtaState(t=state.t + dt, v_eta=v_new, u_eta=u_new, eta=state.eta)
@@ -545,8 +557,8 @@ def _rows(ev: diag.StateEval, idx: list) -> diag.StateEval:
 
 
 def can_batch(scheme_cfg: SchemeConfig, forcing: Forcing | None) -> bool:
-    """Whether runs with this scheme and forcing can be the members of one
-    :func:`simulate` ensemble: only with a fixed dt and without forcing."""
+    """Whether runs with this scheme and forcing can be stepped as one
+    :func:`simulate` batch: only with a fixed dt and without forcing."""
     return not scheme_cfg.adaptive and forcing is None
 
 
@@ -572,10 +584,11 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     returns an :class:`Ensemble` of their trajectories.  ``laws``,
     ``monitor_cfg`` and ``recorders`` (if any) then hold one entry per
     member, a sequence of recorders each.  The members share the grid, ``a``,
-    ``t_end`` and ``scheme_cfg`` with a fixed dt, and the cadence, without
-    forcing.  Their fields are the rows of (B, n) arrays: every operator,
-    the accumulators and the rows act on all of them at once, and each
-    stage is one stacked tridiagonal solve.  Each member keeps its own
+    ``t_end`` and ``scheme_cfg``.  With a fixed dt, one cadence and no forcing
+    they run as one batch, else one after another.  A batch holds their
+    fields as the rows of (B, n) arrays: every operator, the accumulators
+    and the rows act on all of them at once, and each stage is one stacked
+    tridiagonal solve.  Each member keeps its own
     laws, monitors, clamp count, detector, verdict and recorders, and gets
     the bits of its own run.  A member that halts leaves the batch.  A
     member whose step raises StepError leaves it too, and is run again
@@ -593,13 +606,11 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
         raise ConfigError("initial data not sized to grid")
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
-    if len(data) > 1 and (not can_batch(scheme_cfg, forcing)
-                          or len({c.cadence for c in monitor_cfg}) > 1):
-        raise ConfigError("ensemble members share a fixed dt and the cadence, without forcing")
 
     members = [_Member(*inputs, grid_, a) for inputs in zip(laws, data, monitor_cfg, recorders)]
-    for m in _march(members, a, grid_, t_end, scheme_cfg, forcing, rows):
-        m.restart()
+    together = can_batch(scheme_cfg, forcing) and len({c.cadence for c in monitor_cfg}) == 1
+    for m in _march(members, a, grid_, t_end, scheme_cfg, forcing, rows) if together else members:
+        m.restart()  # it failed in the batch, or it was never in one
         _march([m], a, grid_, t_end, scheme_cfg, forcing, rows)
     trajs = [m.traj for m in members]
     return Ensemble(trajs) if batch else trajs[0]

@@ -443,13 +443,14 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     measure sup-norm distances between consecutive solutions.
 
     All runs share the grid, the step size, and the sampling cadence, so
-    snapshots align in time.  With a fixed dt the rungs are the members of
-    one :func:`dynamics.simulate` ensemble, otherwise they run one after
-    another; either way no run keeps its snapshots, and consecutive rungs are
-    compared sample by sample as they run, over their common prefix (a run
-    that halts early shortens it).  An aborted rung ends the ladder.  The
-    report flags Cauchy behavior per field: each consecutive distance smaller
-    than the previous one.
+    snapshots align in time.  The rungs are the members of one
+    :func:`dynamics.simulate` ensemble, and consecutive rungs are compared
+    sample by sample as they run, over their common prefix (a run that halts
+    early shortens it).  With a fixed dt the rungs step as one batch and hold
+    one sample each (more while a rung that failed in the batch runs again);
+    with an adaptive dt they run one after another, and the ladder holds one
+    rung's samples until the next rung has run.  An aborted rung ends the ladder.  The report flags Cauchy behavior
+    per field: each consecutive distance smaller than the previous one.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if not eps_ladder:
@@ -465,14 +466,9 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     data = [mollify(base, eps, grid_) for eps in eps_ladder]
     ladder: list[_Rung] = []
     ladder.extend(_Rung(ladder, i, grid_) for i in range(len(data)))
-    if dyn.can_batch(scheme, None):
-        trajs = dyn.simulate([scenario.laws] * len(data), scenario.a, grid_, data, scenario.t_end,
-                             scheme, [scenario.monitors] * len(data), rows=False,
-                             recorders=[(r,) for r in ladder])
-    else:  # each rung takes its own steps
-        trajs = [dyn.simulate(scenario.laws, scenario.a, grid_, d, scenario.t_end, scheme,
-                              scenario.monitors, rows=False, recorders=(r,))
-                 for d, r in zip(data, ladder)]
+    trajs = dyn.simulate([scenario.laws] * len(data), scenario.a, grid_, data, scenario.t_end,
+                         scheme, [scenario.monitors] * len(data), rows=False,
+                         recorders=[(r,) for r in ladder])
     statuses = [traj.status for traj in trajs]
     last = statuses.index("aborted") if "aborted" in statuses else len(statuses) - 1
     dists = [r.dists for r in ladder[:last]]

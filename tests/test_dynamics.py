@@ -558,6 +558,20 @@ def test_batched_step_eta_blames_the_failing_row(monkeypatch):
     with pytest.raises(StepError, match="eta displacement") as err:
         dyn.step_eta(batch, A, gsrc, 1.0, grid_, cfg_for(1e-3), 1e-3)
     assert err.value.member == 3
+    # a single state is solved as a batch of one, but names no member
+    monkeypatch.setattr(dyn, "_solve_banded", real)
+    checked = dyn._checked_solve
+
+    def fail_displacement(op, rhs_, tol, label):
+        if label == "eta displacement":
+            raise StepError("eta displacement solve failed")
+        return checked(op, rhs_, tol, label)
+
+    monkeypatch.setattr(dyn, "_checked_solve", fail_displacement)
+    solo = dyn.EtaState(0.0, batch.v_eta[1], batch.u_eta[1], 0.1)
+    with pytest.raises(StepError, match="eta displacement") as err:
+        dyn.step_eta(solo, A, gsrc, 1.0, grid_, cfg_for(1e-3), 1e-3)
+    assert err.value.member is None
 
 
 # --------------------------------------------------------------------------

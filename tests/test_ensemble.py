@@ -222,17 +222,34 @@ def test_an_ensemble_of_one_is_a_solo_run():
 def test_ensemble_arguments_checked():
     grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_)
-    forcing = dyn.Forcing(fv=lambda x, t: np.zeros_like(x), ftheta=lambda x, t: np.zeros_like(x))
-    with pytest.raises(ConfigError, match="fixed dt"):
-        dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3), mons, forcing)
-    with pytest.raises(ConfigError, match="fixed dt"):
-        dyn.simulate(laws, 1.0, grid_, data, 0.01,
-                     dyn.SchemeConfig(dt_initial=1e-3, adaptive=True), mons)
-    with pytest.raises(ConfigError, match="cadence"):
-        dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3),
-                     mons[:2] + [diag.MonitorConfig(cadence=2)])
     with pytest.raises(ConfigError, match="each member"):
         dyn.simulate(laws[:2], 1.0, grid_, data, 0.01, cfg_for(1e-3), mons)
+    with pytest.raises(ConfigError, match="each member"):
+        dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3), mons[:2])
+
+
+@pytest.mark.parametrize("case", ["forcing", "adaptive", "cadences"])
+def test_members_that_cannot_share_steps_run_one_after_another(case, monkeypatch):
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, mons = members(grid_)
+    cfg, forcing = cfg_for(1e-3), None
+    if case == "forcing":
+        forcing = dyn.Forcing(fv=lambda x, t: np.sin(np.pi * x) * t,
+                              ftheta=lambda x, t: np.ones_like(x))
+    elif case == "adaptive":
+        cfg = dyn.SchemeConfig(dt_initial=1e-3, dt_max=4e-3, adaptive=True)
+    else:
+        mons = mons[:2] + [diag.MonitorConfig(cadence=2)]
+    solos = [dyn.simulate(l, 1.0, grid_, d, 0.01, cfg, m, forcing)
+             for l, d, m in zip(laws, data, mons)]
+    marched = []
+    real = dyn._march
+    monkeypatch.setattr(dyn, "_march", lambda act, *args: marched.append(len(act)) or real(act, *args))
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg, mons, forcing)
+    assert marched == [1, 1, 1]
+    for traj, solo in zip(ens, solos):
+        assert_same_run(traj, solo)
+    assert ens.steps_taken == sum(s.steps_taken for s in solos)
 
 
 def test_a_rerun_member_keeps_only_its_solo_field_dumps(tmp_path):

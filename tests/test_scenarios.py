@@ -348,21 +348,21 @@ def test_eps_cascade_batches_a_fixed_dt_and_runs_an_adaptive_one_rung_by_rung(mo
     from dataclasses import replace
     base = replace(sc.battery_scenario("rough_theta"), n=33, t_end=0.02)
     ladder = (0.5, 0.3, 0.2)
-    calls = []
-    real = dyn.simulate
+    marched = []
+    real = dyn._march
 
-    def simulate(*args, **kw):
-        calls.append(len(args[3]) if isinstance(args[3], list) else 1)
-        return real(*args, **kw)
+    def march(act, *args):
+        marched.append(len(act))
+        return real(act, *args)
 
     for adaptive, made in ((False, [3]), (True, [1, 1, 1])):
         scenario = replace(base, scheme=replace(base.scheme, adaptive=adaptive, dt_max=1e-2))
-        expected = _cascade_from_histories(scenario, ladder, real)
-        calls.clear()
+        expected = _cascade_from_histories(scenario, ladder, dyn.simulate)
+        marched.clear()
         with monkeypatch.context() as m:
-            m.setattr(dyn, "simulate", simulate)
+            m.setattr(dyn, "_march", march)
             rep = sc.eps_cascade(scenario, ladder)
-        assert calls == made
+        assert marched == made
         assert rep == expected
 
 
