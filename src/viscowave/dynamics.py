@@ -588,9 +588,9 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     they run as one batch, else one after another.  A batch holds their
     fields as the rows of (B, n) arrays: every operator, the accumulators
     and the rows act on all of them at once, and each stage is one stacked
-    tridiagonal solve.  Each member keeps its own
-    laws, monitors, clamp count, detector, verdict and recorders, and gets
-    the bits of its own run.  A member that halts leaves the batch.  A
+    tridiagonal solve.  Each member keeps its own laws, monitors, clamp
+    count, detector, verdict and recorders, and gets the bits of its own
+    run.  A member that halts leaves the batch.  A
     member whose step raises StepError leaves it too, and is run again
     alone from t = 0 when the batch is done, so its outcome is its solo
     outcome.
