@@ -205,10 +205,9 @@ def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: st
     try:
         text = cfgmod.serialize_config(config)
     except ConfigError:
-        text = None  # tabulated laws: keep the user's original file authoritative
-    if text is not None:
-        with open(os.path.join(out_dir, "config.ini"), "w") as fh:
-            fh.write(text)
+        return  # tabulated laws: keep the user's original file authoritative
+    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
+        fh.write(text)
 
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -111,8 +111,15 @@ def apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
 
 
 # --------------------------------------------------------------------------
-# parsing
+# the file format: sections whose keys are the fields of a dataclass, written
+# once here for both parse_config and serialize_config, in file order
 # --------------------------------------------------------------------------
+
+_MATERIAL_KEYS = ("gamma_family", "f_family", "gamma0", "delta", "K_f", "alpha")
+_TIME_KEYS = ("scheme", "dt_initial", "dt_max", "cfl_safety", "positivity_policy",
+              "positivity_tolerance", "adaptive", "solver_tol", "max_step_retries")
+_MONITOR_KEYS = ("q", "kappa", "T0", "cadence", "blowup_threshold", "blowup_window",
+                 "blowup_rate_min")
 
 
 def _get(parser, section, key, conv, default=None, required=False):
@@ -136,6 +143,47 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _tuple(conv):
+    """Converter of a comma- or space-separated list."""
+    return lambda raw: tuple(conv(v) for v in raw.replace(",", " ").split())
+
+
+_CONVERTERS = {"float": float, "int": int, "str": str, "bool": _bool}
+
+
+def _read_section(parser, section, keys, base, **extra):
+    """``base`` with each of ``keys`` read from ``[section]`` by the converter
+    of its dataclass field, plus ``extra``."""
+    types = {f.name: f.type for f in fields(base)}
+    return replace(base, **{key: _get(parser, section, key, _CONVERTERS[types[key]],
+                                      getattr(base, key)) for key in keys}, **extra)
+
+
+def _write_section(obj, keys) -> dict:
+    """The ``keys`` of ``obj`` as INI values: a string as it is, others by repr."""
+    values = {key: getattr(obj, key) for key in keys}
+    return {key: v if isinstance(v, str) else repr(v) for key, v in values.items()}
+
+
+# --------------------------------------------------------------------------
+# parsing
+# --------------------------------------------------------------------------
+
+
+def _load(source) -> configparser.ConfigParser:
+    """The INI document of a path or a file-like object; a file that is not
+    valid INI is a ConfigError naming the file."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        if hasattr(source, "read"):
+            parser.read_file(source)
+        elif not parser.read(source):
+            raise ConfigError(f"cannot read config file {source!r}")
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
+    return parser
+
+
 def _load_table(path: str) -> np.ndarray:
     try:
         tab = np.loadtxt(path, dtype=float)
@@ -144,59 +192,21 @@ def _load_table(path: str) -> np.ndarray:
     return np.atleast_2d(tab)
 
 
-def _parse_laws(parser, base: mat.MaterialLaws | None) -> mat.MaterialLaws:
-    sec = "material"
-    defaults = base or mat.MaterialLaws()
-    kwargs = dict(
-        gamma_family=_get(parser, sec, "gamma_family", str, defaults.gamma_family),
-        f_family=_get(parser, sec, "f_family", str, defaults.f_family),
-        gamma0=_get(parser, sec, "gamma0", float, defaults.gamma0),
-        delta=_get(parser, sec, "delta", float, defaults.delta),
-        K_f=_get(parser, sec, "K_f", float, defaults.K_f),
-        alpha=_get(parser, sec, "alpha", float, defaults.alpha),
-        gamma_table=defaults.gamma_table,
-        f_table=defaults.f_table,
-    )
-    gamma_table_path = _get(parser, sec, "gamma_table", str, None)
-    if gamma_table_path:
-        kwargs["gamma_table"] = _load_table(gamma_table_path)
-    f_table_path = _get(parser, sec, "f_table", str, None)
-    if f_table_path:
-        kwargs["f_table"] = _load_table(f_table_path)
-    return mat.MaterialLaws(**kwargs)
-
-
 def _parse_gen_params(parser) -> dict:
     if not parser.has_section("initial"):
         return {}
-    params = {}
-    for key, raw in parser.items("initial"):
-        if key == "generator":
-            continue
-        try:
-            params[key] = int(raw) if key == "k" else float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config field [initial] {key} = {raw!r}: {exc}") from exc
-    return params
+    return {key: _get(parser, "initial", key, int if key == "k" else float)
+            for key in parser.options("initial") if key != "generator"}
 
 
-def parse_config(source) -> RunConfig:
-    """Parse a run config from a path or a file-like object."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if hasattr(source, "read"):
-        parser.read_file(source)
-    else:
-        loaded = parser.read(source)
-        if not loaded:
-            raise ConfigError(f"cannot read config file {source!r}")
-
+def _run_config(parser) -> RunConfig:
     name = _get(parser, "run", "scenario", str, "custom")
-    if name != "custom":
-        base = sc.battery_scenario(name)
-    else:
-        base = None
+    base = sc.battery_scenario(name) if name != "custom" else None
 
-    laws = _parse_laws(parser, base.laws if base else None)
+    tables = {key: _load_table(path) for key in ("gamma_table", "f_table")
+              if (path := _get(parser, "material", key, str))}
+    laws = _read_section(parser, "material", _MATERIAL_KEYS,
+                         base.laws if base else mat.MaterialLaws(), **tables)
     length = _get(parser, "domain", "L", float, base.length if base else 1.0)
     n = _get(parser, "domain", "n", int, base.n if base else 129)
     a = _get(parser, "domain", "a", float, base.a if base else 1.0)
@@ -207,34 +217,10 @@ def parse_config(source) -> RunConfig:
     gen_params = _parse_gen_params(parser) or (dict(base.gen_params) if base else {})
     mms_id = _get(parser, "run", "mms_case", str, base.mms_id if base else None)
 
-    base_scheme = base.scheme if base else dyn.SchemeConfig()
-    scheme = dyn.SchemeConfig(
-        dt_initial=_get(parser, "time", "dt_initial", float, base_scheme.dt_initial),
-        dt_max=_get(parser, "time", "dt_max", float, base_scheme.dt_max),
-        cfl_safety=_get(parser, "time", "cfl_safety", float, base_scheme.cfl_safety),
-        scheme=_get(parser, "time", "scheme", str, base_scheme.scheme),
-        positivity_policy=_get(parser, "time", "positivity_policy", str,
-                               base_scheme.positivity_policy),
-        positivity_tolerance=_get(parser, "time", "positivity_tolerance", float,
-                                  base_scheme.positivity_tolerance),
-        adaptive=_get(parser, "time", "adaptive", _bool, base_scheme.adaptive),
-        solver_tol=_get(parser, "time", "solver_tol", float, base_scheme.solver_tol),
-        max_step_retries=_get(parser, "time", "max_step_retries", int,
-                              base_scheme.max_step_retries),
-    )
-
-    base_mon = base.monitors if base else diag.MonitorConfig()
-    monitors = diag.MonitorConfig(
-        q=_get(parser, "monitors", "q", float, base_mon.q),
-        kappa=_get(parser, "monitors", "kappa", float, base_mon.kappa),
-        T0=_get(parser, "monitors", "T0", float, base_mon.T0),
-        cadence=_get(parser, "monitors", "cadence", int, base_mon.cadence),
-        blowup_threshold=_get(parser, "monitors", "blowup_threshold", float,
-                              base_mon.blowup_threshold),
-        blowup_window=_get(parser, "monitors", "blowup_window", int, base_mon.blowup_window),
-        blowup_rate_min=_get(parser, "monitors", "blowup_rate_min", float,
-                             base_mon.blowup_rate_min),
-    )
+    scheme = _read_section(parser, "time", _TIME_KEYS,
+                           base.scheme if base else dyn.SchemeConfig())
+    monitors = _read_section(parser, "monitors", _MONITOR_KEYS,
+                             base.monitors if base else diag.MonitorConfig())
 
     t_end = _get(parser, "time", "T_end", float, base.t_end if base else 1.0)
     tag = _get(parser, "run", "tag", str, base.tag if base else "generic")
@@ -254,45 +240,31 @@ def parse_config(source) -> RunConfig:
     )
 
 
+def parse_config(source) -> RunConfig:
+    """Parse a run config from a path or a file-like object."""
+    return _run_config(_load(source))
+
+
 def parse_sweep_config(source) -> SweepConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if hasattr(source, "read"):
-        text = source.read()
-        parser.read_string(text)
-        base = parse_config(io.StringIO(text))
-    else:
-        loaded = parser.read(source)
-        if not loaded:
-            raise ConfigError(f"cannot read config file {source!r}")
-        base = parse_config(source)
+    parser = _load(source)
+    base = _run_config(parser)
     if not parser.has_section("sweep"):
         raise ConfigError("sweep config needs a [sweep] section")
-    axis = _get(parser, "sweep", "axis", str, required=True)
-    raw_values = _get(parser, "sweep", "values", str, required=True)
-    values = tuple(float(v) for v in raw_values.replace(",", " ").split())
-    if not values:
-        raise ConfigError("sweep value list is empty")
-    workers = _get(parser, "sweep", "workers", int, 1)
-    return SweepConfig(base=base, axis=axis, values=values, workers=workers)
+    return SweepConfig(base=base,
+                       axis=_get(parser, "sweep", "axis", str, required=True),
+                       values=_get(parser, "sweep", "values", _tuple(float), required=True),
+                       workers=_get(parser, "sweep", "workers", int, 1))
 
 
 def parse_converge_config(source) -> ConvergeConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if hasattr(source, "read"):
-        text = source.read()
-        parser.read_string(text)
-        base = parse_config(io.StringIO(text))
-    else:
-        loaded = parser.read(source)
-        if not loaded:
-            raise ConfigError(f"cannot read config file {source!r}")
-        base = parse_config(source)
+    parser = _load(source)
+    base = _run_config(parser)
     if not parser.has_section("converge"):
         raise ConfigError("convergence config needs a [converge] section")
-    raw_values = _get(parser, "converge", "n_values", str, required=True)
-    n_values = tuple(int(v) for v in raw_values.replace(",", " ").split())
-    dt_scaling = _get(parser, "converge", "dt_scaling", str, "fixed")
-    return ConvergeConfig(base=base, n_values=n_values, dt_scaling=dt_scaling)
+    return ConvergeConfig(base=base,
+                          n_values=_get(parser, "converge", "n_values", _tuple(int),
+                                        required=True),
+                          dt_scaling=_get(parser, "converge", "dt_scaling", str, "fixed"))
 
 
 # --------------------------------------------------------------------------
@@ -321,39 +293,13 @@ def serialize_config(config: RunConfig) -> str:
     }
     if scen.mms_id is not None:
         parser["run"]["mms_case"] = scen.mms_id
-    parser["material"] = {
-        "gamma_family": scen.laws.gamma_family,
-        "f_family": scen.laws.f_family,
-        "gamma0": repr(scen.laws.gamma0),
-        "delta": repr(scen.laws.delta),
-        "K_f": repr(scen.laws.K_f),
-        "alpha": repr(scen.laws.alpha),
-    }
+    parser["material"] = _write_section(scen.laws, _MATERIAL_KEYS)
     parser["domain"] = {"L": repr(scen.length), "n": repr(scen.n), "a": repr(scen.a)}
     parser["initial"] = {"generator": scen.generator}
     for key, val in scen.gen_params.items():
         parser["initial"][key] = repr(val)
-    parser["time"] = {
-        "T_end": repr(scen.t_end),
-        "scheme": scen.scheme.scheme,
-        "dt_initial": repr(scen.scheme.dt_initial),
-        "dt_max": repr(scen.scheme.dt_max),
-        "cfl_safety": repr(scen.scheme.cfl_safety),
-        "positivity_policy": scen.scheme.positivity_policy,
-        "positivity_tolerance": repr(scen.scheme.positivity_tolerance),
-        "adaptive": repr(scen.scheme.adaptive),
-        "solver_tol": repr(scen.scheme.solver_tol),
-        "max_step_retries": repr(scen.scheme.max_step_retries),
-    }
-    parser["monitors"] = {
-        "q": repr(scen.monitors.q),
-        "kappa": repr(scen.monitors.kappa),
-        "T0": repr(scen.monitors.T0),
-        "cadence": repr(scen.monitors.cadence),
-        "blowup_threshold": repr(scen.monitors.blowup_threshold),
-        "blowup_window": repr(scen.monitors.blowup_window),
-        "blowup_rate_min": repr(scen.monitors.blowup_rate_min),
-    }
+    parser["time"] = {"T_end": repr(scen.t_end), **_write_section(scen.scheme, _TIME_KEYS)}
+    parser["monitors"] = _write_section(scen.monitors, _MONITOR_KEYS)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -244,33 +244,28 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     dfdx = (f_old[..., 2:] - f_old[..., :-2]) / (2.0 * grid_.dx)
 
     if cfg.scheme == "imex_be":
+        w, t_force = 1.0, state.t + dt
         src = state.v[..., 1:-1] + dt * (a * d2u - dfdx)
-        if forcing is not None:
-            src = src + dt * forcing.fv(grid_.nodes, state.t + dt)[1:-1]
-        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
-        u_new = state.u + dt * v_new
-        v_used = v_new
-        heat_extra = np.zeros(n)
-        if forcing is not None:
-            heat_extra = forcing.ftheta(grid_.nodes, state.t + dt)
-        rhs_theta = state.theta + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
-        theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
     else:  # imex_cn
+        w, t_force = 0.5, state.t + 0.5 * dt
         lgam_v = g.div_flux(gam, state.v, grid_)[..., 1:-1]
         d2v = ev.vxx[..., 1:-1]
         src = state.v[..., 1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
             + 0.25 * a * dt * dt * d2v - dt * dfdx
-        if forcing is not None:
-            src = src + dt * forcing.fv(grid_.nodes, state.t + 0.5 * dt)[1:-1]
-        v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, 0.5, cfg.solver_tol)
+    if forcing is not None:
+        src = src + dt * forcing.fv(grid_.nodes, t_force)[1:-1]
+    v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, w, cfg.solver_tol)
+    if cfg.scheme == "imex_be":
+        u_new = state.u + dt * v_new
+        v_used = v_new
+        theta_rhs = state.theta
+    else:
         u_new = state.u + 0.5 * dt * (state.v + v_new)
         v_used = 0.5 * (state.v + v_new)
-        heat_extra = np.zeros(n)
-        if forcing is not None:
-            heat_extra = forcing.ftheta(grid_.nodes, state.t + 0.5 * dt)
-        rhs_theta = state.theta + 0.5 * dt * ev.thxx \
-            + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
-        theta_new = _solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
+        theta_rhs = state.theta + 0.5 * dt * ev.thxx
+    heat_extra = np.zeros(n) if forcing is None else forcing.ftheta(grid_.nodes, t_force)
+    rhs_theta = theta_rhs + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
+    theta_new = _solve_theta_stage(rhs_theta, grid_, dt, w, cfg.solver_tol)
 
     v_new[..., 0] = v_new[..., -1] = 0.0
     u_new[..., 0] = u_new[..., -1] = 0.0
@@ -524,9 +519,10 @@ class _Member:
         self.w12.clear()
 
     def halts(self) -> bool:
-        """Run the blow-up detector on a full window; True if it fires."""
+        """Run the blow-up detector on a full window whose last value is above
+        the threshold (it cannot fire otherwise); True if it fires."""
         cfg = self.cfg
-        if len(self.w12) < cfg.blowup_window:
+        if len(self.w12) < cfg.blowup_window or not (self.w12[-1] > cfg.blowup_threshold):
             return False
         report = diag.blowup_check(self.w12, cfg.blowup_window, cfg.blowup_threshold,
                                    cfg.blowup_rate_min, times=self.traj.times)

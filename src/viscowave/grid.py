@@ -63,10 +63,6 @@ class Grid1D:
     def dx(self) -> float:
         return self.length / (self.n - 1)
 
-    @property
-    def midpoints(self) -> FloatArray:
-        return 0.5 * (self.nodes[1:] + self.nodes[:-1])
-
 
 def _check_size(w: FloatArray, grid: Grid1D, name: str = "field") -> FloatArray:
     w = np.asarray(w, dtype=float)

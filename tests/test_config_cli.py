@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from viscowave import cli
 from viscowave import config as cfgmod
+from viscowave import diagnostics as diag
 from viscowave import dynamics as dyn
+from viscowave import material as mat
+from viscowave import scenarios as sc
 from viscowave.errors import ConfigError
 
 COUPLED_INI = """
@@ -117,6 +121,141 @@ def test_round_trip_of_battery_config(tmp_path):
     assert again.scenario.scheme == cfg.scenario.scheme
     assert again.scenario.monitors == cfg.scenario.monitors
     assert again.scenario.gen_params == cfg.scenario.gen_params
+
+
+COUPLED_SERIALIZED = """\
+[run]
+scenario = custom
+name = coupled
+out_dir = runs/out
+seed = 0
+k_trials = 3
+dump_fields = False
+tag = generic
+
+[material]
+gamma_family = saturating
+f_family = linear
+gamma0 = 1.0
+delta = 0.1
+k_f = 1.0
+alpha = 1.0
+
+[domain]
+l = 1.0
+n = 129
+a = 1.0
+
+[initial]
+generator = coupled_smooth
+amp_u = 0.1
+amp_v = 0.5
+theta_base = 1.0
+theta_amp = 0.25
+
+[time]
+t_end = 1.0
+scheme = imex_be
+dt_initial = 0.001
+dt_max = 0.001
+cfl_safety = 0.9
+positivity_policy = clamp_and_count
+positivity_tolerance = 1e-08
+adaptive = False
+solver_tol = 1e-08
+max_step_retries = 20
+
+[monitors]
+q = 2.0
+kappa = 1.0
+t0 = 1.0
+cadence = 1
+blowup_threshold = 10000.0
+blowup_window = 16
+blowup_rate_min = 0.2
+
+"""
+
+
+def test_serialized_battery_config_is_pinned():
+    # the key order of each section is part of every run's config.ini
+    cfg = cfgmod.RunConfig(scenario=sc.battery_scenario("coupled"))
+    assert cfgmod.serialize_config(cfg) == COUPLED_SERIALIZED
+
+
+# a valid value other than the default for every key of the key tables
+NON_DEFAULT = {
+    "material": dict(gamma_family="saturating", f_family="power", gamma0=1.5, delta=0.25,
+                     K_f=0.75, alpha=1.25),
+    "time": dict(scheme="imex_cn", dt_initial=2.5e-4, dt_max=5e-3, cfl_safety=0.5,
+                 positivity_policy="reject_step", positivity_tolerance=1e-6, adaptive=True,
+                 solver_tol=1e-9, max_step_retries=7),
+    "monitors": dict(q=3.0, kappa=2.5, T0=0.5, cadence=3, blowup_threshold=1e3,
+                     blowup_window=8, blowup_rate_min=0.5),
+}
+
+
+def test_every_table_key_round_trips_at_a_non_default_value():
+    tables = {"material": (cfgmod._MATERIAL_KEYS, mat.MaterialLaws(), "laws"),
+              "time": (cfgmod._TIME_KEYS, dyn.SchemeConfig(), "scheme"),
+              "monitors": (cfgmod._MONITOR_KEYS, diag.MonitorConfig(), "monitors")}
+    scen = sc.battery_scenario("coupled")
+    for section, (keys, default, attr) in tables.items():
+        values = NON_DEFAULT[section]
+        assert tuple(values) == keys
+        assert all(values[k] != getattr(default, k) for k in keys)
+        scen = replace(scen, **{attr: replace(default, **values)})
+    cfg = cfgmod.RunConfig(scenario=scen)
+    text = cfgmod.serialize_config(cfg)
+    again = cfgmod.parse_config(io.StringIO(text))
+    assert again == cfg
+    for section, (keys, _, attr) in tables.items():
+        obj = getattr(again.scenario, attr)
+        read = {k: getattr(obj, k) for k in keys}
+        assert read == NON_DEFAULT[section]
+        assert [type(v) for v in read.values()] == [type(v) for v in NON_DEFAULT[section].values()]
+    # each key read alone from a file that sets only it
+    for section, values in NON_DEFAULT.items():
+        for key, value in values.items():
+            one = cfgmod.parse_config(io.StringIO(
+                f"[run]\nscenario = coupled\n[{section}]\n{key} = {value}\n"))
+            obj = getattr(one.scenario, tables[section][2])
+            assert getattr(obj, key) == value and type(getattr(obj, key)) is type(value), key
+
+
+MALFORMED = {
+    "no_section_header": (cfgmod.parse_config, "scenario = coupled\n"),
+    "duplicate_key": (cfgmod.parse_config, "[run]\nscenario = coupled\nseed = 1\nseed = 2\n"),
+    "sweep_values": (cfgmod.parse_sweep_config,
+                     "[run]\nscenario = coupled\n[sweep]\naxis = delta\nvalues = 0.1 abc\n"),
+    "converge_n_values": (cfgmod.parse_converge_config,
+                          "[run]\nscenario = heat_eigenmode\n[converge]\nn_values = 17 x\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_is_a_config_error(tmp_path, case):
+    parse, text = MALFORMED[case]
+    with pytest.raises(ConfigError) as err:
+        parse(io.StringIO(text))
+    if case.endswith("values"):
+        field = case.split("_", 1)[1]
+        assert f"{field} = " in str(err.value)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        parse(str(path))
+
+
+def test_parse_error_of_a_file_object_names_the_file(tmp_path):
+    path = tmp_path / "headless.ini"
+    path.write_text(MALFORMED["no_section_header"][1])
+    with open(path) as fh, pytest.raises(ConfigError) as err:
+        cfgmod.parse_config(fh)
+    assert str(path) in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        cfgmod.parse_config(str(path))
+    assert str(path) in str(err.value)
 
 
 # --------------------------------------------------------------------------
@@ -524,6 +663,23 @@ def test_cmd_sweep_blowup_exit_code(tmp_path):
 def test_cmd_sweep_bad_config(tmp_path):
     path = write_ini(tmp_path, COUPLED_INI)  # no [sweep] section
     assert cli.cmd_sweep(path) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command,case", [
+    ("cmd_run", "no_section_header"),
+    ("cmd_run", "duplicate_key"),
+    ("cmd_sweep", "sweep_values"),
+    ("cmd_sweep", "duplicate_key"),
+    ("cmd_converge", "converge_n_values"),
+    ("cmd_converge", "no_section_header"),
+])
+def test_malformed_config_exits_with_config_error(tmp_path, capsys, command, case):
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED[case][1])
+    assert getattr(cli, command)(str(path), out_dir=str(tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------------

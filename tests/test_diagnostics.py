@@ -400,7 +400,8 @@ def test_simulate_keeps_w12_history_bounded(monkeypatch):
     monkeypatch.setattr(diag, "blowup_check", spy)
     grid_ = make_grid(17)
     data = mat.InitialData(u0=np.zeros(17), v0=np.zeros(17), theta0=np.ones(17))
-    mon = diag.MonitorConfig(blowup_window=4)
+    # threshold 0: every full window is checked (the constant trace never fires)
+    mon = diag.MonitorConfig(blowup_window=4, blowup_threshold=0.0)
     scheme = dyn.SchemeConfig(dt_initial=1e-3, dt_max=1e-3)
     traj = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 0.3, scheme, mon)
     assert traj.status == "completed" and len(traj.rows) == 301
@@ -408,6 +409,27 @@ def test_simulate_keeps_w12_history_bounded(monkeypatch):
     assert {id(trace) for trace, _ in seen} == {id(seen[0][0])}
     assert {size for _, size in seen} == {4}
     assert len(seen[0][0]) == 4
+
+
+def test_simulate_skips_the_detector_below_its_threshold(monkeypatch):
+    # the detector fires only above its threshold, so a run that stays below
+    # it never fits a slope
+    calls = []
+    real_check = diag.blowup_check
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(diag, "blowup_check", spy)
+    grid_ = make_grid(17)
+    data = mat.InitialData(u0=np.zeros(17), v0=np.zeros(17), theta0=np.ones(17))
+    scheme = dyn.SchemeConfig(dt_initial=1e-3, dt_max=1e-3)
+    mon = diag.MonitorConfig(blowup_window=4)
+    traj = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 0.3, scheme, mon)
+    assert traj.status == "completed" and len(traj.rows) == 301
+    assert max(r.w12_theta for r in traj.rows) < mon.blowup_threshold
+    assert calls == []
 
 
 # --------------------------------------------------------------------------
