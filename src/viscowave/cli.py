@@ -15,10 +15,10 @@ A sweep exits 3 if any point failed or aborted, else 4 if any point halted
 on blow-up, else 0.
 
 A sweep over ``delta``, ``alpha`` or ``kappa`` changes neither the grid nor
-dt, so its points are split into one ensemble per worker, each integrated as
-one batch (see :func:`viscowave.dynamics.simulate`); every point's artifacts
-are byte-identical to its own run's.  ``grid_n`` and ``dt`` points run one
-per task.
+dt, so its points are split into one ensemble per worker, which
+:func:`viscowave.dynamics.simulate` integrates as one batch when its members
+can share steps; every point's artifacts are byte-identical to its own
+run's.  ``grid_n`` and ``dt`` points run one per task.
 """
 
 from __future__ import annotations
@@ -98,11 +98,6 @@ class FieldDump(dyn.Recorder):
             os.remove(self._path(i))
         if self.made_dir:
             os.rmdir(self.dir)
-
-    def restart(self) -> None:
-        self.discard()
-        self.count = 0
-        self.made_dir = False
 
 
 def _run(config):
@@ -281,16 +276,13 @@ def _run_ensemble(configs: list) -> list | None:
 def _sweep_point(task):
     """Worker: run one task of a sweep from primitives (safe across processes).
 
-    A task ``(config_path, axis, value, subdir, seed)`` is one point, run on
-    its own, and returns the point's row.  With a tuple of values and one of
-    subdirectories it is an ensemble: its points are integrated as one batch,
-    and it returns one row per point.  Any exception stays with its point:
-    the row reads status ``failed`` and carries the error, and the other
-    points still run.
+    A task ``(config_path, axis, values, subdirs, seed)`` holds a tuple of
+    values and one of subdirectories; its points run as one ensemble (a
+    single point on its own), and it returns one row per point.  Any
+    exception stays with its point: the row reads status ``failed`` and
+    carries the error, and the other points still run.
     """
-    config_path, axis, value, subdir, seed = task
-    ensemble = isinstance(value, tuple)
-    values, subdirs = (value, subdir) if ensemble else ((value,), (subdir,))
+    config_path, axis, values, subdirs, seed = task
     rows, configs = {}, {}
     for i, (val, sub) in enumerate(zip(values, subdirs)):
         try:
@@ -309,8 +301,7 @@ def _sweep_point(task):
                        "error": traj.error or ""}
         except Exception as exc:
             rows[i] = _failed_row(axis, values[i], exc)
-    result = [rows[i] for i in range(len(values))]
-    return result if ensemble else result[0]
+    return [rows[i] for i in range(len(values))]
 
 
 def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
@@ -318,8 +309,7 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
     """Run every sweep point, aggregate one summary row per point.
 
     Points of an ``ENSEMBLE_AXES`` sweep go to the workers as ensembles of
-    ceil(points / workers) points each, when ``dyn.can_batch`` allows the
-    base config's scheme and forcing; other points go one per task.
+    ceil(points / workers) points each; other points go one per task.
 
     Returns EXIT_SOLVER if any point failed or aborted, else EXIT_BLOWUP if
     any point halted on blow-up, else EXIT_OK.
@@ -336,19 +326,15 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
 
     values = list(sweep.values)
     subdirs = [os.path.join(out, f"point_{sweep.axis}_{i:02d}") for i in range(len(values))]
-    scen = sweep.base.scenario
-    if sweep.axis in ENSEMBLE_AXES and dyn.can_batch(scen.scheme, scen.make_forcing()):
-        size = math.ceil(len(values) / workers)
-        tasks = [(config_path, sweep.axis, tuple(values[i:i + size]), tuple(subdirs[i:i + size]),
-                  base_seed) for i in range(0, len(values), size)]
-    else:
-        tasks = [(config_path, sweep.axis, val, sub, base_seed) for val, sub in zip(values, subdirs)]
+    size = math.ceil(len(values) / workers) if sweep.axis in ENSEMBLE_AXES else 1
+    tasks = [(config_path, sweep.axis, tuple(values[i:i + size]), tuple(subdirs[i:i + size]),
+              base_seed) for i in range(0, len(values), size)]
     if workers == 1:
         done = [_sweep_point(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_point, tasks))
-    results = [row for res in done for row in (res if isinstance(res, list) else [res])]
+    results = [row for rows in done for row in rows]
 
     agg = os.path.join(out, "sweep.csv")
     cols = ("axis", "value", "status", "drift_max", "blowup", "monitors_finite", "error")

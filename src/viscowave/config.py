@@ -171,9 +171,9 @@ def _write_section(obj, keys) -> dict:
 
 
 def _load(source) -> configparser.ConfigParser:
-    """The INI document of a path or a file-like object; a file that is not
-    valid INI is a ConfigError naming the file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """The INI document of a path or a file-like object, values read literally;
+    a file that is not valid INI is a ConfigError naming the file."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         if hasattr(source, "read"):
             parser.read_file(source)
@@ -281,7 +281,7 @@ def serialize_config(config: RunConfig) -> str:
     scen = config.scenario
     if scen.laws.gamma_table is not None or scen.laws.f_table is not None:
         raise ConfigError("tabulated laws serialize by table path only; keep the original config")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["run"] = {
         "scenario": "custom",
         "name": scen.name,

@@ -170,7 +170,6 @@ class EnergyBudget:
     kinetic: float
     elastic: float
     thermal: float
-    drift: float = 0.0
 
     @property
     def total(self) -> float:

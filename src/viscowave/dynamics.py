@@ -374,19 +374,14 @@ class Recorder:
     ``sample`` is called once per recorded state ``ev``, with ``left`` the
     left state of the step that produced it (None for the initial state) and
     the clamp count so far.  Both states are :class:`diagnostics.StateEval`
-    of one run, also in an ensemble.  ``restart`` is called before an
-    ensemble member is run again alone from t = 0 (its step failed in the
-    batch): a recorder must then forget what it was fed.  ``end`` is called
-    once the run is over: completed, halted or aborted.
+    of one run, also in an ensemble.  ``end`` is called once the run is
+    over: completed, halted or aborted.
     """
 
     def step(self, left: diag.StateEval, dt: float) -> None:
         pass
 
     def sample(self, left: diag.StateEval | None, ev: diag.StateEval, clamp_total: int) -> None:
-        pass
-
-    def restart(self) -> None:
         pass
 
     def end(self) -> None:
@@ -436,6 +431,14 @@ class Rows(Recorder):
         self.cum = diag.TheoryMonitors(**{k: v[idx] for k, v in _cumulative(self.cum).items()})
         self.rows = [self.rows[i] for i in idx]
 
+    def alone(self, i: int, laws, q, kappa) -> "Rows":
+        """Member ``i`` alone from here, with its ``laws``, ``q`` and ``kappa``:
+        float ``e0`` and accumulators as in its solo run, the same ``rows[i]``."""
+        own = Rows(laws, self.a, self.grid, q, kappa, float(self.e0[i]))
+        own.cum = diag.TheoryMonitors(**{k: float(v[i]) for k, v in _cumulative(self.cum).items()})
+        own.rows = [self.rows[i]]
+        return own
+
 
 _CUMULATIVE = ("cum_vx4", "cum_theta_pow", "cum_thetaxx2", "cum_vxx2")
 
@@ -452,9 +455,6 @@ class Snapshots(Recorder):
 
     def sample(self, left, ev, clamp_total):
         self.states.append(ev.state)
-
-    def restart(self):
-        self.states.clear()
 
 
 # --------------------------------------------------------------------------
@@ -504,19 +504,16 @@ class Ensemble(list):
 
 class _Member:
     """One run of a :func:`simulate` call: its inputs and recorders, its
-    trajectory, and the W^{1,2} history its blow-up detector reads."""
+    trajectory, the W^{1,2} history its blow-up detector reads, and, once
+    its step failed in a batch, ``resume``: the state it stood at, the left
+    state of the step that produced it, the steps since its last sample and
+    its own :class:`Rows` (or None)."""
 
     def __init__(self, laws, data, monitor_cfg, recorders, grid_, a):
         self.laws, self.data, self.cfg, self.recs = laws, data, monitor_cfg, list(recorders)
         self.traj = Trajectory(grid=grid_, laws=laws, a=a)
         self.w12 = deque(maxlen=monitor_cfg.blowup_window)
-
-    def restart(self) -> None:
-        """Forget the run so far, recorders included."""
-        for rec in self.recs:
-            rec.restart()
-        self.traj = Trajectory(grid=self.traj.grid, laws=self.laws, a=self.traj.a)
-        self.w12.clear()
+        self.resume = None
 
     def halts(self) -> bool:
         """Run the blow-up detector on a full window whose last value is above
@@ -552,12 +549,6 @@ def _rows(ev: diag.StateEval, idx: list) -> diag.StateEval:
     return diag.StateEval(State(s.t, s.u[idx], s.v[idx], s.theta[idx]), ev.grid)
 
 
-def can_batch(scheme_cfg: SchemeConfig, forcing: Forcing | None) -> bool:
-    """Whether runs with this scheme and forcing can be stepped as one
-    :func:`simulate` batch: only with a fixed dt and without forcing."""
-    return not scheme_cfg.adaptive and forcing is None
-
-
 def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: SchemeConfig,
              monitor_cfg=None, forcing: Forcing | None = None, *, rows: bool = True,
              recorders=()):
@@ -586,10 +577,10 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     and the rows act on all of them at once, and each stage is one stacked
     tridiagonal solve.  Each member keeps its own laws, monitors, clamp
     count, detector, verdict and recorders, and gets the bits of its own
-    run.  A member that halts leaves the batch.  A
-    member whose step raises StepError leaves it too, and is run again
-    alone from t = 0 when the batch is done, so its outcome is its solo
-    outcome.
+    run.  A member that halts leaves the batch.  A member whose step raises
+    StepError leaves it too, and goes on alone from that step once the batch
+    is done, its trajectory, detector history and recorders carrying on: its
+    outcome is its solo outcome, and each recorder sees each sample once.
     """
     batch = isinstance(data, (list, tuple))
     if not batch:
@@ -604,32 +595,21 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
         raise ConfigError("t_end must be positive")
 
     members = [_Member(*inputs, grid_, a) for inputs in zip(laws, data, monitor_cfg, recorders)]
-    together = can_batch(scheme_cfg, forcing) and len({c.cadence for c in monitor_cfg}) == 1
+    together = (not scheme_cfg.adaptive and forcing is None
+                and len({c.cadence for c in monitor_cfg}) == 1)
     for m in _march(members, a, grid_, t_end, scheme_cfg, forcing, rows) if together else members:
-        m.restart()  # it failed in the batch, or it was never in one
-        _march([m], a, grid_, t_end, scheme_cfg, forcing, rows)
+        _march([m], a, grid_, t_end, scheme_cfg, forcing, rows)  # from t = 0, or where it failed
     trajs = [m.traj for m in members]
     return Ensemble(trajs) if batch else trajs[0]
 
 
 def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
     """The loop of :func:`simulate` over the members ``act``, whose fields
-    are the rows of (B, n) arrays, or (n,) arrays for a single member.
-    Returns the members whose step failed in the batch."""
+    are the rows of (B, n) arrays, or (n,) arrays for a single member; a
+    single member with a ``resume`` point goes on from there.  Returns the
+    members whose step failed in the batch, each with its ``resume`` point."""
     batch = len(act) > 1
-    fields0 = [np.stack(f) if batch else f[0]
-               for f in zip(*((m.data.u0, m.data.v0, m.data.theta0) for m in act))]
-    state = State(0.0, *fields0)
-    ev = diag.StateEval(state, grid_)
-    e0 = diag.energy(state, a, grid_).total
-    for i, (m, e) in enumerate(zip(act, _listed(e0))):
-        m.traj.initial_state, m.traj.e0 = ev.member(i).state, e
     laws, q, kappa = _params(act, batch)
-    row_rec = None
-    if rows:
-        row_rec = Rows(laws, a, grid_, q, kappa, e0, len(act))
-        for m, own in zip(act, row_rec.rows):
-            m.traj.rows = own
     cadence = act[0].cfg.cadence
     failed = []
 
@@ -653,23 +633,38 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
         for rec in act[i].recs:
             rec.end()
 
-    def drop(out, ev: diag.StateEval) -> diag.StateEval:
-        """Go on without the members at rows ``out``; returns ``ev`` without them."""
+    def drop(out, *evs) -> list:
+        """Go on without the members at rows ``out``; returns ``evs`` without
+        them (``left`` and ``ev`` always share the rows of ``act``)."""
         nonlocal act, laws
         idx = [i for i in range(len(act)) if i not in out]
         act = [act[i] for i in idx]
         if not act:
-            return ev
+            return evs
         laws, q, kappa = _params(act, batch)
         if row_rec is not None:
             row_rec.keep(idx, laws, q, kappa)
-        return _rows(ev, idx)
+        return [_rows(ev, idx) for ev in evs]
 
-    record(None, ev)
-    left = ev  # the left state of the step that produced ev
+    if act[0].resume is not None:  # it left a batch: it goes on from where it stood
+        ev, left, steps_since_sample, row_rec = act[0].resume
+    else:
+        fields0 = [np.stack(f) if batch else f[0]
+                   for f in zip(*((m.data.u0, m.data.v0, m.data.theta0) for m in act))]
+        state = State(0.0, *fields0)
+        ev = diag.StateEval(state, grid_)
+        e0 = diag.energy(state, a, grid_).total
+        for i, (m, e) in enumerate(zip(act, _listed(e0))):
+            m.traj.initial_state, m.traj.e0 = ev.member(i).state, e
+        row_rec = None
+        if rows:
+            row_rec = Rows(laws, a, grid_, q, kappa, e0, len(act))
+            for m, own in zip(act, row_rec.rows):
+                m.traj.rows = own
+        record(None, ev)
+        left, steps_since_sample = ev, 0  # left: the left state of the step that produced ev
 
     eps_end = 1e-12 * max(t_end, 1.0)
-    steps_since_sample = 0
     while act and ev.t < t_end - eps_end:
         dt = adapt_dt(ev, laws, grid_, scheme_cfg) if scheme_cfg.adaptive else scheme_cfg.dt_initial
         dt = min(dt, t_end - ev.t)
@@ -681,9 +676,12 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                 state, clamped = step_with_count(prev, laws, a, grid_, scheme_cfg, dt, forcing)
                 break
             except StepError as exc:
-                if batch:  # the member's own run will decide
-                    failed.append(act[exc.member])
-                    prev = drop([exc.member], prev)
+                if batch:  # the member goes on alone from here once the batch is done
+                    i, m = exc.member, act[exc.member]
+                    m.resume = (prev.member(i), left.member(i), steps_since_sample,
+                                row_rec and row_rec.alone(i, *_params([m], False)))
+                    failed.append(m)
+                    left, prev = drop([i], left, prev)
                     if not act:
                         return failed
                     continue
@@ -714,7 +712,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
             if halted:
                 for i in halted:
                     finish(i, ev)
-                ev = drop(halted, ev)
+                left, ev = drop(halted, left, ev)
 
     for i in range(len(act)):
         finish(i, ev)
@@ -729,7 +727,7 @@ def run(config, *, rows: bool = True, recorders=()):
     A list of configs runs as one ensemble (``recorders`` then holds one
     sequence per config) and returns an :class:`Ensemble`; the configs must
     agree on everything but the material laws, the initial data and the
-    monitors.
+    monitors, the manufactured solution (and so the forcing) included.
     """
     batch = isinstance(config, (list, tuple))
     scens = [c.scenario for c in config] if batch else [config.scenario]
@@ -741,11 +739,10 @@ def run(config, *, rows: bool = True, recorders=()):
         return simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), scen.t_end,
                         scen.scheme, scen.monitors, scen.make_forcing(), rows=rows,
                         recorders=recorders)
-    shared = (grid_, scen.a, scen.t_end, scen.scheme)
-    if any((s.make_grid(), s.a, s.t_end, s.scheme) != shared or s.make_forcing() is not None
-           for s in scens):
-        raise ConfigError("ensemble configs must share the grid, a, T_end and the scheme, "
-                          "without forcing")
+    shared = (grid_, scen.a, scen.t_end, scen.scheme, scen.mms_id)
+    if any((s.make_grid(), s.a, s.t_end, s.scheme, s.mms_id) != shared for s in scens):
+        raise ConfigError("ensemble configs must share the grid, a, T_end, the scheme "
+                          "and the mms case")
     return simulate([s.laws for s in scens], scen.a, grid_, [s.make_data(grid_) for s in scens],
-                    scen.t_end, scen.scheme, [s.monitors for s in scens], rows=rows,
-                    recorders=recorders)
+                    scen.t_end, scen.scheme, [s.monitors for s in scens], scen.make_forcing(),
+                    rows=rows, recorders=recorders)

@@ -393,15 +393,13 @@ class _Rung(dyn.Recorder):
 
     A sample is held until both neighbours have delivered their k-th sample
     or ended, so rungs in lockstep hold one sample each.  A rung whose step
-    failed in the batch runs again alone after it, and its neighbours'
-    samples from the failure on wait for it.  Up to the failed step the
-    rerun has the bits of its batch run, so a sample it compares again
-    leaves every maximum as it was.
+    failed in the batch goes on alone from that step after it, and its
+    neighbours' samples from the failure on wait for it.
     """
 
     def __init__(self, ladder: list, i: int, grid_: g.Grid1D):
         self.ladder, self.i, self.grid = ladder, i, grid_
-        self.count = 0  # samples delivered by the current run
+        self.count = 0  # samples delivered so far
         self.ended = False
         self.held: dict = {}
         self.dists = None  # against the next rung: the max over k of (u, v, theta, W12)
@@ -425,9 +423,6 @@ class _Rung(dyn.Recorder):
         self.held[k] = fields
         self.release(k)
 
-    def restart(self):
-        self.count = 0
-
     def end(self):
         self.ended = True
 
@@ -447,9 +442,10 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     :func:`dynamics.simulate` ensemble, and consecutive rungs are compared
     sample by sample as they run, over their common prefix (a run that halts
     early shortens it).  With a fixed dt the rungs step as one batch and hold
-    one sample each (more while a rung that failed in the batch runs again);
-    with an adaptive dt they run one after another, and the ladder holds one
-    rung's samples until the next rung has run.  An aborted rung ends the ladder.  The report flags Cauchy behavior
+    one sample each (more while a rung that failed in the batch goes on
+    alone from its failed step); with an adaptive dt they run one after
+    another, and the ladder holds one rung's samples until the next rung has
+    run.  An aborted rung ends the ladder.  The report flags Cauchy behavior
     per field: each consecutive distance smaller than the previous one.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)

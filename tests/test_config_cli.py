@@ -427,7 +427,7 @@ def test_sweep_point_that_raises_leaves_no_field_dumps(tmp_path, monkeypatch):
     path = write_ini(tmp_path, text, out=str(tmp_path / "o"))
     sub = tmp_path / "point"
     _step_raising_after(monkeypatch, 5, RuntimeError("boom"))
-    row = cli._sweep_point((path, "delta", 0.2, str(sub), 11))
+    [row] = cli._sweep_point((path, "delta", (0.2,), (str(sub),), 11))
     assert row["status"] == "failed"
     assert row["error"] == "RuntimeError: boom"
     assert not (sub / "fields").exists()
@@ -537,14 +537,14 @@ class _InlinePool:
 @pytest.mark.parametrize("axis,values,tasks", [
     ("delta", "0.0, 0.05, 0.1", [(0.0, 0.05), (0.1,)]),
     ("kappa", "1.0, 2.0, 3.0, 4.0", [(1.0, 2.0), (3.0, 4.0)]),
-    ("grid_n", "17, 33, 65", [17.0, 33.0, 65.0]),
-    ("dt", "1e-3, 5e-4", [1e-3, 5e-4]),
-    ("delta, adaptive", "0.0, 0.05, 0.1", [0.0, 0.05, 0.1]),
+    ("grid_n", "17, 33, 65", [(17.0,), (33.0,), (65.0,)]),
+    ("dt", "1e-3, 5e-4", [(1e-3,), (5e-4,)]),
+    ("delta, adaptive", "0.0, 0.05, 0.1", [(0.0, 0.05), (0.1,)]),
 ])
 def test_sweep_tasks_per_axis(tmp_path, monkeypatch, axis, values, tasks):
     # delta, alpha and kappa points go to the workers as ensembles of
-    # ceil(points / workers), unless dt is adaptive; grid_n and dt points
-    # one per task
+    # ceil(points / workers), whatever the scheme (simulate runs adaptive
+    # members one after another); grid_n and dt points one per task
     axis, *adaptive = axis.split(", ")
     text = COUPLED_INI + "adaptive = true\n" * len(adaptive)
     text += f"\n[sweep]\naxis = {axis}\nvalues = {values}\n"
@@ -569,7 +569,7 @@ def test_ensemble_sweep_points_are_byte_identical_to_solo_points(tmp_path, monke
     for i, value in enumerate((1.0, 1.2, 1.4)):
         point = tmp_path / "sw" / f"point_alpha_{i:02d}"
         solo = tmp_path / f"solo_{i}"
-        row = cli._sweep_point((path, "alpha", value, str(solo), 11))
+        [row] = cli._sweep_point((path, "alpha", (value,), (str(solo),), 11))
         assert {k: str(v) for k, v in row.items()} == sweep_rows[i]
         names = sorted(p.relative_to(solo).as_posix() for p in solo.rglob("*.csv"))
         assert "fields/fields_00050.csv" in names and "summary.json" not in names
@@ -589,8 +589,8 @@ def test_ensemble_batches_only_its_valid_points(tmp_path, monkeypatch):
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
     assert len(sims) == 1 and len(sims[0]) == 2
     rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
-    solo = [cli._sweep_point((path, "alpha", v, str(tmp_path / f"solo_{v}"), 11))
-            for v in (1.0, 0.8, 1.2)]
+    solo = [row for v in (1.0, 0.8, 1.2)
+            for row in cli._sweep_point((path, "alpha", (v,), (str(tmp_path / f"solo_{v}"),), 11))]
     assert rows == [{k: str(v) for k, v in r.items()} for r in solo]
     assert [r["status"] for r in rows] == ["completed", "failed", "completed"]
     assert "hypothesis validation" in rows[1]["error"]
@@ -679,6 +679,29 @@ def test_malformed_config_exits_with_config_error(tmp_path, capsys, command, cas
     assert getattr(cli, command)(str(path), out_dir=str(tmp_path / "out")) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_are_read_literally(tmp_path):
+    # a % is an ordinary character: a name with one runs, and the config.ini
+    # it writes re-creates the run
+    text = CUSTOM_INI.replace("name = my_experiment", "name = run 50%").replace(
+        "T_end = 0.1", "T_end = 0.01")
+    path = write_ini(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.cmd_run(path, out_dir=str(out)) == cli.EXIT_OK
+    assert cfgmod.parse_config(str(out / "config.ini")).scenario.name == "run 50%"
+    assert cli.cmd_run(str(out / "config.ini"), out_dir=str(out / "again")) == cli.EXIT_OK
+    for name in ("timeseries.csv", "final_state.csv", "summary.json"):
+        assert (out / name).read_bytes() == (out / "again" / name).read_bytes(), name
+    assert json.loads((out / "summary.json").read_text())["scenario"] == "run 50%"
+
+
+def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
+    path = write_ini(tmp_path, COUPLED_INI.replace("seed = 11\n", "seed = 11\ntag = 50%\n"))
+    assert cli.cmd_run(path, out_dir=str(tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "50%" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,7 +9,7 @@ from viscowave import dynamics as dyn
 from viscowave import grid as g
 from viscowave import material as mat
 from viscowave import scenarios as sc
-from viscowave.errors import ConfigError
+from viscowave.errors import ConfigError, StepError
 
 # three members that differ in delta, alpha (through the power coupling and
 # the (theta+1)^(4 alpha) accumulator), kappa and q
@@ -113,7 +113,7 @@ def test_members_without_rows_and_with_snapshots():
 
 def test_a_nan_member_fails_alone():
     # the NaN spoils the stacked velocity solve of every member; the failure
-    # is blamed on the middle member, which then runs alone from t = 0
+    # is blamed on the middle member, which then goes on alone from t = 0
     grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_)
     theta0 = data[1].theta0.copy()
@@ -138,9 +138,6 @@ class _Log(dyn.Recorder):
     def sample(self, left, ev, clamp_total):
         self.log.append(("sample", None if left is None else left.t, bits(ev.state), clamp_total))
 
-    def restart(self):
-        self.log.clear()
-
 
 class _Ends(dyn.Recorder):
     def __init__(self):
@@ -149,16 +146,13 @@ class _Ends(dyn.Recorder):
     def sample(self, left, ev, clamp_total):
         self.events.append("sample")
 
-    def restart(self):
-        self.events.append("restart")
-
     def end(self):
         self.events.append("end")
 
 
 def test_every_member_run_ends_once_after_its_last_sample():
-    # member 0 aborts on a NaN (it leaves the batch and is rerun alone),
-    # member 1 halts on blow-up, member 2 completes
+    # member 0 aborts on a NaN (it leaves the batch and goes on alone, where
+    # its step fails again), member 1 halts on blow-up, member 2 completes
     grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_)
     theta0 = data[0].theta0.copy()
@@ -169,14 +163,15 @@ def test_every_member_run_ends_once_after_its_last_sample():
     recs = [[_Ends()] for _ in laws]
     ens = dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3), mons, recorders=recs)
     assert [t.status for t in ens] == ["aborted", "blowup_halt", "completed"]
-    assert recs[0][0].events == ["sample", "restart", "sample", "end"]
-    for (rec,), traj in zip(recs[1:], ens[1:]):
+    assert recs[0][0].events == ["sample", "end"]
+    for (rec,), traj in zip(recs, ens):
         assert rec.events == ["sample"] * len(traj.times) + ["end"]
 
 
 def test_a_rejected_member_is_finished_by_its_solo_run():
     # the heat spike makes the trapezoidal step dip below zero: alone, the
-    # member retries with halved steps; in the batch it leaves and is rerun
+    # member retries with halved steps; in the batch it leaves, and goes on
+    # alone from its first step
     n = 65
     grid_ = g.Grid1D(1.0, n)
     dt = 10.0 * grid_.dx ** 2
@@ -252,24 +247,100 @@ def test_members_that_cannot_share_steps_run_one_after_another(case, monkeypatch
     assert ens.steps_taken == sum(s.steps_taken for s in solos)
 
 
-def test_a_rerun_member_keeps_only_its_solo_field_dumps(tmp_path):
-    # the rejected member's batch attempt dumped its initial state; the rerun
-    # starts its dumps afresh, so the directory holds exactly the solo dumps
-    from viscowave.cli import FieldDump
-    n = 65
-    grid_ = g.Grid1D(1.0, n)
-    dt = 10.0 * grid_.dx ** 2
+class _Faults:
+    """``dyn.step_with_count``, except that every step from t = ``t_fail`` on
+    fails for the members whose laws are keys (by ``id``) of ``faults``:
+    "rejects" turns a full-dt step down and asks for half of it, "aborts"
+    fails as a non-finite solve does.  A function of the step alone, in a
+    batch or solo, as a real failure is."""
+
+    def __init__(self, faults: dict, t_fail: float):
+        self.faults, self.t_fail, self.real = faults, t_fail, dyn.step_with_count
+
+    def __call__(self, state, laws, a, grid_, cfg, dt, forcing=None):
+        batch = isinstance(laws, mat.LawRows)
+        for i, law in enumerate(laws if batch else [laws]):
+            fault = self.faults.get(id(law)) if state.t >= self.t_fail else None
+            if fault == "aborts" or fault == "rejects" and dt == cfg.dt_initial:
+                raise StepError(f"{fault} at t = {state.t:g}", member=i if batch else None,
+                                suggested_dt=0.5 * dt if fault == "rejects" else None)
+        return self.real(state, laws, a, grid_, cfg, dt, forcing)
+
+
+@pytest.mark.parametrize("scheme", ["imex_be", "imex_cn"])
+def test_members_that_fail_mid_batch_go_on_where_they_stood(scheme, monkeypatch):
+    # cadence 3: members 0 and 2 fail in the same batch step, the fifth, one
+    # step after a sample.  Member 0's full steps are rejected from then on
+    # (it goes on at halved steps), member 2 aborts, and member 1, left alone
+    # in the batch, halts at its fourth sample
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, mons = members(grid_, cadence=3)
+    mons[1] = diag.MonitorConfig(kappa=KAPPAS[1], q=QS[1], cadence=3, blowup_threshold=1e-9,
+                                 blowup_rate_min=-100.0, blowup_window=4)
+    cfg = cfg_for(1e-3, scheme)
+    faults = _Faults({id(LAWS[0]): "rejects", id(LAWS[2]): "aborts"}, 0.0035)
+    monkeypatch.setattr(dyn, "step_with_count", faults)
+    recs = [[_Log(), _Ends()] for _ in laws]
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg, mons, recorders=recs)
+    solo_recs = [[_Log(), _Ends()] for _ in laws]
+    solos = solo_runs(laws, data, mons, grid_, 0.01, cfg, solo_recs)
+    assert [t.status for t in ens] == ["completed", "blowup_halt", "aborted"]
+    # member 0: four full steps, ten halved ones, and a last one that t_end
+    # clips just below the full dt
+    assert [t.steps_taken for t in ens] == [4 + 10 + 1, 9, 4]
+    assert ens[2].times[-1] == ens[2].final_state.t > ens[2].times[-2]  # the abort's off-cadence sample
+    for traj, solo, (log, ends), (ref, _) in zip(ens, solos, recs, solo_recs):
+        assert_same_run(traj, solo)
+        assert log.log == ref.log
+        assert ends.events == ["sample"] * len(traj.times) + ["end"]
+
+
+def test_a_resumed_member_writes_each_field_dump_once(tmp_path, monkeypatch):
+    # member 0's step is rejected in the batch after three dumps; it goes on
+    # alone from there, so no dump is written twice or deleted, and its
+    # dumps are its solo run's
+    import os
+    from viscowave import cli
+    writes, removed = [], []
+    write, remove = cli.write_final_state, os.remove
+    monkeypatch.setattr(cli, "write_final_state", lambda s, g_, path: writes.append(path) or write(s, g_, path))
+    monkeypatch.setattr(os, "remove", lambda path: removed.append(path) or remove(path))
+    grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_)
-    spike = np.zeros(n)
-    spike[n // 2] = 1.0
-    data[0] = mat.InitialData(u0=np.zeros(n), v0=np.zeros(n), theta0=spike)
-    cfg = cfg_for(dt, "imex_cn", positivity_policy="reject_step")
-    dumps = [[FieldDump(str(tmp_path / f"ens{i}"))] for i in range(3)]
-    dyn.simulate(laws, 1.0, grid_, data, 5 * dt, cfg, mons, recorders=dumps)
+    cfg = cfg_for(1e-3, "imex_cn")
+    monkeypatch.setattr(dyn, "step_with_count", _Faults({id(LAWS[0]): "rejects"}, 0.0015))
+    dumps = [[cli.FieldDump(str(tmp_path / f"ens{i}"))] for i in range(3)]
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.005, cfg, mons, recorders=dumps)
+    assert ens[0].steps_taken == 2 + 6 and len(writes) == len(set(writes)) == 3 * 6 + 3
+    assert removed == []
     for i in range(3):
-        dyn.simulate(laws[i], 1.0, grid_, data[i], 5 * dt, cfg, mons[i],
-                     recorders=[FieldDump(str(tmp_path / f"solo{i}"))])
+        dyn.simulate(laws[i], 1.0, grid_, data[i], 0.005, cfg, mons[i],
+                     recorders=[cli.FieldDump(str(tmp_path / f"solo{i}"))])
         ens = sorted((tmp_path / f"ens{i}").iterdir())
         solo = sorted((tmp_path / f"solo{i}").iterdir())
         assert [p.name for p in ens] == [p.name for p in solo]
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(ens, solo))
+
+
+def test_run_over_mms_configs_passes_the_forcing_and_runs_members_alone(monkeypatch):
+    # configs that share an MMS case share its forcing: dyn.run passes it on,
+    # and simulate runs the members one after another, each with its solo bits
+    from dataclasses import replace
+    from viscowave.config import RunConfig
+    scen = sc.Scenario(name="mms", laws=sc.mms_case("exponential").laws, a=1.0, length=1.0,
+                       n=33, generator="mms", t_end=0.004, tag="mms",
+                       scheme=cfg_for(2e-4, "imex_cn"), mms_id="exponential")
+    configs = [RunConfig(replace(scen, laws=replace(scen.laws, delta=d))) for d in (0.0, 0.1, 0.3)]
+    solos = [dyn.run(c) for c in configs]
+    grid_ = scen.make_grid()
+    unforced = dyn.simulate(scen.laws, 1.0, grid_, scen.make_data(grid_), scen.t_end, scen.scheme)
+    assert bits(unforced.final_state) != bits(solos[1].final_state)  # the forcing shows
+    marched = []
+    real = dyn._march
+    monkeypatch.setattr(dyn, "_march", lambda act, *args: marched.append(len(act)) or real(act, *args))
+    ens = dyn.run(configs)
+    assert marched == [1, 1, 1]
+    for traj, solo in zip(ens, solos):
+        assert_same_run(traj, solo)
+    with pytest.raises(ConfigError, match="mms case"):
+        dyn.run([configs[0], replace(configs[1], scenario=replace(scen, mms_id="stationary"))])

@@ -245,32 +245,31 @@ def _cascade_from_histories(scenario, eps_ladder, simulate):
 
 class _RungFault:
     """``dyn.step_with_count``, except that the run started from temperature
-    ``theta0`` gets a fault on its first step from t = 0.03 on: a NaN
-    velocity ("aborts") or a rejection that asks for half the step
+    ``theta0`` gets a fault on every step from t = 0.03 on: a NaN velocity
+    ("aborts"), or a rejection of the full-dt step that asks for half of it
     ("reject_step"), which the run retries at that dt when it runs alone.
-    The run's row is found by its temperature, followed from step to step,
-    in a batch or alone."""
+    Like a real rejection it depends only on the step (t and dt), not on
+    what was tried before.  The run's row is found by its temperature,
+    followed from step to step, in a batch or alone."""
 
     def __init__(self, fault, theta0):
-        self.fault, self.theta0, self.last, self.done = fault, theta0, None, False
+        self.fault, self.theta0, self.last = fault, theta0, None
         self.real = dyn.step_with_count
 
     def __call__(self, state, laws, a, grid_, cfg, dt, forcing=None):
         mark = self.theta0 if state.t == 0.0 else self.last
         rows = np.atleast_2d(state.theta)
         hit = [i for i, row in enumerate(rows) if np.array_equal(row, mark)]
-        if hit and state.t == 0.0:  # a run from the start, the rerun too: the fault is armed again
-            self.done = False
-        if hit and state.t >= 0.03 and not self.done:
+        if hit and state.t >= 0.03:
             i = hit[0]
             member = i if state.theta.ndim == 2 else None
-            if self.fault == "reject_step":
-                self.done = True
+            if self.fault == "reject_step" and dt == cfg.dt_initial:
                 raise StepError("temperature dipped; retry with smaller dt",
                                 suggested_dt=0.5 * dt, member=member)
-            v = np.array(state.v)
-            np.atleast_2d(v)[i, 1:-1] = np.nan
-            state = dyn.State(state.t, state.u, v, state.theta)
+            if self.fault == "aborts":
+                v = np.array(state.v)
+                np.atleast_2d(v)[i, 1:-1] = np.nan
+                state = dyn.State(state.t, state.u, v, state.theta)
         new, clamped = self.real(state, laws, a, grid_, cfg, dt, forcing)
         if hit:
             self.last = np.atleast_2d(new.theta)[hit[0]]
@@ -334,8 +333,8 @@ def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, s
     assert all(len(v) == len(statuses) - 1 for v in rep.sup_dists.values())
     # in lockstep a rung's sample waits only for the next rung's, in the same
     # batch sample: one sample at a time, where a history holds 251 per rung.
-    # A rung that fails in the batch runs again alone after it; its two
-    # neighbours' samples from the failure on (t >= 0.03) wait for that run.
+    # A rung that fails in the batch goes on alone from there after it; its
+    # two neighbours' samples from the failure on (t >= 0.03) wait for it.
     if fault in (None, "halts"):
         assert held.most == 1
     else:
