@@ -81,7 +81,7 @@ class FieldDump(dyn.Recorder):
         self.count = 0
         self.made_dir = False
 
-    def sample(self, left, ev, clamp_total):
+    def sample(self, ev):
         if self.count == 0 and not os.path.isdir(self.dir):
             os.makedirs(self.dir)
             self.made_dir = True

@@ -27,7 +27,7 @@ variant cancels it and conserves the discrete energy to roundoff.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -368,29 +368,17 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
 
 
 class Recorder:
-    """Base of the objects :func:`simulate` feeds; the hooks do nothing.
+    """Base of the objects :func:`simulate` feeds: ``sample`` is called once
+    per recorded state ``ev``, a :class:`diagnostics.StateEval` of one run,
+    also in an ensemble.  It does nothing here."""
 
-    ``step`` is called once per accepted step, at its left state and dt.
-    ``sample`` is called once per recorded state ``ev``, with ``left`` the
-    left state of the step that produced it (None for the initial state) and
-    the clamp count so far.  Both states are :class:`diagnostics.StateEval`
-    of one run, also in an ensemble.  ``end`` is called once the run is
-    over: completed, halted or aborted.
-    """
-
-    def step(self, left: diag.StateEval, dt: float) -> None:
-        pass
-
-    def sample(self, left: diag.StateEval | None, ev: diag.StateEval, clamp_total: int) -> None:
-        pass
-
-    def end(self) -> None:
+    def sample(self, ev: diag.StateEval) -> None:
         pass
 
 
-class Rows(Recorder):
-    """The timeseries: the four accumulators advanced every step, and one
-    row with its transformed residual per recorded state.
+class Rows:
+    """The timeseries of :func:`simulate`: the four accumulators advanced
+    every step, and one row with its transformed residual per recorded state.
 
     Over an ensemble state it does this for every member at once: ``laws``,
     ``q`` and ``kappa`` are then the per-member parameters of
@@ -409,20 +397,14 @@ class Rows(Recorder):
     def step(self, left, dt):
         self.cum = diag.accumulate_monitors(self.cum, left, dt, self.laws.alpha, self.grid)
 
-    def sample(self, left, ev, clamp_total):
+    def sample(self, left, ev, clamps):
+        """The row at ``ev``, whose step started at ``left`` (None at t = 0),
+        with the clamp count ``clamps`` so far."""
         z_res = 0.0 if left is None else diag.z_residual(
             left, ev, self.laws, self.a, self.kappa, self.grid)
-        made = diag.make_row(ev, self.a, self.grid, self.cum, self.q, self.e0, z_res, clamp_total)
+        made = diag.make_row(ev, self.a, self.grid, self.cum, self.q, self.e0, z_res, clamps)
         for rows, row in zip(self.rows, made if isinstance(made, list) else [made]):
             rows.append(row)
-
-    def monitors(self, i: int, ev: diag.StateEval) -> diag.TheoryMonitors:
-        """Member ``i``'s final monitors at its last recorded state ``ev``."""
-        inst = diag.instantaneous_monitors(ev, self.q, self.grid)
-        if ev.v.ndim == 1:
-            return replace(self.cum, **inst)
-        values = {**_cumulative(self.cum), **inst}
-        return diag.TheoryMonitors(**{k: float(v[i]) for k, v in values.items()})
 
     def keep(self, idx: list, laws, q, kappa) -> None:
         """Go on with the members at rows ``idx`` only, whose parameters are
@@ -453,7 +435,7 @@ class Snapshots(Recorder):
     def __init__(self):
         self.states: list[State] = []
 
-    def sample(self, left, ev, clamp_total):
+    def sample(self, ev):
         self.states.append(ev.state)
 
 
@@ -464,9 +446,8 @@ class Snapshots(Recorder):
 
 @dataclass
 class Trajectory:
-    """What a run produced: its first and last states, the sample times, the
-    rows of its :class:`Rows` recorder, and its verdict.  A run without that
-    recorder has no rows, and its ``monitors`` is None."""
+    """What a run produced: its first and last states, the sample times, its
+    timeseries rows (without them, ``monitors`` is None), and its verdict."""
 
     grid: g.Grid1D
     laws: mat.MaterialLaws
@@ -475,13 +456,20 @@ class Trajectory:
     final_state: State | None = None
     times: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-    monitors: diag.TheoryMonitors | None = None
     e0: float = 0.0
     clamp_total: int = 0
     steps_taken: int = 0
     blowup: diag.BlowupReport | None = None
     status: str = "completed"
     error: str | None = None
+
+    @property
+    def monitors(self) -> diag.TheoryMonitors | None:
+        """The final monitors: those of the last row."""
+        if not self.rows:
+            return None
+        return diag.TheoryMonitors(**{f.name: getattr(self.rows[-1], f.name)
+                                      for f in fields(diag.TheoryMonitors)})
 
     @property
     def max_drift(self) -> float:
@@ -558,9 +546,10 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     The loop keeps what decides how the run ends: every step check and
     retry, the clamp count, the sample times, the first and last accepted
     states, and the blow-up detector, fed the W^{1,2} norm of the
-    temperature at every recorded state.  Everything else is left to the
-    recorders: a :class:`Rows` recorder when ``rows`` is true (it fills
-    ``traj.rows`` and ``traj.monitors``), then ``recorders`` in order.
+    temperature at every recorded state.  When ``rows`` is true, a
+    :class:`Rows` table fills ``traj.rows`` (and so ``traj.monitors``).
+    Every recorded state is then handed to the ``sample`` of each of
+    ``recorders``, in order.
 
     Each state is wrapped once in a :class:`diagnostics.StateEval`, and a
     recorded state's evaluation (material coefficients included) is reused
@@ -621,17 +610,9 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
             row_rec.sample(left, ev, clamps if batch else clamps[0])
         for i, m in enumerate(act):
             for rec in m.recs:
-                rec.sample(None if left is None else left.member(i), ev.member(i),
-                           m.traj.clamp_total)
+                rec.sample(ev.member(i))
         for m, w12 in zip(act, _listed(ev.w12_theta)):
             m.w12.append(w12)
-
-    def finish(i: int, ev: diag.StateEval):
-        act[i].traj.final_state = ev.member(i).state
-        if row_rec is not None:
-            act[i].traj.monitors = row_rec.monitors(i, ev)
-        for rec in act[i].recs:
-            rec.end()
 
     def drop(out, *evs) -> list:
         """Go on without the members at rows ``out``; returns ``evs`` without
@@ -690,15 +671,12 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                     act[0].traj.error = str(exc)
                     if steps_since_sample:
                         record(left, ev)
-                    finish(0, ev)
+                    act[0].traj.final_state = ev.state
                     return failed
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
         if row_rec is not None:
             row_rec.step(prev, dt)
-        for i, m in enumerate(act):
-            for rec in m.recs:
-                rec.step(prev.member(i), dt)
         left, ev = prev, diag.StateEval(state, grid_)
         for m, c in zip(act, _listed(clamped)):
             m.traj.clamp_total += c
@@ -711,11 +689,11 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
             halted = [i for i, m in enumerate(act) if m.halts()]
             if halted:
                 for i in halted:
-                    finish(i, ev)
+                    act[i].traj.final_state = ev.member(i).state
                 left, ev = drop(halted, left, ev)
 
-    for i in range(len(act)):
-        finish(i, ev)
+    for i, m in enumerate(act):
+        m.traj.final_state = ev.member(i).state
     return failed
 
 

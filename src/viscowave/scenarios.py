@@ -388,43 +388,24 @@ class CascadeReport:
 
 class _Rung(dyn.Recorder):
     """One rung of an eps-cascade, compared with its neighbours while they
-    run: the pair (i, i + 1) compares the k-th samples of both runs, over
-    their common prefix.
-
-    A sample is held until both neighbours have delivered their k-th sample
-    or ended, so rungs in lockstep hold one sample each.  A rung whose step
-    failed in the batch goes on alone from that step after it, and its
-    neighbours' samples from the failure on wait for it.
-    """
+    run: a new sample is compared with each neighbour's latest sample of the
+    same time.  A rung holds only its latest sample ``(t, fields)``."""
 
     def __init__(self, ladder: list, i: int, grid_: g.Grid1D):
         self.ladder, self.i, self.grid = ladder, i, grid_
-        self.count = 0  # samples delivered so far
-        self.ended = False
-        self.held: dict = {}
-        self.dists = None  # against the next rung: the max over k of (u, v, theta, W12)
+        self.latest = None, None
+        self.dists = None  # against the next rung: the max over shared t of (u, v, theta, W12)
 
-    def near(self) -> list:
-        return self.ladder[max(self.i - 1, 0):self.i] + self.ladder[self.i + 1:self.i + 2]
-
-    def release(self, k: int) -> None:
-        """Drop sample k once neither neighbour can still deliver its own."""
-        if all(r.ended or k < r.count for r in self.near()):
-            self.held.pop(k, None)
-
-    def sample(self, left, ev, clamp_total):
-        k, self.count = self.count, self.count + 1
+    def sample(self, ev):
         fields = np.stack((ev.u, ev.v, ev.theta))
-        for r in self.near():
-            if k in r.held:
-                low, pair = (r, (r.held[k], fields)) if r.i < self.i else (self, (fields, r.held[k]))
-                low.compare(*pair)
-                r.release(k)
-        self.held[k] = fields
-        self.release(k)
-
-    def end(self):
-        self.ended = True
+        for r in self.ladder[max(self.i - 1, 0):self.i] + self.ladder[self.i + 1:self.i + 2]:
+            t, theirs = r.latest
+            if t == ev.t:
+                if r.i < self.i:
+                    r.compare(theirs, fields)
+                else:
+                    self.compare(fields, theirs)
+        self.latest = ev.t, fields
 
     def compare(self, fa, fb) -> None:  # samples as rows u, v, theta
         new = np.abs(fa - fb).max(axis=1).tolist() + [w12_distance(fa[2], fb[2], self.grid)]
@@ -437,16 +418,15 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     """Run the scenario with data mollified at each rung of the ladder and
     measure sup-norm distances between consecutive solutions.
 
-    All runs share the grid, the step size, and the sampling cadence, so
-    snapshots align in time.  The rungs are the members of one
-    :func:`dynamics.simulate` ensemble, and consecutive rungs are compared
-    sample by sample as they run, over their common prefix (a run that halts
-    early shortens it).  With a fixed dt the rungs step as one batch and hold
-    one sample each (more while a rung that failed in the batch goes on
-    alone from its failed step); with an adaptive dt they run one after
-    another, and the ladder holds one rung's samples until the next rung has
-    run.  An aborted rung ends the ladder.  The report flags Cauchy behavior
-    per field: each consecutive distance smaller than the previous one.
+    All runs share the grid, the fixed step size (an adaptive scheme is a
+    ConfigError: its rungs would not share sample times) and the sampling
+    cadence.  The rungs are the members of one :func:`dynamics.simulate`
+    batch, compared as they run at every sample while they step in
+    lockstep; each rung holds one sample.  A run that halts early is
+    compared no further, and one that leaves the batch on a failed step
+    only where a later sample falls on a neighbour's final sample time.
+    An aborted rung ends the ladder.  The report flags Cauchy behavior per
+    field: each consecutive distance smaller than the previous one.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if not eps_ladder:
@@ -456,6 +436,8 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     if any(not (0.0 < e < 1.0) for e in eps_ladder):
         raise ConfigError("eps values must lie in (0, 1)")
     scheme = scheme or scenario.scheme
+    if scheme.adaptive:
+        raise ConfigError("the eps ladder needs a fixed dt: adaptive rungs share no sample times")
 
     grid_ = scenario.make_grid()
     base = scenario.make_data(grid_)
@@ -506,6 +488,8 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D,
     etas = tuple(float(e) for e in etas)
     if any(e <= 0 for e in etas):
         raise ConfigError("eta ladder must be positive; the reference eta=0 is implicit")
+    if len(set(etas)) < 2:
+        raise ConfigError("eta ladder needs two distinct etas to fit a slope")
     cfg = cfg or dyn.SchemeConfig(dt_initial=dt, dt_max=dt)
     nsteps = max(1, int(round(t_end / dt)))
     dt = t_end / nsteps

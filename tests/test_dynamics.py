@@ -812,14 +812,10 @@ def test_run_without_rows_integrates_twice_per_sample(case, status, monkeypatch)
 
 class _Counting(dyn.Recorder):
     def __init__(self):
-        self.steps, self.dts, self.samples = [], [], []
+        self.samples = []
 
-    def step(self, left, dt):
-        self.steps.append(left.t)
-        self.dts.append(dt)
-
-    def sample(self, left, ev, clamp_total):
-        self.samples.append((None if left is None else left.t, ev.t, clamp_total))
+    def sample(self, ev):
+        self.samples.append(ev.t)
 
 
 def test_recorder_hooks_see_every_step_and_every_sample():
@@ -830,12 +826,9 @@ def test_recorder_hooks_see_every_step_and_every_sample():
     rec = _Counting()
     traj = dyn.simulate(LINEAR_LAWS, 1.0, grid_, data, 0.0213, cfg_for(1e-3),
                         diag.MonitorConfig(cadence=3), recorders=[rec])
-    assert traj.steps_taken == len(rec.steps) == 22
-    assert sum(rec.dts) == pytest.approx(0.0213, rel=1e-12)
-    assert [s[1] for s in rec.samples] == traj.times
-    assert rec.samples[0] == (None, 0.0, 0)
-    # each sample's left state is the left end of the step that produced it
-    assert [s[0] for s in rec.samples[1:]] == [rec.steps[i] for i in (2, 5, 8, 11, 14, 17, 20, 21)]
+    assert traj.steps_taken == 22
+    assert rec.samples == traj.times
+    assert rec.samples == pytest.approx([3e-3 * k for k in range(8)] + [0.0213], abs=1e-15)
     assert len(traj.rows) == len(traj.times)
 
 

@@ -132,22 +132,11 @@ class _Log(dyn.Recorder):
     def __init__(self):
         self.log = []
 
-    def step(self, left, dt):
-        self.log.append(("step", left.t, bits(left.state), dt))
+    def sample(self, ev):
+        self.log.append((ev.t, bits(ev.state)))
 
-    def sample(self, left, ev, clamp_total):
-        self.log.append(("sample", None if left is None else left.t, bits(ev.state), clamp_total))
-
-
-class _Ends(dyn.Recorder):
-    def __init__(self):
-        self.events = []
-
-    def sample(self, left, ev, clamp_total):
-        self.events.append("sample")
-
-    def end(self):
-        self.events.append("end")
+    def times(self) -> list:
+        return [t for t, _ in self.log]
 
 
 def test_every_member_run_ends_once_after_its_last_sample():
@@ -160,12 +149,13 @@ def test_every_member_run_ends_once_after_its_last_sample():
     data[0] = mat.InitialData(u0=data[0].u0, v0=data[0].v0, theta0=theta0)
     mons[1] = diag.MonitorConfig(kappa=KAPPAS[1], q=QS[1], blowup_threshold=1e-9,
                                  blowup_rate_min=-100.0, blowup_window=4)
-    recs = [[_Ends()] for _ in laws]
+    recs = [[_Log()] for _ in laws]
     ens = dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3), mons, recorders=recs)
     assert [t.status for t in ens] == ["aborted", "blowup_halt", "completed"]
-    assert recs[0][0].events == ["sample", "end"]
+    assert recs[0][0].times() == [0.0]
     for (rec,), traj in zip(recs, ens):
-        assert rec.events == ["sample"] * len(traj.times) + ["end"]
+        assert rec.times() == traj.times
+        assert rec.log[-1][1] == bits(traj.final_state)
 
 
 def test_a_rejected_member_is_finished_by_its_solo_run():
@@ -280,19 +270,19 @@ def test_members_that_fail_mid_batch_go_on_where_they_stood(scheme, monkeypatch)
     cfg = cfg_for(1e-3, scheme)
     faults = _Faults({id(LAWS[0]): "rejects", id(LAWS[2]): "aborts"}, 0.0035)
     monkeypatch.setattr(dyn, "step_with_count", faults)
-    recs = [[_Log(), _Ends()] for _ in laws]
+    recs = [[_Log()] for _ in laws]
     ens = dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg, mons, recorders=recs)
-    solo_recs = [[_Log(), _Ends()] for _ in laws]
+    solo_recs = [[_Log()] for _ in laws]
     solos = solo_runs(laws, data, mons, grid_, 0.01, cfg, solo_recs)
     assert [t.status for t in ens] == ["completed", "blowup_halt", "aborted"]
     # member 0: four full steps, ten halved ones, and a last one that t_end
     # clips just below the full dt
     assert [t.steps_taken for t in ens] == [4 + 10 + 1, 9, 4]
     assert ens[2].times[-1] == ens[2].final_state.t > ens[2].times[-2]  # the abort's off-cadence sample
-    for traj, solo, (log, ends), (ref, _) in zip(ens, solos, recs, solo_recs):
+    for traj, solo, (log,), (ref,) in zip(ens, solos, recs, solo_recs):
         assert_same_run(traj, solo)
         assert log.log == ref.log
-        assert ends.events == ["sample"] * len(traj.times) + ["end"]
+        assert log.times() == traj.times
 
 
 def test_a_resumed_member_writes_each_field_dump_once(tmp_path, monkeypatch):

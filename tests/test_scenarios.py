@@ -210,7 +210,8 @@ def test_eps_cascade_single_rung_has_no_pairs():
 
 def _cascade_from_histories(scenario, eps_ladder, simulate):
     """The eps-cascade report computed from every rung's full snapshot
-    history, compared pairwise over the common prefix once all have run."""
+    history, compared pairwise once all have run, over the prefix where
+    both histories have equal sample times."""
     grid_ = scenario.make_grid()
     base = scenario.make_data(grid_)
     runs, statuses, error = [], [], None
@@ -226,7 +227,7 @@ def _cascade_from_histories(scenario, eps_ladder, simulate):
     sup = {"u": [], "v": [], "theta": []}
     w12 = []
     for ta, tb in zip(runs, runs[1:]):
-        m = min(len(ta), len(tb))
+        m = next((k for k, (sa, sb) in enumerate(zip(ta, tb)) if sa.t != sb.t), min(len(ta), len(tb)))
         for name in sup:
             sup[name].append(max(float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
                                  for sa, sb in zip(ta[:m], tb[:m])))
@@ -298,15 +299,15 @@ def _inject(monkeypatch, fault, scenario, ladder):
 
 
 class _Held:
-    """The most samples the ladder held at once, over all its rungs."""
+    """The most rungs of the ladder that held a sample at once."""
 
     def __init__(self, monkeypatch):
         self.most = 0
         real = sc._Rung.sample
 
-        def sample(rung, left, ev, clamp_total):
-            real(rung, left, ev, clamp_total)
-            self.most = max(self.most, sum(len(r.held) for r in rung.ladder))
+        def sample(rung, ev):
+            real(rung, ev)
+            self.most = max(self.most, sum(r.latest[1] is not None for r in rung.ladder))
 
         monkeypatch.setattr(sc._Rung, "sample", sample)
 
@@ -331,19 +332,11 @@ def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, s
     assert rep == expected
     assert rep.statuses == statuses
     assert all(len(v) == len(statuses) - 1 for v in rep.sup_dists.values())
-    # in lockstep a rung's sample waits only for the next rung's, in the same
-    # batch sample: one sample at a time, where a history holds 251 per rung.
-    # A rung that fails in the batch goes on alone from there after it; its
-    # two neighbours' samples from the failure on (t >= 0.03) wait for it.
-    if fault in (None, "halts"):
-        assert held.most == 1
-    else:
-        dt = scenario.scheme.dt_initial
-        waiting = 2 * (round((scenario.t_end - 0.03) / dt) + 1)
-        assert 1 < held.most <= waiting
+    # each rung holds its latest sample only, where a history holds 251
+    assert held.most == len(ladder)
 
 
-def test_eps_cascade_batches_a_fixed_dt_and_runs_an_adaptive_one_rung_by_rung(monkeypatch):
+def test_eps_cascade_batches_a_fixed_dt_and_rejects_an_adaptive_one(monkeypatch):
     from dataclasses import replace
     base = replace(sc.battery_scenario("rough_theta"), n=33, t_end=0.02)
     ladder = (0.5, 0.3, 0.2)
@@ -354,15 +347,16 @@ def test_eps_cascade_batches_a_fixed_dt_and_runs_an_adaptive_one_rung_by_rung(mo
         marched.append(len(act))
         return real(act, *args)
 
-    for adaptive, made in ((False, [3]), (True, [1, 1, 1])):
-        scenario = replace(base, scheme=replace(base.scheme, adaptive=adaptive, dt_max=1e-2))
-        expected = _cascade_from_histories(scenario, ladder, dyn.simulate)
-        marched.clear()
-        with monkeypatch.context() as m:
-            m.setattr(dyn, "_march", march)
-            rep = sc.eps_cascade(scenario, ladder)
-        assert marched == made
-        assert rep == expected
+    expected = _cascade_from_histories(base, ladder, dyn.simulate)
+    monkeypatch.setattr(dyn, "_march", march)
+    assert sc.eps_cascade(base, ladder) == expected
+    assert marched == [3]
+    # adaptive rungs take their own steps, so they share no sample times
+    adaptive = replace(base.scheme, adaptive=True, dt_max=1e-2)
+    with pytest.raises(ConfigError, match="fixed dt"):
+        sc.eps_cascade(base, ladder, adaptive)
+    with pytest.raises(ConfigError, match="fixed dt"):
+        sc.eps_cascade(replace(base, scheme=adaptive), ladder)
 
 
 def test_eps_cascade_requires_decreasing_ladder():
@@ -451,12 +445,14 @@ def test_eta_cascade_equals_the_report_from_sequential_runs():
     assert [y.hex() for y in rep.sup_y] == [y.hex() for y in sup_y]
 
 
-def test_eta_cascade_rejects_nonpositive_eta():
+def test_eta_cascade_rejects_nonpositive_or_fewer_than_two_distinct_etas():
+    # a slope needs two distinct etas: one point would fit a line through it
     grid_ = make_grid(33)
     n = grid_.n
-    with pytest.raises(ConfigError):
-        sc.eta_cascade(np.ones(n), np.zeros(n), 1.0, grid_,
-                       np.zeros(n), np.zeros(n), [1e-1, 0.0], 0.05, 1e-3)
+    for etas in ([1e-1, 0.0], [], [0.1], [0.1, 0.1]):
+        with pytest.raises(ConfigError):
+            sc.eta_cascade(np.ones(n), np.zeros(n), 1.0, grid_,
+                           np.zeros(n), np.zeros(n), etas, 0.05, 1e-3)
 
 
 # --------------------------------------------------------------------------
