@@ -8,9 +8,9 @@ The package integrates the Kelvin-Voigt-type system
 
 on an interval with pinned displacement and insulated ends, and instruments
 each run with the quantities the a-priori theory keeps bounded: the energy
-budget, Lq balances, Sobolev-norm monitors, a damped-antiderivative parabolic
-residual, a numeric lower bound for the maximal-regularity constant, and a
-finite-time blow-up detector.
+budget, Sobolev-norm monitors, a damped-antiderivative parabolic residual, a
+numeric lower bound for the maximal-regularity constant, and a finite-time
+blow-up detector.
 """
 
 from .errors import ConfigError, DomainError, StepError, ViscowaveError

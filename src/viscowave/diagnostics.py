@@ -13,6 +13,7 @@ parameters derived from it are assembled by :func:`theory_constants`.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -35,9 +36,11 @@ class StateEval:
     Every diagnostic below, and the stepper, reads its snapshot through this
     cache and accepts either a plain state or a ``StateEval``.  A loop that
     passes the same ``StateEval`` to all of them (the left end of a step is
-    stepped, accumulated, and, if it was sampled, recorded and fed to the
-    blow-up detector) differentiates and integrates that state once.  The
-    snapshot fields ``t``, ``u``, ``v``, ``theta`` are exposed unchanged.
+    stepped, and, if it was sampled, recorded and fed to the blow-up
+    detector) differentiates and integrates that state once; a block of
+    states is evaluated as the rows of one ``StateEval``
+    (:func:`evaluate_block`).  The snapshot fields ``t``, ``u``, ``v``,
+    ``theta`` are exposed unchanged.
 
     The fields of an ensemble state are ``(B, n)`` arrays, one row per member
     at the same time t; each derived field then has one row (an integral one
@@ -50,7 +53,6 @@ class StateEval:
         self.state = state
         self.grid = grid_
         self.t, self.u, self.v, self.theta = state.t, state.u, state.v, state.theta
-        self.inst = None  # (q, the instantaneous monitors at q) for the last q asked
         self._laws = None
         self._material = None
         self._members: dict[int, StateEval] = {}
@@ -65,14 +67,14 @@ class StateEval:
         return state
 
     def member(self, i: int) -> "StateEval":
-        """Member ``i`` of an ensemble state on its own (copied arrays), made
-        once; a single state is its own member 0."""
+        """Member ``i`` of an ensemble state on its own, made once; a single
+        state is its own member 0.  Its arrays are views of row ``i``:
+        nothing writes to a state's arrays once it is built."""
         if self.v.ndim == 1:
             return self
         if i not in self._members:
             s = self.state
-            self._members[i] = StateEval(
-                type(s)(s.t, s.u[i].copy(), s.v[i].copy(), s.theta[i].copy()), self.grid)
+            self._members[i] = StateEval(type(s)(s.t, s.u[i], s.v[i], s.theta[i]), self.grid)
         return self._members[i]
 
     def material(self, laws) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +186,13 @@ def energy(state, a: float, grid_: g.Grid1D) -> EnergyBudget:
     thermal parts are trapezoid sums of nodal values.
     """
     kin = 0.5 * g.integrate(state.v ** 2, grid_)
-    du = g.gradient_mid(state.u, grid_)
-    ela = 0.5 * a * _scalar_or_rows((du * du).sum(axis=-1)) * grid_.dx
     th = g.integrate(state.theta, grid_)
-    return EnergyBudget(t=state.t, kinetic=kin, elastic=ela, thermal=th)
+    return EnergyBudget(t=state.t, kinetic=kin, elastic=_elastic(state.u, a, grid_), thermal=th)
+
+
+def _elastic(u, a: float, grid_: g.Grid1D):
+    du = g.gradient_mid(u, grid_)
+    return 0.5 * a * _scalar_or_rows((du * du).sum(axis=-1)) * grid_.dx
 
 
 # --------------------------------------------------------------------------
@@ -218,22 +223,15 @@ class TheoryMonitors:
 
 
 def instantaneous_monitors(state, q, grid_: g.Grid1D) -> dict:
-    """Pointwise-in-time monitor values for one snapshot.
-
-    On a :class:`StateEval` the values are kept for the last ``q`` asked (as
-    for its material coefficients, the same object), so asking again with it
-    recomputes nothing.
-    """
+    """Pointwise-in-time monitor values for one snapshot."""
     ev = StateEval.of(state, grid_)
-    if ev.inst is None or ev.inst[0] is not q:
-        ev.inst = q, {
-            "l2_thetax": ev.l2_thetax,
-            "l2_vx": g.integrate(ev.vx2, grid_),
-            "l2_uxx": g.integrate(ev.uxx ** 2, grid_),
-            "lq_value": g.integrate(_power(ev.theta + 1.0, q), grid_),
-            "w12_theta": ev.w12_theta,
-        }
-    return dict(ev.inst[1])
+    return {
+        "l2_thetax": ev.l2_thetax,
+        "l2_vx": g.integrate(ev.vx2, grid_),
+        "l2_uxx": g.integrate(ev.uxx ** 2, grid_),
+        "lq_value": g.integrate(_power(ev.theta + 1.0, q), grid_),
+        "w12_theta": ev.w12_theta,
+    }
 
 
 def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha,
@@ -249,12 +247,20 @@ def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha,
     if dt <= 0:
         raise DomainError("monitor update requires dt > 0")
     ev = StateEval.of(state, grid_)
-    return TheoryMonitors(
-        cum_vx4=prev.cum_vx4 + dt * g.integrate(ev.vx2 * ev.vx2, grid_),
-        cum_theta_pow=prev.cum_theta_pow + dt * g.integrate(_power(ev.theta + 1.0, 4.0 * alpha), grid_),
-        cum_thetaxx2=prev.cum_thetaxx2 + dt * g.integrate(ev.thxx ** 2, grid_),
-        cum_vxx2=prev.cum_vxx2 + dt * g.integrate(ev.vxx ** 2, grid_),
-    )
+    return TheoryMonitors(**{k: getattr(prev, k) + dt * g.integrate(w, grid_)
+                             for k, w in zip(CUMULATIVE, _accumulated(ev, alpha))})
+
+
+CUMULATIVE = ("cum_vx4", "cum_theta_pow", "cum_thetaxx2", "cum_vxx2")
+
+
+def _accumulated(ev: StateEval, alpha):
+    """The integrands of the ``CUMULATIVE`` monitors at ``ev``, in order,
+    each made when it is asked for."""
+    yield ev.vx2 * ev.vx2
+    yield _power(ev.theta + 1.0, 4.0 * alpha)
+    yield ev.thxx ** 2
+    yield ev.vxx ** 2
 
 
 def monitors_update(prev: TheoryMonitors, state, dt: float, q: float, alpha: float,
@@ -340,7 +346,12 @@ def left_end_flux(state, laws, a: float, grid_: g.Grid1D):
     ev = StateEval.of(state, grid_)
     if ev.v.ndim == 1:
         return _flux(laws, ev.theta[0], ev.vx[0], ev.ux[0], a)
-    ends = zip(laws, ev.theta[:, 0].tolist(), ev.vx[:, 0].tolist(), ev.ux[:, 0].tolist())
+    return _fluxes(laws, ev.theta, ev.vx, ev.ux, a)
+
+
+def _fluxes(laws, theta, vx, ux, a: float) -> np.ndarray:
+    """The left-end flux of each row by the law of that row, a column."""
+    ends = zip(laws, theta[:, 0].tolist(), vx[:, 0].tolist(), ux[:, 0].tolist())
     return np.array([[_flux(law, th0, vx0, ux0, a)] for law, th0, vx0, ux0 in ends])
 
 
@@ -365,14 +376,21 @@ def z_residual(state_prev, state_next, laws, a: float, kappa, grid_: g.Grid1D):
         raise DomainError("z_residual needs snapshots in increasing time order")
     new = StateEval.of(state_next, grid_)
     damp = _damping(kappa, new.t)
-    z_new = damp * new.V  # z_transform(new)
     z_old, _ = z_transform(state_prev, kappa, grid_)
-    zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-    gam, f = new.material(laws)
-    h = (gam - laws.gamma0) * zxx + a * damp * new.ux - damp * f
-    correction = damp * left_end_flux(new, laws, a, grid_)
-    res = (z_new - z_old) / dt - (laws.gamma0 * zxx - kappa * z_new + h - correction)
+    res = _residual(damp * new.V, z_old, dt, new.material(laws), new.ux, damp,
+                    left_end_flux(new, laws, a, grid_), laws.gamma0, a, kappa, grid_)
     return _sqrt(g.integrate(res ** 2, grid_))
+
+
+def _residual(z_new, z_old, dt, material, ux, damp, flux, gamma0, a: float, kappa, grid_):
+    """The residual field of :func:`z_residual`; ``z_new`` = ``damp`` V of the
+    later snapshot, ``material`` and ``ux`` and ``flux`` are taken there.  Any
+    of the scalars may be a column, one value per row."""
+    gam, f = material
+    zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
+    h = (gam - gamma0) * zxx + a * damp * ux - damp * f
+    correction = damp * flux
+    return (z_new - z_old) / dt - (gamma0 * zxx - kappa * z_new + h - correction)
 
 
 # --------------------------------------------------------------------------
@@ -625,12 +643,8 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
              e0, z_res, clamp_count):
     """Assemble one timeseries row: energy split, mass, min(theta) and the
     instantaneous monitors at the sampled state; cumulative monitors are
-    taken from the accumulator.
-
-    On an ensemble state the other arguments hold one value per member
-    (``clamp_count`` a sequence) or one value for all, and the result is the
-    list of the members' rows.
-    """
+    taken from the accumulator.  A run's rows are made in blocks by
+    :func:`evaluate_block`, with the same values as this function gives."""
     ev = StateEval.of(state, grid_)
     budget = energy(ev, a, grid_)
     values = dict(
@@ -649,7 +663,131 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
         clamp_count=clamp_count,
         **instantaneous_monitors(ev, q, grid_),
     )
-    if ev.v.ndim == 1:
-        return DiagRow(t=ev.t, **values)
-    columns = [np.full(len(ev.v), values[c]).tolist() for c in DIAG_COLUMNS[1:]]
-    return [DiagRow(ev.t, *member) for member in zip(*columns)]
+    return DiagRow(t=ev.t, **values)
+
+
+# --------------------------------------------------------------------------
+# a block of recorded states
+# --------------------------------------------------------------------------
+
+BLOCK_VALUES = 4096  # one field of a block: at most this many values (32 KiB)
+
+
+def block_size(members: int, n: int) -> int:
+    """The most states of ``members`` runs on ``n`` nodes that a block holds."""
+    return max(1, BLOCK_VALUES // (members * n))
+
+
+_Stacked = collections.namedtuple("_Stacked", "t u v theta")
+
+
+def _stack(arrays: list, n: int) -> np.ndarray:
+    """The fields of states, each (n,) or (B, n), as the rows of one array;
+    a single state's without a copy."""
+    if len(arrays) == 1:
+        return arrays[0].reshape(-1, n)
+    return np.concatenate(arrays) if arrays[0].ndim == 2 else np.stack(arrays)
+
+
+def _select(idx: list, width: int, states: int):
+    """The rows of the states ``idx`` (increasing, ``width`` rows each) among
+    ``states`` states; a slice, so no copy, when they are all of them."""
+    if len(idx) == states:
+        return slice(None)
+    return (np.array(idx, dtype=int)[:, None] * width + np.arange(width)).ravel()
+
+
+def _column(p, states: int):
+    """A member parameter (a scalar, or a (B, 1) column) repeated for each of
+    ``states`` stacked states; as it is for one state."""
+    return p if states == 1 else np.tile(np.reshape(p, (-1, 1)), (states, 1))
+
+
+def evaluate_block(evs: list, steps: list, samples: list, laws, a: float, q, kappa,
+                   grid_: g.Grid1D):
+    """The integrals owed by a block of states, from one quadrature for the
+    accumulators and one for the rows.
+
+    ``evs`` are the block's distinct StateEvals in order, each a state of the
+    same B members (B = 1 for a single run).  ``steps`` indexes, in order,
+    the states whose accumulator integrands are owed; ``samples`` holds
+    ``(index, left)``, in order, for those whose row is owed, ``left`` being
+    the StateEval its step started from (None at t = 0).  ``laws``, ``q``
+    and ``kappa`` are the members' parameters, as for one state.
+
+    Every derived field is computed once over the block's states stacked as
+    rows (a block of one state is that state's own StateEval, cache and
+    all), and all its integrands of a kind go into one (rows, k, n) buffer
+    with one trapezoid reduction.  Each row keeps the bits of its state's own
+    evaluation: the operators act on the last axis and the sums run along
+    it, the powers are taken row by row (:func:`_power`), and (gamma, f) and
+    the detector's W^{1,2} norm come from each state's own cache.
+
+    Returns ``(acc, values)``: ``acc`` holds the ``CUMULATIVE`` integrals of
+    each owed step, shape (len(steps), B, 4), and ``values`` the instantaneous
+    row values by column name, each (len(samples), B); ``()`` and None when
+    nothing of the kind is owed.
+    """
+    n, k = grid_.n, len(evs)
+    width = 1 if evs[0].v.ndim == 1 else len(evs[0].v)
+    blk = evs[0] if k == 1 else StateEval(_Stacked(None, *(
+        _stack([getattr(ev, f) for ev in evs], n) for f in ("u", "v", "theta"))), grid_)
+
+    def rows(x, sel=slice(None)):
+        return x.reshape(-1, n)[sel]
+
+    def integrals(ws):  # (rows, len(ws)): one reduction over a (rows, k, n) buffer
+        if k == 1:  # the state's own arrays, each integrated as it is made
+            return np.array([g.integrate(w, grid_) for w in ws]).T
+        ws = list(ws)
+        return g.integrate(np.stack(ws, axis=1).reshape(-1, n), grid_).reshape(-1, len(ws))
+
+    acc, values = (), None
+    if steps:
+        sel = _select(steps, width, k)
+        acc = integrals(rows(w, sel) for w in _accumulated(blk, _column(laws.alpha, k)))
+        acc = acc.reshape(len(steps), width, len(CUMULATIVE))
+    if samples:
+        at = [i for i, _ in samples]
+        sel = _select(at, width, k)
+        u, v, theta = (rows(x, sel) for x in (blk.u, blk.v, blk.theta))
+        res2 = np.zeros_like(v)  # 0 at t = 0, which has no left state
+        zs = [j for j, (_, left) in enumerate(samples) if left is not None]
+        if zs:
+            res2[_select(zs, width, len(samples))] = _block_residual(
+                evs, blk, [samples[j] for j in zs], laws, a, kappa, width, grid_) ** 2
+        kin, th, l2_vx, l2_uxx, lq, res2 = integrals([
+            v ** 2, theta, rows(blk.vx2, sel), rows(blk.uxx, sel) ** 2,
+            _power(theta + 1.0, _column(q, len(samples))), res2]).T
+        kin, ela = 0.5 * kin, _elastic(u, a, grid_)
+        values = {name: np.reshape(x, (len(samples), width)) for name, x in dict(
+            E_total=kin + ela + th, E_kin=kin, E_el=ela, E_th=th, mass_theta=th,
+            min_theta=theta.min(axis=-1), l2_vx=l2_vx, l2_uxx=l2_uxx,
+            l2_thetax=[evs[i].l2_thetax for i in at], lq_value=lq,
+            w12_theta=[evs[i].w12_theta for i in at], z_residual=np.sqrt(res2)).items()}
+    return acc, values
+
+
+def _block_residual(evs, blk, samples, laws, a, kappa, width, grid_):
+    """The :func:`z_residual` fields of ``samples``, ``(index, left)`` pairs
+    into the block ``evs`` stacked as ``blk``, as stacked rows.  A left state
+    outside the block gives its own V."""
+    n, z = grid_.n, len(samples)
+    kappas = np.reshape(kappa, (-1, 1))
+
+    def damping(times):  # a column: each state's damping of each member
+        return np.concatenate([_damping(kappas, t) for t in times])
+
+    V = blk.V.reshape(-1, n)
+    v_old = _stack([V[(i - 1) * width:i * width] if i and evs[i - 1] is left
+                    else left.V.reshape(-1, n) for i, left in samples], n)
+    z_old = damping([left.t for _, left in samples]) * v_old
+    damp = damping([evs[i].t for i, _ in samples])
+    dt = np.repeat([evs[i].t - left.t for i, left in samples], width)[:, None]
+    sel = _select([i for i, _ in samples], width, len(evs))
+    theta, vx, ux = (x.reshape(-1, n)[sel] for x in (blk.theta, blk.vx, blk.ux))
+    mats = [evs[i].material(laws) for i, _ in samples]
+    material = tuple(_stack([m[j] for m in mats], n) for j in (0, 1))
+    flux = _fluxes((list(laws) if evs[0].v.ndim == 2 else [laws]) * z, theta, vx, ux, a)
+    return _residual(damp * V[sel], z_old, dt, material, ux, damp, flux,
+                     _column(laws.gamma0, z), a, _column(kappa, z), grid_)

@@ -385,48 +385,82 @@ class Rows:
     :func:`_params`, ``e0`` and the accumulators hold one value per member,
     ``sample`` takes one clamp count per member, and ``rows[i]`` is the i-th
     member's timeseries.
+
+    ``step`` and ``sample`` only note what a state owes.  The states are
+    evaluated as a block (:func:`diagnostics.evaluate_block`) by ``flush``,
+    which then advances the accumulators in step order and appends the rows
+    in sample order.  A block is flushed once it holds
+    :func:`diagnostics.block_size` states and the step from its last state
+    is noted (a state a block holds owes nothing more), and by ``keep`` and
+    ``alone``; whoever reads ``rows`` flushes first.
     """
 
     def __init__(self, laws, a: float, grid_: g.Grid1D, q, kappa, e0, members: int = 1):
         self.laws, self.a, self.grid, self.q, self.kappa, self.e0 = laws, a, grid_, q, kappa, e0
-        self.cum = diag.TheoryMonitors()
-        if members > 1:  # one running value per member
-            self.cum = diag.TheoryMonitors(**dict.fromkeys(_CUMULATIVE, np.zeros(members)))
+        self.cum = np.zeros((members, len(diag.CUMULATIVE)))  # a row of accumulators per member
         self.rows: list[list[diag.DiagRow]] = [[] for _ in range(members)]
+        self.size = diag.block_size(members, grid_.n)
+        self._states = []  # the block's distinct states, in order
+        self._steps = []  # (state index, dt) per step, in order
+        self._samples = []  # (state index, left, clamps, steps before it) per sample
 
     def step(self, left, dt):
-        self.cum = diag.accumulate_monitors(self.cum, left, dt, self.laws.alpha, self.grid)
+        """The accumulators advance by ``dt`` x (integrand at ``left``)."""
+        self._note(left, self._steps, dt)
+        if len(self._states) == self.size:  # full, and its states owe nothing more
+            self.flush()
 
     def sample(self, left, ev, clamps):
         """The row at ``ev``, whose step started at ``left`` (None at t = 0),
         with the clamp count ``clamps`` so far."""
-        z_res = 0.0 if left is None else diag.z_residual(
-            left, ev, self.laws, self.a, self.kappa, self.grid)
-        made = diag.make_row(ev, self.a, self.grid, self.cum, self.q, self.e0, z_res, clamps)
-        for rows, row in zip(self.rows, made if isinstance(made, list) else [made]):
-            rows.append(row)
+        self._note(ev, self._samples, left, clamps, len(self._steps))
+
+    def _note(self, ev, owed: list, *item) -> None:
+        if not (self._states and self._states[-1] is ev):
+            self._states.append(ev)
+        owed.append((len(self._states) - 1, *item))
+
+    def flush(self) -> None:
+        """Evaluate the block, advance the accumulators and append its rows."""
+        if not self._states:
+            return
+        states, steps, samples = self._states, self._steps, self._samples
+        self._states, self._steps, self._samples = [], [], []
+        acc, values = diag.evaluate_block(
+            states, [i for i, _ in steps], [(i, left) for i, left, *_ in samples],
+            self.laws, self.a, self.q, self.kappa, self.grid)
+        cums = [self.cum]  # cums[j]: the accumulators after the block's first j steps
+        for (_, dt), integrals in zip(steps, acc):
+            cums.append(cums[-1] + dt * integrals)
+        self.cum = cums[-1]
+        if not samples:
+            return
+        width = len(self.rows)
+        cum = np.array([cums[s[3]] for s in samples])
+        table = dict(values, drift=values["E_total"] - self.e0,
+                     t=[[states[s[0]].t] * width for s in samples],
+                     clamp_count=[s[2] for s in samples],
+                     **{k: cum[..., j] for j, k in enumerate(diag.CUMULATIVE)})
+        made = [diag.DiagRow(*row) for row in zip(*(np.reshape(table[c], -1).tolist()
+                                                     for c in diag.DIAG_COLUMNS))]
+        for i, rows in enumerate(self.rows):
+            rows.extend(made[i::width])
 
     def keep(self, idx: list, laws, q, kappa) -> None:
         """Go on with the members at rows ``idx`` only, whose parameters are
         now ``laws``, ``q`` and ``kappa``."""
+        self.flush()
         self.laws, self.q, self.kappa, self.e0 = laws, q, kappa, self.e0[idx]
-        self.cum = diag.TheoryMonitors(**{k: v[idx] for k, v in _cumulative(self.cum).items()})
-        self.rows = [self.rows[i] for i in idx]
+        self.cum, self.rows = self.cum[idx], [self.rows[i] for i in idx]
+        self.size = diag.block_size(len(idx), self.grid.n)
 
     def alone(self, i: int, laws, q, kappa) -> "Rows":
         """Member ``i`` alone from here, with its ``laws``, ``q`` and ``kappa``:
         float ``e0`` and accumulators as in its solo run, the same ``rows[i]``."""
+        self.flush()
         own = Rows(laws, self.a, self.grid, q, kappa, float(self.e0[i]))
-        own.cum = diag.TheoryMonitors(**{k: float(v[i]) for k, v in _cumulative(self.cum).items()})
-        own.rows = [self.rows[i]]
+        own.cum, own.rows = self.cum[i:i + 1], [self.rows[i]]
         return own
-
-
-_CUMULATIVE = ("cum_vx4", "cum_theta_pow", "cum_thetaxx2", "cum_vxx2")
-
-
-def _cumulative(mon: diag.TheoryMonitors) -> dict:
-    return {k: getattr(mon, k) for k in _CUMULATIVE}
 
 
 class Snapshots(Recorder):
@@ -614,6 +648,11 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
         for m, w12 in zip(act, _listed(ev.w12_theta)):
             m.w12.append(w12)
 
+    def done() -> list:
+        if row_rec is not None:
+            row_rec.flush()
+        return failed
+
     def drop(out, *evs) -> list:
         """Go on without the members at rows ``out``; returns ``evs`` without
         them (``left`` and ``ev`` always share the rows of ``act``)."""
@@ -664,7 +703,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                     failed.append(m)
                     left, prev = drop([i], left, prev)
                     if not act:
-                        return failed
+                        return done()
                     continue
                 if exc.suggested_dt is None or retries >= scheme_cfg.max_step_retries:
                     act[0].traj.status = "aborted"
@@ -672,7 +711,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                     if steps_since_sample:
                         record(left, ev)
                     act[0].traj.final_state = ev.state
-                    return failed
+                    return done()
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
         if row_rec is not None:
@@ -694,7 +733,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
 
     for i, m in enumerate(act):
         m.traj.final_state = ev.member(i).state
-    return failed
+    return done()
 
 
 def run(config, *, rows: bool = True, recorders=()):

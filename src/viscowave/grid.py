@@ -200,11 +200,6 @@ def integrate(w: FloatArray, grid: Grid1D) -> float:
     return float(total) if w.ndim == 1 else total
 
 
-def inner(w: FloatArray, z: FloatArray, grid: Grid1D) -> float:
-    """Trapezoid inner product of two nodal fields."""
-    return integrate(np.asarray(w, dtype=float) * np.asarray(z, dtype=float), grid)
-
-
 def cumulative_integral(w: FloatArray, grid: Grid1D) -> FloatArray:
     """Running trapezoid antiderivative from the left end; result[0] == 0."""
     w = _check_size(w, grid)

@@ -375,7 +375,9 @@ def w12_distance(wa: np.ndarray, wb: np.ndarray, grid_: g.Grid1D) -> float:
 
 @dataclass(frozen=True)
 class CascadeReport:
-    """Pairwise distances between consecutive runs of a smoothing ladder."""
+    """Pairwise distances between consecutive runs of a smoothing ladder,
+    with what each distance covers: the number of samples at which the pair
+    was compared and the last time compared."""
 
     eps_ladder: tuple[float, ...]
     sup_dists: dict[str, tuple[float, ...]]
@@ -383,6 +385,8 @@ class CascadeReport:
     cauchy: dict[str, bool]
     statuses: tuple[str, ...]
     blowup_fired: bool
+    compared: tuple[int, ...]
+    last_compared: tuple[float, ...]
     error: str | None = None
 
 
@@ -395,6 +399,7 @@ class _Rung(dyn.Recorder):
         self.ladder, self.i, self.grid = ladder, i, grid_
         self.latest = None, None
         self.dists = None  # against the next rung: the max over shared t of (u, v, theta, W12)
+        self.compared, self.last = 0, None  # against the next rung: how many samples, up to when
 
     def sample(self, ev):
         fields = np.stack((ev.u, ev.v, ev.theta))
@@ -402,12 +407,13 @@ class _Rung(dyn.Recorder):
             t, theirs = r.latest
             if t == ev.t:
                 if r.i < self.i:
-                    r.compare(theirs, fields)
+                    r.compare(t, theirs, fields)
                 else:
-                    self.compare(fields, theirs)
+                    self.compare(t, fields, theirs)
         self.latest = ev.t, fields
 
-    def compare(self, fa, fb) -> None:  # samples as rows u, v, theta
+    def compare(self, t, fa, fb) -> None:  # samples at time t as rows u, v, theta
+        self.compared, self.last = self.compared + 1, t
         new = np.abs(fa - fb).max(axis=1).tolist() + [w12_distance(fa[2], fb[2], self.grid)]
         # a running max(): a value replaces the one before only if it is greater
         self.dists = new if self.dists is None else [
@@ -426,7 +432,8 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     compared no further, and one that leaves the batch on a failed step
     only where a later sample falls on a neighbour's final sample time.
     An aborted rung ends the ladder.  The report flags Cauchy behavior per
-    field: each consecutive distance smaller than the previous one.
+    field: each consecutive distance smaller than the previous one; for each
+    pair it gives the number of samples compared and the last time compared.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if not eps_ladder:
@@ -458,6 +465,8 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
         cauchy={name: all(b < a for a, b in zip(vals, vals[1:])) for name, vals in sup_dists.items()},
         statuses=tuple(statuses[:last + 1]),
         blowup_fired="blowup_halt" in statuses[:last + 1],
+        compared=tuple(r.compared for r in ladder[:last]),
+        last_compared=tuple(r.last for r in ladder[:last]),
         error=trajs[last].error,
     )
 

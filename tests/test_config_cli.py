@@ -802,6 +802,7 @@ def test_cmd_mms_verify_computes_no_rows(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.diag, "make_row", no_row)
     monkeypatch.setattr(cli.diag, "z_residual", no_row)
+    monkeypatch.setattr(cli.diag, "evaluate_block", no_row)
     assert cli.main(["mms-verify", "--config", path]) == cli.EXIT_OK
     assert capsys.readouterr().out == table
 

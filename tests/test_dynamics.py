@@ -445,6 +445,8 @@ def _adapt_dt_differentiating(state, laws, grid_, cfg):
 
 
 def test_adaptive_run_reads_vx_from_the_state_eval(monkeypatch):
+    # in blocks of one state, the accumulators read that state's own v_x,
+    # which adapt_dt has cached (a stacked block differentiates its rows once)
     scen = sc.battery_scenario("coupled")
     grid_ = scen.make_grid()
     cfg = replace(scen.scheme, adaptive=True)
@@ -453,6 +455,7 @@ def test_adaptive_run_reads_vx_from_the_state_eval(monkeypatch):
         calls = []
         d1 = g.d1
         with monkeypatch.context() as m:
+            m.setattr(diag, "BLOCK_VALUES", 1)
             m.setattr(g, "d1", lambda w, grid_arg: calls.append(1) or d1(w, grid_arg))
             traj = dyn.simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), 0.1, cfg,
                                 scen.monitors)
@@ -624,8 +627,9 @@ COUPLED_LAWS = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
 def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
     """simulate's loop at fixed dt, with every diagnostic recomputed from a
     plain State through the public functions and the blow-up slope taken by
-    np.polyfit.  The instantaneous monitors are those of the final state.
-    Returns (rows, monitors, steps, t_fire)."""
+    np.polyfit.  A failed step ends the run, as an abort: its last accepted
+    state is sampled if it was not.  The instantaneous monitors are those of
+    the final state.  Returns (rows, monitors, steps, t_fire)."""
     state = dyn.State(t=0.0, u=data.u0, v=data.v0, theta=data.theta0)
     e0 = diag.energy(state, a, grid_).total
     monitors = diag.TheoryMonitors()
@@ -633,10 +637,19 @@ def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
     clamp_total = steps = since = 0
     eps_end = 1e-12 * max(t_end, 1.0)
     win = mon.blowup_window
+    left = t_fire = None
     while state.t < t_end - eps_end:
         dt = min(cfg.dt_initial, t_end - state.t)
         prev = state
-        state, clamped = dyn.step_with_count(prev, laws, a, grid_, cfg, dt, forcing)
+        try:
+            state, clamped = dyn.step_with_count(prev, laws, a, grid_, cfg, dt, forcing)
+        except StepError:
+            if since:
+                z_res = diag.z_residual(left, prev, laws, a, mon.kappa, grid_)
+                rows.append(diag.make_row(prev, a, grid_, monitors, mon.q, e0, z_res, clamp_total))
+            state = prev
+            break
+        left = prev
         monitors = diag.monitors_update(monitors, prev, dt, mon.q, laws.alpha, grid_)
         clamp_total += clamped
         steps += 1
@@ -651,8 +664,6 @@ def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
                 if tail[-1] > mon.blowup_threshold and rate > mon.blowup_rate_min:
                     t_fire = state.t
                     break
-    else:
-        t_fire = None
     final = replace(monitors, **diag.instantaneous_monitors(state, mon.q, grid_))
     return rows, final, steps, t_fire
 
@@ -672,6 +683,55 @@ def test_simulate_diagnostics_equal_per_function_replay(cadence, scheme):
     assert traj.rows == rows
     assert traj.monitors == monitors
     assert [r.t for r in rows] == traj.times
+
+
+POWER_LAWS = mat.MaterialLaws(gamma_family="saturating", f_family="power",
+                              gamma0=1.0, delta=0.2, K_f=0.5, alpha=1.45)
+
+
+@pytest.mark.parametrize("laws,cadence,scheme,q,size", [
+    (COUPLED_LAWS, 1, "imex_be", 2.5, 124),
+    (COUPLED_LAWS, 3, "imex_cn", 2.5, 124),
+    (POWER_LAWS, 2, "imex_cn", 2.3, 124),  # non-integer exponents 4 alpha = 5.8 and q
+    (POWER_LAWS, 3, "imex_cn", 2.3, 1),
+], ids=["cadence1_be", "cadence3_cn", "power_law", "blocks_of_one"])
+def test_rows_across_blocks_equal_per_function_replay(laws, cadence, scheme, q, size, monkeypatch):
+    # a block holds 124 states at n = 33; 320 full steps and a clipped final
+    # one cross two block boundaries, and the last sample is off the cadence.
+    # A budget of one value makes every block one state's own StateEval
+    grid_ = make_grid(33)
+    if size == 1:
+        monkeypatch.setattr(diag, "BLOCK_VALUES", 1)
+    assert diag.block_size(1, 33) == size
+    data = sc.gen_coupled_smooth(grid_)
+    mon = diag.MonitorConfig(q=q, kappa=1.5, cadence=cadence)
+    cfg = cfg_for(1e-3, scheme)
+    traj = dyn.simulate(laws, 1.0, grid_, data, 0.3205, cfg, mon)
+    rows, monitors, steps, _ = replay(laws, 1.0, grid_, data, 0.3205, cfg, mon)
+    assert traj.status == "completed" and traj.steps_taken == steps == 321
+    assert len(rows) == 1 + -(-321 // cadence)
+    assert [repr(r) for r in traj.rows] == [repr(r) for r in rows]
+    assert repr(traj.monitors) == repr(monitors)
+    assert [r.t for r in rows] == traj.times
+
+
+@pytest.mark.parametrize("case", ["aborted", "blowup_halt"])
+def test_an_abort_or_halt_mid_block_equals_per_function_replay(case):
+    # the abort after 200 steps (cadence 3: its last state sampled off the
+    # cadence) and the halt after 149 fall in the second block of 124 states
+    grid_ = make_grid(33)
+    if case == "aborted":
+        laws, data, forcing = COUPLED_LAWS, sc.gen_coupled_smooth(grid_), _nan_after(0.2005)
+        mon, cfg, t_end, steps = diag.MonitorConfig(q=2.5, cadence=3), cfg_for(1e-3), 0.3, 200
+    else:
+        laws, data, forcing, mon = CONST_LAWS, *_forced_growth()[1:]
+        cfg, t_end, steps = cfg_for(2e-3), 2.0, 149
+    traj = dyn.simulate(laws, 1.0, grid_, data, t_end, cfg, mon, forcing)
+    rows, monitors, replayed, t_fire = replay(laws, 1.0, grid_, data, t_end, cfg, mon, forcing)
+    assert traj.status == case and traj.steps_taken == replayed == steps
+    assert (traj.blowup.t_fire if traj.blowup else None) == t_fire
+    assert [repr(r) for r in traj.rows] == [repr(r) for r in rows]
+    assert repr(traj.monitors) == repr(monitors)
 
 
 def test_blowup_halt_fires_where_polyfit_detector_fired():
@@ -808,6 +868,33 @@ def test_run_without_rows_integrates_twice_per_sample(case, status, monkeypatch)
         assert len(bare.times) == 9 and bare.steps_taken == 22
     # two for E0 (kinetic and thermal parts), then two per sample
     assert len(calls) == 2 + 2 * len(bare.times)
+
+
+@pytest.mark.parametrize("cadence,scheme", [(1, "imex_be"), (3, "imex_cn")])
+def test_run_with_rows_integrates_twice_per_block(cadence, scheme, monkeypatch):
+    # two calls for E0, two per sample for the detector, and two per block:
+    # one quadrature for the accumulators and one for the rows.  301 states
+    # at n = 33 make three blocks of at most 124 states
+    grid_ = make_grid(33)
+    calls, blocks = [], []
+    integrate, evaluate = g.integrate, diag.evaluate_block
+
+    def counting(w, grid_arg):
+        calls.append(1)
+        return integrate(w, grid_arg)
+
+    def evaluating(evs, *args):
+        blocks.append(len(evs))
+        return evaluate(evs, *args)
+
+    monkeypatch.setattr(g, "integrate", counting)
+    monkeypatch.setattr(diag, "evaluate_block", evaluating)
+    traj = dyn.simulate(COUPLED_LAWS, 1.0, grid_, sc.gen_coupled_smooth(grid_), 0.3,
+                        cfg_for(1e-3, scheme), diag.MonitorConfig(cadence=cadence))
+    assert traj.steps_taken == 300 and len(traj.rows) == len(traj.times) == 1 + 300 // cadence
+    assert blocks == [124, 124, 53]
+    assert max(blocks) == diag.block_size(1, grid_.n)
+    assert len(calls) == 2 + 2 * len(traj.times) + 2 * len(blocks)
 
 
 class _Counting(dyn.Recorder):

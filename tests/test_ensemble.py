@@ -111,6 +111,22 @@ def test_members_without_rows_and_with_snapshots():
         assert s.states[0] is traj.initial_state and s.states[-1] is traj.final_state
 
 
+def test_recorders_see_views_of_the_batch_rows():
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, mons = members(grid_)
+    recs = [[_Log()] for _ in laws]
+    seen = []
+    for (rec,) in recs:
+        rec.sample = lambda ev, log=rec.sample: seen.append(ev) or log(ev)
+    dyn.simulate(laws, 1.0, grid_, data, 0.003, cfg_for(1e-3), mons, recorders=recs)
+    assert len(seen) == 3 * 4
+    for ev in seen:
+        assert not any(x.flags.owndata for x in (ev.u, ev.v, ev.theta))  # rows of the batch's
+    solo = _Log()
+    dyn.simulate(laws[2], 1.0, grid_, data[2], 0.003, cfg_for(1e-3), mons[2], recorders=[solo])
+    assert recs[2][0].log == solo.log
+
+
 def test_a_nan_member_fails_alone():
     # the NaN spoils the stacked velocity solve of every member; the failure
     # is blamed on the middle member, which then goes on alone from t = 0
@@ -283,6 +299,27 @@ def test_members_that_fail_mid_batch_go_on_where_they_stood(scheme, monkeypatch)
         assert_same_run(traj, solo)
         assert log.log == ref.log
         assert log.times() == traj.times
+
+
+def test_members_that_halt_or_resume_mid_block_equal_their_solo_runs(monkeypatch):
+    # three members on 33 nodes: a block holds 41 states, 62 once two are
+    # left.  Member 1's detector fires at its 50th sample, in the second
+    # block; member 0's full steps are rejected from t = 0.0605 on, so it
+    # leaves the batch after 61 steps, mid-block, and resumes alone at halved
+    # steps, with its own blocks
+    grid_ = g.Grid1D(1.0, 33)
+    assert (diag.block_size(3, 33), diag.block_size(2, 33)) == (41, 62)
+    laws, data, mons = members(grid_)
+    mons[1] = diag.MonitorConfig(kappa=KAPPAS[1], q=QS[1], blowup_threshold=1e-9,
+                                 blowup_rate_min=-100.0, blowup_window=50)
+    cfg = cfg_for(1e-3)
+    monkeypatch.setattr(dyn, "step_with_count", _Faults({id(LAWS[0]): "rejects"}, 0.0605))
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.1, cfg, mons)
+    solos = solo_runs(laws, data, mons, grid_, 0.1, cfg)
+    assert [t.status for t in ens] == ["completed", "blowup_halt", "completed"]
+    assert [t.steps_taken for t in ens] == [61 + 77, 49, 100]
+    for traj, solo in zip(ens, solos):
+        assert_same_run(traj, solo)
 
 
 def test_a_resumed_member_writes_each_field_dump_once(tmp_path, monkeypatch):

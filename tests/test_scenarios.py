@@ -225,9 +225,11 @@ def _cascade_from_histories(scenario, eps_ladder, simulate):
             error = traj.error
             break
     sup = {"u": [], "v": [], "theta": []}
-    w12 = []
+    w12, compared, last = [], [], []
     for ta, tb in zip(runs, runs[1:]):
         m = next((k for k, (sa, sb) in enumerate(zip(ta, tb)) if sa.t != sb.t), min(len(ta), len(tb)))
+        compared.append(m)
+        last.append(ta[m - 1].t)
         for name in sup:
             sup[name].append(max(float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
                                  for sa, sb in zip(ta[:m], tb[:m])))
@@ -240,6 +242,8 @@ def _cascade_from_histories(scenario, eps_ladder, simulate):
         cauchy={k: all(b < a for a, b in zip(v, v[1:])) for k, v in sup.items()},
         statuses=tuple(statuses),
         blowup_fired="blowup_halt" in statuses,
+        compared=tuple(compared),
+        last_compared=tuple(last),
         error=error,
     )
 
@@ -334,6 +338,12 @@ def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, s
     assert all(len(v) == len(statuses) - 1 for v in rep.sup_dists.values())
     # each rung holds its latest sample only, where a history holds 251
     assert held.most == len(ladder)
+    if fault == "reject_step":
+        # rung 0.3 leaves the batch at t = 0.03 and resumes at halved steps:
+        # it is compared with each neighbour up to its last batched sample
+        assert rep.compared == (152, 152, 251)
+        assert rep.last_compared[:2] == (pytest.approx(0.0302, abs=1e-12),) * 2
+        assert rep.last_compared[2] == pytest.approx(0.05, abs=1e-12)
 
 
 def test_eps_cascade_batches_a_fixed_dt_and_rejects_an_adaptive_one(monkeypatch):
