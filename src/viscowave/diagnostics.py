@@ -38,9 +38,8 @@ class StateEval:
     passes the same ``StateEval`` to all of them (the left end of a step is
     stepped, and, if it was sampled, recorded and fed to the blow-up
     detector) differentiates and integrates that state once; a block of
-    states is evaluated as the rows of one ``StateEval``
-    (:func:`evaluate_block`).  The snapshot fields ``t``, ``u``, ``v``,
-    ``theta`` are exposed unchanged.
+    states is evaluated as the rows of one ``StateEval`` (:class:`Rows`).
+    The snapshot fields ``t``, ``u``, ``v``, ``theta`` are exposed unchanged.
 
     The fields of an ensemble state are ``(B, n)`` arrays, one row per member
     at the same time t; each derived field then has one row (an integral one
@@ -598,6 +597,8 @@ class MonitorConfig:
     def __post_init__(self):
         if self.q <= 1:
             raise ConfigError("monitor exponent q must exceed 1")
+        if not self.T0 > 0:
+            raise ConfigError("monitoring horizon T0 must be positive")
         if self.cadence < 1:
             raise ConfigError("cadence must be at least 1")
         if self.blowup_window < 2:
@@ -644,7 +645,7 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
     """Assemble one timeseries row: energy split, mass, min(theta) and the
     instantaneous monitors at the sampled state; cumulative monitors are
     taken from the accumulator.  A run's rows are made in blocks by
-    :func:`evaluate_block`, with the same values as this function gives."""
+    :class:`Rows`, with the same values as this function gives."""
     ev = StateEval.of(state, grid_)
     budget = energy(ev, a, grid_)
     values = dict(
@@ -667,7 +668,7 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
 
 
 # --------------------------------------------------------------------------
-# a block of recorded states
+# the timeseries: rows evaluated in blocks of recorded states
 # --------------------------------------------------------------------------
 
 BLOCK_VALUES = 4096  # one field of a block: at most this many values (32 KiB)
@@ -703,91 +704,150 @@ def _column(p, states: int):
     return p if states == 1 else np.tile(np.reshape(p, (-1, 1)), (states, 1))
 
 
-def evaluate_block(evs: list, steps: list, samples: list, laws, a: float, q, kappa,
-                   grid_: g.Grid1D):
-    """The integrals owed by a block of states, from one quadrature for the
-    accumulators and one for the rows.
+class Rows:
+    """The timeseries of a run: the four accumulators advanced every step,
+    and one row with its transformed residual per recorded state.
 
-    ``evs`` are the block's distinct StateEvals in order, each a state of the
-    same B members (B = 1 for a single run).  ``steps`` indexes, in order,
-    the states whose accumulator integrands are owed; ``samples`` holds
-    ``(index, left)``, in order, for those whose row is owed, ``left`` being
-    the StateEval its step started from (None at t = 0).  ``laws``, ``q``
-    and ``kappa`` are the members' parameters, as for one state.
+    Over an ensemble state it does this for every member at once: ``laws``,
+    ``q`` and ``kappa`` are then the members' parameters as a
+    :class:`material.LawRows` and (B, 1) columns, ``e0`` and the
+    accumulators hold one value per member, ``sample`` takes one clamp count
+    per member, and ``rows[i]`` is the i-th member's timeseries.
 
-    Every derived field is computed once over the block's states stacked as
-    rows (a block of one state is that state's own StateEval, cache and
-    all), and all its integrands of a kind go into one (rows, k, n) buffer
-    with one trapezoid reduction.  Each row keeps the bits of its state's own
-    evaluation: the operators act on the last axis and the sums run along
-    it, the powers are taken row by row (:func:`_power`), and (gamma, f) and
-    the detector's W^{1,2} norm come from each state's own cache.
-
-    Returns ``(acc, values)``: ``acc`` holds the ``CUMULATIVE`` integrals of
-    each owed step, shape (len(steps), B, 4), and ``values`` the instantaneous
-    row values by column name, each (len(samples), B); ``()`` and None when
-    nothing of the kind is owed.
+    ``step`` and ``sample`` only note what a state owes; ``flush`` evaluates
+    the noted states as one block.  A block is flushed once it holds
+    :func:`block_size` states and the step from its last state is noted (a
+    state a block holds owes nothing more), and by ``keep`` and ``alone``;
+    whoever reads ``rows`` flushes first.
     """
-    n, k = grid_.n, len(evs)
-    width = 1 if evs[0].v.ndim == 1 else len(evs[0].v)
-    blk = evs[0] if k == 1 else StateEval(_Stacked(None, *(
-        _stack([getattr(ev, f) for ev in evs], n) for f in ("u", "v", "theta"))), grid_)
 
-    def rows(x, sel=slice(None)):
-        return x.reshape(-1, n)[sel]
+    def __init__(self, laws, a: float, grid_: g.Grid1D, q, kappa, e0, members: int = 1):
+        self.laws, self.a, self.grid, self.q, self.kappa, self.e0 = laws, a, grid_, q, kappa, e0
+        self.cum = np.zeros((members, len(CUMULATIVE)))  # a row of accumulators per member
+        self.rows: list[list[DiagRow]] = [[] for _ in range(members)]
+        self.size = block_size(members, grid_.n)
+        self._states = []  # the block's distinct StateEvals, in order
+        self._steps = []  # (state index, dt) per step, in order
+        self._samples = []  # (state index, left, clamps, steps before it) per sample
 
-    def integrals(ws):  # (rows, len(ws)): one reduction over a (rows, k, n) buffer
-        if k == 1:  # the state's own arrays, each integrated as it is made
-            return np.array([g.integrate(w, grid_) for w in ws]).T
-        ws = list(ws)
-        return g.integrate(np.stack(ws, axis=1).reshape(-1, n), grid_).reshape(-1, len(ws))
+    def step(self, left: StateEval, dt) -> None:
+        """The accumulators advance by ``dt`` x (integrand at ``left``)."""
+        self._note(left, self._steps, dt)
+        if len(self._states) == self.size:  # full, and its states owe nothing more
+            self.flush()
 
-    acc, values = (), None
-    if steps:
-        sel = _select(steps, width, k)
-        acc = integrals(rows(w, sel) for w in _accumulated(blk, _column(laws.alpha, k)))
-        acc = acc.reshape(len(steps), width, len(CUMULATIVE))
-    if samples:
-        at = [i for i, _ in samples]
+    def sample(self, left: StateEval | None, ev: StateEval, clamps) -> None:
+        """The row at ``ev``, whose step started at ``left`` (None at t = 0),
+        with the clamp count ``clamps`` so far."""
+        self._note(ev, self._samples, left, clamps, len(self._steps))
+
+    def _note(self, ev, owed: list, *item) -> None:
+        if not (self._states and self._states[-1] is ev):
+            self._states.append(ev)
+        owed.append((len(self._states) - 1, *item))
+
+    def flush(self) -> None:
+        """Evaluate the block, advance the accumulators in step order and
+        append its rows in sample order.
+
+        Every derived field is computed once over the block's states stacked
+        as rows (a block of one state is that state's own StateEval, cache
+        and all), and all its integrands of a kind go into one (rows, k, n)
+        buffer with one trapezoid reduction: one for the accumulators, one
+        for the rows.  Each row keeps the bits of its state's own
+        evaluation: the operators act on the last axis and the sums run
+        along it, the powers are taken row by row (:func:`_power`), and
+        (gamma, f) and the detector's W^{1,2} norm come from each state's
+        own cache.
+        """
+        if not self._states:
+            return
+        evs, steps, samples = self._states, self._steps, self._samples
+        self._states, self._steps, self._samples = [], [], []
+        n, k, width = self.grid.n, len(evs), len(self.rows)
+        blk = evs[0] if k == 1 else StateEval(_Stacked(None, *(
+            _stack([getattr(ev, f) for ev in evs], n) for f in ("u", "v", "theta"))), self.grid)
+
+        def rows(x, sel=slice(None)):
+            return x.reshape(-1, n)[sel]
+
+        def integrals(ws):  # (rows, len(ws)): one reduction over a (rows, k, n) buffer
+            if k == 1:  # the state's own arrays, each integrated as it is made
+                return np.array([g.integrate(w, self.grid) for w in ws]).T
+            ws = list(ws)
+            return g.integrate(np.stack(ws, axis=1).reshape(-1, n), self.grid).reshape(-1, len(ws))
+
+        cums = [self.cum]  # cums[j]: the accumulators after the block's first j steps
+        if steps:
+            sel = _select([i for i, _ in steps], width, k)
+            acc = integrals(rows(w, sel) for w in _accumulated(blk, _column(self.laws.alpha, k)))
+            for (_, dt), got in zip(steps, acc.reshape(len(steps), width, len(CUMULATIVE))):
+                cums.append(cums[-1] + dt * got)
+            self.cum = cums[-1]
+        if not samples:
+            return
+        at = [s[0] for s in samples]
         sel = _select(at, width, k)
         u, v, theta = (rows(x, sel) for x in (blk.u, blk.v, blk.theta))
         res2 = np.zeros_like(v)  # 0 at t = 0, which has no left state
-        zs = [j for j, (_, left) in enumerate(samples) if left is not None]
+        zs = [j for j, s in enumerate(samples) if s[1] is not None]
         if zs:
-            res2[_select(zs, width, len(samples))] = _block_residual(
-                evs, blk, [samples[j] for j in zs], laws, a, kappa, width, grid_) ** 2
+            res2[_select(zs, width, len(samples))] = self._residuals(
+                evs, blk, [samples[j][:2] for j in zs], width) ** 2
         kin, th, l2_vx, l2_uxx, lq, res2 = integrals([
             v ** 2, theta, rows(blk.vx2, sel), rows(blk.uxx, sel) ** 2,
-            _power(theta + 1.0, _column(q, len(samples))), res2]).T
-        kin, ela = 0.5 * kin, _elastic(u, a, grid_)
-        values = {name: np.reshape(x, (len(samples), width)) for name, x in dict(
-            E_total=kin + ela + th, E_kin=kin, E_el=ela, E_th=th, mass_theta=th,
+            _power(theta + 1.0, _column(self.q, len(samples))), res2]).T
+        kin, ela = 0.5 * kin, _elastic(u, self.a, self.grid)
+        total = kin + ela + th
+        cum = np.concatenate([cums[s[3]] for s in samples])
+        columns = dict(
+            t=np.repeat([evs[i].t for i in at], width), E_total=total, E_kin=kin, E_el=ela,
+            E_th=th, drift=(total.reshape(-1, width) - self.e0).ravel(), mass_theta=th,
             min_theta=theta.min(axis=-1), l2_vx=l2_vx, l2_uxx=l2_uxx,
-            l2_thetax=[evs[i].l2_thetax for i in at], lq_value=lq,
-            w12_theta=[evs[i].w12_theta for i in at], z_residual=np.sqrt(res2)).items()}
-    return acc, values
+            l2_thetax=np.ravel([evs[i].l2_thetax for i in at]), lq_value=lq,
+            w12_theta=np.ravel([evs[i].w12_theta for i in at]), z_residual=np.sqrt(res2),
+            clamp_count=np.ravel([s[2] for s in samples]),
+            **{c: cum[:, j] for j, c in enumerate(CUMULATIVE)})
+        made = [DiagRow(*row) for row in zip(*(columns[c].tolist() for c in DIAG_COLUMNS))]
+        for i, own in enumerate(self.rows):
+            own.extend(made[i::width])
 
+    def _residuals(self, evs, blk, samples, width):
+        """The :func:`z_residual` fields of ``samples``, ``(index, left)``
+        pairs into the block ``evs`` stacked as ``blk``, as stacked rows.  A
+        left state outside the block gives its own V."""
+        n, z, laws = self.grid.n, len(samples), self.laws
+        kappas = np.reshape(self.kappa, (-1, 1))
 
-def _block_residual(evs, blk, samples, laws, a, kappa, width, grid_):
-    """The :func:`z_residual` fields of ``samples``, ``(index, left)`` pairs
-    into the block ``evs`` stacked as ``blk``, as stacked rows.  A left state
-    outside the block gives its own V."""
-    n, z = grid_.n, len(samples)
-    kappas = np.reshape(kappa, (-1, 1))
+        def damping(times):  # a column: each state's damping of each member
+            return np.concatenate([_damping(kappas, t) for t in times])
 
-    def damping(times):  # a column: each state's damping of each member
-        return np.concatenate([_damping(kappas, t) for t in times])
+        V = blk.V.reshape(-1, n)
+        v_old = _stack([V[(i - 1) * width:i * width] if i and evs[i - 1] is left
+                        else left.V.reshape(-1, n) for i, left in samples], n)
+        z_old = damping([left.t for _, left in samples]) * v_old
+        damp = damping([evs[i].t for i, _ in samples])
+        dt = np.repeat([evs[i].t - left.t for i, left in samples], width)[:, None]
+        sel = _select([i for i, _ in samples], width, len(evs))
+        theta, vx, ux = (x.reshape(-1, n)[sel] for x in (blk.theta, blk.vx, blk.ux))
+        mats = [evs[i].material(laws) for i, _ in samples]
+        material = tuple(_stack([m[j] for m in mats], n) for j in (0, 1))
+        flux = _fluxes((list(laws) if evs[0].v.ndim == 2 else [laws]) * z, theta, vx, ux, self.a)
+        return _residual(damp * V[sel], z_old, dt, material, ux, damp, flux,
+                         _column(laws.gamma0, z), self.a, _column(self.kappa, z), self.grid)
 
-    V = blk.V.reshape(-1, n)
-    v_old = _stack([V[(i - 1) * width:i * width] if i and evs[i - 1] is left
-                    else left.V.reshape(-1, n) for i, left in samples], n)
-    z_old = damping([left.t for _, left in samples]) * v_old
-    damp = damping([evs[i].t for i, _ in samples])
-    dt = np.repeat([evs[i].t - left.t for i, left in samples], width)[:, None]
-    sel = _select([i for i, _ in samples], width, len(evs))
-    theta, vx, ux = (x.reshape(-1, n)[sel] for x in (blk.theta, blk.vx, blk.ux))
-    mats = [evs[i].material(laws) for i, _ in samples]
-    material = tuple(_stack([m[j] for m in mats], n) for j in (0, 1))
-    flux = _fluxes((list(laws) if evs[0].v.ndim == 2 else [laws]) * z, theta, vx, ux, a)
-    return _residual(damp * V[sel], z_old, dt, material, ux, damp, flux,
-                     _column(laws.gamma0, z), a, _column(kappa, z), grid_)
+    def keep(self, idx: list, laws, q, kappa) -> None:
+        """Go on with the members at rows ``idx`` only, whose parameters are
+        now ``laws``, ``q`` and ``kappa``."""
+        self.flush()
+        self.laws, self.q, self.kappa, self.e0 = laws, q, kappa, self.e0[idx]
+        self.cum, self.rows = self.cum[idx], [self.rows[i] for i in idx]
+        self.size = block_size(len(idx), self.grid.n)
+
+    def alone(self, i: int, laws, q, kappa) -> "Rows":
+        """Member ``i`` alone from here, with its ``laws``, ``q`` and ``kappa``:
+        float ``e0`` and accumulators as in its solo run, the same ``rows[i]``."""
+        self.flush()
+        own = Rows(laws, self.a, self.grid, q, kappa, float(self.e0[i]))
+        own.cum, own.rows = self.cum[i:i + 1], [self.rows[i]]
+        return own

@@ -376,93 +376,6 @@ class Recorder:
         pass
 
 
-class Rows:
-    """The timeseries of :func:`simulate`: the four accumulators advanced
-    every step, and one row with its transformed residual per recorded state.
-
-    Over an ensemble state it does this for every member at once: ``laws``,
-    ``q`` and ``kappa`` are then the per-member parameters of
-    :func:`_params`, ``e0`` and the accumulators hold one value per member,
-    ``sample`` takes one clamp count per member, and ``rows[i]`` is the i-th
-    member's timeseries.
-
-    ``step`` and ``sample`` only note what a state owes.  The states are
-    evaluated as a block (:func:`diagnostics.evaluate_block`) by ``flush``,
-    which then advances the accumulators in step order and appends the rows
-    in sample order.  A block is flushed once it holds
-    :func:`diagnostics.block_size` states and the step from its last state
-    is noted (a state a block holds owes nothing more), and by ``keep`` and
-    ``alone``; whoever reads ``rows`` flushes first.
-    """
-
-    def __init__(self, laws, a: float, grid_: g.Grid1D, q, kappa, e0, members: int = 1):
-        self.laws, self.a, self.grid, self.q, self.kappa, self.e0 = laws, a, grid_, q, kappa, e0
-        self.cum = np.zeros((members, len(diag.CUMULATIVE)))  # a row of accumulators per member
-        self.rows: list[list[diag.DiagRow]] = [[] for _ in range(members)]
-        self.size = diag.block_size(members, grid_.n)
-        self._states = []  # the block's distinct states, in order
-        self._steps = []  # (state index, dt) per step, in order
-        self._samples = []  # (state index, left, clamps, steps before it) per sample
-
-    def step(self, left, dt):
-        """The accumulators advance by ``dt`` x (integrand at ``left``)."""
-        self._note(left, self._steps, dt)
-        if len(self._states) == self.size:  # full, and its states owe nothing more
-            self.flush()
-
-    def sample(self, left, ev, clamps):
-        """The row at ``ev``, whose step started at ``left`` (None at t = 0),
-        with the clamp count ``clamps`` so far."""
-        self._note(ev, self._samples, left, clamps, len(self._steps))
-
-    def _note(self, ev, owed: list, *item) -> None:
-        if not (self._states and self._states[-1] is ev):
-            self._states.append(ev)
-        owed.append((len(self._states) - 1, *item))
-
-    def flush(self) -> None:
-        """Evaluate the block, advance the accumulators and append its rows."""
-        if not self._states:
-            return
-        states, steps, samples = self._states, self._steps, self._samples
-        self._states, self._steps, self._samples = [], [], []
-        acc, values = diag.evaluate_block(
-            states, [i for i, _ in steps], [(i, left) for i, left, *_ in samples],
-            self.laws, self.a, self.q, self.kappa, self.grid)
-        cums = [self.cum]  # cums[j]: the accumulators after the block's first j steps
-        for (_, dt), integrals in zip(steps, acc):
-            cums.append(cums[-1] + dt * integrals)
-        self.cum = cums[-1]
-        if not samples:
-            return
-        width = len(self.rows)
-        cum = np.array([cums[s[3]] for s in samples])
-        table = dict(values, drift=values["E_total"] - self.e0,
-                     t=[[states[s[0]].t] * width for s in samples],
-                     clamp_count=[s[2] for s in samples],
-                     **{k: cum[..., j] for j, k in enumerate(diag.CUMULATIVE)})
-        made = [diag.DiagRow(*row) for row in zip(*(np.reshape(table[c], -1).tolist()
-                                                     for c in diag.DIAG_COLUMNS))]
-        for i, rows in enumerate(self.rows):
-            rows.extend(made[i::width])
-
-    def keep(self, idx: list, laws, q, kappa) -> None:
-        """Go on with the members at rows ``idx`` only, whose parameters are
-        now ``laws``, ``q`` and ``kappa``."""
-        self.flush()
-        self.laws, self.q, self.kappa, self.e0 = laws, q, kappa, self.e0[idx]
-        self.cum, self.rows = self.cum[idx], [self.rows[i] for i in idx]
-        self.size = diag.block_size(len(idx), self.grid.n)
-
-    def alone(self, i: int, laws, q, kappa) -> "Rows":
-        """Member ``i`` alone from here, with its ``laws``, ``q`` and ``kappa``:
-        float ``e0`` and accumulators as in its solo run, the same ``rows[i]``."""
-        self.flush()
-        own = Rows(laws, self.a, self.grid, q, kappa, float(self.e0[i]))
-        own.cum, own.rows = self.cum[i:i + 1], [self.rows[i]]
-        return own
-
-
 class Snapshots(Recorder):
     """Every recorded state, in order, for callers that need a history."""
 
@@ -529,7 +442,7 @@ class _Member:
     trajectory, the W^{1,2} history its blow-up detector reads, and, once
     its step failed in a batch, ``resume``: the state it stood at, the left
     state of the step that produced it, the steps since its last sample and
-    its own :class:`Rows` (or None)."""
+    its own :class:`diagnostics.Rows` (or None)."""
 
     def __init__(self, laws, data, monitor_cfg, recorders, grid_, a):
         self.laws, self.data, self.cfg, self.recs = laws, data, monitor_cfg, list(recorders)
@@ -581,7 +494,8 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     retry, the clamp count, the sample times, the first and last accepted
     states, and the blow-up detector, fed the W^{1,2} norm of the
     temperature at every recorded state.  When ``rows`` is true, a
-    :class:`Rows` table fills ``traj.rows`` (and so ``traj.monitors``).
+    :class:`diagnostics.Rows` table fills ``traj.rows`` (and so
+    ``traj.monitors``).
     Every recorded state is then handed to the ``sample`` of each of
     ``recorders``, in order.
 
@@ -678,7 +592,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
             m.traj.initial_state, m.traj.e0 = ev.member(i).state, e
         row_rec = None
         if rows:
-            row_rec = Rows(laws, a, grid_, q, kappa, e0, len(act))
+            row_rec = diag.Rows(laws, a, grid_, q, kappa, e0, len(act))
             for m, own in zip(act, row_rec.rows):
                 m.traj.rows = own
         record(None, ev)

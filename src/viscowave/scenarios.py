@@ -5,6 +5,7 @@ two approximation ladders (vanishing cross-diffusion eta, data smoothing eps).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -213,8 +214,16 @@ class Scenario:
     def __post_init__(self):
         if self.tag not in ("stationary", "closed_form", "mms", "generic"):
             raise ConfigError(f"unknown scenario tag {self.tag!r}")
+        if not self.a > 0:
+            raise ConfigError("the elastic modulus a must be positive")
         if self.generator != "mms" and self.generator not in INITIAL_GENERATORS:
             raise ConfigError(f"unknown initial-data generator {self.generator!r}")
+        gen = INITIAL_GENERATORS.get(self.generator)  # the mms data take no parameters
+        takes = list(inspect.signature(gen).parameters)[1:] if gen else []
+        unknown = sorted(set(self.gen_params) - set(takes))
+        if unknown:
+            raise ConfigError(f"initial-data generator {self.generator!r} takes no "
+                              f"{', '.join(unknown)} (it takes: {', '.join(takes) or 'none'})")
 
     def make_grid(self) -> g.Grid1D:
         return g.Grid1D(self.length, self.n)

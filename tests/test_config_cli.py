@@ -705,6 +705,20 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,extra,needle", [
+    ("run", "[monitors]\nT0 = 0\n", "T0"),  # else estimate_K fails once the run is over
+    ("run", "[domain]\na = 0\n", "elastic modulus a"),  # else a solver error from the stepper
+    ("run", "[initial]\namp_x = 0.3\n", "amp_x"),  # else a TypeError from the generator
+    ("sweep", "[initial]\namp_x = 0.3\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n", "amp_x"),
+], ids=["run-T0", "run-a", "run-gen_param", "sweep-gen_param"])
+def test_config_mistakes_fail_when_parsed(tmp_path, capsys, command, extra, needle):
+    path = write_ini(tmp_path, COUPLED_INI + "\n" + extra, out=str(tmp_path / "out"))
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and needle in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------------------
 # cmd_converge / mms-verify
 # --------------------------------------------------------------------------
@@ -802,7 +816,7 @@ def test_cmd_mms_verify_computes_no_rows(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.diag, "make_row", no_row)
     monkeypatch.setattr(cli.diag, "z_residual", no_row)
-    monkeypatch.setattr(cli.diag, "evaluate_block", no_row)
+    monkeypatch.setattr(cli.diag.Rows, "__init__", no_row)
     assert cli.main(["mms-verify", "--config", path]) == cli.EXIT_OK
     assert capsys.readouterr().out == table
 

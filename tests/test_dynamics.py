@@ -877,18 +877,19 @@ def test_run_with_rows_integrates_twice_per_block(cadence, scheme, monkeypatch):
     # at n = 33 make three blocks of at most 124 states
     grid_ = make_grid(33)
     calls, blocks = [], []
-    integrate, evaluate = g.integrate, diag.evaluate_block
+    integrate, flush = g.integrate, diag.Rows.flush
 
     def counting(w, grid_arg):
         calls.append(1)
         return integrate(w, grid_arg)
 
-    def evaluating(evs, *args):
-        blocks.append(len(evs))
-        return evaluate(evs, *args)
+    def flushing(rows):
+        if rows._states:  # a flush with nothing noted evaluates no block
+            blocks.append(len(rows._states))
+        flush(rows)
 
     monkeypatch.setattr(g, "integrate", counting)
-    monkeypatch.setattr(diag, "evaluate_block", evaluating)
+    monkeypatch.setattr(diag.Rows, "flush", flushing)
     traj = dyn.simulate(COUPLED_LAWS, 1.0, grid_, sc.gen_coupled_smooth(grid_), 0.3,
                         cfg_for(1e-3, scheme), diag.MonitorConfig(cadence=cadence))
     assert traj.steps_taken == 300 and len(traj.rows) == len(traj.times) == 1 + 300 // cadence
