@@ -59,10 +59,12 @@ def _fmt(value) -> str:
 
 
 def write_timeseries(rows, path: str) -> None:
+    """One line per row, each value as :func:`_fmt` writes it: one ``%``
+    format for the whole line."""
+    line = ",".join("%d" if c == "clamp_count" else "%.17g" for c in diag.DIAG_COLUMNS) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(diag.DIAG_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row.as_tuple()) + "\n")
+        fh.writelines(line % row.as_tuple() for row in rows)
 
 
 def write_final_state(state, grid_: g.Grid1D, path: str) -> None:

@@ -146,18 +146,6 @@ def _scalar_or_rows(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _power(base: np.ndarray, p) -> np.ndarray:
-    """``base ** p``; a ``(B, 1)`` column ``p`` raises each row to its own
-    scalar, as in a solo run: an array exponent may take another numpy path
-    (no fast ``square`` for 2, say) and round differently."""
-    if not isinstance(p, np.ndarray):
-        return base ** p
-    out = np.empty_like(base)
-    for i, e in enumerate(p[:, 0].tolist()):
-        out[i] = base[i] ** e
-    return out
-
-
 # --------------------------------------------------------------------------
 # energy budget
 # --------------------------------------------------------------------------
@@ -228,7 +216,7 @@ def instantaneous_monitors(state, q, grid_: g.Grid1D) -> dict:
         "l2_thetax": ev.l2_thetax,
         "l2_vx": g.integrate(ev.vx2, grid_),
         "l2_uxx": g.integrate(ev.uxx ** 2, grid_),
-        "lq_value": g.integrate(_power(ev.theta + 1.0, q), grid_),
+        "lq_value": g.integrate(mat.power(ev.theta + 1.0, q), grid_),
         "w12_theta": ev.w12_theta,
     }
 
@@ -257,7 +245,7 @@ def _accumulated(ev: StateEval, alpha):
     """The integrands of the ``CUMULATIVE`` monitors at ``ev``, in order,
     each made when it is asked for."""
     yield ev.vx2 * ev.vx2
-    yield _power(ev.theta + 1.0, 4.0 * alpha)
+    yield mat.power(ev.theta + 1.0, 4.0 * alpha)
     yield ev.thxx ** 2
     yield ev.vxx ** 2
 
@@ -339,24 +327,19 @@ def left_end_flux(state, laws, a: float, grid_: g.Grid1D):
     Integrating the velocity equation from the left end picks up this term;
     the scalar parabolic form of the antiderivative is exact only after it is
     subtracted, so the residual below carries it as a spatially constant
-    source correction.  The laws are evaluated at a scalar: on an ensemble
-    state, once per member (a (B, 1) column of fluxes).
+    source correction.  (gamma, f) are the state's own ``material(laws)``,
+    those the step uses: on an ensemble state, a (B, 1) column of fluxes.
     """
     ev = StateEval.of(state, grid_)
-    if ev.v.ndim == 1:
-        return _flux(laws, ev.theta[0], ev.vx[0], ev.ux[0], a)
-    return _fluxes(laws, ev.theta, ev.vx, ev.ux, a)
+    flux = _end_flux(ev.material(laws), ev.vx, ev.ux, a)
+    return float(flux[0]) if flux.ndim == 1 else flux
 
 
-def _fluxes(laws, theta, vx, ux, a: float) -> np.ndarray:
-    """The left-end flux of each row by the law of that row, a column."""
-    ends = zip(laws, theta[:, 0].tolist(), vx[:, 0].tolist(), ux[:, 0].tolist())
-    return np.array([[_flux(law, th0, vx0, ux0, a)] for law, th0, vx0, ux0 in ends])
-
-
-def _flux(laws: mat.MaterialLaws, th0, vx0, ux0, a: float) -> float:
-    th0 = max(float(th0), 0.0)
-    return mat.eval_gamma(laws, th0) * float(vx0) + a * float(ux0) - mat.eval_f(laws, th0)
+def _end_flux(material, vx, ux, a: float) -> np.ndarray:
+    """gamma v_x + a u_x - f at node 0 of each row, a column (one value for
+    one field)."""
+    gam, f = material
+    return gam[..., :1] * vx[..., :1] + a * ux[..., :1] - f[..., :1]
 
 
 def z_residual(state_prev, state_next, laws, a: float, kappa, grid_: g.Grid1D):
@@ -756,7 +739,7 @@ class Rows:
         buffer with one trapezoid reduction: one for the accumulators, one
         for the rows.  Each row keeps the bits of its state's own
         evaluation: the operators act on the last axis and the sums run
-        along it, the powers are taken row by row (:func:`_power`), and
+        along it, the powers are taken row by row (:func:`material.power`), and
         (gamma, f) and the detector's W^{1,2} norm come from each state's
         own cache.
         """
@@ -796,7 +779,7 @@ class Rows:
                 evs, blk, [samples[j][:2] for j in zs], width) ** 2
         kin, th, l2_vx, l2_uxx, lq, res2 = integrals([
             v ** 2, theta, rows(blk.vx2, sel), rows(blk.uxx, sel) ** 2,
-            _power(theta + 1.0, _column(self.q, len(samples))), res2]).T
+            mat.power(theta + 1.0, _column(self.q, len(samples))), res2]).T
         kin, ela = 0.5 * kin, _elastic(u, self.a, self.grid)
         total = kin + ela + th
         cum = np.concatenate([cums[s[3]] for s in samples])
@@ -829,10 +812,10 @@ class Rows:
         damp = damping([evs[i].t for i, _ in samples])
         dt = np.repeat([evs[i].t - left.t for i, left in samples], width)[:, None]
         sel = _select([i for i, _ in samples], width, len(evs))
-        theta, vx, ux = (x.reshape(-1, n)[sel] for x in (blk.theta, blk.vx, blk.ux))
+        vx, ux = (x.reshape(-1, n)[sel] for x in (blk.vx, blk.ux))
         mats = [evs[i].material(laws) for i, _ in samples]
         material = tuple(_stack([m[j] for m in mats], n) for j in (0, 1))
-        flux = _fluxes((list(laws) if evs[0].v.ndim == 2 else [laws]) * z, theta, vx, ux, self.a)
+        flux = _end_flux(material, vx, ux, self.a)
         return _residual(damp * V[sel], z_old, dt, material, ux, damp, flux,
                          _column(laws.gamma0, z), self.a, _column(self.kappa, z), self.grid)
 

@@ -107,7 +107,8 @@ def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) 
     (zero velocity, zero source slope) impose no restriction, so the zero
     state returns dt_max.  ``state`` may be a :class:`diagnostics.StateEval`,
     whose v_x and max(theta, 0) are then shared with the step and the
-    accumulators.
+    accumulators.  Raises StepError if the suggestion is below 1e-14: a run
+    would not end.
     """
     ev = diag.StateEval.of(state, grid_)
     dt = cfg.dt_max
@@ -121,7 +122,9 @@ def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) 
     ))
     if lip > 0.0:
         dt = min(dt, cfg.cfl_safety / lip)
-    return max(dt, 1e-14)
+    if dt < 1e-14:
+        raise StepError(f"adaptive dt {dt:.3e} is below its floor 1e-14")
+    return dt
 
 
 # --------------------------------------------------------------------------
@@ -567,6 +570,15 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
             row_rec.flush()
         return failed
 
+    def abort(exc: StepError) -> list:
+        """End a single member's run on ``exc``, at its last accepted state."""
+        act[0].traj.status = "aborted"
+        act[0].traj.error = str(exc)
+        if steps_since_sample:
+            record(left, ev)
+        act[0].traj.final_state = ev.state
+        return done()
+
     def drop(out, *evs) -> list:
         """Go on without the members at rows ``out``; returns ``evs`` without
         them (``left`` and ``ev`` always share the rows of ``act``)."""
@@ -600,7 +612,12 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
 
     eps_end = 1e-12 * max(t_end, 1.0)
     while act and ev.t < t_end - eps_end:
-        dt = adapt_dt(ev, laws, grid_, scheme_cfg) if scheme_cfg.adaptive else scheme_cfg.dt_initial
+        dt = scheme_cfg.dt_initial
+        if scheme_cfg.adaptive:
+            try:
+                dt = adapt_dt(ev, laws, grid_, scheme_cfg)
+            except StepError as exc:  # adaptive members never share a batch
+                return abort(exc)
         dt = min(dt, t_end - ev.t)
 
         prev = ev
@@ -620,12 +637,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                         return done()
                     continue
                 if exc.suggested_dt is None or retries >= scheme_cfg.max_step_retries:
-                    act[0].traj.status = "aborted"
-                    act[0].traj.error = str(exc)
-                    if steps_since_sample:
-                        record(left, ev)
-                    act[0].traj.final_state = ev.state
-                    return done()
+                    return abort(exc)
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1
         if row_rec is not None:

@@ -12,6 +12,7 @@ candidate law violates.
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,17 +89,33 @@ def _check_xi(xi):
     return xi
 
 
+def power(base: np.ndarray, p) -> np.ndarray:
+    """``base ** p``; a ``(B, 1)`` column ``p`` raises each row to its own
+    scalar, as in a solo run: an array exponent may take another numpy path
+    (no fast ``square`` for 2, say) and round differently."""
+    if not isinstance(p, np.ndarray):
+        return base ** p
+    out = np.empty_like(base)
+    for i, e in enumerate(p[:, 0].tolist()):
+        out[i] = base[i] ** e
+    return out
+
+
 def eval_gamma(laws: MaterialLaws, xi):
     """Viscosity gamma(xi); accepts scalars or arrays, xi >= 0."""
-    xi = _check_xi(xi)
-    if laws.gamma_family == "constant":
-        out = np.full_like(xi, laws.gamma0)
-    elif laws.gamma_family == "saturating":
-        out = laws.gamma0 + laws.delta * xi / (1.0 + xi)
-    else:
-        tab = laws.gamma_table
-        out = np.interp(xi, tab[:, 0], tab[:, 1])
+    out = _gamma(laws, _check_xi(xi))
     return out if out.ndim else float(out)
+
+
+def _gamma(laws, xi):
+    """gamma(xi) by the formula of ``laws.gamma_family``; ``gamma0`` and
+    ``delta`` may be ``(B, 1)`` columns over the rows of ``xi``."""
+    if laws.gamma_family == "constant":
+        return np.full_like(xi, laws.gamma0)
+    if laws.gamma_family == "saturating":
+        return laws.gamma0 + laws.delta * xi / (1.0 + xi)
+    tab = laws.gamma_table
+    return np.interp(xi, tab[:, 0], tab[:, 1])
 
 
 def eval_gamma_prime(laws: MaterialLaws, xi):
@@ -115,17 +132,21 @@ def eval_gamma_prime(laws: MaterialLaws, xi):
 
 def eval_f(laws: MaterialLaws, xi):
     """Thermal coupling f(xi) with f(0) = 0; accepts scalars or arrays."""
-    xi = _check_xi(xi)
-    if laws.f_family == "zero":
-        out = np.zeros_like(xi)
-    elif laws.f_family == "linear":
-        out = laws.K_f * xi
-    elif laws.f_family == "power":
-        out = laws.K_f * ((xi + 1.0) ** laws.alpha - 1.0)
-    else:
-        tab = laws.f_table
-        out = np.interp(xi, tab[:, 0], tab[:, 1])
+    out = _f(laws, _check_xi(xi))
     return out if out.ndim else float(out)
+
+
+def _f(laws, xi):
+    """f(xi) by the formula of ``laws.f_family``; ``K_f`` and ``alpha`` may
+    be ``(B, 1)`` columns over the rows of ``xi`` (see :func:`power`)."""
+    if laws.f_family == "zero":
+        return np.zeros_like(xi)
+    if laws.f_family == "linear":
+        return laws.K_f * xi
+    if laws.f_family == "power":
+        return laws.K_f * (power(xi + 1.0, laws.alpha) - 1.0)
+    tab = laws.f_table
+    return np.interp(xi, tab[:, 0], tab[:, 1])
 
 
 def eval_f_prime(laws: MaterialLaws, xi):
@@ -146,7 +167,9 @@ class LawRows(tuple):
     """The laws of an ensemble, one per row of its ``(B, n)`` fields.
 
     It reads like one law whose parameters are ``(B, 1)`` columns: ``gamma0``
-    and ``alpha`` meet each row with its own member's value as plain operands.
+    and ``alpha`` meet each row with its own member's value as plain operands,
+    and :meth:`evaluate` applies each family's formula once to the rows of
+    that family.
     """
 
     @functools.cached_property
@@ -157,14 +180,45 @@ class LawRows(tuple):
     def alpha(self) -> np.ndarray:
         return np.array([[law.alpha] for law in self])
 
+    @functools.cached_property
+    def _groups(self) -> tuple[list, list]:
+        """For gamma and for f, ``(rows, law)`` pairs that cover each row
+        once: the rows of a family with one law of that family whose
+        parameters are their columns, and each tabulated row (its table is
+        its own) with its own law."""
+        out = ([], [])
+        for kind, groups in zip(("gamma_family", "f_family"), out):
+            families = {}
+            for i, law in enumerate(self):
+                families.setdefault(getattr(law, kind), []).append(i)
+            for family, rows in families.items():
+                if family == "tabulated":
+                    groups.extend((i, self[i]) for i in rows)
+                    continue
+                laws = [self[i] for i in rows]
+                columns = {p: np.array([[getattr(law, p)] for law in laws])
+                           for p in ("gamma0", "delta", "K_f", "alpha")}
+                groups.append((slice(None) if len(rows) == len(self) else np.array(rows),
+                               types.SimpleNamespace(**{kind: family}, **columns)))
+        return out
+
     def evaluate(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gamma, f) at ``xi``, each row by its own law: the bits of that
         member's own evaluation."""
-        gam, f = np.empty_like(xi), np.empty_like(xi)
-        for i, law in enumerate(self):
-            gam[i] = eval_gamma(law, xi[i])
-            f[i] = eval_f(law, xi[i])
-        return gam, f
+        xi = _check_xi(xi)
+        return tuple(_by_rows(formula, groups, xi)
+                     for formula, groups in zip((_gamma, _f), self._groups))
+
+
+def _by_rows(formula, groups, xi):
+    """``formula`` over the rows of ``xi``, each group's rows by its law."""
+    rows, law = groups[0]
+    if isinstance(rows, slice):  # one family over every row
+        return formula(law, xi)
+    out = np.empty_like(xi)
+    for rows, law in groups:
+        out[rows] = formula(law, xi[rows])
+    return out
 
 
 def _table_slope(tab, xi):

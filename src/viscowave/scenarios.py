@@ -216,6 +216,8 @@ class Scenario:
             raise ConfigError(f"unknown scenario tag {self.tag!r}")
         if not self.a > 0:
             raise ConfigError("the elastic modulus a must be positive")
+        if not self.t_end > 0:
+            raise ConfigError("the final time T_end must be positive")
         if self.generator != "mms" and self.generator not in INITIAL_GENERATORS:
             raise ConfigError(f"unknown initial-data generator {self.generator!r}")
         gen = INITIAL_GENERATORS.get(self.generator)  # the mms data take no parameters

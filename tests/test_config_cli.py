@@ -710,13 +710,52 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     ("run", "[domain]\na = 0\n", "elastic modulus a"),  # else a solver error from the stepper
     ("run", "[initial]\namp_x = 0.3\n", "amp_x"),  # else a TypeError from the generator
     ("sweep", "[initial]\namp_x = 0.3\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n", "amp_x"),
-], ids=["run-T0", "run-a", "run-gen_param", "sweep-gen_param"])
+    # else the run's first step raises; a sweep wrote failed rows and exited 3
+    ("run", "T_end = 0\n", "T_end"),
+    ("sweep", "T_end = nan\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n", "T_end"),
+], ids=["run-T0", "run-a", "run-gen_param", "sweep-gen_param", "run-T_end", "sweep-T_end"])
 def test_config_mistakes_fail_when_parsed(tmp_path, capsys, command, extra, needle):
-    path = write_ini(tmp_path, COUPLED_INI + "\n" + extra, out=str(tmp_path / "out"))
+    ini = COUPLED_INI
+    if extra.startswith("T_end"):  # it replaces the [time] section's T_end, the last line
+        ini = ini.replace("T_end = 0.05\n", "")
+    path = write_ini(tmp_path, ini + "\n" + extra, out=str(tmp_path / "out"))
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and needle in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_adaptive_dt_below_its_floor_aborts_the_run(tmp_path, capsys, monkeypatch, command):
+    # cfl_safety = 1e-20 asks for ~1e12 steps of dt ~ 1e-22: the run ends at
+    # once as aborted, with its artifacts, where it never ended
+    real, steps = dyn.step_with_count, []
+
+    def step(*args, **kw):
+        steps.append(1)
+        assert len(steps) < 100, "the run did not end"
+        return real(*args, **kw)
+
+    monkeypatch.setattr(dyn, "step_with_count", step)
+    ini = COUPLED_INI.replace("T_end = 0.05", "T_end = 0.01\nadaptive = true\ncfl_safety = 1e-20")
+    if command == "sweep":
+        ini += "\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n"
+    path = write_ini(tmp_path, ini, out=str(tmp_path / "out"))
+    workers = ["--workers", "1"] if command == "sweep" else []  # in this process: steps counted
+    assert cli.main([command, "--config", path, *workers]) == cli.EXIT_SOLVER
+    assert steps == []
+    runs = [tmp_path / "out"] if command == "run" else sorted((tmp_path / "out").glob("point_*"))
+    assert len(runs) == (1 if command == "run" else 2)
+    for run_dir in runs:
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["status"] == "aborted" and summary["steps"] == 0
+        assert "adaptive dt" in summary["error"] and "1e-14" in summary["error"]
+        assert len((run_dir / "timeseries.csv").read_text().splitlines()) == 2  # t = 0 only
+    if command == "sweep":
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "sweep.csv").read_text())))
+        assert [r["status"] for r in rows] == ["aborted", "aborted"]
+    else:
+        assert "adaptive dt" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,35 @@ def test_z_residual_zero_trajectory():
     assert diag.z_residual(s0, s1, CONST_LAWS, 1.0, 1.0, grid_) == 0.0
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_left_end_flux_reads_the_cached_material(batch, monkeypatch):
+    # gamma v_x + a u_x - f at node 0, from the (gamma, f) the state already
+    # holds for these laws: the step's own, not a second evaluation
+    grid_ = make_grid(33)
+    x = grid_.nodes
+    laws = [mat.MaterialLaws(gamma_family="saturating", f_family="power", delta=0.3,
+                             K_f=0.7, alpha=1.45),
+            mat.MaterialLaws(gamma_family="constant", f_family="linear", gamma0=2.0, K_f=0.4)]
+    u = np.outer([0.2, -0.1], np.sin(np.pi * x))
+    v = np.outer([0.5, 0.3], np.sin(2 * np.pi * x))
+    theta = np.outer([1.0, 0.5], 1.3 + np.cos(np.pi * x))
+    if batch:
+        state, laws = dyn.State(0.1, u, v, theta), mat.LawRows(laws)
+    else:
+        state, laws = dyn.State(0.1, u[0], v[0], theta[0]), laws[0]
+    ev = diag.StateEval(state, grid_)
+    gam, f = ev.material(laws)
+    for name in ("eval_gamma", "eval_f"):
+        monkeypatch.setattr(mat, name, lambda *a: pytest.fail("laws evaluated again"))
+    monkeypatch.setattr(mat.LawRows, "evaluate", lambda *a: pytest.fail("laws evaluated again"))
+    flux = diag.left_end_flux(ev, laws, 1.5, grid_)
+    expect = gam[..., :1] * ev.vx[..., :1] + 1.5 * ev.ux[..., :1] - f[..., :1]
+    if batch:
+        assert flux.shape == (2, 1) and flux.tobytes() == expect.tobytes()
+    else:
+        assert isinstance(flux, float) and flux == float(expect[0])
+
+
 def synthetic_eigen_state(grid_, t, gamma0=1.0):
     # v = e^{-gamma0 mu t} cos(sqrt(mu) x) makes z = e^{-(kappa+gamma0 mu)t} V
     # an exact solution of the damped transformed problem with zero source.

@@ -1,6 +1,8 @@
 """Ensemble runs: ``simulate`` over a batch of members gives every member the
 bits of its own run, whatever happens to the other members."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,40 @@ def test_members_equal_their_solo_runs(scheme, cadence, t_end):
         assert_same_run(traj, solo)
     assert ens.steps_taken == sum(s.steps_taken for s in solos) == 3 * (20 if t_end == 0.02 else 22)
     assert len(ens[0].rows) == (21 if cadence == 1 else 9)
+
+
+# members of the families LAWS leaves out: constant and tabulated gamma, zero
+# and tabulated f, and a power coupling at alpha = 1.45
+MORE_LAWS = (
+    mat.MaterialLaws(gamma_family="constant", f_family="zero", gamma0=1.2),
+    mat.MaterialLaws(gamma_family="tabulated", f_family="tabulated", gamma0=1.0, delta=0.2,
+                     gamma_table=np.array([[0.0, 1.0], [1.0, 1.1], [4.0, 1.2]]),
+                     f_table=np.array([[0.0, 0.0], [1.0, 0.6], [3.0, 0.9]])),
+    mat.MaterialLaws(gamma_family="constant", f_family="power", gamma0=0.8, K_f=0.7,
+                     alpha=1.45),
+    mat.MaterialLaws(gamma_family="tabulated", f_family="zero", gamma0=1.0, delta=0.3,
+                     gamma_table=np.array([[0.0, 1.0], [2.0, 1.3]])),
+)
+
+
+@pytest.mark.parametrize("scheme", ["imex_be", "imex_cn"])
+@pytest.mark.parametrize("families", ["mixed", "constant-zero", "tabulated"])
+def test_members_of_every_family_equal_their_solo_runs(scheme, families):
+    # the laws evaluated as parameter columns, a family's rows at once, and
+    # the residual's left-end flux read from them
+    grid_ = g.Grid1D(1.0, 65)
+    laws = {"mixed": LAWS + MORE_LAWS,
+            "constant-zero": [replace(MORE_LAWS[0], gamma0=1.2 + 0.3 * i) for i in range(3)],
+            "tabulated": [MORE_LAWS[1], MORE_LAWS[3]]}[families]
+    data = [sc.gen_coupled_smooth(grid_, amp_u=0.05 * (1 + i), amp_v=0.5 - 0.05 * i)
+            for i in range(len(laws))]
+    mons = [diag.MonitorConfig(kappa=0.5 + 0.5 * i, q=2.0 + 0.2 * i, cadence=2)
+            for i in range(len(laws))]
+    cfg = cfg_for(1e-3, scheme)
+    ens = dyn.simulate(list(laws), 1.0, grid_, data, 0.0213, cfg, mons)
+    for traj, solo in zip(ens, solo_runs(laws, data, mons, grid_, 0.0213, cfg)):
+        assert_same_run(traj, solo)
+        assert traj.status == "completed" and len(traj.rows) == 12
 
 
 @pytest.mark.parametrize("scheme", ["imex_be", "imex_cn"])
@@ -352,7 +388,6 @@ def test_a_resumed_member_writes_each_field_dump_once(tmp_path, monkeypatch):
 def test_run_over_mms_configs_passes_the_forcing_and_runs_members_alone(monkeypatch):
     # configs that share an MMS case share its forcing: dyn.run passes it on,
     # and simulate runs the members one after another, each with its solo bits
-    from dataclasses import replace
     from viscowave.config import RunConfig
     scen = sc.Scenario(name="mms", laws=sc.mms_case("exponential").laws, a=1.0, length=1.0,
                        n=33, generator="mms", t_end=0.004, tag="mms",

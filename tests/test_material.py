@@ -110,6 +110,72 @@ def test_validate_argument_checks():
         mat.validate_hypotheses(saturating(), n_samples=1)
 
 
+GAMMA_TABLE = np.array([[0.0, 1.0], [0.5, 1.05], [2.0, 1.2]])
+F_TABLE = np.array([[0.0, 0.0], [1.0, 0.7], [3.0, 1.1]])
+
+
+def every_family():
+    """One law of each (gamma, f) family pair, parameters differing by row."""
+    laws = []
+    for i, gfam in enumerate(mat.GAMMA_FAMILIES):
+        for j, ffam in enumerate(mat.F_FAMILIES):
+            laws.append(mat.MaterialLaws(
+                gamma_family=gfam, f_family=ffam, gamma0=1.0 + 0.25 * i, delta=0.1 * (j + 1),
+                K_f=0.5 + 0.5 * j, alpha=(0.8, 1.0, 1.45, 2.0 / 3.0)[(i + j) % 4],
+                gamma_table=GAMMA_TABLE * (1 + i) if gfam == "tabulated" else None,
+                f_table=F_TABLE * (1 + j) if ffam == "tabulated" else None))
+    return laws
+
+
+def assert_rows_are_their_own_laws(laws, xi):
+    gam, f = mat.LawRows(laws).evaluate(xi)
+    for i, law in enumerate(laws):
+        assert gam[i].tobytes().hex() == mat.eval_gamma(law, xi[i]).tobytes().hex(), (i, law)
+        assert f[i].tobytes().hex() == mat.eval_f(law, xi[i]).tobytes().hex(), (i, law)
+
+
+@pytest.mark.parametrize("case", ["mixed", "power 1.45", "power rows", "one family",
+                                  "tabulated", "shuffled"])
+def test_law_rows_evaluate_each_row_by_its_own_law(case):
+    # hex for hex: a family's rows evaluated at once with (k, 1) parameter
+    # columns, a power law's exponent and a table row by row
+    laws = every_family()
+    if case == "power 1.45":
+        laws = [mat.MaterialLaws(gamma_family="saturating", f_family="power", delta=0.1 * i,
+                                 K_f=0.5 + i, alpha=1.45) for i in range(4)]
+    elif case == "power rows":
+        laws = [mat.MaterialLaws(f_family="power", K_f=1.0 + i, alpha=a)
+                for i, a in enumerate((0.5, 1.0, 1.45, 2.0 / 3.0))]
+    elif case == "one family":
+        laws = [saturating(gamma0=1.0 + i, delta=0.05 * i, f_family="linear", K_f=0.3 * (i + 1))
+                for i in range(5)]
+    elif case == "tabulated":
+        laws = [law for law in laws if "tabulated" in (law.gamma_family, law.f_family)]
+    elif case == "shuffled":
+        laws = laws[5::2] + laws[::-3] + laws[1:6]
+    xi = np.random.default_rng(7).exponential(2.0, size=(len(laws), 65))
+    xi[:, 0] = 0.0
+    xi[:, 1] = 0.5  # a knot
+    xi[:, 2] = 10.0  # beyond the last knot
+    assert_rows_are_their_own_laws(laws, xi)
+
+
+def test_law_rows_apply_a_family_formula_once(monkeypatch):
+    # one formula call per family, not one per member; tables and power
+    # exponents alone go row by row
+    calls = []
+    for name in ("_gamma", "_f", "_check_xi"):
+        real = getattr(mat, name)
+        monkeypatch.setattr(mat, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    laws = [saturating(delta=0.02 * i, f_family="linear", K_f=1.0 + i) for i in range(8)]
+    laws += [mat.MaterialLaws(f_family="zero", gamma0=2.0)] * 3
+    mat.LawRows(laws).evaluate(np.ones((11, 9)))
+    assert sorted(calls) == ["_check_xi", "_f", "_f", "_gamma", "_gamma"]
+    with pytest.raises(DomainError):
+        mat.LawRows(laws).evaluate(-np.ones((11, 9)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gamma0=st.floats(0.1, 10.0),
