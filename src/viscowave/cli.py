@@ -52,26 +52,22 @@ EXIT_BLOWUP = 4
 ENSEMBLE_AXES = ("delta", "alpha", "kappa")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _write_csv(path: str, header, line: str, rows) -> None:
+    """The ``header`` names, then ``line % row`` for each row: one ``%``
+    format for the whole line."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_timeseries(rows, path: str) -> None:
-    """One line per row, each value as :func:`_fmt` writes it: one ``%``
-    format for the whole line."""
     line = ",".join("%d" if c == "clamp_count" else "%.17g" for c in diag.DIAG_COLUMNS) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(diag.DIAG_COLUMNS) + "\n")
-        fh.writelines(line % row.as_tuple() for row in rows)
+    _write_csv(path, diag.DIAG_COLUMNS, line, (row.as_tuple() for row in rows))
 
 
 def write_final_state(state, grid_: g.Grid1D, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,u,v,theta\n")
-        for x, u, v, th in zip(grid_.nodes, state.u, state.v, state.theta):
-            fh.write(f"{_fmt(x)},{_fmt(u)},{_fmt(v)},{_fmt(th)}\n")
+    _write_csv(path, ("x", "u", "v", "theta"), "%.17g,%.17g,%.17g,%.17g\n",
+               zip(grid_.nodes, state.u, state.v, state.theta))
 
 
 class FieldDump(dyn.Recorder):
@@ -360,8 +356,8 @@ def _converge_errors(config: cfgmod.RunConfig, n_values, dt_scaling: str):
     exact = scen.exact_fields()
     if exact is None:
         raise ConfigError(
-            f"scenario {scen.name!r} (tag {scen.tag!r}) has no exact solution; "
-            "converge needs a closed_form, stationary, or mms scenario")
+            f"scenario {scen.name!r} has no exact solution; converge needs an mms_case, "
+            "the zero generator, or the heat_eigenmode generator with f_family = zero")
     base_dx = scen.length / (n_values[0] - 1)
     base_dt = scen.scheme.dt_initial
     errors: dict[str, list[float]] = {f: [] for f in exact}

@@ -132,7 +132,14 @@ def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) 
 # --------------------------------------------------------------------------
 
 
-def _checked_solve(op: tridiag.Tridiag, rhs_, tol, label):
+def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
+    """Solve ``op x = rhs_``; check that x is finite and that the residual
+    is at most ``tol * max(1, |rhs_|_inf)``.
+
+    A batch (``rhs_`` of shape (B, n)) is solved in one stacked call, and
+    each member's residual is checked at its own scale.  A failure raises
+    for the whole batch; :func:`simulate` finds out which members failed.
+    """
     try:
         x = op.solve(rhs_)
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -143,31 +150,6 @@ def _checked_solve(op: tridiag.Tridiag, rhs_, tol, label):
     scale = np.abs(rhs_).max(axis=-1)
     if ((res > tol) & (res > tol * scale)).any():  # res > tol * max(1, scale)
         raise StepError(f"{label} solve residual exceeds tolerance")
-    return x
-
-
-def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
-    """Solve ``op x = rhs_``; check that x is finite and that the residual
-    is at most ``tol * max(1, |rhs_|_inf)``.
-
-    A batch (``rhs_`` of shape (B, n)) is solved in one stacked call, and
-    each member's residual is checked at its own scale.  One member's NaN or
-    singular matrix spoils the stacked solve for the others, so when the
-    stacked solve or a check fails, the members are solved again one at a
-    time: only a failing member raises, with its row in ``StepError.member``.
-    """
-    try:
-        return _checked_solve(op, rhs_, tol, label)
-    except StepError:
-        if rhs_.ndim == 1:
-            raise
-    x = np.empty_like(rhs_)
-    for i in range(len(rhs_)):
-        try:
-            x[i] = _checked_solve(op.member(i), rhs_[i], tol, label)
-        except StepError as exc:
-            exc.member = i
-            raise
     return x
 
 
@@ -274,20 +256,14 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     u_new[..., 0] = u_new[..., -1] = 0.0
 
     clamped = np.zeros(theta_new.shape[:-1], dtype=int)
-    if theta_new.min() < 0.0:
-        if cfg.positivity_policy == "reject_step":
-            min_theta = np.atleast_1d(theta_new.min(axis=-1))
-            dipped = np.flatnonzero(min_theta < -cfg.positivity_tolerance)
-            if dipped.size:
-                i = int(dipped[0])
-                raise StepError(
-                    f"temperature dipped to {min_theta[i]:.3e}; retry with smaller dt",
-                    suggested_dt=0.5 * dt, member=i if theta_new.ndim == 2 else None,
-                )
-        else:
-            mask = theta_new < 0.0
-            clamped = np.count_nonzero(mask, axis=-1)
-            theta_new = np.where(mask, 0.0, theta_new)
+    if cfg.positivity_policy == "reject_step":
+        if theta_new.min() < -cfg.positivity_tolerance:
+            raise StepError(f"temperature dipped to {theta_new.min():.3e}; retry with smaller dt",
+                            suggested_dt=0.5 * dt)
+    elif theta_new.min() < 0.0:
+        mask = theta_new < 0.0
+        clamped = np.count_nonzero(mask, axis=-1)
+        theta_new = np.where(mask, 0.0, theta_new)
 
     new = State(t=state.t + dt, u=u_new, v=v_new, theta=theta_new)
     return new, (clamped if theta_new.ndim == 2 else int(clamped))
@@ -327,9 +303,8 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     the main stepper.
 
     A batch state steps every row at once, each with the bits of its own
-    step: the velocity stage is one stacked solve, the rows with eta > 0
-    share one stacked displacement solve, and a StepError names the failing
-    row in ``member``.
+    step: the velocity stage is one stacked solve, and the rows with eta > 0
+    share one stacked displacement solve.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -355,12 +330,8 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     rows = np.flatnonzero(eta > 0.0)
     if rows.size:
         u2 = u_new.reshape(-1, n)  # a view; a single state is a batch of one
-        try:
-            u2[rows] = _solve_banded(tridiag.dirichlet(n, dt * eta[rows, None] / dx2),
-                                     u2[rows], tol, label="eta displacement")
-        except StepError as exc:
-            exc.member = int(rows[exc.member]) if u_new.ndim > 1 else None
-            raise
+        u2[rows] = _solve_banded(tridiag.dirichlet(n, dt * eta[rows, None] / dx2),
+                                 u2[rows], tol, label="eta displacement")
     u_new[..., 0] = u_new[..., -1] = 0.0
     return EtaState(t=state.t + dt, v_eta=v_new, u_eta=u_new, eta=state.eta)
 
@@ -487,6 +458,15 @@ def _rows(ev: diag.StateEval, idx: list) -> diag.StateEval:
     return diag.StateEval(State(s.t, s.u[idx], s.v[idx], s.theta[idx]), ev.grid)
 
 
+def _fails_alone(ev, laws, a, grid_, cfg, dt, forcing) -> bool:
+    """Whether one member's own step from ``ev`` raises StepError."""
+    try:
+        step_with_count(ev, laws, a, grid_, cfg, dt, forcing)
+    except StepError:
+        return True
+    return False
+
+
 def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: SchemeConfig,
              monitor_cfg=None, forcing: Forcing | None = None, *, rows: bool = True,
              recorders=()):
@@ -517,10 +497,14 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     and the rows act on all of them at once, and each stage is one stacked
     tridiagonal solve.  Each member keeps its own laws, monitors, clamp
     count, detector, verdict and recorders, and gets the bits of its own
-    run.  A member that halts leaves the batch.  A member whose step raises
-    StepError leaves it too, and goes on alone from that step once the batch
-    is done, its trajectory, detector history and recorders carrying on: its
-    outcome is its solo outcome, and each recorder sees each sample once.
+    run.  A member that halts leaves the batch.  When a batch step raises
+    StepError, the step is taken again for each member alone: a member whose
+    own step fails leaves the batch, and goes on alone from that step once
+    the batch is done, its trajectory, detector history and recorders
+    carrying on: its outcome is its solo outcome, and each recorder sees
+    each sample once.  Members that fail in the same step go on in member
+    order.  The others take the batch step again; if no member's own step
+    fails, the batch's StepError propagates.
     """
     batch = isinstance(data, (list, tuple))
     if not batch:
@@ -627,12 +611,17 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                 state, clamped = step_with_count(prev, laws, a, grid_, scheme_cfg, dt, forcing)
                 break
             except StepError as exc:
-                if batch:  # the member goes on alone from here once the batch is done
-                    i, m = exc.member, act[exc.member]
-                    m.resume = (prev.member(i), left.member(i), steps_since_sample,
-                                row_rec and row_rec.alone(i, *_params([m], False)))
-                    failed.append(m)
-                    left, prev = drop([i], left, prev)
+                if batch:  # who fails alone goes on alone from here once the batch is done
+                    out = [i for i, m in enumerate(act)
+                           if _fails_alone(prev.member(i), m.laws, a, grid_, scheme_cfg, dt, forcing)]
+                    if not out:
+                        raise
+                    for i in out:
+                        m = act[i]
+                        m.resume = (prev.member(i), left.member(i), steps_since_sample,
+                                    row_rec and row_rec.alone(i, *_params([m], False)))
+                        failed.append(m)
+                    left, prev = drop(out, left, prev)
                     if not act:
                         return done()
                     continue

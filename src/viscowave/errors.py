@@ -17,11 +17,9 @@ class StepError(ViscowaveError):
     """A time step could not be completed.
 
     ``suggested_dt`` carries a retry step size when the failure is a
-    positivity rejection; it is None for hard solver failures.  ``member`` is
-    the row of the failing member in an ensemble step, None in a single run.
+    positivity rejection; it is None for hard solver failures.
     """
 
-    def __init__(self, message, suggested_dt=None, member=None):
+    def __init__(self, message, suggested_dt=None):
         super().__init__(message)
         self.suggested_dt = suggested_dt
-        self.member = member

@@ -241,11 +241,15 @@ class Scenario:
         return mms_case(self.mms_id).forcing
 
     def exact_fields(self) -> dict[str, Callable] | None:
-        """Closed-form fields for error measurement, when the scenario has them."""
+        """Closed-form fields for error measurement, when the scenario has them:
+        the manufactured solution of an mms case; the cosine mode of the
+        ``heat_eigenmode`` data without coupling (``f_family = zero`` keeps v
+        at 0, so theta solves the heat equation for any gamma and a); the
+        ``zero`` data, which stay at rest."""
         if self.mms_id is not None:
             case = mms_case(self.mms_id)
             return {"u": case.u, "v": case.v, "theta": case.theta}
-        if self.name == "heat_eigenmode":
+        if self.generator == "heat_eigenmode" and self.laws.f_family == "zero":
             L = self.length
             base = self.gen_params.get("base", 1.0)
             amp = self.gen_params.get("amp", 1.0)
@@ -256,7 +260,7 @@ class Scenario:
                 return base + amp * np.exp(-lam * t) * np.cos(k * np.pi * x / L)
 
             return {"theta": theta}
-        if self.tag == "stationary":
+        if self.generator == "zero":
             theta_const = self.gen_params.get("theta_const", 1.0)
             return {
                 "u": lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),

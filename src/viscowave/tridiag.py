@@ -71,10 +71,6 @@ class Tridiag:
         res[..., :-1] += self.upper * x[..., 1:]
         return res
 
-    def member(self, i: int) -> "Tridiag":
-        """System ``i`` of a batch, alone."""
-        return Tridiag(*(w if w.ndim == 1 else w[i] for w in (self.lower, self.diag, self.upper)))
-
     def factor(self):
         """LU factors (``dgttrf``) once; returns the solve (``dgttrs`` on them)
         for right-hand sides that come one at a time."""

@@ -795,6 +795,14 @@ def test_cmd_converge_stationary_degenerate(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+def test_cmd_converge_rejects_a_coupled_heat_eigenmode(tmp_path, capsys):
+    # the coupling sets v moving, so theta no longer solves the heat equation
+    text = HEAT_CONV_INI + "\n[material]\nf_family = linear\n"
+    path = write_ini(tmp_path, text, name="conv.ini", out=str(tmp_path / "cv"))
+    assert cli.cmd_converge(path) == cli.EXIT_CONFIG
+    assert "no exact solution" in capsys.readouterr().err
+
+
 def test_cmd_converge_rejects_generic_scenario(tmp_path, capsys):
     text = COUPLED_INI + "\n[converge]\nn_values = 17, 33\n"
     path = write_ini(tmp_path, text, name="conv.ini")

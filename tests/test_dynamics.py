@@ -540,43 +540,6 @@ def test_batched_step_eta_gives_each_row_its_own_step(n):
     assert np.array_equal(batch.eta, [0.0, 1e-1, 1e-3, 0.0, 1e-2])
 
 
-def test_batched_step_eta_blames_the_failing_row(monkeypatch):
-    grid_, batch, A, gsrc = eta_batch(33, [0.0, 1e-1, 0.0, 1e-2])
-    v = batch.v_eta.copy()
-    v[3, 7] = np.nan
-    with pytest.raises(StepError, match="eta velocity") as err:
-        dyn.step_eta(dyn.EtaState(0.0, v, batch.u_eta, batch.eta), A, gsrc, 1.0, grid_,
-                     cfg_for(1e-3), 1e-3)
-    assert err.value.member == 3
-    # the displacement solve holds the eta > 0 rows only (rows 1 and 3); a
-    # failure of its second row is row 3 of the batch
-    real = dyn._solve_banded
-
-    def fail_second(op, rhs_, tol, *, label):
-        if label == "eta displacement":
-            raise StepError("eta displacement solve failed", member=1)
-        return real(op, rhs_, tol, label=label)
-
-    monkeypatch.setattr(dyn, "_solve_banded", fail_second)
-    with pytest.raises(StepError, match="eta displacement") as err:
-        dyn.step_eta(batch, A, gsrc, 1.0, grid_, cfg_for(1e-3), 1e-3)
-    assert err.value.member == 3
-    # a single state is solved as a batch of one, but names no member
-    monkeypatch.setattr(dyn, "_solve_banded", real)
-    checked = dyn._checked_solve
-
-    def fail_displacement(op, rhs_, tol, label):
-        if label == "eta displacement":
-            raise StepError("eta displacement solve failed")
-        return checked(op, rhs_, tol, label)
-
-    monkeypatch.setattr(dyn, "_checked_solve", fail_displacement)
-    solo = dyn.EtaState(0.0, batch.v_eta[1], batch.u_eta[1], 0.1)
-    with pytest.raises(StepError, match="eta displacement") as err:
-        dyn.step_eta(solo, A, gsrc, 1.0, grid_, cfg_for(1e-3), 1e-3)
-    assert err.value.member is None
-
-
 # --------------------------------------------------------------------------
 # simulate bookkeeping
 # --------------------------------------------------------------------------

@@ -164,8 +164,9 @@ def test_recorders_see_views_of_the_batch_rows():
 
 
 def test_a_nan_member_fails_alone():
-    # the NaN spoils the stacked velocity solve of every member; the failure
-    # is blamed on the middle member, which then goes on alone from t = 0
+    # the NaN spoils the stacked velocity solve of every member; taken again
+    # member by member, the step fails for the middle member alone, which
+    # then goes on alone from t = 0
     grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_)
     theta0 = data[1].theta0.copy()
@@ -230,6 +231,61 @@ def test_a_rejected_member_is_finished_by_its_solo_run():
     for traj, solo, log, ref in zip(ens, solos, logs, solo_logs):
         assert_same_run(traj, solo)
         assert log[0].log == ref[0].log
+
+
+def test_members_failing_in_one_step_go_on_alone_in_member_order(monkeypatch):
+    # the first batch step fails twice over: member 2's NaN spoils the
+    # velocity solve, and member 0's heat spike dips below zero after the
+    # heat solve.  Taken again member by member, the step fails for both,
+    # and they go on alone in member order, each from t = 0
+    n = 65
+    grid_ = g.Grid1D(1.0, n)
+    dt = 10.0 * grid_.dx ** 2
+    laws, data, mons = members(grid_)
+    spike = np.zeros(n)
+    spike[n // 2] = 1.0
+    data[0] = mat.InitialData(u0=np.zeros(n), v0=np.zeros(n), theta0=spike)
+    theta0 = data[2].theta0.copy()
+    theta0[7] = np.nan
+    data[2] = mat.InitialData(u0=data[2].u0, v0=data[2].v0, theta0=theta0)
+    cfg = cfg_for(dt, "imex_cn", positivity_policy="reject_step")
+    resumed = []
+    real = dyn._march
+
+    def march(act, *args):
+        if act[0].resume is not None:
+            resumed.append((id(act[0].traj), act[0].resume[0].t))
+        return real(act, *args)
+
+    monkeypatch.setattr(dyn, "_march", march)
+    logs = [[_Log()] for _ in laws]
+    ens = dyn.simulate(laws, 1.0, grid_, data, 20 * dt, cfg, mons, recorders=logs)
+    assert resumed == [(id(ens[0]), 0.0), (id(ens[2]), 0.0)]
+    assert [t.status for t in ens] == ["completed", "completed", "aborted"]
+    assert [t.steps_taken for t in ens] == [24, 20, 0]
+    solo_logs = [[_Log()] for _ in laws]
+    solos = solo_runs(laws, data, mons, grid_, 20 * dt, cfg, solo_logs)
+    for traj, solo, log, ref in zip(ens, solos, logs, solo_logs):
+        assert_same_run(traj, solo)
+        assert log[0].log == ref[0].log
+
+
+def test_a_batch_failure_no_member_repeats_alone_propagates(monkeypatch):
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, mons = members(grid_)
+    real = dyn.step_with_count
+    batch_steps = []
+
+    def batch_fails(state, laws, *args):
+        if isinstance(laws, mat.LawRows):
+            batch_steps.append(state.t)
+            raise StepError("the batch step failed")
+        return real(state, laws, *args)
+
+    monkeypatch.setattr(dyn, "step_with_count", batch_fails)
+    with pytest.raises(StepError, match="the batch step failed"):
+        dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3), mons)
+    assert batch_steps == [0.0]  # raised, not taken again
 
 
 def test_a_member_halting_on_blowup_leaves_the_others_running():
@@ -301,10 +357,10 @@ class _Faults:
 
     def __call__(self, state, laws, a, grid_, cfg, dt, forcing=None):
         batch = isinstance(laws, mat.LawRows)
-        for i, law in enumerate(laws if batch else [laws]):
+        for law in (laws if batch else [laws]):
             fault = self.faults.get(id(law)) if state.t >= self.t_fail else None
             if fault == "aborts" or fault == "rejects" and dt == cfg.dt_initial:
-                raise StepError(f"{fault} at t = {state.t:g}", member=i if batch else None,
+                raise StepError(f"{fault} at t = {state.t:g}",
                                 suggested_dt=0.5 * dt if fault == "rejects" else None)
         return self.real(state, laws, a, grid_, cfg, dt, forcing)
 

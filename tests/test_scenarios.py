@@ -1,3 +1,4 @@
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,8 +121,16 @@ def test_scenario_exact_fields():
     x = np.linspace(0, 1, 5)
     assert exact["theta"](x, 0.0) == pytest.approx(1.0 + np.cos(np.pi * x))
     assert sc.battery_scenario("coupled").exact_fields() is None
-    stat = sc.battery_scenario("stationary").exact_fields()
+    stationary = sc.battery_scenario("stationary")
+    stat = stationary.exact_fields()
     assert np.all(stat["theta"](x, 2.0) == 1.0)
+    # each closed form is keyed on what makes it exact, not on the name or tag
+    coupling = replace(heat.laws, f_family="linear", K_f=1.0)
+    assert replace(heat, laws=coupling).exact_fields() is None
+    assert replace(heat, generator="coupled_smooth", gen_params={}).exact_fields() is None
+    moving = replace(stationary, generator="heat_eigenmode", gen_params={}).exact_fields()
+    assert set(moving) == {"theta"}
+    assert moving["theta"](x, 0.0) == pytest.approx(1.0 + np.cos(np.pi * x))
 
 
 # --------------------------------------------------------------------------
@@ -267,10 +276,9 @@ class _RungFault:
         hit = [i for i, row in enumerate(rows) if np.array_equal(row, mark)]
         if hit and state.t >= 0.03:
             i = hit[0]
-            member = i if state.theta.ndim == 2 else None
             if self.fault == "reject_step" and dt == cfg.dt_initial:
                 raise StepError("temperature dipped; retry with smaller dt",
-                                suggested_dt=0.5 * dt, member=member)
+                                suggested_dt=0.5 * dt)
             if self.fault == "aborts":
                 v = np.array(state.v)
                 np.atleast_2d(v)[i, 1:-1] = np.nan
