@@ -13,14 +13,14 @@ budget to roundoff; both behaviors are visible below.
 
 from dataclasses import replace
 
-from viscowave import battery_scenario, data_bound_M, lambda1_bound
+from viscowave import battery_scenario, data_bound_M, lambda1_bound, run
 from viscowave.material import InitialData
 
 scenario = battery_scenario("coupled")
 
 print(f"scenario: {scenario.name}  (n={scenario.n}, T_end={scenario.t_end}, "
       f"scheme={scenario.scheme.scheme}, dt={scenario.scheme.dt_initial:g})")
-traj = scenario.run()
+traj = run(scenario)
 
 print("\n  t       E_total        E_kin      E_el       E_th       drift")
 for row in traj.rows[:: max(1, len(traj.rows) // 10)]:
@@ -35,12 +35,12 @@ print(f"\nrelative drift over [0, {scenario.t_end}]: "
 half = replace(scenario, scheme=replace(scenario.scheme,
                                         dt_initial=scenario.scheme.dt_initial / 2,
                                         dt_max=scenario.scheme.dt_initial / 2))
-traj_half = half.run()
+traj_half = run(half)
 print(f"drift at dt/2: {abs(traj_half.rows[-1].drift) / traj_half.e0:.3e}  "
       f"(factor {abs(traj.rows[-1].drift / traj_half.rows[-1].drift):.3f})")
 
 cn = replace(scenario, scheme=replace(scenario.scheme, scheme="imex_cn"))
-traj_cn = cn.run()
+traj_cn = run(cn)
 print(f"trapezoidal scheme drift: {traj_cn.max_drift:.3e}  (machine precision)")
 
 # the conserved budget also pins the trajectory under the a-priori bounds

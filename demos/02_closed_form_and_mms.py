@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from viscowave import battery_scenario, mms_case, simulate
+from viscowave import battery_scenario, mms_case, run, simulate
 from viscowave.dynamics import SchemeConfig
 from viscowave.grid import Grid1D
 
@@ -27,7 +27,7 @@ prev = None
 for n in (33, 65, 129):
     s = replace(scenario, n=n, t_end=0.5,
                 scheme=replace(scenario.scheme, dt_initial=1e-4, dt_max=1e-4))
-    traj = s.run()
+    traj = run(s)
     err = float(np.max(np.abs(traj.final_state.theta
                               - exact(traj.grid.nodes, traj.times[-1]))))
     order = "" if prev is None else f"{np.log2(prev / err):.3f}"

@@ -19,12 +19,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from viscowave import Snapshots, battery_scenario, estimate_K, lq_balance, theory_constants
+from viscowave import (Snapshots, battery_scenario, estimate_K, lq_balance, run,
+                       theory_constants)
 from viscowave.grid import Grid1D
 
 scenario = battery_scenario("coupled")
 snaps = Snapshots()  # keep the sampled states as well as the rows
-traj = scenario.run(recorders=[snaps])
+traj = run(scenario, recorders=[snaps])
 
 print(f"coupled run, n={scenario.n}, T_end={scenario.t_end}")
 print("\nfinal trajectory monitors (all must stay finite):")
@@ -48,7 +49,7 @@ print("  n    dt       max residual")
 for n, dt in ((33, 2e-3), (65, 1e-3), (129, 5e-4)):
     s = replace(scenario, n=n, t_end=0.25,
                 scheme=replace(scenario.scheme, dt_initial=dt, dt_max=dt))
-    t = s.run()
+    t = run(s)
     print(f"  {n:3d}  {dt:.0e}   {max(r.z_residual for r in t.rows[1:]):.4e}")
 
 # --- maximal-regularity constant and the derived smallness parameters ------

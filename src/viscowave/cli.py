@@ -99,20 +99,21 @@ class FieldDump(dyn.Recorder):
 
 
 def _run(config):
-    """``dyn.run`` with the rows, plus the field dumps when ``dump_fields``;
-    a list of configs runs as one ensemble.
+    """``dyn.run`` of the config's scenario with the rows, plus the field
+    dumps when ``dump_fields``; a list of configs runs as one ensemble.
 
     A run that raises leaves no dumps behind, like it leaves no other
     artifact; a run that ends on a status (``aborted``, ``blowup_halt``)
     keeps them.
     """
     batch = isinstance(config, list)
+    scens = [c.scenario for c in config] if batch else config.scenario
     dumps = [[FieldDump(os.path.join(c.out_dir, "fields"))] if c.dump_fields else []
              for c in (config if batch else [config])]
     if not any(dumps):
-        return dyn.run(config)
+        return dyn.run(scens)
     try:
-        return dyn.run(config, recorders=dumps if batch else dumps[0])
+        return dyn.run(scens, recorders=dumps if batch else dumps[0])
     except BaseException:
         for recs in dumps:
             for dump in recs:
@@ -232,12 +233,10 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
     return EXIT_OK
 
 
-def _point_config(config_path: str, axis: str, value, subdir: str, seed: int):
+def _point_config(base: cfgmod.RunConfig, axis: str, value, subdir: str):
     """The point's config; ConfigError if its laws fail the hypotheses, as
     ``dyn.run`` would raise, so that an ensemble holds only points it can run."""
-    config = cfgmod.parse_config(config_path)
-    config = replace(config, out_dir=subdir, seed=seed)
-    config = cfgmod.apply_axis(config, axis, value)
+    config = cfgmod.apply_axis(replace(base, out_dir=subdir), axis, value)
     mat.require_hypotheses(config.scenario.laws)
     return config
 
@@ -272,19 +271,19 @@ def _run_ensemble(configs: list) -> list | None:
 
 
 def _sweep_point(task):
-    """Worker: run one task of a sweep from primitives (safe across processes).
+    """Worker: run one task of a sweep (picklable, safe across processes).
 
-    A task ``(config_path, axis, values, subdirs, seed)`` holds a tuple of
-    values and one of subdirectories; its points run as one ensemble (a
-    single point on its own), and it returns one row per point.  Any
-    exception stays with its point: the row reads status ``failed`` and
-    carries the error, and the other points still run.
+    A task ``(base, axis, values, subdirs)`` holds the sweep's parsed base
+    config (with its seed), a tuple of values and one of subdirectories; its
+    points run as one ensemble (a single point on its own), and it returns
+    one row per point.  Any exception stays with its point: the row reads
+    status ``failed`` and carries the error, and the other points still run.
     """
-    config_path, axis, values, subdirs, seed = task
+    base, axis, values, subdirs = task
     rows, configs = {}, {}
     for i, (val, sub) in enumerate(zip(values, subdirs)):
         try:
-            configs[i] = _point_config(config_path, axis, val, sub, seed)
+            configs[i] = _point_config(base, axis, val, sub)
         except Exception as exc:  # one bad point must not end the sweep
             rows[i] = _failed_row(axis, val, exc)
     trajs = dict(zip(configs, _run_ensemble(list(configs.values())) or ()))
@@ -319,14 +318,14 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
         return EXIT_CONFIG
     out = out_dir or sweep.base.out_dir
     os.makedirs(out, exist_ok=True)
-    base_seed = sweep.base.seed if seed is None else seed
+    base = sweep.base if seed is None else replace(sweep.base, seed=seed)
     workers = max(1, workers if workers else sweep.workers)
 
     values = list(sweep.values)
     subdirs = [os.path.join(out, f"point_{sweep.axis}_{i:02d}") for i in range(len(values))]
     size = math.ceil(len(values) / workers) if sweep.axis in ENSEMBLE_AXES else 1
-    tasks = [(config_path, sweep.axis, tuple(values[i:i + size]), tuple(subdirs[i:i + size]),
-              base_seed) for i in range(0, len(values), size)]
+    tasks = [(base, sweep.axis, tuple(values[i:i + size]), tuple(subdirs[i:i + size]))
+             for i in range(0, len(values), size)]
     if workers == 1:
         done = [_sweep_point(t) for t in tasks]
     else:
@@ -350,9 +349,8 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
     return EXIT_OK
 
 
-def _converge_errors(config: cfgmod.RunConfig, n_values, dt_scaling: str):
+def _converge_errors(scen, n_values, dt_scaling: str):
     """Run the study and return {field: [error per n]} plus dx list."""
-    scen = config.scenario
     exact = scen.exact_fields()
     if exact is None:
         raise ConfigError(
@@ -365,8 +363,7 @@ def _converge_errors(config: cfgmod.RunConfig, n_values, dt_scaling: str):
     for n in n_values:
         dx = scen.length / (n - 1)
         dt = base_dt if dt_scaling == "fixed" else base_dt * (dx / base_dx) ** 2
-        point = replace(config, scenario=replace(
-            scen, n=int(n), scheme=replace(scen.scheme, dt_initial=dt, dt_max=dt)))
+        point = replace(scen, n=int(n), scheme=replace(scen.scheme, dt_initial=dt, dt_max=dt))
         traj = dyn.run(point, rows=False)
         st = traj.final_state
         grid_ = traj.grid
@@ -383,7 +380,7 @@ def cmd_converge(config_path: str, out_dir: str | None = None, mms_only: bool = 
         conv = cfgmod.parse_converge_config(config_path)
         if mms_only and conv.base.scenario.mms_id is None:
             raise ConfigError("mms-verify requires a scenario with an mms_case")
-        errors, dxs = _converge_errors(conv.base, conv.n_values, conv.dt_scaling)
+        errors, dxs = _converge_errors(conv.base.scenario, conv.n_values, conv.dt_scaling)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

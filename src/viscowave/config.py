@@ -55,14 +55,6 @@ class RunConfig:
         if self.k_trials < 1:
             raise ConfigError("k_trials must be at least 1")
 
-    @property
-    def scheme(self) -> dyn.SchemeConfig:
-        return self.scenario.scheme
-
-    @property
-    def monitors(self) -> diag.MonitorConfig:
-        return self.scenario.monitors
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -121,6 +113,19 @@ _TIME_KEYS = ("scheme", "dt_initial", "dt_max", "cfl_safety", "positivity_policy
 _MONITOR_KEYS = ("q", "kappa", "T0", "cadence", "blowup_threshold", "blowup_window",
                  "blowup_rate_min")
 
+# every key of each section; [initial] takes the parameters of its generator,
+# which Scenario checks against the generator's signature
+_SECTIONS = {
+    "run": ("scenario", "name", "mms_case", "out_dir", "seed", "k_trials", "dump_fields"),
+    "material": _MATERIAL_KEYS + ("gamma_table", "f_table"),
+    "domain": ("L", "n", "a"),
+    "initial": (),
+    "time": ("T_end",) + _TIME_KEYS,
+    "monitors": _MONITOR_KEYS,
+    "sweep": ("axis", "values", "workers"),
+    "converge": ("n_values", "dt_scaling"),
+}
+
 
 def _get(parser, section, key, conv, default=None, required=False):
     if parser.has_option(section, key):
@@ -132,6 +137,12 @@ def _get(parser, section, key, conv, default=None, required=False):
     if required:
         raise ConfigError(f"missing required config field [{section}] {key}")
     return default
+
+
+def _float(raw: str) -> float:
+    if not np.isfinite(value := float(raw)):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _bool(raw: str) -> bool:
@@ -148,7 +159,7 @@ def _tuple(conv):
     return lambda raw: tuple(conv(v) for v in raw.replace(",", " ").split())
 
 
-_CONVERTERS = {"float": float, "int": int, "str": str, "bool": _bool}
+_CONVERTERS = {"float": _float, "int": int, "str": str, "bool": _bool}
 
 
 def _read_section(parser, section, keys, base, **extra):
@@ -181,6 +192,13 @@ def _load(source) -> configparser.ConfigParser:
             raise ConfigError(f"cannot read config file {source!r}")
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(_SECTIONS)}")
+        keys = _SECTIONS[section]
+        unknown = [k for k in parser.options(section) if k not in (x.lower() for x in keys)]
+        if unknown and section != "initial":  # the parser lower-cases every key
+            raise ConfigError(f"unknown key [{section}] {unknown[0]}; known: {', '.join(keys)}")
     return parser
 
 
@@ -195,7 +213,7 @@ def _load_table(path: str) -> np.ndarray:
 def _parse_gen_params(parser) -> dict:
     if not parser.has_section("initial"):
         return {}
-    return {key: _get(parser, "initial", key, int if key == "k" else float)
+    return {key: _get(parser, "initial", key, int if key == "k" else _float)
             for key in parser.options("initial") if key != "generator"}
 
 
@@ -207,9 +225,9 @@ def _run_config(parser) -> RunConfig:
               if (path := _get(parser, "material", key, str))}
     laws = _read_section(parser, "material", _MATERIAL_KEYS,
                          base.laws if base else mat.MaterialLaws(), **tables)
-    length = _get(parser, "domain", "L", float, base.length if base else 1.0)
+    length = _get(parser, "domain", "L", _float, base.length if base else 1.0)
     n = _get(parser, "domain", "n", int, base.n if base else 129)
-    a = _get(parser, "domain", "a", float, base.a if base else 1.0)
+    a = _get(parser, "domain", "a", _float, base.a if base else 1.0)
 
     generator = _get(parser, "initial", "generator", str,
                      base.generator if base else None,
@@ -222,14 +240,13 @@ def _run_config(parser) -> RunConfig:
     monitors = _read_section(parser, "monitors", _MONITOR_KEYS,
                              base.monitors if base else diag.MonitorConfig())
 
-    t_end = _get(parser, "time", "T_end", float, base.t_end if base else 1.0)
-    tag = _get(parser, "run", "tag", str, base.tag if base else "generic")
+    t_end = _get(parser, "time", "T_end", _float, base.t_end if base else 1.0)
 
     scenario = sc.Scenario(
         name=name if name != "custom" else _get(parser, "run", "name", str, "custom"),
         laws=laws, a=a, length=length, n=n,
         generator=generator, gen_params=gen_params,
-        t_end=t_end, tag=tag, scheme=scheme, monitors=monitors, mms_id=mms_id,
+        t_end=t_end, scheme=scheme, monitors=monitors, mms_id=mms_id,
     )
     return RunConfig(
         scenario=scenario,
@@ -252,7 +269,7 @@ def parse_sweep_config(source) -> SweepConfig:
         raise ConfigError("sweep config needs a [sweep] section")
     return SweepConfig(base=base,
                        axis=_get(parser, "sweep", "axis", str, required=True),
-                       values=_get(parser, "sweep", "values", _tuple(float), required=True),
+                       values=_get(parser, "sweep", "values", _tuple(_float), required=True),
                        workers=_get(parser, "sweep", "workers", int, 1))
 
 
@@ -289,7 +306,6 @@ def serialize_config(config: RunConfig) -> str:
         "seed": repr(config.seed),
         "k_trials": repr(config.k_trials),
         "dump_fields": repr(config.dump_fields),
-        "tag": scen.tag,
     }
     if scen.mms_id is not None:
         parser["run"]["mms_case"] = scen.mms_id

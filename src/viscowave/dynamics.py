@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from . import grid as g
 from . import material as mat
 from . import tridiag
 from .errors import ConfigError, DomainError, StepError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import RunConfig
 
 SCHEMES = ("imex_be", "imex_cn")
 POSITIVITY_POLICIES = ("clamp_and_count", "reject_step")
@@ -651,18 +648,19 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
     return done()
 
 
-def run(config, *, rows: bool = True, recorders=()):
-    """Validated front door: check the material hypotheses, build the grid
-    and initial data from the configured scenario, then integrate with the
-    given recorders (see :func:`simulate`).
+def run(scenario, *, rows: bool = True, recorders=()):
+    """Validated front door: check the scenario's material laws against the
+    hypotheses (a ``ConfigError`` if they fail), build its grid, initial data
+    and forcing, then integrate with the given recorders (see
+    :func:`simulate`).
 
-    A list of configs runs as one ensemble (``recorders`` then holds one
-    sequence per config) and returns an :class:`Ensemble`; the configs must
-    agree on everything but the material laws, the initial data and the
+    A list of scenarios runs as one ensemble (``recorders`` then holds one
+    sequence per scenario) and returns an :class:`Ensemble`; the scenarios
+    must agree on everything but the material laws, the initial data and the
     monitors, the manufactured solution (and so the forcing) included.
     """
-    batch = isinstance(config, (list, tuple))
-    scens = [c.scenario for c in config] if batch else [config.scenario]
+    batch = isinstance(scenario, (list, tuple))
+    scens = list(scenario) if batch else [scenario]
     for scen in scens:
         mat.require_hypotheses(scen.laws)
     scen = scens[0]
@@ -673,7 +671,7 @@ def run(config, *, rows: bool = True, recorders=()):
                         recorders=recorders)
     shared = (grid_, scen.a, scen.t_end, scen.scheme, scen.mms_id)
     if any((s.make_grid(), s.a, s.t_end, s.scheme, s.mms_id) != shared for s in scens):
-        raise ConfigError("ensemble configs must share the grid, a, T_end, the scheme "
+        raise ConfigError("ensemble scenarios must share the grid, a, T_end, the scheme "
                           "and the mms case")
     return simulate([s.laws for s in scens], scen.a, grid_, [s.make_data(grid_) for s in scens],
                     scen.t_end, scen.scheme, [s.monitors for s in scens], scen.make_forcing(),

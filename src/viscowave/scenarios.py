@@ -206,14 +206,11 @@ class Scenario:
     generator: str
     gen_params: dict = field(default_factory=dict)
     t_end: float = 1.0
-    tag: str = "generic"
     scheme: dyn.SchemeConfig = field(default_factory=dyn.SchemeConfig)
     monitors: diag.MonitorConfig = field(default_factory=diag.MonitorConfig)
     mms_id: str | None = None
 
     def __post_init__(self):
-        if self.tag not in ("stationary", "closed_form", "mms", "generic"):
-            raise ConfigError(f"unknown scenario tag {self.tag!r}")
         if not self.a > 0:
             raise ConfigError("the elastic modulus a must be positive")
         if not self.t_end > 0:
@@ -269,12 +266,6 @@ class Scenario:
             }
         return None
 
-    def run(self, *, recorders=()) -> dyn.Trajectory:
-        grid_ = self.make_grid()
-        return dyn.simulate(self.laws, self.a, grid_, self.make_data(grid_),
-                            self.t_end, self.scheme, self.monitors, self.make_forcing(),
-                            recorders=recorders)
-
 
 def builtin_battery() -> list[Scenario]:
     """The stock scenario set; every entry passes hypothesis validation and
@@ -289,25 +280,24 @@ def builtin_battery() -> list[Scenario]:
     return [
         Scenario(name="stationary", laws=const_laws, a=1.0, length=1.0, n=65,
                  generator="zero", gen_params={"theta_const": 1.0},
-                 t_end=1.0, tag="stationary", scheme=be),
+                 t_end=1.0, scheme=be),
         Scenario(name="heat_eigenmode", laws=const_laws, a=1.0, length=1.0, n=129,
                  generator="heat_eigenmode", gen_params={"base": 1.0, "amp": 1.0, "k": 1},
-                 t_end=0.5, tag="closed_form", scheme=cn),
+                 t_end=0.5, scheme=cn),
         Scenario(name="damped_wave", laws=const_laws, a=1.0, length=1.0, n=129,
                  generator="sine_velocity", gen_params={"amp": 1.0, "k": 1, "theta_const": 0.0},
-                 t_end=1.0, tag="generic", scheme=be),
+                 t_end=1.0, scheme=be),
         Scenario(name="coupled", laws=coupled_laws, a=1.0, length=1.0, n=129,
                  generator="coupled_smooth",
                  gen_params={"amp_u": 0.1, "amp_v": 0.5, "theta_base": 1.0, "theta_amp": 0.25},
-                 t_end=1.0, tag="generic", scheme=be),
+                 t_end=1.0, scheme=be),
         Scenario(name="rough_theta", laws=coupled_laws, a=1.0, length=1.0, n=129,
-                 generator="corner_theta", gen_params={"base": 0.5, "amp": 1.0},
-                 t_end=0.25, tag="generic",
+                 generator="corner_theta", gen_params={"base": 0.5, "amp": 1.0}, t_end=0.25,
                  scheme=dyn.SchemeConfig(dt_initial=2e-4, dt_max=2e-4, scheme="imex_be")),
         Scenario(name="near_alpha_limit", laws=near_limit_laws, a=1.0, length=1.0, n=129,
                  generator="coupled_smooth",
                  gen_params={"amp_u": 0.05, "amp_v": 0.3, "theta_base": 1.0, "theta_amp": 0.1},
-                 t_end=1.0, tag="generic", scheme=be,
+                 t_end=1.0, scheme=be,
                  monitors=diag.MonitorConfig(q=4 * 1.45 - 2)),
     ]
 

@@ -39,7 +39,7 @@ def with_dt(scenario, dt, scheme=None):
 def battery_runs():
     """Every battery scenario run once at its default configuration."""
     t0 = time.perf_counter()
-    runs = {s.name: (s, s.run()) for s in sc.builtin_battery()}
+    runs = {s.name: (s, dyn.run(s)) for s in sc.builtin_battery()}
     return runs, time.perf_counter() - t0
 
 
@@ -51,11 +51,11 @@ def test_criterion_01_energy_law():
         assert scenario.a == 1.0 and scenario.length == 1.0 and scenario.n == 129
         assert scenario.t_end == 1.0
         t0 = time.perf_counter()
-        base = scenario.run()
+        base = dyn.run(scenario)
         runtime = time.perf_counter() - t0
         drift_base = abs(base.rows[-1].drift)
         assert drift_base / base.e0 <= 1e-3
-        half = with_dt(scenario, scenario.scheme.dt_initial / 2).run()
+        half = dyn.run(with_dt(scenario, scenario.scheme.dt_initial / 2))
         drift_half = abs(half.rows[-1].drift)
         factor = drift_base / drift_half
         # first-order scheme: halving dt must reduce the drift ~linearly
@@ -86,7 +86,7 @@ def test_criterion_03_heat_eigenmode_oracle():
         exact = scenario.exact_fields()["theta"]
         errs = []
         for n in (33, 65, 129):
-            r = with_dt(replace(scenario, n=n, t_end=0.5), 1e-4).run()
+            r = dyn.run(with_dt(replace(scenario, n=n, t_end=0.5), 1e-4))
             errs.append(float(np.max(np.abs(r.final_state.theta
                                             - exact(r.grid.nodes, r.times[-1])))))
         assert errs[-1] <= 5e-4  # n = 129, dt = 1e-4, T = 0.5
@@ -100,7 +100,7 @@ def test_criterion_04_lq_balance_identity():
 
         def residual(dt):
             snaps = dyn.Snapshots()
-            traj = with_dt(scenario, dt).run(recorders=[snaps])
+            traj = dyn.run(with_dt(scenario, dt), recorders=[snaps])
             ts = np.array(traj.times)
             lq = np.array([r.lq_value for r in traj.rows])
             rates = np.array([diag.lq_balance(st, scenario.laws, 2.0, traj.grid).lhs_rate
@@ -119,7 +119,7 @@ def test_criterion_05_z_transform_diagnostics():
         norms = []
         for n, dt in ((33, 2e-3), (65, 1e-3), (129, 5e-4)):
             snaps = dyn.Snapshots()
-            traj = with_dt(replace(scenario, n=n, t_end=0.25), dt).run(recorders=[snaps])
+            traj = dyn.run(with_dt(replace(scenario, n=n, t_end=0.25), dt), recorders=[snaps])
             for st in snaps.states:
                 z, _ = diag.z_transform(st, scenario.monitors.kappa, traj.grid)
                 assert z[0] == 0.0  # exact, by construction of the antiderivative
@@ -158,14 +158,14 @@ def test_criterion_08_positivity(battery_runs):
             assert traj.clamp_fraction() <= 1e-4, name
         # refinement does not worsen the clamp fraction on the roughest scenario
         rough, rough_traj = runs["rough_theta"]
-        refined = with_dt(rough, rough.scheme.dt_initial / 2).run()
+        refined = dyn.run(with_dt(rough, rough.scheme.dt_initial / 2))
         assert refined.clamp_fraction() <= rough_traj.clamp_fraction() + 1e-15
         # reject_step: accepted steps never dip below -1e-8
         coupled = sc.battery_scenario("coupled")
         reject = replace(coupled, scheme=replace(coupled.scheme,
                                                  positivity_policy="reject_step",
                                                  positivity_tolerance=1e-8))
-        traj = reject.run()
+        traj = dyn.run(reject)
         assert traj.status == "completed"
         assert min(r.min_theta for r in traj.rows) >= -1e-8
 
@@ -208,13 +208,13 @@ def test_criterion_11_monitor_boundedness_under_sweeps():
         delta_est = diag.theory_constants(K, 1.0, 1.0, 1.0).delta_est
         coupled = sc.battery_scenario("coupled")
         for delta in (0.0, delta_est / 2.0, delta_est):
-            run = replace(coupled, laws=replace(coupled.laws, delta=delta)).run()
+            run = dyn.run(replace(coupled, laws=replace(coupled.laws, delta=delta)))
             assert run.status == "completed", f"delta={delta}"
             assert run.monitors.all_finite()
             assert run.blowup is None
         power = replace(coupled, laws=replace(coupled.laws, f_family="power"))
         for alpha in (0.9, 1.0, 1.45):
-            run = replace(power, laws=replace(power.laws, alpha=alpha)).run()
+            run = dyn.run(replace(power, laws=replace(power.laws, alpha=alpha)))
             assert run.status == "completed", f"alpha={alpha}"
             assert run.monitors.all_finite()
             assert run.blowup is None

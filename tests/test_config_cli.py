@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -131,7 +132,6 @@ out_dir = runs/out
 seed = 0
 k_trials = 3
 dump_fields = False
-tag = generic
 
 [material]
 gamma_family = saturating
@@ -383,7 +383,7 @@ def test_field_dumps_are_the_sampled_states_written_as_final_state(tmp_path):
     assert [p.name for p in dumps] == [f"fields_{i:05d}.csv" for i in range(18)]
 
     snaps = dyn.Snapshots()
-    traj = dyn.run(cfgmod.parse_config(path), recorders=[snaps])
+    traj = dyn.run(cfgmod.parse_config(path).scenario, recorders=[snaps])
     assert len(snaps.states) == len(traj.rows) == 18
     for dump, state in zip(dumps, snaps.states):
         ref = tmp_path / "ref.csv"
@@ -427,7 +427,7 @@ def test_sweep_point_that_raises_leaves_no_field_dumps(tmp_path, monkeypatch):
     path = write_ini(tmp_path, text, out=str(tmp_path / "o"))
     sub = tmp_path / "point"
     _step_raising_after(monkeypatch, 5, RuntimeError("boom"))
-    [row] = cli._sweep_point((path, "delta", (0.2,), (str(sub),), 11))
+    [row] = cli._sweep_point((cfgmod.parse_config(path), "delta", (0.2,), (str(sub),)))
     assert row["status"] == "failed"
     assert row["error"] == "RuntimeError: boom"
     assert not (sub / "fields").exists()
@@ -565,11 +565,12 @@ def test_ensemble_sweep_points_are_byte_identical_to_solo_points(tmp_path, monke
     monkeypatch.setattr(dyn, "simulate", lambda *a, **k: sims.append(1) or simulate(*a, **k))
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
     assert len(sims) == 1  # the three points were one batch
+    base = cfgmod.parse_config(path)
     sweep_rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
     for i, value in enumerate((1.0, 1.2, 1.4)):
         point = tmp_path / "sw" / f"point_alpha_{i:02d}"
         solo = tmp_path / f"solo_{i}"
-        [row] = cli._sweep_point((path, "alpha", (value,), (str(solo),), 11))
+        [row] = cli._sweep_point((base, "alpha", (value,), (str(solo),)))
         assert {k: str(v) for k, v in row.items()} == sweep_rows[i]
         names = sorted(p.relative_to(solo).as_posix() for p in solo.rglob("*.csv"))
         assert "fields/fields_00050.csv" in names and "summary.json" not in names
@@ -589,8 +590,9 @@ def test_ensemble_batches_only_its_valid_points(tmp_path, monkeypatch):
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
     assert len(sims) == 1 and len(sims[0]) == 2
     rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
+    base = cfgmod.parse_config(path)
     solo = [row for v in (1.0, 0.8, 1.2)
-            for row in cli._sweep_point((path, "alpha", (v,), (str(tmp_path / f"solo_{v}"),), 11))]
+            for row in cli._sweep_point((base, "alpha", (v,), (str(tmp_path / f"solo_{v}"),)))]
     assert rows == [{k: str(v) for k, v in r.items()} for r in solo]
     assert [r["status"] for r in rows] == ["completed", "failed", "completed"]
     assert "hypothesis validation" in rows[1]["error"]
@@ -629,6 +631,23 @@ def test_sweep_computes_estimate_K_once(tmp_path, monkeypatch):
     assert len({json.dumps(s["theory_constants"]) for s in summaries}) == 1
 
 
+def test_a_sweep_reads_its_config_once(tmp_path, monkeypatch):
+    # the tasks carry the parsed config, --seed included: the points do not
+    # read the file again
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    loads = []
+    load = cfgmod._load
+    monkeypatch.setattr(cfgmod, "_load", lambda source: loads.append(source) or load(source))
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=2, seed=7) == cli.EXIT_OK
+    assert loads == [path] and len(_InlinePool.tasks) == 2
+    assert [task[0].seed for task in _InlinePool.tasks] == [7, 7]
+    summary = json.loads((tmp_path / "sw" / "point_delta_02" / "summary.json").read_text())
+    assert summary["seed"] == 7
+    assert pickle.loads(pickle.dumps(_InlinePool.tasks)) == _InlinePool.tasks  # as a pool sends them
+
+
 def test_cmd_sweep_records_failing_point_and_exits_solver(tmp_path, monkeypatch, capsys):
     # one point raises an exception that is not a ViscowaveError; the other
     # points are still run and written, and the sweep exits non-zero
@@ -637,10 +656,10 @@ def test_cmd_sweep_records_failing_point_and_exits_solver(tmp_path, monkeypatch,
     path = write_ini(tmp_path, text, name="sweep.ini", out=str(out))
     real_run = cli.dyn.run
 
-    def run(config):
-        if config.scenario.laws.delta == 0.05:
+    def run(scenario):
+        if scenario.laws.delta == 0.05:
             raise RuntimeError("injected fault, with a comma")
-        return real_run(config)
+        return real_run(scenario)
 
     monkeypatch.setattr(cli.dyn, "run", run)
     code = cli.main(["sweep", "--config", path, "--out", str(out), "--workers", "1"])
@@ -698,7 +717,7 @@ def test_config_values_are_read_literally(tmp_path):
 
 
 def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
-    path = write_ini(tmp_path, COUPLED_INI.replace("seed = 11\n", "seed = 11\ntag = 50%\n"))
+    path = write_ini(tmp_path, COUPLED_INI + "scheme = 50%\n")  # in [time], the last section
     assert cli.cmd_run(path, out_dir=str(tmp_path / "out")) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "50%" in err and "Traceback" not in err
@@ -713,7 +732,30 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     # else the run's first step raises; a sweep wrote failed rows and exited 3
     ("run", "T_end = 0\n", "T_end"),
     ("sweep", "T_end = nan\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n", "T_end"),
-], ids=["run-T0", "run-a", "run-gen_param", "sweep-gen_param", "run-T_end", "sweep-T_end"])
+    # non-finite numbers: else the run exits 0 with a check switched off or
+    # NaN monitors, exits 3 after 0 steps, or ends in a traceback
+    ("run", "solver_tol = nan\n", "[time] solver_tol"),
+    ("run", "solver_tol = inf\n", "[time] solver_tol"),
+    ("run", "positivity_tolerance = nan\n", "[time] positivity_tolerance"),
+    ("run", "dt_initial = nan\n", "[time] dt_initial"),
+    ("run", "T_end = inf\n", "[time] T_end"),
+    ("run", "[monitors]\nblowup_threshold = nan\n", "[monitors] blowup_threshold"),
+    ("run", "[monitors]\nq = nan\n", "[monitors] q"),
+    ("run", "[monitors]\nkappa = nan\n", "[monitors] kappa"),
+    ("run", "[material]\ndelta = nan\n", "[material] delta"),
+    ("run", "[material]\ngamma0 = nan\n", "[material] gamma0"),
+    ("run", "[domain]\nL = nan\n", "[domain] L"),
+    ("run", "[initial]\namp_v = nan\n", "[initial] amp_v"),
+    ("sweep", "[sweep]\naxis = delta\nvalues = 0.0, nan\n", "[sweep] values"),
+    # misspelt names: else the key or the section is ignored
+    ("run", "[material]\ndelat = 0.3\n", "[material] delat"),
+    ("run", "[monitor]\nq = 3.0\n", "[monitor]"),
+    ("sweep", "[sweep]\naxis = delta\nvalues = 0.0, 0.1\nworker = 2\n", "worker"),
+], ids=["run-T0", "run-a", "run-gen_param", "sweep-gen_param", "run-T_end", "sweep-T_end",
+        "run-solver_tol-nan", "run-solver_tol-inf", "run-positivity_tolerance-nan",
+        "run-dt_initial-nan", "run-T_end-inf", "run-blowup_threshold-nan", "run-q-nan",
+        "run-kappa-nan", "run-delta-nan", "run-gamma0-nan", "run-L-nan", "run-gen_param-nan",
+        "sweep-values-nan", "run-misspelt-key", "run-misspelt-section", "sweep-misspelt-key"])
 def test_config_mistakes_fail_when_parsed(tmp_path, capsys, command, extra, needle):
     ini = COUPLED_INI
     if extra.startswith("T_end"):  # it replaces the [time] section's T_end, the last line

@@ -545,6 +545,18 @@ def test_batched_step_eta_gives_each_row_its_own_step(n):
 # --------------------------------------------------------------------------
 
 
+def test_run_rejects_laws_outside_the_hypotheses(monkeypatch):
+    # a linear coupling grows like (xi + 1)^1, over the bound K_f (xi + 1)^0.8:
+    # dyn.run refuses it, alone or in an ensemble, before it steps
+    coupled = sc.battery_scenario("coupled")
+    assert coupled.laws.f_family == "linear"
+    bad = replace(coupled, laws=replace(coupled.laws, alpha=0.8), t_end=0.01)
+    monkeypatch.setattr(dyn, "simulate", lambda *a, **k: pytest.fail("simulate was called"))
+    for arg in (bad, [replace(coupled, t_end=0.01), bad]):
+        with pytest.raises(ConfigError, match="f_growth_bound"):
+            dyn.run(arg)
+
+
 def test_simulate_hits_horizon_and_cadence():
     grid_ = make_grid(33)
     data = mat.InitialData(u0=np.zeros(33), v0=np.zeros(33), theta0=np.ones(33))

@@ -442,23 +442,22 @@ def test_a_resumed_member_writes_each_field_dump_once(tmp_path, monkeypatch):
 
 
 def test_run_over_mms_configs_passes_the_forcing_and_runs_members_alone(monkeypatch):
-    # configs that share an MMS case share its forcing: dyn.run passes it on,
+    # scenarios that share an MMS case share its forcing: dyn.run passes it on,
     # and simulate runs the members one after another, each with its solo bits
-    from viscowave.config import RunConfig
     scen = sc.Scenario(name="mms", laws=sc.mms_case("exponential").laws, a=1.0, length=1.0,
-                       n=33, generator="mms", t_end=0.004, tag="mms",
+                       n=33, generator="mms", t_end=0.004,
                        scheme=cfg_for(2e-4, "imex_cn"), mms_id="exponential")
-    configs = [RunConfig(replace(scen, laws=replace(scen.laws, delta=d))) for d in (0.0, 0.1, 0.3)]
-    solos = [dyn.run(c) for c in configs]
+    scens = [replace(scen, laws=replace(scen.laws, delta=d)) for d in (0.0, 0.1, 0.3)]
+    solos = [dyn.run(s) for s in scens]
     grid_ = scen.make_grid()
     unforced = dyn.simulate(scen.laws, 1.0, grid_, scen.make_data(grid_), scen.t_end, scen.scheme)
     assert bits(unforced.final_state) != bits(solos[1].final_state)  # the forcing shows
     marched = []
     real = dyn._march
     monkeypatch.setattr(dyn, "_march", lambda act, *args: marched.append(len(act)) or real(act, *args))
-    ens = dyn.run(configs)
+    ens = dyn.run(scens)
     assert marched == [1, 1, 1]
     for traj, solo in zip(ens, solos):
         assert_same_run(traj, solo)
     with pytest.raises(ConfigError, match="mms case"):
-        dyn.run([configs[0], replace(configs[1], scenario=replace(scen, mms_id="stationary"))])
+        dyn.run([scens[0], replace(scens[1], mms_id="stationary")])

@@ -96,7 +96,6 @@ def test_battery_contents():
     assert len(battery) >= 6
     names = [s.name for s in battery]
     assert "stationary" in names
-    assert next(s for s in battery if s.name == "stationary").tag == "stationary"
     assert any(s.laws.f_family == "linear" and s.laws.gamma_family == "saturating"
                for s in battery)  # the fully coupled prototype
     assert any(s.laws.alpha == pytest.approx(1.45) for s in battery)
@@ -124,7 +123,7 @@ def test_scenario_exact_fields():
     stationary = sc.battery_scenario("stationary")
     stat = stationary.exact_fields()
     assert np.all(stat["theta"](x, 2.0) == 1.0)
-    # each closed form is keyed on what makes it exact, not on the name or tag
+    # each closed form is keyed on what makes it exact, not on the name
     coupling = replace(heat.laws, f_family="linear", K_f=1.0)
     assert replace(heat, laws=coupling).exact_fields() is None
     assert replace(heat, generator="coupled_smooth", gen_params={}).exact_fields() is None
