@@ -52,6 +52,14 @@ EXIT_BLOWUP = 4
 ENSEMBLE_AXES = ("delta", "alpha", "kappa")
 
 
+def _exit_code(statuses: list) -> int:
+    """EXIT_SOLVER if any of the runs ending on ``statuses`` failed or
+    aborted, else EXIT_BLOWUP if any halted on blow-up, else EXIT_OK."""
+    if any(s not in ("completed", "blowup_halt") for s in statuses):
+        return EXIT_SOLVER
+    return EXIT_BLOWUP if "blowup_halt" in statuses else EXIT_OK
+
+
 def _write_csv(path: str, header, line: str, rows) -> None:
     """The ``header`` names, then ``line % row`` for each row: one ``%``
     format for the whole line."""
@@ -223,14 +231,13 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
     _write_artifacts(config, traj, config.out_dir)
     if traj.status == "aborted":
         print(f"solver failure after {traj.steps_taken} steps: {traj.error}", file=sys.stderr)
-        return EXIT_SOLVER
-    if traj.status == "blowup_halt":
+    elif traj.status == "blowup_halt":
         print(f"blow-up detector fired at t = {traj.blowup.t_fire:g} "
               f"(rate {traj.blowup.rate:.3g}/sample)", file=sys.stderr)
-        return EXIT_BLOWUP
-    print(f"completed: {traj.steps_taken} steps, final drift {traj.rows[-1].drift:.3e}, "
-          f"artifacts in {config.out_dir}")
-    return EXIT_OK
+    else:
+        print(f"completed: {traj.steps_taken} steps, final drift {traj.rows[-1].drift:.3e}, "
+              f"artifacts in {config.out_dir}")
+    return _exit_code([traj.status])
 
 
 def _point_config(base: cfgmod.RunConfig, axis: str, value, subdir: str):
@@ -308,8 +315,7 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
     Points of an ``ENSEMBLE_AXES`` sweep go to the workers as ensembles of
     ceil(points / workers) points each; other points go one per task.
 
-    Returns EXIT_SOLVER if any point failed or aborted, else EXIT_BLOWUP if
-    any point halted on blow-up, else EXIT_OK.
+    Returns the :func:`_exit_code` of the points' statuses.
     """
     try:
         sweep = cfgmod.parse_sweep_config(config_path)
@@ -339,14 +345,11 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cols)
         writer.writerows([str(row[c]) for c in cols] for row in results)
-    bad = [r for r in results if r["status"] not in ("completed", "blowup_halt")]
-    print(f"sweep over {sweep.axis}: {len(results)} points, "
-          f"{len(results) - len(bad)} finished, aggregate in {agg}")
-    if bad:
-        return EXIT_SOLVER
-    if any(r["status"] == "blowup_halt" for r in results):
-        return EXIT_BLOWUP
-    return EXIT_OK
+    statuses = [r["status"] for r in results]
+    finished = sum(s in ("completed", "blowup_halt") for s in statuses)
+    print(f"sweep over {sweep.axis}: {len(results)} points, {finished} finished, "
+          f"aggregate in {agg}")
+    return _exit_code(statuses)
 
 
 def _converge_errors(scen, n_values, dt_scaling: str):

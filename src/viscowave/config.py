@@ -27,9 +27,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import diagnostics as diag
-from . import dynamics as dyn
-from . import grid as g
 from . import material as mat
 from . import scenarios as sc
 from .errors import ConfigError
@@ -112,11 +109,16 @@ _TIME_KEYS = ("scheme", "dt_initial", "dt_max", "cfl_safety", "positivity_policy
               "positivity_tolerance", "adaptive", "solver_tol", "max_step_retries")
 _MONITOR_KEYS = ("q", "kappa", "T0", "cadence", "blowup_threshold", "blowup_window",
                  "blowup_rate_min")
+_RUN_KEYS = ("out_dir", "seed", "k_trials", "dump_fields")
+# (section, key, Scenario field) of the keys that each set one field of the scenario
+_SCENARIO_KEYS = (("run", "name", "name"), ("run", "mms_case", "mms_id"),
+                  ("domain", "L", "length"), ("domain", "n", "n"), ("domain", "a", "a"),
+                  ("time", "T_end", "t_end"))
 
 # every key of each section; [initial] takes the parameters of its generator,
 # which Scenario checks against the generator's signature
 _SECTIONS = {
-    "run": ("scenario", "name", "mms_case", "out_dir", "seed", "k_trials", "dump_fields"),
+    "run": ("scenario", "name", "mms_case") + _RUN_KEYS,
     "material": _MATERIAL_KEYS + ("gamma_table", "f_table"),
     "domain": ("L", "n", "a"),
     "initial": (),
@@ -159,7 +161,7 @@ def _tuple(conv):
     return lambda raw: tuple(conv(v) for v in raw.replace(",", " ").split())
 
 
-_CONVERTERS = {"float": _float, "int": int, "str": str, "bool": _bool}
+_CONVERTERS = {"float": _float, "int": int, "str": str, "str | None": str, "bool": _bool}
 
 
 def _read_section(parser, section, keys, base, **extra):
@@ -218,43 +220,31 @@ def _parse_gen_params(parser) -> dict:
 
 
 def _run_config(parser) -> RunConfig:
+    """The file's base scenario with each key of the file in the field it
+    names.  The base is the battery entry named by ``scenario``, or for
+    ``custom`` the defaults with the file's (required) generator.  The
+    ``[initial]`` parameters go over the base's own, or replace them when
+    ``generator`` names another generator."""
     name = _get(parser, "run", "scenario", str, "custom")
-    base = sc.battery_scenario(name) if name != "custom" else None
+    generator = _get(parser, "initial", "generator", str, required=name == "custom")
+    base = (sc.battery_scenario(name) if name != "custom" else
+            sc.Scenario(name=name, laws=mat.MaterialLaws(), a=1.0, length=1.0, n=129,
+                        generator=generator))
+    gen_params = _parse_gen_params(parser)
+    if generator in (None, base.generator):
+        gen_params = {**base.gen_params, **gen_params}
 
     tables = {key: _load_table(path) for key in ("gamma_table", "f_table")
               if (path := _get(parser, "material", key, str))}
-    laws = _read_section(parser, "material", _MATERIAL_KEYS,
-                         base.laws if base else mat.MaterialLaws(), **tables)
-    length = _get(parser, "domain", "L", _float, base.length if base else 1.0)
-    n = _get(parser, "domain", "n", int, base.n if base else 129)
-    a = _get(parser, "domain", "a", _float, base.a if base else 1.0)
-
-    generator = _get(parser, "initial", "generator", str,
-                     base.generator if base else None,
-                     required=base is None)
-    gen_params = _parse_gen_params(parser) or (dict(base.gen_params) if base else {})
-    mms_id = _get(parser, "run", "mms_case", str, base.mms_id if base else None)
-
-    scheme = _read_section(parser, "time", _TIME_KEYS,
-                           base.scheme if base else dyn.SchemeConfig())
-    monitors = _read_section(parser, "monitors", _MONITOR_KEYS,
-                             base.monitors if base else diag.MonitorConfig())
-
-    t_end = _get(parser, "time", "T_end", _float, base.t_end if base else 1.0)
-
-    scenario = sc.Scenario(
-        name=name if name != "custom" else _get(parser, "run", "name", str, "custom"),
-        laws=laws, a=a, length=length, n=n,
-        generator=generator, gen_params=gen_params,
-        t_end=t_end, scheme=scheme, monitors=monitors, mms_id=mms_id,
-    )
-    return RunConfig(
-        scenario=scenario,
-        out_dir=_get(parser, "run", "out_dir", str, "runs/out"),
-        seed=_get(parser, "run", "seed", int, 0),
-        k_trials=_get(parser, "run", "k_trials", int, 3),
-        dump_fields=_get(parser, "run", "dump_fields", _bool, False),
-    )
+    types = {f.name: f.type for f in fields(base)}
+    scenario = replace(
+        base, generator=generator or base.generator, gen_params=gen_params,
+        laws=_read_section(parser, "material", _MATERIAL_KEYS, base.laws, **tables),
+        scheme=_read_section(parser, "time", _TIME_KEYS, base.scheme),
+        monitors=_read_section(parser, "monitors", _MONITOR_KEYS, base.monitors),
+        **{field: _get(parser, section, key, _CONVERTERS[types[field]], getattr(base, field))
+           for section, key, field in _SCENARIO_KEYS})
+    return _read_section(parser, "run", _RUN_KEYS, RunConfig(scenario))
 
 
 def parse_config(source) -> RunConfig:
@@ -299,14 +289,8 @@ def serialize_config(config: RunConfig) -> str:
     if scen.laws.gamma_table is not None or scen.laws.f_table is not None:
         raise ConfigError("tabulated laws serialize by table path only; keep the original config")
     parser = configparser.ConfigParser(interpolation=None)
-    parser["run"] = {
-        "scenario": "custom",
-        "name": scen.name,
-        "out_dir": config.out_dir,
-        "seed": repr(config.seed),
-        "k_trials": repr(config.k_trials),
-        "dump_fields": repr(config.dump_fields),
-    }
+    parser["run"] = {"scenario": "custom", "name": scen.name,
+                     **_write_section(config, _RUN_KEYS)}
     if scen.mms_id is not None:
         parser["run"]["mms_case"] = scen.mms_id
     parser["material"] = _write_section(scen.laws, _MATERIAL_KEYS)

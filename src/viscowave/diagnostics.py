@@ -415,7 +415,7 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> float:
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     r = 0.5 * dt * D / dgrid.dx ** 2
-    solve = tridiag.dirichlet(dgrid.n, r).factor()  # one matrix for every step
+    op = tridiag.dirichlet(dgrid.n, r)  # one matrix for every step
     src = dt * gh[1:-1]
 
     def zxx_p(zfull):
@@ -428,7 +428,7 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> float:
         rhs = zh.copy()
         rhs[1:-1] += r * (zh[2:] - 2.0 * zh[1:-1] + zh[:-2]) + src
         rhs[0] = rhs[-1] = 0.0
-        zh = solve(rhs)
+        zh = op.solve(rhs)
         acc += zxx_p(zh)
     acc -= 0.5 * zxx_p(zh)
     return acc * dt

@@ -206,7 +206,7 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
     An ensemble state ((B, n) fields, ``laws`` a :class:`material.LawRows`
     with one law per row) takes the step of every member at once, each
     member's bits as in its own step; the clamp counts are then one per
-    member, and a StepError names the failing member's row in ``member``.
+    member, and a StepError fails the step of the whole batch.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -507,7 +507,8 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     if not batch:
         laws, data, monitor_cfg, recorders = [laws], [data], [monitor_cfg], [recorders]
     recorders = list(recorders) or [()] * len(data)
-    monitor_cfg = [diag.MonitorConfig() if c is None else c for c in monitor_cfg]
+    monitor_cfg = [diag.MonitorConfig() if c is None else c
+                   for c in ([None] * len(data) if monitor_cfg is None else monitor_cfg)]
     if not data or not len(laws) == len(data) == len(monitor_cfg) == len(recorders):
         raise ConfigError("an ensemble needs laws, monitors and recorders for each member")
     if any(d.u0.shape != (grid_.n,) for d in data):

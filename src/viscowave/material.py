@@ -314,26 +314,17 @@ def require_hypotheses(laws: MaterialLaws) -> None:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial fields on a grid: displacement, velocity, temperature.
-
-    ``regularity`` distinguishes data meant to be smooth and compatible
-    (temperature has flat one-sided ends) from rough data that only satisfy
-    the weaker admissibility (nonnegative temperature, pinned displacement
-    and velocity ends).
-    """
+    """Initial fields on a grid: displacement, velocity, temperature."""
 
     u0: np.ndarray
     v0: np.ndarray
     theta0: np.ndarray
-    regularity: str = "smooth"
 
     def __post_init__(self):
         for name in ("u0", "v0", "theta0"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.u0.shape == self.v0.shape == self.theta0.shape):
             raise ConfigError("initial fields must share one shape")
-        if self.regularity not in ("smooth", "rough"):
-            raise ConfigError(f"regularity must be 'smooth' or 'rough', got {self.regularity!r}")
         for name in ("u0", "v0"):
             w = getattr(self, name)
             if w[0] != 0.0 or w[-1] != 0.0:

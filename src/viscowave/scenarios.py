@@ -70,7 +70,7 @@ def gen_corner_theta(grid_: g.Grid1D, base: float = 0.5, amp: float = 1.0,
     xp = peak * L
     tent = np.where(x <= xp, x / xp, (L - x) / (L - xp))
     z = np.zeros(grid_.n)
-    return mat.InitialData(u0=z, v0=z.copy(), theta0=base + amp * tent, regularity="rough")
+    return mat.InitialData(u0=z, v0=z.copy(), theta0=base + amp * tent)
 
 
 INITIAL_GENERATORS: dict[str, Callable[..., mat.InitialData]] = {
@@ -357,8 +357,7 @@ def mollify(data: mat.InitialData, eps: float, grid_: g.Grid1D) -> mat.InitialDa
         return scipy.fft.idct(coeffs * _mode_multiplier(k, eps), type=1)
 
     theta = np.maximum(cut_cosine(data.theta0), 0.0)
-    return mat.InitialData(u0=cut_sine(data.u0), v0=cut_sine(data.v0),
-                           theta0=theta, regularity="smooth")
+    return mat.InitialData(u0=cut_sine(data.u0), v0=cut_sine(data.v0), theta0=theta)
 
 
 def w12_distance(wa: np.ndarray, wb: np.ndarray, grid_: g.Grid1D) -> float:

@@ -71,19 +71,6 @@ class Tridiag:
         res[..., :-1] += self.upper * x[..., 1:]
         return res
 
-    def factor(self):
-        """LU factors (``dgttrf``) once; returns the solve (``dgttrs`` on them)
-        for right-hand sides that come one at a time."""
-        *factors, info = lapack.dgttrf(self.lower, self.diag, self.upper)
-        _check_info(info)
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            x, info = lapack.dgttrs(*factors, b)
-            _check_info(info)
-            return x
-
-        return solve
-
 
 def dirichlet(n: int, s) -> Tridiag:
     """Identity end rows and interior rows ``(-s, 1 + 2 s, -s)``.

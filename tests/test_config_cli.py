@@ -124,6 +124,33 @@ def test_round_trip_of_battery_config(tmp_path):
     assert again.scenario.gen_params == cfg.scenario.gen_params
 
 
+def test_initial_parameters_go_over_the_base_scenarios():
+    text = "[run]\nscenario = near_alpha_limit\n\n[initial]\namp_v = 0.2\n"
+    cfg = cfgmod.parse_config(io.StringIO(text))
+    base = sc.battery_scenario("near_alpha_limit")
+    assert cfg.scenario.gen_params == {**base.gen_params, "amp_v": 0.2}
+    written = cfgmod.serialize_config(cfg)
+    for line in ("amp_u = 0.05", "amp_v = 0.2", "theta_base = 1.0", "theta_amp = 0.1"):
+        assert line in written
+    assert cfgmod.parse_config(io.StringIO(written)) == cfg
+
+
+def test_another_generator_drops_the_base_scenarios_parameters():
+    run = "[run]\nscenario = coupled\n\n[initial]\n"
+    cfg = cfgmod.parse_config(io.StringIO(run + "generator = zero\n"))
+    assert (cfg.scenario.generator, cfg.scenario.gen_params) == ("zero", {})
+    cfg = cfgmod.parse_config(io.StringIO(run + "generator = heat_eigenmode\nk = 2\n"))
+    assert (cfg.scenario.generator, cfg.scenario.gen_params) == ("heat_eigenmode", {"k": 2})
+
+
+def test_name_names_a_run_of_a_battery_scenario(tmp_path):
+    text = COUPLED_INI.replace("scenario = coupled", "scenario = coupled\nname = my_run")
+    out = tmp_path / "out"
+    assert cli.cmd_run(write_ini(tmp_path, text)) == cli.EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["scenario"] == "my_run"
+    assert "name = my_run" in (out / "config.ini").read_text()
+
+
 COUPLED_SERIALIZED = """\
 [run]
 scenario = custom

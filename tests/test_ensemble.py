@@ -312,6 +312,15 @@ def test_an_ensemble_of_one_is_a_solo_run():
                                          mons[0]))
 
 
+def test_an_ensemble_without_monitor_configs_gives_each_member_the_default():
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, _ = members(grid_)
+    ens = dyn.simulate(laws[:2], 1.0, grid_, data[:2], 0.005, cfg_for(1e-3))
+    for i, traj in enumerate(ens):
+        assert_same_run(traj, dyn.simulate(laws[i], 1.0, grid_, data[i], 0.005, cfg_for(1e-3),
+                                           diag.MonitorConfig()))
+
+
 def test_ensemble_arguments_checked():
     grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_)

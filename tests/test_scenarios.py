@@ -99,7 +99,7 @@ def test_battery_contents():
     assert any(s.laws.f_family == "linear" and s.laws.gamma_family == "saturating"
                for s in battery)  # the fully coupled prototype
     assert any(s.laws.alpha == pytest.approx(1.45) for s in battery)
-    assert any(s.make_data(s.make_grid()).regularity == "rough" for s in battery)
+    assert any(s.generator == "corner_theta" for s in battery)  # rough data
 
 
 def test_battery_all_pass_hypotheses():
@@ -166,7 +166,6 @@ def test_mollify_boundary_compatibility():
     assert out.u0[0] == out.u0[-1] == 0.0
     assert out.v0[0] == out.v0[-1] == 0.0
     assert np.all(out.theta0 >= 0.0)
-    assert out.regularity == "smooth"
     # flat ends: the one-sided slope collapses to stencil truncation,
     # an order dx fraction of the curvature scale
     d2_scale = np.max(np.abs(g.d2(out.theta0, grid_, g.BcKind.NEUMANN_BOTH)))

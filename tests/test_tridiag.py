@@ -247,11 +247,3 @@ def test_stacked_residual_checked_at_each_members_scale():
     with pytest.raises(StepError, match="heat solve residual exceeds tolerance"):
         dyn._solve_banded(stack(ops), rhs_, 0.5 * rel, label="heat")
     assert res <= 0.5 * rel * np.max(np.abs(rhs_))  # a shared scale would let it pass
-
-
-def test_factored_solve_bitwise_equals_dgtsv():
-    rng = np.random.default_rng(8)
-    for op in (tridiag.dirichlet(257, 0.3), tridiag.neumann(100, 7.0), random_op(33, rng)):
-        solve = op.factor()
-        for b in rng.standard_normal((20, op.diag.size)):
-            assert solve(b).tobytes() == op.solve(b).tobytes()
