@@ -11,12 +11,45 @@ A batch of B systems of size n (the rows of ``(B, n)`` arrays) is solved as
 one block-diagonal system of size B n: the couplings across the seams
 between consecutive systems are zero, so no row is ever eliminated against
 another system's, and each system gets the bits of its own ``dgtsv`` call.
+
+``dgtsv`` comes from ``scipy.linalg._flapack``, the compiled LAPACK wrapper
+whose functions ``scipy.linalg.lapack`` re-exports (``from
+scipy.linalg._flapack import *``), so it is the very function
+``scipy.linalg.lapack.dgtsv``.  The extension is loaded alone, after ``import
+scipy`` (which runs scipy's own start-up), not through the ``scipy.linalg``
+package: that import costs about 0.3 s and 18 MiB per process, most of it in
+numpy submodules (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) that
+scipy's array-API layer touches and viscowave never uses.  The module is
+registered in ``sys.modules`` under its own name, so whichever of viscowave
+and ``scipy.linalg`` is imported first, both use the one module object.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg import lapack
+import scipy
+
+
+def _load_flapack():
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"LAPACK extension {name} not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+lapack = _load_flapack()
 
 
 def _check_info(info: int) -> None:

@@ -966,9 +966,12 @@ def test_cmd_report_missing_artifact(tmp_path, capsys):
     assert "timeseries.csv not found" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy_fft():
-    # only scenarios.mollify uses scipy.fft, and imports it when called
+@pytest.mark.parametrize("module", ["scipy.fft", "scipy.linalg", "numpy.f2py"])
+def test_cli_import_does_not_load(module):
+    # only scenarios.mollify uses scipy.fft, and imports it when called; tridiag
+    # loads the LAPACK extension alone, without scipy.linalg's package import,
+    # which would pull in numpy.f2py through scipy's array-API layer
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import sys, viscowave.cli; sys.exit(int('scipy.fft' in sys.modules))"
+    code = f"import sys, viscowave.cli; sys.exit(int({module!r} in sys.modules))"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -247,3 +251,38 @@ def test_stacked_residual_checked_at_each_members_scale():
     with pytest.raises(StepError, match="heat solve residual exceeds tolerance"):
         dyn._solve_banded(stack(ops), rhs_, 0.5 * rel, label="heat")
     assert res <= 0.5 * rel * np.max(np.abs(rhs_))  # a shared scale would let it pass
+
+
+# --------------------------------------------------------------------------
+# the LAPACK module, loaded without the scipy.linalg package
+# --------------------------------------------------------------------------
+
+
+def run_python(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tridiag.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("first,then", [("viscowave.tridiag", "scipy.linalg"),
+                                        ("scipy.linalg", "viscowave.tridiag")])
+def test_either_import_order_shares_one_dgtsv(first, then):
+    # a fresh process each: this module has imported scipy.linalg already
+    proc = run_python(f"""
+import sys, {first}, {then}
+from viscowave import tridiag
+assert scipy.linalg.lapack.dgtsv is tridiag.lapack.dgtsv
+assert sys.modules["scipy.linalg._flapack"] is tridiag.lapack
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_lapack_extension_names_the_directory(tmp_path):
+    proc = run_python(f"""
+import scipy
+scipy.__file__ = {str(tmp_path / "__init__.py")!r}
+import viscowave.tridiag
+""")
+    assert proc.returncode != 0
+    assert f"ImportError: LAPACK extension scipy.linalg._flapack not found in {tmp_path / 'linalg'}" \
+        in proc.stderr
