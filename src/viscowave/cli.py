@@ -14,11 +14,12 @@ Exit codes: 0 ok, 2 configuration error, 3 solver failure, 4 blow-up halt.
 A sweep exits 3 if any point failed or aborted, else 4 if any point halted
 on blow-up, else 0.
 
-A sweep over ``delta``, ``alpha`` or ``kappa`` changes neither the grid nor
-dt, so its points are split into one ensemble per worker, which
-:func:`viscowave.dynamics.simulate` integrates as one batch when its members
-can share steps; every point's artifacts are byte-identical to its own
-run's.  ``grid_n`` and ``dt`` points run one per task.
+The points of a sweep axis that changes neither the grid nor dt (``ensemble``
+in :data:`viscowave.config.SWEEP_AXES`: ``delta``, ``alpha``, ``kappa``) are
+split into one ensemble per worker, which :func:`viscowave.dynamics.simulate`
+integrates as one batch when its members can share steps; every point's
+artifacts are byte-identical to its own run's.  ``grid_n`` and ``dt`` points
+run one per task.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BLOWUP = 4
 
-# sweep axes that change neither the grid nor dt: their points run as ensembles
-ENSEMBLE_AXES = ("delta", "alpha", "kappa")
+# the statuses of a run that finished: it neither failed nor aborted
+FINISHED = ("completed", "blowup_halt")
 
 
 def _exit_code(statuses: list) -> int:
-    """EXIT_SOLVER if any of the runs ending on ``statuses`` failed or
-    aborted, else EXIT_BLOWUP if any halted on blow-up, else EXIT_OK."""
-    if any(s not in ("completed", "blowup_halt") for s in statuses):
+    """EXIT_SOLVER if any of the runs ending on ``statuses`` did not finish,
+    else EXIT_BLOWUP if any halted on blow-up, else EXIT_OK."""
+    if any(s not in FINISHED for s in statuses):
         return EXIT_SOLVER
     return EXIT_BLOWUP if "blowup_halt" in statuses else EXIT_OK
 
@@ -312,8 +313,9 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
               seed: int | None = None) -> int:
     """Run every sweep point, aggregate one summary row per point.
 
-    Points of an ``ENSEMBLE_AXES`` sweep go to the workers as ensembles of
-    ceil(points / workers) points each; other points go one per task.
+    Points of an axis whose ``config.SWEEP_AXES`` entry says ``ensemble``
+    go to the workers as ensembles of ceil(points / workers) points each;
+    other points go one per task.
 
     Returns the :func:`_exit_code` of the points' statuses.
     """
@@ -329,7 +331,7 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
 
     values = list(sweep.values)
     subdirs = [os.path.join(out, f"point_{sweep.axis}_{i:02d}") for i in range(len(values))]
-    size = math.ceil(len(values) / workers) if sweep.axis in ENSEMBLE_AXES else 1
+    size = math.ceil(len(values) / workers) if cfgmod.SWEEP_AXES[sweep.axis].ensemble else 1
     tasks = [(base, sweep.axis, tuple(values[i:i + size]), tuple(subdirs[i:i + size]))
              for i in range(0, len(values), size)]
     if workers == 1:
@@ -346,7 +348,7 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
         writer.writerow(cols)
         writer.writerows([str(row[c]) for c in cols] for row in results)
     statuses = [r["status"] for r in results]
-    finished = sum(s in ("completed", "blowup_halt") for s in statuses)
+    finished = sum(s in FINISHED for s in statuses)
     print(f"sweep over {sweep.axis}: {len(results)} points, {finished} finished, "
           f"aggregate in {agg}")
     return _exit_code(statuses)

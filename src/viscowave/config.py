@@ -22,16 +22,39 @@ RunConfig serializes back to an equivalent file: parse(serialize(cfg)) == cfg.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import diagnostics as diag
+from . import dynamics as dyn
 from . import material as mat
 from . import scenarios as sc
 from .errors import ConfigError
 
-SWEEP_AXES = ("delta", "alpha", "kappa", "grid_n", "dt")
+
+class SweepAxis(NamedTuple):
+    """What a sweep axis takes and sets: the type of its values, whether its
+    points share the grid and dt (and so run as ensembles), and the scenario
+    with the axis set to a value."""
+
+    kind: type
+    ensemble: bool
+    apply: Callable
+
+
+SWEEP_AXES = {
+    "delta": SweepAxis(float, True, lambda s, v: replace(s, laws=replace(s.laws, delta=v))),
+    "alpha": SweepAxis(float, True, lambda s, v: replace(s, laws=replace(s.laws, alpha=v))),
+    "kappa": SweepAxis(float, True,
+                       lambda s, v: replace(s, monitors=replace(s.monitors, kappa=v))),
+    "grid_n": SweepAxis(int, False, lambda s, v: replace(s, n=v)),
+    "dt": SweepAxis(float, False,
+                    lambda s, v: replace(s, scheme=replace(s.scheme, dt_initial=v, dt_max=v))),
+}
 
 
 @dataclass(frozen=True)
@@ -62,9 +85,11 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+            raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep needs a nonempty value list")
+        if SWEEP_AXES[self.axis].kind is int and any(v != int(v) for v in self.values):
+            raise ConfigError(f"sweep axis {self.axis} takes whole numbers, got {self.values}")
 
 
 @dataclass(frozen=True)
@@ -82,51 +107,17 @@ class ConvergeConfig:
 
 def apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
     """New RunConfig with one swept parameter replaced."""
-    scen = config.scenario
-    if axis == "delta":
-        scen = replace(scen, laws=replace(scen.laws, delta=float(value)))
-    elif axis == "alpha":
-        scen = replace(scen, laws=replace(scen.laws, alpha=float(value)))
-    elif axis == "kappa":
-        scen = replace(scen, monitors=replace(scen.monitors, kappa=float(value)))
-    elif axis == "grid_n":
-        scen = replace(scen, n=int(value))
-    elif axis == "dt":
-        scen = replace(scen, scheme=replace(scen.scheme, dt_initial=float(value),
-                                            dt_max=float(value)))
-    else:
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    return replace(config, scenario=scen)
+    kind, _, apply = SWEEP_AXES[axis]
+    return replace(config, scenario=apply(config.scenario, kind(value)))
 
 
 # --------------------------------------------------------------------------
-# the file format: sections whose keys are the fields of a dataclass, written
-# once here for both parse_config and serialize_config, in file order
+# the file format, described once here for parse_config, the known-key check
+# in _load and serialize_config: a dataclass-backed section's keys are its
+# dataclass's fields, in field order
 # --------------------------------------------------------------------------
-
-_MATERIAL_KEYS = ("gamma_family", "f_family", "gamma0", "delta", "K_f", "alpha")
-_TIME_KEYS = ("scheme", "dt_initial", "dt_max", "cfl_safety", "positivity_policy",
-              "positivity_tolerance", "adaptive", "solver_tol", "max_step_retries")
-_MONITOR_KEYS = ("q", "kappa", "T0", "cadence", "blowup_threshold", "blowup_window",
-                 "blowup_rate_min")
-_RUN_KEYS = ("out_dir", "seed", "k_trials", "dump_fields")
-# (section, key, Scenario field) of the keys that each set one field of the scenario
-_SCENARIO_KEYS = (("run", "name", "name"), ("run", "mms_case", "mms_id"),
-                  ("domain", "L", "length"), ("domain", "n", "n"), ("domain", "a", "a"),
-                  ("time", "T_end", "t_end"))
-
-# every key of each section; [initial] takes the parameters of its generator,
-# which Scenario checks against the generator's signature
-_SECTIONS = {
-    "run": ("scenario", "name", "mms_case") + _RUN_KEYS,
-    "material": _MATERIAL_KEYS + ("gamma_table", "f_table"),
-    "domain": ("L", "n", "a"),
-    "initial": (),
-    "time": ("T_end",) + _TIME_KEYS,
-    "monitors": _MONITOR_KEYS,
-    "sweep": ("axis", "values", "workers"),
-    "converge": ("n_values", "dt_scaling"),
-}
 
 
 def _get(parser, section, key, conv, default=None, required=False):
@@ -161,21 +152,63 @@ def _tuple(conv):
     return lambda raw: tuple(conv(v) for v in raw.replace(",", " ").split())
 
 
-_CONVERTERS = {"float": _float, "int": int, "str": str, "str | None": str, "bool": _bool}
+def _load_table(path: str) -> np.ndarray:
+    try:
+        tab = np.loadtxt(path, dtype=float)
+    except OSError as exc:
+        raise ConfigError(f"cannot read table file {path!r}: {exc}") from exc
+    return np.atleast_2d(tab)
 
 
-def _read_section(parser, section, keys, base, **extra):
-    """``base`` with each of ``keys`` read from ``[section]`` by the converter
-    of its dataclass field, plus ``extra``."""
-    types = {f.name: f.type for f in fields(base)}
-    return replace(base, **{key: _get(parser, section, key, _CONVERTERS[types[key]],
-                                      getattr(base, key)) for key in keys}, **extra)
+# the converter of a key by the annotation of the field (or the generator
+# parameter) it sets
+_CONVERTERS = {"float": _float, "int": int, "str": str, "str | None": str, "bool": _bool,
+               "tuple[float, ...]": _tuple(_float), "tuple[int, ...]": _tuple(int)}
+
+# The exceptions.  [run] scenario names the base scenario; it sets no field
+# (RunConfig.scenario is the resolved scenario).  The [material] tables are
+# read from the files their values name.  [initial] takes the generator and
+# its parameters, which Scenario checks against the generator's signature.
+_BASE_KEY = "scenario"
+_TABLE_KEYS = ("gamma_table", "f_table")
+
+# (section, key, Scenario field) of the keys that each set one field of the scenario
+_SCENARIO_KEYS = (("run", "name", "name"), ("run", "mms_case", "mms_id"),
+                  ("domain", "L", "length"), ("domain", "n", "n"), ("domain", "a", "a"),
+                  ("time", "T_end", "t_end"))
+
+# the sections that set a part of the scenario, each the Scenario field of its part
+_PARTS = {"material": "laws", "time": "scheme", "monitors": "monitors"}
 
 
-def _write_section(obj, keys) -> dict:
-    """The ``keys`` of ``obj`` as INI values: a string as it is, others by repr."""
-    values = {key: getattr(obj, key) for key in keys}
-    return {key: v if isinstance(v, str) else repr(v) for key, v in values.items()}
+def _converter(f) -> Callable | None:
+    """The converter of the key of dataclass field ``f``; None if it is no key."""
+    return _load_table if f.name in _TABLE_KEYS else _CONVERTERS.get(f.type)
+
+
+def _field_keys(cls) -> tuple:
+    """The fields of the dataclass ``cls`` that are keys, in field order."""
+    return tuple(f.name for f in fields(cls) if _converter(f))
+
+
+def _keys(section: str, cls=None) -> tuple:
+    """The keys of ``section``: those that set a field of the scenario, then
+    the fields of ``cls`` that are keys."""
+    return (*(key for s, key, _ in _SCENARIO_KEYS if s == section),
+            *(_field_keys(cls) if cls else ()))
+
+
+# every key of each section, in file order
+_SECTIONS = {
+    "run": (_BASE_KEY, *_keys("run", RunConfig)),
+    "material": _keys("material", mat.MaterialLaws),
+    "domain": _keys("domain"),
+    "initial": (),
+    "time": _keys("time", dyn.SchemeConfig),
+    "monitors": _keys("monitors", diag.MonitorConfig),
+    "sweep": _keys("sweep", SweepConfig),
+    "converge": _keys("converge", ConvergeConfig),
+}
 
 
 # --------------------------------------------------------------------------
@@ -204,18 +237,24 @@ def _load(source) -> configparser.ConfigParser:
     return parser
 
 
-def _load_table(path: str) -> np.ndarray:
-    try:
-        tab = np.loadtxt(path, dtype=float)
-    except OSError as exc:
-        raise ConfigError(f"cannot read table file {path!r}: {exc}") from exc
-    return np.atleast_2d(tab)
+def _values(parser, section: str, obj) -> dict:
+    """The fields of the dataclass ``obj`` that ``[section]`` sets, each read
+    by its key's converter; a key whose field has no default is required."""
+    return {f.name: _get(parser, section, f.name, conv, required=True)
+            for f in fields(obj) if (conv := _converter(f))
+            and (f.default is MISSING or parser.has_option(section, f.name))}
 
 
-def _parse_gen_params(parser) -> dict:
+def _gen_params(parser, generator: str) -> dict:
+    """The ``[initial]`` parameters, each converted by its annotation in the
+    generator's signature; a parameter the generator does not take is read
+    as a float, for Scenario to reject."""
     if not parser.has_section("initial"):
         return {}
-    return {key: _get(parser, "initial", key, int if key == "k" else _float)
+    gen = sc.INITIAL_GENERATORS.get(generator)
+    takes = inspect.signature(gen).parameters if gen else {}
+    return {key: _get(parser, "initial", key,
+                      _CONVERTERS[takes[key].annotation] if key in takes else _float)
             for key in parser.options("initial") if key != "generator"}
 
 
@@ -225,26 +264,23 @@ def _run_config(parser) -> RunConfig:
     ``custom`` the defaults with the file's (required) generator.  The
     ``[initial]`` parameters go over the base's own, or replace them when
     ``generator`` names another generator."""
-    name = _get(parser, "run", "scenario", str, "custom")
+    name = _get(parser, "run", _BASE_KEY, str, "custom")
     generator = _get(parser, "initial", "generator", str, required=name == "custom")
     base = (sc.battery_scenario(name) if name != "custom" else
             sc.Scenario(name=name, laws=mat.MaterialLaws(), a=1.0, length=1.0, n=129,
                         generator=generator))
-    gen_params = _parse_gen_params(parser)
+    gen_params = _gen_params(parser, generator or base.generator)
     if generator in (None, base.generator):
         gen_params = {**base.gen_params, **gen_params}
 
-    tables = {key: _load_table(path) for key in ("gamma_table", "f_table")
-              if (path := _get(parser, "material", key, str))}
     types = {f.name: f.type for f in fields(base)}
     scenario = replace(
         base, generator=generator or base.generator, gen_params=gen_params,
-        laws=_read_section(parser, "material", _MATERIAL_KEYS, base.laws, **tables),
-        scheme=_read_section(parser, "time", _TIME_KEYS, base.scheme),
-        monitors=_read_section(parser, "monitors", _MONITOR_KEYS, base.monitors),
+        **{part: replace(getattr(base, part), **_values(parser, section, getattr(base, part)))
+           for section, part in _PARTS.items()},
         **{field: _get(parser, section, key, _CONVERTERS[types[field]], getattr(base, field))
            for section, key, field in _SCENARIO_KEYS})
-    return _read_section(parser, "run", _RUN_KEYS, RunConfig(scenario))
+    return RunConfig(scenario, **_values(parser, "run", RunConfig))
 
 
 def parse_config(source) -> RunConfig:
@@ -252,26 +288,22 @@ def parse_config(source) -> RunConfig:
     return _run_config(_load(source))
 
 
-def parse_sweep_config(source) -> SweepConfig:
+def _parse_study(source, section: str, cls):
+    """The ``cls`` of a config file: its run config as the base, and the keys
+    of its (required) ``[section]``."""
     parser = _load(source)
     base = _run_config(parser)
-    if not parser.has_section("sweep"):
-        raise ConfigError("sweep config needs a [sweep] section")
-    return SweepConfig(base=base,
-                       axis=_get(parser, "sweep", "axis", str, required=True),
-                       values=_get(parser, "sweep", "values", _tuple(_float), required=True),
-                       workers=_get(parser, "sweep", "workers", int, 1))
+    if not parser.has_section(section):
+        raise ConfigError(f"a {section} config needs a [{section}] section")
+    return cls(base, **_values(parser, section, cls))
+
+
+def parse_sweep_config(source) -> SweepConfig:
+    return _parse_study(source, "sweep", SweepConfig)
 
 
 def parse_converge_config(source) -> ConvergeConfig:
-    parser = _load(source)
-    base = _run_config(parser)
-    if not parser.has_section("converge"):
-        raise ConfigError("convergence config needs a [converge] section")
-    return ConvergeConfig(base=base,
-                          n_values=_get(parser, "converge", "n_values", _tuple(int),
-                                        required=True),
-                          dt_scaling=_get(parser, "converge", "dt_scaling", str, "fixed"))
+    return _parse_study(source, "converge", ConvergeConfig)
 
 
 # --------------------------------------------------------------------------
@@ -288,18 +320,18 @@ def serialize_config(config: RunConfig) -> str:
     scen = config.scenario
     if scen.laws.gamma_table is not None or scen.laws.f_table is not None:
         raise ConfigError("tabulated laws serialize by table path only; keep the original config")
+    sections = {section: {} for section in _SECTIONS}
+    sections["run"][_BASE_KEY] = "custom"
+    sections["initial"] = {"generator": scen.generator, **scen.gen_params}
+    for section, key, field in _SCENARIO_KEYS:
+        sections[section][key] = getattr(scen, field)
+    objects = {"run": config, **{section: getattr(scen, part) for section, part in _PARTS.items()}}
+    for section, obj in objects.items():
+        sections[section].update((key, getattr(obj, key)) for key in _field_keys(obj))
     parser = configparser.ConfigParser(interpolation=None)
-    parser["run"] = {"scenario": "custom", "name": scen.name,
-                     **_write_section(config, _RUN_KEYS)}
-    if scen.mms_id is not None:
-        parser["run"]["mms_case"] = scen.mms_id
-    parser["material"] = _write_section(scen.laws, _MATERIAL_KEYS)
-    parser["domain"] = {"L": repr(scen.length), "n": repr(scen.n), "a": repr(scen.a)}
-    parser["initial"] = {"generator": scen.generator}
-    for key, val in scen.gen_params.items():
-        parser["initial"][key] = repr(val)
-    parser["time"] = {"T_end": repr(scen.t_end), **_write_section(scen.scheme, _TIME_KEYS)}
-    parser["monitors"] = _write_section(scen.monitors, _MONITOR_KEYS)
+    parser.read_dict({section: {key: v if isinstance(v, str) else repr(v)
+                                for key, v in values.items() if v is not None}
+                      for section, values in sections.items() if values})
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -65,10 +65,10 @@ class SchemeConfig:
     often a positivity-rejected step is retried with a halved dt.
     """
 
+    scheme: str = "imex_be"
     dt_initial: float = 1e-3
     dt_max: float = 1e-2
     cfl_safety: float = 0.9
-    scheme: str = "imex_be"
     positivity_policy: str = "clamp_and_count"
     positivity_tolerance: float = 1e-8
     adaptive: bool = False
@@ -661,19 +661,16 @@ def run(scenario, *, rows: bool = True, recorders=()):
     monitors, the manufactured solution (and so the forcing) included.
     """
     batch = isinstance(scenario, (list, tuple))
-    scens = list(scenario) if batch else [scenario]
+    scens, recorders = (list(scenario), recorders) if batch else ([scenario], [recorders])
     for scen in scens:
         mat.require_hypotheses(scen.laws)
     scen = scens[0]
     grid_ = scen.make_grid()
-    if not batch:
-        return simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), scen.t_end,
-                        scen.scheme, scen.monitors, scen.make_forcing(), rows=rows,
-                        recorders=recorders)
     shared = (grid_, scen.a, scen.t_end, scen.scheme, scen.mms_id)
-    if any((s.make_grid(), s.a, s.t_end, s.scheme, s.mms_id) != shared for s in scens):
+    if any((s.make_grid(), s.a, s.t_end, s.scheme, s.mms_id) != shared for s in scens[1:]):
         raise ConfigError("ensemble scenarios must share the grid, a, T_end, the scheme "
                           "and the mms case")
-    return simulate([s.laws for s in scens], scen.a, grid_, [s.make_data(grid_) for s in scens],
-                    scen.t_end, scen.scheme, [s.monitors for s in scens], scen.make_forcing(),
-                    rows=rows, recorders=recorders)
+    trajs = simulate([s.laws for s in scens], scen.a, grid_, [s.make_data(grid_) for s in scens],
+                     scen.t_end, scen.scheme, [s.monitors for s in scens], scen.make_forcing(),
+                     rows=rows, recorders=recorders)
+    return trajs if batch else trajs[0]
