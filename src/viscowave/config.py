@@ -90,6 +90,13 @@ class SweepConfig:
             raise ConfigError("sweep needs a nonempty value list")
         if SWEEP_AXES[self.axis].kind is int and any(v != int(v) for v in self.values):
             raise ConfigError(f"sweep axis {self.axis} takes whole numbers, got {self.values}")
+        # a value that its dataclass rejects is a config mistake; the laws'
+        # hypotheses are checked per point, when it runs
+        for value in self.values:
+            try:
+                apply_axis(self.base, self.axis, value)
+            except ConfigError as exc:
+                raise ConfigError(f"[sweep] values: {self.axis} = {value:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from . import diagnostics as diag
 from . import dynamics as dyn
 from . import grid as g
 from . import material as mat
+from . import tridiag
 from .errors import ConfigError, DomainError
 
 # --------------------------------------------------------------------------
@@ -334,29 +335,36 @@ def mollify(data: mat.InitialData, eps: float, grid_: g.Grid1D) -> mat.InitialDa
     are damped by a smooth flat-top cutoff, nested across decreasing eps.  The
     smoothed temperature is clamped at zero from below, so the output is
     admissible smooth-compatible data.
+
+    The transforms are those of ``scipy.fft`` (``dst``/``idst``/``dct``/
+    ``idct``, ``type=1``, ``norm=None``), bit for bit: each is one call of
+    ``scipy.fft._pocketfft.pypocketfft``, the compiled pocketfft wrapper they
+    dispatch to, with the arguments they pass.  The wrapper is loaded alone by
+    :func:`tridiag.load_scipy_extension` on the first call, so the
+    ``scipy.fft`` package is never imported; when viscowave loads it first,
+    the ``scipy.fft._pocketfft`` package has no ``pypocketfft`` attribute.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if data.u0.shape != (grid_.n,):
         raise ConfigError("data not sized to grid")
-    import scipy.fft  # here, not at module level: only mollify needs it
+    # pocketfft's arguments: the last axis, normalisation 0 forward and 2
+    # (divide by N) inverse, one worker.  norm=None keeps the transforms
+    # diagonal on the analytic mode families sin(k pi x / L) and
+    # cos(k pi x / L); the 'ortho' variants rescale the endpoint samples and
+    # would smear a pure mode across coefficients.
+    pfft = tridiag.load_scipy_extension("scipy.fft._pocketfft.pypocketfft")
 
-    # norm=None keeps the transforms diagonal on the analytic mode families
-    # sin(k pi x / L) and cos(k pi x / L); the 'ortho' variants rescale the
-    # endpoint samples and would smear a pure mode across coefficients.
+    def cut(transform, w, k):
+        coeffs = transform(w, 1, (-1,), 0, None, 1, None)
+        return transform(coeffs * _mode_multiplier(k, eps), 1, (-1,), 2, None, 1, None)
+
     def cut_sine(w):
-        coeffs = scipy.fft.dst(w[1:-1], type=1)
-        k = np.arange(1, grid_.n - 1, dtype=float)
         out = np.zeros_like(w)
-        out[1:-1] = scipy.fft.idst(coeffs * _mode_multiplier(k, eps), type=1)
+        out[1:-1] = cut(pfft.dst, w[1:-1], np.arange(1, grid_.n - 1, dtype=float))
         return out
 
-    def cut_cosine(w):
-        coeffs = scipy.fft.dct(w, type=1)
-        k = np.arange(grid_.n, dtype=float)
-        return scipy.fft.idct(coeffs * _mode_multiplier(k, eps), type=1)
-
-    theta = np.maximum(cut_cosine(data.theta0), 0.0)
+    theta = np.maximum(cut(pfft.dct, data.theta0, np.arange(grid_.n, dtype=float)), 0.0)
     return mat.InitialData(u0=cut_sine(data.u0), v0=cut_sine(data.v0), theta0=theta)
 
 

@@ -15,13 +15,19 @@ another system's, and each system gets the bits of its own ``dgtsv`` call.
 ``dgtsv`` comes from ``scipy.linalg._flapack``, the compiled LAPACK wrapper
 whose functions ``scipy.linalg.lapack`` re-exports (``from
 scipy.linalg._flapack import *``), so it is the very function
-``scipy.linalg.lapack.dgtsv``.  The extension is loaded alone, after ``import
-scipy`` (which runs scipy's own start-up), not through the ``scipy.linalg``
-package: that import costs about 0.3 s and 18 MiB per process, most of it in
-numpy submodules (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) that
-scipy's array-API layer touches and viscowave never uses.  The module is
+``scipy.linalg.lapack.dgtsv``.  :func:`load_scipy_extension` loads such a
+compiled scipy extension alone, after ``import scipy`` (which runs scipy's own
+start-up), not through its package: the ``scipy.linalg`` import costs about
+0.3 s and 18 MiB per process, most of it in numpy submodules
+(``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) that scipy's array-API layer
+touches and viscowave never uses.  ``scenarios.mollify`` loads
+``scipy.fft._pocketfft.pypocketfft``, the pocketfft wrapper behind
+``scipy.fft``'s DST and DCT, the same way, for the same reason.  The module is
 registered in ``sys.modules`` under its own name, so whichever of viscowave
-and ``scipy.linalg`` is imported first, both use the one module object.
+and scipy's package is imported first, both use the one module object.  When
+viscowave loads it first, the package (``scipy.linalg``,
+``scipy.fft._pocketfft``) has no attribute of that name: scipy's own imports
+of it find it in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -35,21 +41,23 @@ import numpy as np
 import scipy
 
 
-def _load_flapack():
-    name = "scipy.linalg._flapack"
+def load_scipy_extension(name: str):
+    """The compiled scipy extension ``name`` (dotted, e.g.
+    ``scipy.linalg._flapack``), loaded from its directory under scipy's
+    without importing the packages on the way."""
     if name in sys.modules:
         return sys.modules[name]
-    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    where = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])
     spec = importlib.machinery.PathFinder.find_spec(name, [where])
     if spec is None:
-        raise ImportError(f"LAPACK extension {name} not found in {where}")
+        raise ImportError(f"scipy extension {name} not found in {where}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
 
 
-lapack = _load_flapack()
+lapack = load_scipy_extension("scipy.linalg._flapack")
 
 
 def _check_info(info: int) -> None:

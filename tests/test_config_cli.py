@@ -837,6 +837,11 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     ("sweep", "[sweep]\naxis = delta\nvalues = 0.0, nan\n", "[sweep] values"),
     # else the first point ran at n = 33 while its sweep.csv row said 33.7
     ("sweep", "[sweep]\naxis = grid_n\nvalues = 33.7, 65\n", "grid_n takes whole numbers"),
+    # else the first point failed when it ran: a failed sweep.csv row, exit 3
+    ("sweep", "[sweep]\naxis = delta\nvalues = -0.1, 0.1\n",
+     "[sweep] values: delta = -0.1: delta must be nonnegative"),
+    ("sweep", "[sweep]\naxis = dt\nvalues = -1e-3, 1e-3\n",
+     "[sweep] values: dt = -0.001: time steps must be positive"),
     # misspelt names: else the key or the section is ignored
     ("run", "[material]\ndelat = 0.3\n", "[material] delat"),
     ("run", "[monitor]\nq = 3.0\n", "[monitor]"),
@@ -845,7 +850,8 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
         "run-solver_tol-nan", "run-solver_tol-inf", "run-positivity_tolerance-nan",
         "run-dt_initial-nan", "run-T_end-inf", "run-blowup_threshold-nan", "run-q-nan",
         "run-kappa-nan", "run-delta-nan", "run-gamma0-nan", "run-L-nan", "run-gen_param-nan",
-        "sweep-values-nan", "sweep-grid_n-fraction", "run-misspelt-key", "run-misspelt-section",
+        "sweep-values-nan", "sweep-grid_n-fraction", "sweep-delta-negative",
+        "sweep-dt-negative", "run-misspelt-key", "run-misspelt-section",
         "sweep-misspelt-key"])
 def test_config_mistakes_fail_when_parsed(tmp_path, capsys, command, extra, needle):
     ini = COUPLED_INI
@@ -1032,9 +1038,9 @@ def test_cmd_report_missing_artifact(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["scipy.fft", "scipy.linalg", "numpy.f2py"])
 def test_cli_import_does_not_load(module):
-    # only scenarios.mollify uses scipy.fft, and imports it when called; tridiag
-    # loads the LAPACK extension alone, without scipy.linalg's package import,
-    # which would pull in numpy.f2py through scipy's array-API layer
+    # tridiag loads the LAPACK extension alone, and scenarios.mollify the
+    # pocketfft one (when called), without their packages' imports, which
+    # would pull in numpy.f2py through scipy's array-API layer
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = f"import sys, viscowave.cli; sys.exit(int({module!r} in sys.modules))"
     env = dict(os.environ, PYTHONPATH=src)

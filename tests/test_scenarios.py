@@ -183,6 +183,37 @@ def test_mollify_distances_monotone_along_ladder():
     assert dists[-1] < 0.25 * dists[0]  # converging, not just monotone
 
 
+def scipy_fft_mollify(data, eps, grid_):
+    """mollify through scipy.fft's own dst/idst/dct/idct, type 1, norm None."""
+    import scipy.fft
+
+    def cut(forward, inverse, w, k):
+        return inverse(forward(w, type=1) * sc._mode_multiplier(k, eps), type=1)
+
+    def cut_sine(w):
+        out = np.zeros_like(w)
+        out[1:-1] = cut(scipy.fft.dst, scipy.fft.idst, w[1:-1],
+                       np.arange(1, grid_.n - 1, dtype=float))
+        return out
+
+    theta = cut(scipy.fft.dct, scipy.fft.idct, data.theta0, np.arange(grid_.n, dtype=float))
+    return mat.InitialData(u0=cut_sine(data.u0), v0=cut_sine(data.v0),
+                           theta0=np.maximum(theta, 0.0))
+
+
+@pytest.mark.parametrize("n", [9, 128, 129, 1025])
+def test_mollify_bitwise_equals_scipy_fft(n):
+    grid_ = make_grid(n)
+    rng = np.random.default_rng(n)
+    u0, v0 = rng.standard_normal((2, n))
+    u0[[0, -1]] = v0[[0, -1]] = 0.0
+    for data in (rough_data(grid_), mat.InitialData(u0=u0, v0=v0, theta0=rng.random(n))):
+        for eps in (0.9, 0.5, 2 ** -3, 2 ** -6, 1e-3):
+            out, ref = sc.mollify(data, eps, grid_), scipy_fft_mollify(data, eps, grid_)
+            for name in ("u0", "v0", "theta0"):
+                assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), (eps, name)
+
+
 def test_mollify_converges_in_w12():
     grid_ = make_grid(257)
     data = rough_data(grid_)

@@ -254,8 +254,10 @@ def test_stacked_residual_checked_at_each_members_scale():
 
 
 # --------------------------------------------------------------------------
-# the LAPACK module, loaded without the scipy.linalg package
+# the compiled scipy extensions, each loaded without its package
 # --------------------------------------------------------------------------
+
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
 
 def run_python(code):
@@ -277,12 +279,55 @@ assert sys.modules["scipy.linalg._flapack"] is tridiag.lapack
     assert proc.returncode == 0, proc.stderr
 
 
-def test_missing_lapack_extension_names_the_directory(tmp_path):
+MOLLIFY = """
+from viscowave import grid as g, scenarios as sc
+grid_ = g.Grid1D(1.0, 33)
+sc.mollify(sc.gen_corner_theta(grid_), 0.25, grid_)
+"""
+
+
+@pytest.mark.parametrize("first,then", [(MOLLIFY, "import scipy.fft"),
+                                        ("import scipy.fft", MOLLIFY)],
+                         ids=["mollify-first", "scipy.fft-first"])
+def test_either_import_order_shares_one_pocketfft(first, then):
+    # the package attribute is not checked: when mollify loads the extension
+    # first, scipy.fft._pocketfft has none
     proc = run_python(f"""
-import scipy
+import sys
+{first}
+{then}
+from scipy.fft._pocketfft import realtransforms
+from viscowave import tridiag
+module = sys.modules["{POCKETFFT}"]
+assert tridiag.load_scipy_extension("{POCKETFFT}") is module
+assert realtransforms.pfft is module
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_eps_cascade_does_not_import_scipy_fft():
+    proc = run_python(f"""
+import sys
+from dataclasses import replace
+from viscowave import scenarios as sc
+sc.eps_cascade(replace(sc.battery_scenario("rough_theta"), n=33, t_end=0.01), [0.5, 0.25])
+assert "{POCKETFFT}" in sys.modules
+sys.exit(int("scipy.fft" in sys.modules))
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name,where", [("scipy.linalg._flapack", ("linalg",)),
+                                        (POCKETFFT, ("fft", "_pocketfft"))],
+                         ids=["scipy.linalg._flapack", POCKETFFT])
+def test_missing_lapack_extension_names_the_directory(tmp_path, name, where):
+    proc = run_python(f"""
+import sys, scipy
+from viscowave import tridiag
+sys.modules.pop({name!r}, None)
 scipy.__file__ = {str(tmp_path / "__init__.py")!r}
-import viscowave.tridiag
+tridiag.load_scipy_extension({name!r})
 """)
     assert proc.returncode != 0
-    assert f"ImportError: LAPACK extension scipy.linalg._flapack not found in {tmp_path / 'linalg'}" \
+    assert f"ImportError: scipy extension {name} not found in {tmp_path.joinpath(*where)}" \
         in proc.stderr
