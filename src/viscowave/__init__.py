@@ -13,6 +13,13 @@ numeric lower bound for the maximal-regularity constant, and a finite-time
 blow-up detector.
 """
 
+import os
+
+# Before numpy loads: OpenBLAS then starts no worker threads.  No viscowave
+# call reaches a threaded BLAS kernel (the solves are unthreaded LAPACK
+# dgtsv), so a pool only costs start-up time.  A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import ConfigError, DomainError, StepError, ViscowaveError
 from .grid import BcKind, Grid1D, d1, d2, div_flux, integrate, reflect_extend
 from .material import (

@@ -25,7 +25,6 @@ run one per task.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import json
@@ -337,6 +336,7 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
     if workers == 1:
         done = [_sweep_point(t) for t in tasks]
     else:
+        import concurrent.futures  # here, not at the top: it imports logging
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_point, tasks))
     results = [row for rows in done for row in rows]

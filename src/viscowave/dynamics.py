@@ -390,7 +390,10 @@ class Trajectory:
                                       for f in fields(diag.TheoryMonitors)})
 
     @property
-    def max_drift(self) -> float:
+    def max_drift(self) -> float | None:
+        """The largest |energy drift| over the rows; None without rows."""
+        if not self.rows:
+            return None
         return max(abs(r.drift) for r in self.rows)
 
     def clamp_fraction(self) -> float:

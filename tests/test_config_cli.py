@@ -1,3 +1,4 @@
+import concurrent.futures
 import configparser
 import csv
 import io
@@ -637,7 +638,7 @@ def test_sweep_tasks_per_axis(tmp_path, monkeypatch, axis, values, tasks):
     text = COUPLED_INI + "adaptive = true\n" * len(adaptive)
     text += f"\n[sweep]\naxis = {axis}\nvalues = {values}\n"
     path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=2) == cli.EXIT_OK
     assert [t[2] for t in _InlinePool.tasks] == tasks
     rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv", newline="")))
@@ -727,7 +728,7 @@ def test_a_sweep_reads_its_config_once(tmp_path, monkeypatch):
     loads = []
     load = cfgmod._load
     monkeypatch.setattr(cfgmod, "_load", lambda source: loads.append(source) or load(source))
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=2, seed=7) == cli.EXIT_OK
     assert loads == [path] and len(_InlinePool.tasks) == 2
     assert [task[0].seed for task in _InlinePool.tasks] == [7, 7]
@@ -1036,12 +1037,36 @@ def test_cmd_report_missing_artifact(tmp_path, capsys):
     assert "timeseries.csv not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["scipy.fft", "scipy.linalg", "numpy.f2py"])
+@pytest.mark.parametrize("module", ["scipy.fft", "scipy.linalg", "numpy.f2py",
+                                    "concurrent.futures", "logging"])
 def test_cli_import_does_not_load(module):
     # tridiag loads the LAPACK extension alone, and scenarios.mollify the
     # pocketfft one (when called), without their packages' imports, which
-    # would pull in numpy.f2py through scipy's array-API layer
+    # would pull in numpy.f2py through scipy's array-API layer; cmd_sweep
+    # imports concurrent.futures, and with it logging, only for its pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = f"import sys, viscowave.cli; sys.exit(int({module!r} in sys.modules))"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _import_viscowave_in(env: dict, code: str) -> str:
+    """Run ``import viscowave`` and then ``code`` in a fresh process; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(env, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", "import os, viscowave; " + code],
+                          env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_threads():
+    # the pytest process has imported viscowave, so it carries the variable:
+    # the child must be started without it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _import_viscowave_in(env, "print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_a_preset_blas_thread_count_is_kept():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    assert _import_viscowave_in(env, "print(os.environ['OPENBLAS_NUM_THREADS'])") == "2"

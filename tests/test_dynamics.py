@@ -246,6 +246,14 @@ def test_trapezoidal_scheme_conserves_energy_to_roundoff():
     assert traj.max_drift < 1e-10
 
 
+def test_a_run_without_rows_has_no_max_drift():
+    scen = replace(sc.battery_scenario("coupled"), t_end=0.01)
+    bare = dyn.run(scen, rows=False)
+    assert bare.steps_taken == 10 and bare.rows == []
+    assert bare.max_drift is None and bare.monitors is None
+    assert dyn.run(scen).max_drift > 0.0  # imex_be: a float, not roundoff
+
+
 def test_step_argument_checks():
     grid_ = make_grid()
     state = zero_state(grid_)
