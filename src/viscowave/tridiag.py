@@ -7,10 +7,19 @@ holds the three diagonals, and its :meth:`~Tridiag.solve` calls ``dgtsv``
 ``scipy.linalg.solve_banded``, which validates its input and then calls
 ``dgtsv``.
 
-A batch of B systems of size n (the rows of ``(B, n)`` arrays) is solved as
-one block-diagonal system of size B n: the couplings across the seams
-between consecutive systems are zero, so no row is ever eliminated against
-another system's, and each system gets the bits of its own ``dgtsv`` call.
+A batch is a ``(B, n)`` right-hand side, one system per row, solved in one
+``dgtsv`` call either way:
+
+- One matrix shared by every row (1D diagonals): the rows are ``dgtsv``'s B
+  right-hand-side columns.  LAPACK eliminates each column with the same
+  arithmetic as a single right-hand side, so each row gets the bits of its
+  own solve, sign bits included.
+- One matrix per row (diagonals of shape (B, n)): the B systems become one
+  block-diagonal system of size B n.  The couplings across the seams between
+  consecutive systems are zero, so no row is ever eliminated against another
+  system's, and each system gets the bits of its own ``dgtsv`` call, except
+  that a right-hand side of exactly -0.0 in an identity end row can come back
+  as +0.0.
 
 ``dgtsv`` comes from ``scipy.linalg._flapack``, the compiled LAPACK wrapper
 whose functions ``scipy.linalg.lapack`` re-exports (``from
@@ -79,8 +88,10 @@ class Tridiag:
     """Tridiagonal matrix given by ``lower`` (n-1), ``diag`` (n), ``upper`` (n-1).
 
     Row i reads ``lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1]``.  The
-    diagonals may carry a leading batch axis (one system per row); 1D
-    diagonals are shared by every row of a batched right-hand side.
+    diagonals may carry a leading batch axis (one system per row, solved as
+    one block-diagonal system); 1D diagonals are shared by every row of a
+    batched right-hand side, whose rows are solved as the columns of one
+    multi-right-hand-side system.
     """
 
     __slots__ = ("lower", "diag", "upper")
@@ -91,14 +102,17 @@ class Tridiag:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b; the matrix and ``b`` are left unchanged.
 
-        ``b`` of shape (B, n) solves the B systems in one stacked call.
+        ``b`` of shape (B, n) solves the B systems in one call: as B
+        right-hand-side columns when the diagonals are 1D, as one
+        block-diagonal system of size B n when each row has its own.
         Raises ``numpy.linalg.LinAlgError`` on an exactly singular matrix and
         ``ValueError`` if LAPACK rejects an argument, as ``solve_banded`` does.
         """
-        if b.ndim == 1:
-            *_, x, info = lapack.dgtsv(self.lower, self.diag, self.upper, b)
+        if self.diag.ndim == 1:
+            # b.T, (n, B) in Fortran order, holds the rows of b as dgtsv's columns
+            *_, x, info = lapack.dgtsv(self.lower, self.diag, self.upper, b.T)
             _check_info(info)
-            return x
+            return x.T
         *_, x, info = lapack.dgtsv(_flat(self.lower, b.shape)[:-1], _flat(self.diag, b.shape),
                                    _flat(self.upper, b.shape)[:-1], b.ravel(),
                                    overwrite_dl=1, overwrite_d=1, overwrite_du=1)

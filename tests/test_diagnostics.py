@@ -506,10 +506,17 @@ def _dgtsv_march(z0, gsrc, D, T, dt, grid_, p):
     return acc * dt
 
 
+def _per_trial_march(z0, gsrc, *args):
+    """The batched march's reference: each trial marched on its own."""
+    return np.array([_dgtsv_march(z, s, *args) for z, s in zip(z0, gsrc)])
+
+
+@pytest.mark.parametrize("trials", [1, 4, 8])
 @pytest.mark.parametrize("n", [33, 129])
-def test_estimate_K_factored_march_is_the_dgtsv_march(n, monkeypatch):
+def test_estimate_K_batched_march_is_the_per_trial_dgtsv_march(n, trials, monkeypatch):
     grid_ = g.Grid1D(1.0, n)
-    fast = diag.estimate_K(4.0, 1.3, 4, grid_, 1.0, seed=3)
-    monkeypatch.setattr(diag, "_solve_mixed_heat", _dgtsv_march)
-    ref = diag.estimate_K(4.0, 1.3, 4, grid_, 1.0, seed=3)
-    assert [r.hex() for r in fast.ratios] == [r.hex() for r in ref.ratios]
+    batched = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    monkeypatch.setattr(diag, "_solve_mixed_heat", _per_trial_march)
+    ref = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    assert len(batched.ratios) == trials
+    assert [r.hex() for r in batched.ratios] == [r.hex() for r in ref.ratios]

@@ -123,6 +123,10 @@ def test_reflect_extend(grid101):
     assert tent[100] == pytest.approx(1.0)
     assert tent[-1] == pytest.approx(0.0)
 
+    # a batch extends each row
+    both, _ = g.reflect_extend(np.stack([w, grid101.nodes]), grid101)
+    assert np.array_equal(both, [ext, tent])
+
 
 def test_mid_to_node_mass_exact(grid101):
     rng = np.random.default_rng(11)

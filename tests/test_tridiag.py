@@ -229,9 +229,23 @@ def test_stacked_solve_bitwise_equals_solo_solves():
         assert x.shape == b.shape
         for op, xi, bi in zip(ops, x, b):
             assert xi.tobytes() == op.solve(bi).tobytes()  # sign bits included
-    # one shared operator for every row
-    op, b = tridiag.neumann(129, 3.7), rng.standard_normal((8, 129))
-    assert all(xi.tobytes() == op.solve(bi).tobytes() for xi, bi in zip(op.solve(b), b))
+    # one shared operator for every row: the rows are solved as columns, and
+    # an identity end row keeps the sign of a -0.0 right-hand side
+    for draw in range(200):
+        members, n = int(rng.choice([1, 2, 3, 8])), int(rng.integers(4, 2050))
+        b = rng.standard_normal((members, n))
+        if draw % 2:
+            op = tridiag.dirichlet(n, rng.uniform(0.0, 50.0, n - 2))
+            b[:, 0] = rng.choice([0.0, -0.0], members)
+            b[:, -1] = rng.choice([0.0, -0.0], members)
+        else:
+            op = tridiag.neumann(n, rng.uniform(0.0, 50.0))
+        kept = [a.tobytes() for a in (op.lower, op.diag, op.upper, b)]
+        x = op.solve(b)
+        assert x.shape == b.shape
+        assert [a.tobytes() for a in (op.lower, op.diag, op.upper, b)] == kept
+        for xi, bi in zip(x, b):
+            assert xi.tobytes() == op.solve(bi).tobytes()  # sign bits included
 
 
 def test_stacked_residual_checked_at_each_members_scale():
