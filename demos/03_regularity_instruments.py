@@ -10,9 +10,9 @@ Three layers of diagnostics ride along every run:
    scalar heat equation with a mixed boundary pair and a computable source -
    its discrete residual must vanish under refinement;
 3. a lower bound for the maximal-regularity constant K(p, D) of that scalar
-   problem, probed by trial solves on the evenly reflected interval, from
-   which the admissible viscosity oscillation delta and the damping rate
-   kappa are derived.
+   problem, probed by trial solves of its mixed boundary problem on the
+   grid's own nodes, from which the admissible viscosity oscillation delta
+   and the damping rate kappa are derived.
 """
 
 from dataclasses import replace

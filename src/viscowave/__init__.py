@@ -21,7 +21,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ConfigError, DomainError, StepError, ViscowaveError
-from .grid import BcKind, Grid1D, d1, d2, div_flux, integrate, reflect_extend
+from .grid import BcKind, Grid1D, d1, d2, div_flux, integrate
 from .material import (
     DataBoundM,
     InitialData,

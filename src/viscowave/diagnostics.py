@@ -407,38 +407,42 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarr
     """Space-time L^p integral of z_xx for z_t = D z_xx + g with z(0)=z_x(L)=0.
 
     One problem per row of the (B, n) arrays ``z0`` and ``gsrc``; returns B
-    integrals.  Solved on the evenly reflected doubling of the interval as a
-    Dirichlet problem (Crank-Nicolson in time), then restricted back; the
-    quadrature in time is trapezoidal.  Every problem has the same matrix, so
-    each step is one solve with the B rows as its right-hand-side columns,
-    and each row gets the bits of its own march.
+    integrals.  Solved on the grid's n nodes (Crank-Nicolson in time): row 0
+    is the Dirichlet identity, row n-1 the mirror-ghost Neumann row, whose
+    ghost value z[n-2] stands in for the node beyond x = L; the quadrature in
+    time is trapezoidal.  Every problem has the same matrix, so each step is
+    one solve with the B rows as its right-hand-side columns, and each row
+    gets the bits of its own march.
     """
-    zh, dgrid = g.reflect_extend(z0, grid_)
+    z = z0
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
-    r = 0.5 * dt * D / dgrid.dx ** 2
-    op = tridiag.dirichlet(dgrid.n, r)  # one matrix for every step and row
-    src = dt * g.reflect_extend(gsrc, grid_)[0][:, 1:-1]
-    rhs = np.zeros_like(zh)  # the work array of every step; its end rows stay 0
-    inner = rhs[:, 1:-1]
+    r = 0.5 * dt * D / grid_.dx ** 2
+    op = tridiag.neumann(grid_.n, r)  # one matrix for every step and row
+    op.diag[0], op.upper[0] = 1.0, 0.0  # the Dirichlet row at x = 0
+    src = dt * gsrc[:, 1:]
+    rhs = np.zeros_like(z)  # the work array of every step; its row 0 stays 0
+    body = rhs[:, 1:]
+    inner, last = body[:, :-1], body[:, -1:]
 
-    def zxx_p(zfull):
-        zres = zfull[:, :grid_.n]
-        zxx = g.d2(zres, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
+    def zxx_p(w):
+        zxx = g.d2(w, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
         return g.integrate(np.abs(zxx) ** p, grid_)
 
-    acc = 0.5 * zxx_p(zh)
+    acc = 0.5 * zxx_p(z)
     for _ in range(nsteps):
-        # interior: zh + (r (zh[2:] - 2 zh[1:-1] + zh[:-2]) + src), in this order
-        np.multiply(2.0, zh[:, 1:-1], out=inner)
-        np.subtract(zh[:, 2:], inner, out=inner)
-        inner += zh[:, :-2]
-        inner *= r
-        inner += src
-        inner += zh[:, 1:-1]
-        zh = op.solve(rhs)
-        acc += zxx_p(zh)
-    acc -= 0.5 * zxx_p(zh)
+        # rows 1..n-1: z + (r (right - 2 z + left) + src), in this order; the
+        # right neighbour of row n-1 is its ghost z[n-2]
+        np.multiply(2.0, z[:, 1:], out=body)
+        np.subtract(z[:, 2:], inner, out=inner)
+        np.subtract(z[:, -2:-1], last, out=last)
+        body += z[:, :-1]
+        body *= r
+        body += src
+        body += z[:, 1:]
+        z = op.solve(rhs)
+        acc += zxx_p(z)
+    acc -= 0.5 * zxx_p(z)
     return acc * dt
 
 
@@ -457,10 +461,10 @@ def estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
     """
     if trials < 1:
         raise DomainError("estimate_K needs at least one trial")
-    if p <= 1 or D <= 0 or T <= 0:
-        raise DomainError("estimate_K requires p > 1, D > 0, T > 0")
     if dt is None:
         dt = T / 512.0
+    if not all(math.isfinite(v) and v > 0 for v in (p - 1, D, T, dt)):
+        raise DomainError("estimate_K requires finite p > 1, D > 0, T > 0 and dt > 0")
     rng = np.random.default_rng(seed)
     zero = np.zeros(grid_.n)
     z0s, gsrcs, denoms = [], [], []

@@ -208,14 +208,3 @@ def cumulative_integral(w: FloatArray, grid: Grid1D) -> FloatArray:
     np.cumsum(0.5 * grid.dx * (w[..., 1:] + w[..., :-1]), axis=-1, out=out[..., 1:])
     return out
 
-
-def reflect_extend(w: FloatArray, grid: Grid1D) -> tuple[FloatArray, Grid1D]:
-    """Even extension about x = L onto the doubled interval (0, 2L).
-
-    Returns the extended field on a grid with 2n-1 nodes.  The extension is an
-    exact mirror: node L+j*dx carries the value at L-j*dx.  A (B, n) batch
-    extends each row.
-    """
-    w = _check_size(w, grid)
-    doubled = Grid1D(2.0 * grid.length, 2 * grid.n - 1)
-    return np.concatenate([w, w[..., -2::-1]], axis=-1), doubled

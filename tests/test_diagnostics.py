@@ -253,6 +253,20 @@ def test_estimate_K_argument_checks():
         diag.estimate_K(0.5, 1.0, 1, grid_, 1.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"p": 1.0}, {"p": math.nan}, {"p": math.inf},
+    {"D": 0.0}, {"D": math.nan}, {"D": math.inf},
+    {"T": 0.0}, {"T": math.nan}, {"T": math.inf},
+    {"dt": 0.0}, {"dt": -1e-3}, {"dt": math.nan}, {"dt": math.inf},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_estimate_K_rejects_nonfinite_or_nonpositive_arguments(bad):
+    # NaN fails every comparison, and an infinite or non-positive dt or T
+    # would still march: each bound must be finite and positive
+    args = {"p": 4.0, "D": 1.0, "trials": 1, "grid_": make_grid(33), "T": 1.0, "dt": None}
+    with pytest.raises(DomainError):
+        diag.estimate_K(**(args | bad))
+
+
 # --------------------------------------------------------------------------
 # theory constants
 # --------------------------------------------------------------------------
@@ -478,11 +492,47 @@ def test_make_row_energy_decomposition_exact():
     assert len(row.as_tuple()) == len(diag.DIAG_COLUMNS)
 
 
-def _dgtsv_march(z0, gsrc, D, T, dt, grid_, p):
-    """``_solve_mixed_heat`` with a full dgtsv solve at every step."""
+def _reflect_extend(w, grid_):
+    """Even extension about x = L onto the doubled interval (0, 2L), on a
+    grid with 2n-1 nodes: node L+j*dx carries the value at L-j*dx.  A (B, n)
+    batch extends each row."""
+    doubled = g.Grid1D(2.0 * grid_.length, 2 * grid_.n - 1)
+    return np.concatenate([w, w[..., -2::-1]], axis=-1), doubled
+
+
+def test_reflect_extend():
+    grid101 = make_grid(101)
+    w = np.sin(np.pi * grid101.nodes / 2.0)
+    ext, dgrid = _reflect_extend(w, grid101)
+    assert dgrid.n == 201
+    assert dgrid.length == 2.0
+    # exact mirror symmetry about x = L
+    assert np.array_equal(ext[101:], w[-2::-1])
+    assert ext[100] == w[-1]
+
+    const, _ = _reflect_extend(np.ones(101), grid101)
+    assert np.all(const == 1.0)
+
+    tent, _ = _reflect_extend(grid101.nodes, grid101)
+    assert tent[100] == pytest.approx(1.0)
+    assert tent[-1] == pytest.approx(0.0)
+
+    # a batch extends each row
+    both, _ = _reflect_extend(np.stack([w, grid101.nodes]), grid101)
+    assert np.array_equal(both, [ext, tent])
+
+
+def _zxx_p(z, grid_, p):
+    zxx = g.d2(z[:grid_.n], grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
+    return g.integrate(np.abs(zxx) ** p, grid_)
+
+
+def _doubled_march(z0, gsrc, D, T, dt, grid_, p):
+    """The mixed problem as the Dirichlet problem on the evenly reflected
+    doubling of the interval, one trial, a full dgtsv solve at every step."""
     from scipy.linalg import lapack
-    zh, dgrid = g.reflect_extend(z0, grid_)
-    gh, _ = g.reflect_extend(gsrc, grid_)
+    zh, dgrid = _reflect_extend(z0, grid_)
+    gh, _ = _reflect_extend(gsrc, grid_)
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     r = 0.5 * dt * D / dgrid.dx ** 2
@@ -491,24 +541,46 @@ def _dgtsv_march(z0, gsrc, D, T, dt, grid_, p):
     diag_[1:-1] = 1.0 + 2.0 * r
     lower[:-1] = upper[1:] = -r
 
-    def zxx_p(zfull):
-        zxx = g.d2(zfull[:grid_.n], grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-        return g.integrate(np.abs(zxx) ** p, grid_)
-
-    acc = 0.5 * zxx_p(zh)
+    acc = 0.5 * _zxx_p(zh, grid_, p)
     for _ in range(nsteps):
         rhs = zh.copy()
         rhs[1:-1] += r * (zh[2:] - 2.0 * zh[1:-1] + zh[:-2]) + dt * gh[1:-1]
         rhs[0] = rhs[-1] = 0.0
         zh = lapack.dgtsv(lower, diag_, upper, rhs)[3]
-        acc += zxx_p(zh)
-    acc -= 0.5 * zxx_p(zh)
+        acc += _zxx_p(zh, grid_, p)
+    acc -= 0.5 * _zxx_p(zh, grid_, p)
     return acc * dt
 
 
-def _per_trial_march(z0, gsrc, *args):
-    """The batched march's reference: each trial marched on its own."""
-    return np.array([_dgtsv_march(z, s, *args) for z, s in zip(z0, gsrc)])
+def _dgtsv_march(z0, gsrc, D, T, dt, grid_, p):
+    """``_solve_mixed_heat`` for one trial on the grid's n nodes, a full
+    dgtsv solve at every step: a Dirichlet row at x = 0 and a mirror-ghost
+    Neumann row at x = L, whose ghost z[n-2] stands in for the node beyond."""
+    from scipy.linalg import lapack
+    z = z0
+    nsteps = max(1, int(round(T / dt)))
+    dt = T / nsteps
+    r = 0.5 * dt * D / grid_.dx ** 2
+    n = grid_.n
+    diag_ = np.full(n, 1.0 + 2.0 * r)
+    lower, upper = np.full(n - 1, -r), np.full(n - 1, -r)
+    diag_[0], upper[0], lower[-1] = 1.0, 0.0, -2.0 * r
+
+    acc = 0.5 * _zxx_p(z, grid_, p)
+    for _ in range(nsteps):
+        right = np.append(z[2:], z[-2])
+        rhs = z.copy()
+        rhs[1:] += r * (right - 2.0 * z[1:] + z[:-1]) + dt * gsrc[1:]
+        rhs[0] = 0.0
+        z = lapack.dgtsv(lower, diag_, upper, rhs)[3]
+        acc += _zxx_p(z, grid_, p)
+    acc -= 0.5 * _zxx_p(z, grid_, p)
+    return acc * dt
+
+
+def _per_trial(march):
+    """A batched march's reference: each trial marched on its own."""
+    return lambda z0, gsrc, *args: np.array([march(z, s, *args) for z, s in zip(z0, gsrc)])
 
 
 @pytest.mark.parametrize("trials", [1, 4, 8])
@@ -516,7 +588,18 @@ def _per_trial_march(z0, gsrc, *args):
 def test_estimate_K_batched_march_is_the_per_trial_dgtsv_march(n, trials, monkeypatch):
     grid_ = g.Grid1D(1.0, n)
     batched = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
-    monkeypatch.setattr(diag, "_solve_mixed_heat", _per_trial_march)
+    monkeypatch.setattr(diag, "_solve_mixed_heat", _per_trial(_dgtsv_march))
     ref = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
     assert len(batched.ratios) == trials
     assert [r.hex() for r in batched.ratios] == [r.hex() for r in ref.ratios]
+
+
+@pytest.mark.parametrize("trials", [1, 4, 8])
+@pytest.mark.parametrize("n", [33, 129])
+def test_estimate_K_march_on_n_nodes_is_the_doubled_grid_march(n, trials, monkeypatch):
+    # the same discrete solution, reached through other roundings
+    grid_ = g.Grid1D(1.0, n)
+    est = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    monkeypatch.setattr(diag, "_solve_mixed_heat", _per_trial(_doubled_march))
+    ref = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    assert est.ratios == pytest.approx(ref.ratios, rel=1e-12, abs=0.0)

@@ -107,27 +107,6 @@ def test_cumulative_integral(grid101):
     assert out == pytest.approx(grid101.nodes, abs=1e-14)
 
 
-def test_reflect_extend(grid101):
-    w = np.sin(np.pi * grid101.nodes / 2.0)
-    ext, dgrid = g.reflect_extend(w, grid101)
-    assert dgrid.n == 201
-    assert dgrid.length == 2.0
-    # exact mirror symmetry about x = L
-    assert np.array_equal(ext[101:], w[-2::-1])
-    assert ext[100] == w[-1]
-
-    const, _ = g.reflect_extend(np.ones(101), grid101)
-    assert np.all(const == 1.0)
-
-    tent, _ = g.reflect_extend(grid101.nodes, grid101)
-    assert tent[100] == pytest.approx(1.0)
-    assert tent[-1] == pytest.approx(0.0)
-
-    # a batch extends each row
-    both, _ = g.reflect_extend(np.stack([w, grid101.nodes]), grid101)
-    assert np.array_equal(both, [ext, tent])
-
-
 def test_mid_to_node_mass_exact(grid101):
     rng = np.random.default_rng(11)
     psi = rng.standard_normal(100)
