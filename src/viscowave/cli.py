@@ -30,6 +30,8 @@ import functools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import traceback
 from dataclasses import asdict, replace
@@ -156,11 +158,81 @@ def _estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
     return diag.estimate_K(p=p, D=D, trials=trials, grid_=grid_, T=T, seed=seed)
 
 
-def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory) -> dict:
+def _k_key(config: cfgmod.RunConfig, grid_: g.Grid1D) -> tuple:
+    """The arguments of the run's :func:`_estimate_K`."""
+    scen = config.scenario
+    return (4.0, scen.laws.gamma0, config.k_trials, grid_, scen.monitors.T0, config.seed)
+
+
+# A run whose K probe has at least this many grid nodes x trials probes it in
+# a forked child while it integrates (Linux only); a smaller probe costs the
+# run less than the fork does.  Set from paired runs at n = 2049, 4097, 8193.
+K_CHILD_MIN = 12288
+
+
+class _KChild:
+    """:func:`_estimate_K` of one key, computed in a forked child at a lower
+    priority while this process goes on, and sent back pickled through a
+    pipe.  The child leaves only through ``os._exit``: it never returns into
+    the caller.  The caller must end every child by ``result`` or ``kill``.
+    The child calls no threaded BLAS kernel (``dgtsv`` is unthreaded), so
+    BLAS worker threads left in this process by a user-set
+    ``OPENBLAS_NUM_THREADS`` do no work in it.
+    """
+
+    def __init__(self, key: tuple):
+        self.fd, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.fd)
+            os.close(w)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self.fd)
+                os.nice(10)
+                with open(w, "wb") as fh:
+                    pickle.dump(_estimate_K(*key), fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+
+    def result(self) -> diag.KEstimate | None:
+        """The child's estimate once it has exited, or None if it failed;
+        the child is reaped."""
+        try:
+            with open(self.fd, "rb") as fh:
+                data = fh.read()
+        finally:
+            _, status = os.waitpid(self.pid, 0)
+        return pickle.loads(data) if status == 0 else None  # exited with 0
+
+    def kill(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+        self.result()
+
+    @classmethod
+    def start(cls, config: cfgmod.RunConfig):
+        """The child of a run whose probe is large enough, else None (also
+        when the system cannot fork: the run then probes K itself)."""
+        scen = config.scenario
+        if sys.platform != "linux" or scen.n * config.k_trials < K_CHILD_MIN:
+            return None
+        try:
+            return cls(_k_key(config, scen.make_grid()))
+        except OSError:
+            return None
+
+
+def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory,
+                     kest: diag.KEstimate | None = None) -> dict:
     scen = config.scenario
     last = traj.rows[-1]
-    kest = _estimate_K(4.0, scen.laws.gamma0, config.k_trials, traj.grid, scen.monitors.T0,
-                       config.seed)
+    if kest is None:
+        kest = _estimate_K(*_k_key(config, traj.grid))
     consts = diag.theory_constants(kest.K, scen.a, scen.monitors.T0, scen.laws.alpha)
     return {
         "scenario": scen.name,
@@ -197,12 +269,14 @@ def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory) -> dict:
     }
 
 
-def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: str) -> None:
+def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: str,
+                     kest: diag.KEstimate | None = None) -> None:
+    """The run's artifacts; ``kest`` is its K estimate, computed here if None."""
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(traj.rows, os.path.join(out_dir, "timeseries.csv"))
     write_final_state(traj.final_state, traj.grid, os.path.join(out_dir, "final_state.csv"))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(_summary_payload(config, traj), fh, indent=2, sort_keys=True)
+        json.dump(_summary_payload(config, traj, kest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     try:
         text = cfgmod.serialize_config(config)
@@ -213,14 +287,25 @@ def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: st
 
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
-    """Execute one configured run and write its artifacts."""
+    """Execute one configured run and write its artifacts.
+
+    A large K probe runs in a :class:`_KChild` beside the trajectory; if the
+    child sends nothing, the probe runs here, so that it fails as it would
+    have.  No child outlives the call.
+    """
     try:
         config = cfgmod.parse_config(config_path)
         if out_dir is not None:
             config = replace(config, out_dir=out_dir)
         if seed is not None:
             config = replace(config, seed=seed)
-        traj = _run(config)
+        child = _KChild.start(config)
+        try:
+            traj = _run(config)
+        except BaseException:
+            if child is not None:
+                child.kill()
+            raise
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -228,7 +313,8 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    _write_artifacts(config, traj, config.out_dir)
+    kest = None if child is None else child.result()
+    _write_artifacts(config, traj, config.out_dir, kest)
     if traj.status == "aborted":
         print(f"solver failure after {traj.steps_taken} steps: {traj.error}", file=sys.stderr)
     elif traj.status == "blowup_halt":

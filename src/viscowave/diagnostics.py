@@ -394,6 +394,9 @@ class KEstimate:
     ratios: tuple[float, ...]
 
 
+K_MIN_STEPS = 64  # the fewest time steps of a march that estimate_K accepts
+
+
 def _mixed_modes(grid_: g.Grid1D, ks, coeffs) -> np.ndarray:
     x = grid_.nodes
     L = grid_.length
@@ -413,6 +416,10 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarr
     time is trapezoidal.  Every problem has the same matrix, so each step is
     one solve with the B rows as its right-hand-side columns, and each row
     gets the bits of its own march.
+
+    A step allocates nothing but the solve's result: the right-hand side,
+    z_xx, |z_xx|^p and the trapezoid sums go into work arrays made once, in
+    the operation order of ``g.d2`` (mixed ends) and ``g.integrate``.
     """
     z = z0
     nsteps = max(1, int(round(T / dt)))
@@ -424,10 +431,24 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarr
     rhs = np.zeros_like(z)  # the work array of every step; its row 0 stays 0
     body = rhs[:, 1:]
     inner, last = body[:, :-1], body[:, -1:]
+    zxx = np.empty_like(z)
+    trap = np.empty_like(z[:, 1:])
+    dx, dx2 = grid_.dx, grid_.dx * grid_.dx
 
     def zxx_p(w):
-        zxx = g.d2(w, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-        return g.integrate(np.abs(zxx) ** p, grid_)
+        o, wt = zxx.T, w.T
+        np.multiply(2.0, wt[1:-1], out=o[1:-1])
+        np.subtract(wt[2:], o[1:-1], out=o[1:-1])
+        o[1:-1] += wt[:-2]
+        o[1:-1] /= dx2
+        o[0] = (2.0 * wt[0] - 5.0 * wt[1] + 4.0 * wt[2] - wt[3]) / dx2
+        o[-1] = 2.0 * (wt[-2] - wt[-1]) / dx2
+        np.abs(zxx, out=zxx)
+        np.power(zxx, p, out=zxx)
+        np.add(zxx[:, 1:], zxx[:, :-1], out=trap)
+        np.multiply(dx, trap, out=trap)
+        np.divide(trap, 2.0, out=trap)
+        return trap.sum(axis=-1)
 
     acc = 0.5 * zxx_p(z)
     for _ in range(nsteps):
@@ -457,7 +478,8 @@ def estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
     deterministic prefix: more trials can only raise the estimate.  A trial
     whose data vanish is skipped.  The other trials march together, as the
     right-hand-side columns of one solve per step, each with the bits of its
-    own march.
+    own march.  ``dt`` (default T / 512) must give at least
+    :data:`K_MIN_STEPS` steps: a march of a few steps resolves nothing.
     """
     if trials < 1:
         raise DomainError("estimate_K needs at least one trial")
@@ -465,6 +487,9 @@ def estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
         dt = T / 512.0
     if not all(math.isfinite(v) and v > 0 for v in (p - 1, D, T, dt)):
         raise DomainError("estimate_K requires finite p > 1, D > 0, T > 0 and dt > 0")
+    if not (math.isfinite(T / dt) and round(T / dt) >= K_MIN_STEPS):
+        raise DomainError(f"estimate_K needs T / dt finite and at least {K_MIN_STEPS} steps, "
+                          f"got T = {T!r}, dt = {dt!r}")
     rng = np.random.default_rng(seed)
     zero = np.zeros(grid_.n)
     z0s, gsrcs, denoms = [], [], []
@@ -754,13 +779,12 @@ class Rows:
 
         Every derived field is computed once over the block's states stacked
         as rows (a block of one state is that state's own StateEval, cache
-        and all), and all its integrands of a kind go into one (rows, k, n)
-        buffer with one trapezoid reduction: one for the accumulators, one
-        for the rows.  Each row keeps the bits of its state's own
-        evaluation: the operators act on the last axis and the sums run
-        along it, the powers are taken row by row (:func:`material.power`), and
-        (gamma, f) and the detector's W^{1,2} norm come from each state's
-        own cache.
+        and all), and each integrand is integrated on its own, over all its
+        rows at once: no buffer stacks them.  Each row keeps the bits of its
+        state's own evaluation: the operators act on the last axis and the
+        sums run along it, the powers are taken row by row
+        (:func:`material.power`), and (gamma, f) and the detector's W^{1,2}
+        norm come from each state's own cache.
         """
         if not self._states:
             return
@@ -773,11 +797,8 @@ class Rows:
         def rows(x, sel=slice(None)):
             return x.reshape(-1, n)[sel]
 
-        def integrals(ws):  # (rows, len(ws)): one reduction over a (rows, k, n) buffer
-            if k == 1:  # the state's own arrays, each integrated as it is made
-                return np.array([g.integrate(w, self.grid) for w in ws]).T
-            ws = list(ws)
-            return g.integrate(np.stack(ws, axis=1).reshape(-1, n), self.grid).reshape(-1, len(ws))
+        def integrals(ws):  # (rows, len(ws)): one trapezoid call per integrand
+            return np.array([g.integrate(w, self.grid) for w in ws]).T
 
         cums = [self.cum]  # cums[j]: the accumulators after the block's first j steps
         if steps:

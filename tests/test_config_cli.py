@@ -18,7 +18,7 @@ from viscowave import diagnostics as diag
 from viscowave import dynamics as dyn
 from viscowave import material as mat
 from viscowave import scenarios as sc
-from viscowave.errors import ConfigError
+from viscowave.errors import ConfigError, DomainError
 
 COUPLED_INI = """
 [run]
@@ -477,6 +477,123 @@ def test_field_dumps_are_the_sampled_states_written_as_final_state(tmp_path):
     assert dumps[-1].read_bytes() == (out / "final_state.csv").read_bytes()
 
 
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="the K child is forked on Linux only")
+
+
+@pytest.fixture
+def k_children(monkeypatch):
+    """Every run probes K in a forked child; returns {pid: exit status or
+    None}, filled as the children are forked and reaped."""
+    children = {}
+    fork, waitpid = os.fork, os.waitpid
+
+    def forking():
+        pid = fork()
+        if pid:
+            children[pid] = None
+        return pid
+
+    def reaping(pid, options):
+        got = waitpid(pid, options)
+        children[pid] = got[1]
+        return got
+
+    monkeypatch.setattr(cli, "K_CHILD_MIN", 0)
+    monkeypatch.setattr(os, "fork", forking)
+    monkeypatch.setattr(os, "waitpid", reaping)
+    cli._estimate_K.cache_clear()
+    yield children
+    cli._estimate_K.cache_clear()
+
+
+def _reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@linux_only
+def test_artifacts_are_the_same_with_and_without_a_k_child(tmp_path, monkeypatch):
+    path = write_ini(tmp_path, COUPLED_INI)
+    parent_calls = []
+    estimate_K = diag.estimate_K
+    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: parent_calls.append(1) or estimate_K(*a, **k))
+    for limit, out in ((0, "child"), (float("inf"), "here")):
+        monkeypatch.setattr(cli, "K_CHILD_MIN", limit)
+        cli._estimate_K.cache_clear()
+        assert cli.cmd_run(path, out_dir=str(tmp_path / out)) == cli.EXIT_OK
+        assert len(parent_calls) == (limit != 0)  # the child's call is not this process's
+    for f in ("timeseries.csv", "final_state.csv", "summary.json"):
+        assert (tmp_path / "child" / f).read_bytes() == (tmp_path / "here" / f).read_bytes()
+
+
+@linux_only
+def test_a_run_that_cannot_fork_probes_k_itself(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    path = write_ini(tmp_path, COUPLED_INI)
+    assert cli.cmd_run(path, out_dir=str(tmp_path / "here")) == cli.EXIT_OK
+    monkeypatch.setattr(cli, "K_CHILD_MIN", 0)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert cli.cmd_run(path, out_dir=str(tmp_path / "no_fork")) == cli.EXIT_OK
+    assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+    for f in ("timeseries.csv", "final_state.csv", "summary.json"):
+        assert (tmp_path / "no_fork" / f).read_bytes() == (tmp_path / "here" / f).read_bytes()
+
+
+@linux_only
+def test_a_completed_run_reaps_its_k_child(tmp_path, k_children):
+    path = write_ini(tmp_path, COUPLED_INI)
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    [(pid, status)] = k_children.items()
+    assert status == 0 and _reaped(pid)
+
+
+@linux_only
+def test_a_run_that_fails_its_hypotheses_kills_its_k_child(tmp_path, capsys, k_children):
+    # the laws are parsed, then rejected by dyn.run: the child is running
+    path = write_ini(tmp_path, COUPLED_INI + "\n[material]\nf_family = power\nalpha = 1.6\n")
+    assert cli.cmd_run(path) == cli.EXIT_CONFIG
+    assert "alpha" in capsys.readouterr().err
+    [pid] = k_children
+    assert _reaped(pid)
+
+
+@linux_only
+def test_an_interrupted_run_kills_its_k_child(tmp_path, monkeypatch, k_children):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dyn, "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.cmd_run(write_ini(tmp_path, COUPLED_INI))
+    [pid] = k_children
+    assert _reaped(pid)
+
+
+@linux_only
+@pytest.mark.parametrize("exc", [RuntimeError("probe failed"), DomainError("probe failed")],
+                         ids=lambda exc: type(exc).__name__)
+def test_a_k_probe_that_raises_in_the_child_raises_in_the_run(tmp_path, monkeypatch, k_children,
+                                                                exc):
+    # the child sends nothing, so the run probes K itself and raises where
+    # it would have without a child: out of cmd_run, once the CSVs are written
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(diag, "estimate_K", failing)
+    out = tmp_path / "out"
+    with pytest.raises(type(exc), match="probe failed"):
+        cli.cmd_run(write_ini(tmp_path, COUPLED_INI), out_dir=str(out))
+    [(pid, status)] = k_children.items()
+    assert status != 0 and _reaped(pid)
+    assert (out / "timeseries.csv").exists() and not (out / "config.ini").exists()
+
+
 def _step_raising_after(monkeypatch, calls, exc):
     real = dyn.step_with_count
     seen = []
@@ -491,7 +608,6 @@ def _step_raising_after(monkeypatch, calls, exc):
 
 
 def test_run_that_raises_leaves_no_field_dumps(tmp_path, monkeypatch):
-    from viscowave.errors import DomainError
     text = COUPLED_INI.replace("seed = 11\n", "seed = 11\ndump_fields = true\n")
     out = tmp_path / "dumps"
     path = write_ini(tmp_path, text, out=str(out))

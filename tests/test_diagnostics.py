@@ -258,13 +258,25 @@ def test_estimate_K_argument_checks():
     {"D": 0.0}, {"D": math.nan}, {"D": math.inf},
     {"T": 0.0}, {"T": math.nan}, {"T": math.inf},
     {"dt": 0.0}, {"dt": -1e-3}, {"dt": math.nan}, {"dt": math.inf},
+    {"dt": 0.7}, {"dt": 5.0}, {"T": 1e300, "dt": 1e-300},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_estimate_K_rejects_nonfinite_or_nonpositive_arguments(bad):
     # NaN fails every comparison, and an infinite or non-positive dt or T
-    # would still march: each bound must be finite and positive
+    # would still march: each bound must be finite and positive.  A dt that
+    # rounds to a step or two resolves nothing (dt = 0.7 at T = 1 gave trial
+    # 0's ratio as 0.50006 against the closed form 0.1013), and T / dt must
+    # not overflow the step count
     args = {"p": 4.0, "D": 1.0, "trials": 1, "grid_": make_grid(33), "T": 1.0, "dt": None}
     with pytest.raises(DomainError):
         diag.estimate_K(**(args | bad))
+
+
+def test_estimate_K_needs_K_MIN_STEPS_steps():
+    grid_ = make_grid(33)
+    steps = diag.K_MIN_STEPS
+    assert diag.estimate_K(4.0, 1.0, 1, grid_, 1.0, dt=1.0 / steps).K > 0
+    with pytest.raises(DomainError):
+        diag.estimate_K(4.0, 1.0, 1, grid_, 1.0, dt=1.0 / (steps - 1))
 
 
 # --------------------------------------------------------------------------
@@ -584,8 +596,10 @@ def _per_trial(march):
 
 
 @pytest.mark.parametrize("trials", [1, 4, 8])
-@pytest.mark.parametrize("n", [33, 129])
+@pytest.mark.parametrize("n", [33, 129, 513])
 def test_estimate_K_batched_march_is_the_per_trial_dgtsv_march(n, trials, monkeypatch):
+    # at n = 513 a row's trapezoid sum (numpy sums pairwise in blocks of 128
+    # values) spans several blocks of the march's work array
     grid_ = g.Grid1D(1.0, n)
     batched = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
     monkeypatch.setattr(diag, "_solve_mixed_heat", _per_trial(_dgtsv_march))

@@ -854,10 +854,11 @@ def test_run_without_rows_integrates_twice_per_sample(case, status, monkeypatch)
 
 
 @pytest.mark.parametrize("cadence,scheme", [(1, "imex_be"), (3, "imex_cn")])
-def test_run_with_rows_integrates_twice_per_block(cadence, scheme, monkeypatch):
-    # two calls for E0, two per sample for the detector, and two per block:
-    # one quadrature for the accumulators and one for the rows.  301 states
-    # at n = 33 make three blocks of at most 124 states
+def test_run_with_rows_integrates_each_integrand_once_per_block(cadence, scheme, monkeypatch):
+    # two calls for E0, two per sample for the detector, and one per
+    # integrand of a block, each over all the block's rows: four for the
+    # accumulators and six for the rows.  301 states at n = 33 make three
+    # blocks of at most 124 states
     grid_ = make_grid(33)
     calls, blocks = [], []
     integrate, flush = g.integrate, diag.Rows.flush
@@ -878,7 +879,7 @@ def test_run_with_rows_integrates_twice_per_block(cadence, scheme, monkeypatch):
     assert traj.steps_taken == 300 and len(traj.rows) == len(traj.times) == 1 + 300 // cadence
     assert blocks == [124, 124, 53]
     assert max(blocks) == diag.block_size(1, grid_.n)
-    assert len(calls) == 2 + 2 * len(traj.times) + 2 * len(blocks)
+    assert len(calls) == 2 + 2 * len(traj.times) + (len(diag.CUMULATIVE) + 6) * len(blocks)
 
 
 class _Counting(dyn.Recorder):
