@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -149,13 +148,18 @@ def _bounds_block(traj: dyn.Trajectory) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=64)
+_K_ESTIMATES: dict[tuple, diag.KEstimate] = {}  # by _k_key: probed here or by a _KChild
+
+
 def _estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
                 seed: int) -> diag.KEstimate:
     """``diag.estimate_K`` once per distinct key in this process: it depends
     on neither the data nor delta, alpha or kappa, so the points of a sweep
-    share it."""
-    return diag.estimate_K(p=p, D=D, trials=trials, grid_=grid_, T=T, seed=seed)
+    share it, and runs share it with a :class:`_KChild` of the same key."""
+    key = (p, D, trials, grid_, T, seed)
+    if key not in _K_ESTIMATES:
+        _K_ESTIMATES[key] = diag.estimate_K(p=p, D=D, trials=trials, grid_=grid_, T=T, seed=seed)
+    return _K_ESTIMATES[key]
 
 
 def _k_key(config: cfgmod.RunConfig, grid_: g.Grid1D) -> tuple:
@@ -181,6 +185,7 @@ class _KChild:
     """
 
     def __init__(self, key: tuple):
+        self.key = key
         self.fd, w = os.pipe()
         try:
             self.pid = os.fork()
@@ -201,14 +206,18 @@ class _KChild:
         os.close(w)
 
     def result(self) -> diag.KEstimate | None:
-        """The child's estimate once it has exited, or None if it failed;
-        the child is reaped."""
+        """The child's estimate once it has exited, kept for its key as
+        :func:`_estimate_K` keeps its own, or None if it failed; the child
+        is reaped."""
         try:
             with open(self.fd, "rb") as fh:
                 data = fh.read()
         finally:
             _, status = os.waitpid(self.pid, 0)
-        return pickle.loads(data) if status == 0 else None  # exited with 0
+        if status != 0:  # not a clean exit
+            return None
+        _K_ESTIMATES[self.key] = pickle.loads(data)
+        return _K_ESTIMATES[self.key]
 
     def kill(self) -> None:
         os.kill(self.pid, signal.SIGKILL)
@@ -216,13 +225,17 @@ class _KChild:
 
     @classmethod
     def start(cls, config: cfgmod.RunConfig):
-        """The child of a run whose probe is large enough, else None (also
-        when the system cannot fork: the run then probes K itself)."""
+        """The child of a run whose probe is large enough and not yet made
+        in this process, else None (also when the system cannot fork: the
+        run then probes K itself)."""
         scen = config.scenario
         if sys.platform != "linux" or scen.n * config.k_trials < K_CHILD_MIN:
             return None
+        key = _k_key(config, scen.make_grid())
+        if key in _K_ESTIMATES:
+            return None
         try:
-            return cls(_k_key(config, scen.make_grid()))
+            return cls(key)
         except OSError:
             return None
 

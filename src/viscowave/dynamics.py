@@ -303,32 +303,44 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     step: the velocity stage is one stacked solve, and the rows with eta > 0
     share one stacked displacement solve.
     """
+    return _step_eta(state, _eta_operators(A, gsrc, state.eta, grid_, dt), a, grid_,
+                     cfg.solver_tol, dt)
+
+
+def _eta_operators(A: np.ndarray, gsrc: np.ndarray, eta, grid_: g.Grid1D, dt: float) -> tuple:
+    """The inputs of :func:`step_eta`, checked, and its operators, fixed
+    while A, eta and dt are: the source, the velocity operator, the rows with
+    eta > 0, and their displacement operator (None without such rows)."""
     if dt <= 0:
         raise DomainError("dt must be positive")
     A = np.asarray(A, dtype=float)
     gsrc = np.asarray(gsrc, dtype=float)
-    n = grid_.n
+    n, dx2 = grid_.n, grid_.dx ** 2
     if A.shape != (n,) or gsrc.shape != (n,):
         raise ConfigError("coefficient fields not sized to grid")
     if np.any(A <= 0.0):
         raise DomainError("A must be bounded below by a positive constant")
-    dx2 = grid_.dx ** 2
-    tol = cfg.solver_tol
+    eta = np.atleast_1d(eta)
+    rows = np.flatnonzero(eta > 0.0)
+    disp = tridiag.dirichlet(n, dt * eta[rows, None] / dx2) if rows.size else None
+    return gsrc, tridiag.dirichlet(n, dt * A[1:-1] / dx2), rows, disp
 
+
+def _step_eta(state: EtaState, ops: tuple, a: float, grid_: g.Grid1D, tol: float,
+              dt: float) -> EtaState:
+    """The step of :func:`step_eta`, with ``ops`` from :func:`_eta_operators`."""
+    gsrc, velocity, rows, disp = ops
     d2u = g.d2(state.u_eta, grid_, g.BcKind.DIRICHLET_BOTH)[..., 1:-1]
     rhs_ = np.zeros(state.v_eta.shape)
     rhs_[..., 1:-1] = state.v_eta[..., 1:-1] + dt * (a * d2u + gsrc[1:-1])
-    v_new = _solve_banded(tridiag.dirichlet(n, dt * A[1:-1] / dx2), rhs_, tol, label="eta velocity")
+    v_new = _solve_banded(velocity, rhs_, tol, label="eta velocity")
     v_new[..., 0] = v_new[..., -1] = 0.0
 
     u_new = state.u_eta + dt * v_new  # the backward update, and the right-hand side where eta > 0
     u_new[..., 0] = u_new[..., -1] = 0.0
-    eta = np.atleast_1d(state.eta)
-    rows = np.flatnonzero(eta > 0.0)
-    if rows.size:
-        u2 = u_new.reshape(-1, n)  # a view; a single state is a batch of one
-        u2[rows] = _solve_banded(tridiag.dirichlet(n, dt * eta[rows, None] / dx2),
-                                 u2[rows], tol, label="eta displacement")
+    if disp is not None:
+        u2 = u_new.reshape(-1, grid_.n)  # a view; a single state is a batch of one
+        u2[rows] = _solve_banded(disp, u2[rows], tol, label="eta displacement")
     u_new[..., 0] = u_new[..., -1] = 0.0
     return EtaState(t=state.t + dt, v_eta=v_new, u_eta=u_new, eta=state.eta)
 

@@ -368,16 +368,19 @@ def mollify(data: mat.InitialData, eps: float, grid_: g.Grid1D) -> mat.InitialDa
     return mat.InitialData(u0=cut_sine(data.u0), v0=cut_sine(data.v0), theta0=theta)
 
 
-def w12_distance(wa: np.ndarray, wb: np.ndarray, grid_: g.Grid1D) -> float:
-    """Discrete W^{1,2} distance between two nodal fields.
+def w12_distance(wa: np.ndarray, wb: np.ndarray, grid_: g.Grid1D):
+    """Discrete W^{1,2} distance between two nodal fields; a float for (n,)
+    fields, one distance per row for (P, n) rows.
 
     The derivative part uses the staggered difference, which keeps the sine
     and cosine mode families exactly orthogonal (no boundary closure), so
-    nested spectral cutoffs give exactly monotone distances.
+    nested spectral cutoffs give exactly monotone distances.  Every sum runs
+    along the last axis, so each row gets the bits of its own distance.
     """
     d = np.asarray(wa, dtype=float) - np.asarray(wb, dtype=float)
     dd = g.gradient_mid(d, grid_)
-    return math.sqrt(g.integrate(d ** 2, grid_) + float(np.sum(dd ** 2)) * grid_.dx)
+    dist = np.sqrt(g.integrate(d ** 2, grid_) + np.sum(dd ** 2, axis=-1) * grid_.dx)
+    return float(dist) if d.ndim == 1 else dist
 
 
 # --------------------------------------------------------------------------
@@ -403,33 +406,57 @@ class CascadeReport:
 
 
 class _Rung(dyn.Recorder):
-    """One rung of an eps-cascade, compared with its neighbours while they
-    run: a new sample is compared with each neighbour's latest sample of the
-    same time.  A rung holds only its latest sample ``(t, fields)``."""
+    """One rung of an eps-cascade, paired with its neighbours while they
+    run: a new sample is paired with each neighbour's latest sample of the
+    same time.  The pair ``(lower rung, t, fa, fb)`` is noted in
+    ``pending``, one list that the whole ladder shares, and compared in a
+    block by :func:`_compare` once a stacked field of the block would exceed
+    ``diag.BLOCK_VALUES`` values.  A rung holds only its latest sample
+    ``(t, (u, v, theta))``, views of the state's arrays, not copies: nothing
+    writes to a state's arrays once it is built."""
 
-    def __init__(self, ladder: list, i: int, grid_: g.Grid1D):
-        self.ladder, self.i, self.grid = ladder, i, grid_
+    def __init__(self, ladder: list, i: int, grid_: g.Grid1D, pending: list):
+        self.ladder, self.i, self.grid, self.pending = ladder, i, grid_, pending
+        self.size = diag.block_size(1, grid_.n)  # pairs per block
         self.latest = None, None
         self.dists = None  # against the next rung: the max over shared t of (u, v, theta, W12)
         self.compared, self.last = 0, None  # against the next rung: how many samples, up to when
 
     def sample(self, ev):
-        fields = np.stack((ev.u, ev.v, ev.theta))
+        fields = ev.u, ev.v, ev.theta
         for r in self.ladder[max(self.i - 1, 0):self.i] + self.ladder[self.i + 1:self.i + 2]:
             t, theirs = r.latest
             if t == ev.t:
-                if r.i < self.i:
-                    r.compare(t, theirs, fields)
-                else:
-                    self.compare(t, fields, theirs)
+                self.pending.append((r, t, theirs, fields) if r.i < self.i else (self, t, fields, theirs))
+                if len(self.pending) == self.size:
+                    _compare(self.pending, self.grid)
         self.latest = ev.t, fields
 
-    def compare(self, t, fa, fb) -> None:  # samples at time t as rows u, v, theta
+    def fold(self, t, new: list) -> None:
+        """One more compared sample, at time t, with distances ``new``."""
         self.compared, self.last = self.compared + 1, t
-        new = np.abs(fa - fb).max(axis=1).tolist() + [w12_distance(fa[2], fb[2], self.grid)]
         # a running max(): a value replaces the one before only if it is greater
         self.dists = new if self.dists is None else [
             x if x > y else y for x, y in zip(new, self.dists)]
+
+
+def _compare(pending: list, grid_: g.Grid1D) -> None:
+    """Compare the noted pairs ``(rung, t, fa, fb)`` as one block, fold each
+    pair's distances into its rung in the order noted, and empty the list.
+
+    The block's samples are stacked as (pairs, 3, n): the sup distances of
+    u, v and theta are one subtraction and one max along the last axis, and
+    W^{1,2}(theta) is one :func:`w12_distance` over all the rows, so each
+    pair gets the bits of its own comparison.
+    """
+    if not pending:
+        return
+    fa, fb = (np.array([p[k] for p in pending]) for k in (2, 3))
+    sup = np.abs(fa - fb).max(axis=-1).tolist()
+    w12 = w12_distance(fa[:, 2], fb[:, 2], grid_).tolist()
+    for (rung, t, _, _), s, w in zip(pending, sup, w12):
+        rung.fold(t, s + [w])
+    pending.clear()
 
 
 def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None = None) -> CascadeReport:
@@ -462,10 +489,12 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     base = scenario.make_data(grid_)
     data = [mollify(base, eps, grid_) for eps in eps_ladder]
     ladder: list[_Rung] = []
-    ladder.extend(_Rung(ladder, i, grid_) for i in range(len(data)))
+    pending: list = []  # the pairs noted and not yet compared
+    ladder.extend(_Rung(ladder, i, grid_, pending) for i in range(len(data)))
     trajs = dyn.simulate([scenario.laws] * len(data), scenario.a, grid_, data, scenario.t_end,
                          scheme, [scenario.monitors] * len(data), rows=False,
                          recorders=[(r,) for r in ladder])
+    _compare(pending, grid_)
     statuses = [traj.status for traj in trajs]
     last = statuses.index("aborted") if "aborted" in statuses else len(statuses) - 1
     dists = [r.dists for r in ladder[:last]]
@@ -504,13 +533,19 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D,
     reference, tracking  y(t) = int (v_eta - v)^2 + a int (u_eta - u)_x^2.
 
     Returns the sup-in-time of y per eta and the fitted log-log slope of
-    sup y against eta.
+    sup y against eta.  Every eta and the reference step as the rows of one
+    batch, by :func:`dynamics.step_eta`'s body with its operators built once.
     """
     etas = tuple(float(e) for e in etas)
     if any(e <= 0 for e in etas):
         raise ConfigError("eta ladder must be positive; the reference eta=0 is implicit")
     if len(set(etas)) < 2:
         raise ConfigError("eta ladder needs two distinct etas to fit a slope")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"eta cascade {name} must be finite and positive, got {value}")
+    if not math.isfinite(t_end / dt):
+        raise ConfigError(f"eta cascade t_end / dt = {t_end} / {dt} overflows")
     cfg = cfg or dyn.SchemeConfig(dt_initial=dt, dt_max=dt)
     nsteps = max(1, int(round(t_end / dt)))
     dt = t_end / nsteps
@@ -518,10 +553,11 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D,
     rows = len(etas) + 1  # row 0 is the reference
     st = dyn.EtaState(t=0.0, v_eta=np.tile(v0, (rows, 1)), u_eta=np.tile(u0, (rows, 1)),
                       eta=np.array((0.0,) + etas))
+    ops = dyn._eta_operators(A, gsrc, st.eta, grid_, dt)
     y_max = np.zeros(len(etas))
     for step in range(nsteps + 1):
         if step:
-            st = dyn.step_eta(st, A, gsrc, a, grid_, cfg, dt)
+            st = dyn._step_eta(st, ops, a, grid_, cfg.solver_tol, dt)
         dv = st.v_eta[1:] - st.v_eta[0]
         du_mid = g.gradient_mid(st.u_eta[1:] - st.u_eta[0], grid_)
         y = g.integrate(dv ** 2, grid_) + a * (du_mid ** 2).sum(axis=-1) * grid_.dx

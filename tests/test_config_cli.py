@@ -501,9 +501,9 @@ def k_children(monkeypatch):
     monkeypatch.setattr(cli, "K_CHILD_MIN", 0)
     monkeypatch.setattr(os, "fork", forking)
     monkeypatch.setattr(os, "waitpid", reaping)
-    cli._estimate_K.cache_clear()
+    cli._K_ESTIMATES.clear()
     yield children
-    cli._estimate_K.cache_clear()
+    cli._K_ESTIMATES.clear()
 
 
 def _reaped(pid) -> bool:
@@ -522,7 +522,7 @@ def test_artifacts_are_the_same_with_and_without_a_k_child(tmp_path, monkeypatch
     monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: parent_calls.append(1) or estimate_K(*a, **k))
     for limit, out in ((0, "child"), (float("inf"), "here")):
         monkeypatch.setattr(cli, "K_CHILD_MIN", limit)
-        cli._estimate_K.cache_clear()
+        cli._K_ESTIMATES.clear()
         assert cli.cmd_run(path, out_dir=str(tmp_path / out)) == cli.EXIT_OK
         assert len(parent_calls) == (limit != 0)  # the child's call is not this process's
     for f in ("timeseries.csv", "final_state.csv", "summary.json"):
@@ -551,6 +551,22 @@ def test_a_completed_run_reaps_its_k_child(tmp_path, k_children):
     assert cli.cmd_run(path) == cli.EXIT_OK
     [(pid, status)] = k_children.items()
     assert status == 0 and _reaped(pid)
+
+
+@linux_only
+def test_a_second_run_of_the_same_k_key_uses_the_first_childs_estimate(tmp_path, monkeypatch,
+                                                                        k_children):
+    path = write_ini(tmp_path, COUPLED_INI)
+    calls = []
+    estimate_K = diag.estimate_K
+    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
+    for out in ("first", "second"):
+        assert cli.cmd_run(path, out_dir=str(tmp_path / out)) == cli.EXIT_OK
+    [(pid, status)] = k_children.items()  # one fork, for the first run
+    assert status == 0 and _reaped(pid) and calls == []  # no probe in this process
+    assert len(cli._K_ESTIMATES) == 1
+    for f in ("timeseries.csv", "final_state.csv", "summary.json"):
+        assert (tmp_path / "first" / f).read_bytes() == (tmp_path / "second" / f).read_bytes()
 
 
 @linux_only
@@ -828,7 +844,7 @@ def test_sweep_computes_estimate_K_once(tmp_path, monkeypatch):
     calls = []
     estimate_K = cli.diag.estimate_K
     monkeypatch.setattr(cli.diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
-    cli._estimate_K.cache_clear()
+    cli._K_ESTIMATES.clear()
     assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
     assert len(calls) == 1
     summaries = [json.loads((tmp_path / "sw" / f"point_delta_{i:02d}" / "summary.json").read_text())

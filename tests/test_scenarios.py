@@ -8,6 +8,7 @@ from viscowave import dynamics as dyn
 from viscowave import grid as g
 from viscowave import material as mat
 from viscowave import scenarios as sc
+from viscowave import tridiag
 from viscowave.errors import ConfigError, DomainError, StepError
 
 
@@ -340,17 +341,34 @@ def _inject(monkeypatch, fault, scenario, ladder):
 
 
 class _Held:
-    """The most rungs of the ladder that held a sample at once."""
+    """The most rungs of the ladder that held a sample at once, the most
+    pairs pending at once, and the size of each block compared while
+    ``dyn.simulate`` ran (``running``) and after it returned (``after``)."""
 
     def __init__(self, monkeypatch):
-        self.most = 0
-        real = sc._Rung.sample
+        self.most, self.pending_most, self.running, self.after = 0, 0, [], []
+        blocks = self.running
+        real, compare, simulate = sc._Rung.sample, sc._compare, dyn.simulate
 
         def sample(rung, ev):
             real(rung, ev)
             self.most = max(self.most, sum(r.latest[1] is not None for r in rung.ladder))
+            self.pending_most = max(self.pending_most, len(rung.pending))
+
+        def compared(pending, grid_):
+            blocks.append(len(pending))
+            self.pending_most = max(self.pending_most, len(pending))
+            compare(pending, grid_)
+
+        def simulated(*args, **kwargs):
+            nonlocal blocks
+            out = simulate(*args, **kwargs)
+            blocks = self.after
+            return out
 
         monkeypatch.setattr(sc._Rung, "sample", sample)
+        monkeypatch.setattr(sc, "_compare", compared)
+        monkeypatch.setattr(dyn, "simulate", simulated)
 
 
 @pytest.mark.parametrize("fault,statuses", [
@@ -381,6 +399,20 @@ def test_eps_cascade_equals_the_report_from_full_histories(monkeypatch, fault, s
         assert rep.compared == (152, 152, 251)
         assert rep.last_compared[:2] == (pytest.approx(0.0302, abs=1e-12),) * 2
         assert rep.last_compared[2] == pytest.approx(0.05, abs=1e-12)
+
+
+def test_eps_cascade_compares_pairs_in_bounded_blocks(monkeypatch):
+    # n = 33: a block holds 4096 // 33 = 124 pairs; 251 samples of 4 rungs
+    # make 753 pairs, so six full blocks are compared while the ladder runs
+    # and the last nine once it has run
+    scenario = replace(sc.battery_scenario("rough_theta"), n=33, t_end=0.05)
+    ladder = (0.5, 0.3, 0.2, 0.1)
+    held = _Held(monkeypatch)
+    rep = sc.eps_cascade(scenario, ladder)
+    bound = diag.block_size(1, scenario.n)
+    assert bound == 124 and held.pending_most == bound
+    assert held.running == [bound] * 6 and held.after == [9]
+    assert sum(rep.compared) == 753
 
 
 def test_eps_cascade_batches_a_fixed_dt_and_rejects_an_adaptive_one(monkeypatch):
@@ -450,18 +482,32 @@ def test_eta_cascade_steps_every_eta_in_one_batch(monkeypatch):
     v0 = np.sin(np.pi * x)
     v0[0] = v0[-1] = 0.0
     calls = []
-    real = dyn.step_eta
+    real = dyn._step_eta
 
     def step_eta(state, *args):
         calls.append(np.array(state.eta))
         return real(state, *args)
 
-    monkeypatch.setattr(dyn, "step_eta", step_eta)
+    monkeypatch.setattr(dyn, "_step_eta", step_eta)
     rep = sc.eta_cascade(np.ones(33), np.zeros(33), 1.0, grid_, v0, np.zeros(33),
                          [1e-1, 1e-2], 0.05, 1e-3)
     assert len(calls) == 50  # one call per step, the reference (row 0) included
     assert all(np.array_equal(eta, [0.0, 1e-1, 1e-2]) for eta in calls)
     assert rep.sup_y[0] > rep.sup_y[1] > 0.0
+
+
+def test_eta_cascade_builds_its_operators_once(monkeypatch):
+    # the velocity operator and the displacement operator of the eta rows,
+    # each built once for all 40 steps
+    grid_ = make_grid(33)
+    v0 = np.sin(np.pi * grid_.nodes)
+    v0[0] = v0[-1] = 0.0
+    built = []
+    real = tridiag.dirichlet
+    monkeypatch.setattr(tridiag, "dirichlet", lambda n, s: built.append(np.shape(s)) or real(n, s))
+    sc.eta_cascade(np.ones(33), np.zeros(33), 1.0, grid_, v0, np.zeros(33),
+                   [1e-1, 1e-2, 1e-3], 0.04, 1e-3)
+    assert built == [(3, 1), (31,)]
 
 
 def test_eta_cascade_equals_the_report_from_sequential_runs():
@@ -490,6 +536,19 @@ def test_eta_cascade_equals_the_report_from_sequential_runs():
         sup_y.append(max([0.0] + ys))
     rep = sc.eta_cascade(A, gsrc, a, grid_, v0, u0, etas, 0.04, dt)
     assert [y.hex() for y in rep.sup_y] == [y.hex() for y in sup_y]
+
+
+@pytest.mark.parametrize("t_end,dt,name", [
+    (float("nan"), 1e-3, "t_end"), (float("inf"), 1e-3, "t_end"), (0.0, 1e-3, "t_end"),
+    (-0.05, 1e-3, "t_end"), (0.05, float("nan"), "dt"), (0.05, float("inf"), "dt"),
+    (0.05, 0.0, "dt"), (0.05, -1e-3, "dt"), (1e300, 1e-300, "overflows"),
+])
+def test_eta_cascade_rejects_a_nonfinite_or_nonpositive_t_end_or_dt(t_end, dt, name):
+    grid_ = make_grid(17)
+    n = grid_.n
+    with pytest.raises(ConfigError, match=name):
+        sc.eta_cascade(np.ones(n), np.zeros(n), 1.0, grid_, np.zeros(n), np.zeros(n),
+                       [1e-1, 1e-2], t_end, dt)
 
 
 def test_eta_cascade_rejects_nonpositive_or_fewer_than_two_distinct_etas():
