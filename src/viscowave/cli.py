@@ -168,20 +168,16 @@ def _k_key(config: cfgmod.RunConfig, grid_: g.Grid1D) -> tuple:
     return (4.0, scen.laws.gamma0, config.k_trials, grid_, scen.monitors.T0, config.seed)
 
 
-# A run whose K probe has at least this many grid nodes x trials probes it in
-# a forked child while it integrates (Linux only); a smaller probe costs the
-# run less than the fork does.  Set from paired runs at n = 2049, 4097, 8193.
-K_CHILD_MIN = 12288
-
-
 class _KChild:
     """:func:`_estimate_K` of one key, computed in a forked child at a lower
-    priority while this process goes on, and sent back pickled through a
-    pipe.  The child leaves only through ``os._exit``: it never returns into
-    the caller.  The caller must end every child by ``result`` or ``kill``.
-    The child calls no threaded BLAS kernel (``dgtsv`` is unthreaded), so
-    BLAS worker threads left in this process by a user-set
-    ``OPENBLAS_NUM_THREADS`` do no work in it.
+    priority while this process integrates, and sent back pickled through a
+    pipe.  The probe is the only code that imports ``numpy.random``, so a
+    process whose probe runs in a child never loads it.  The child leaves
+    only through ``os._exit``: it never returns into the caller.  The caller
+    must end every child by ``reap`` or ``kill``; a reaped child is not
+    touched again.  The child calls no threaded BLAS
+    kernel (``dgtsv`` is unthreaded), so BLAS worker threads left in this
+    process by a user-set ``OPENBLAS_NUM_THREADS`` do no work in it.
     """
 
     def __init__(self, key: tuple):
@@ -205,33 +201,34 @@ class _KChild:
                 os._exit(status)
         os.close(w)
 
-    def result(self) -> diag.KEstimate | None:
-        """The child's estimate once it has exited, kept for its key as
-        :func:`_estimate_K` keeps its own, or None if it failed; the child
-        is reaped."""
+    def reap(self) -> None:
+        """Waits for the child to exit and reaps it; if it exited cleanly,
+        its estimate is kept for its key as :func:`_estimate_K` keeps its
+        own.  Does nothing once the child is reaped."""
+        if self.pid is None:
+            return
         try:
             with open(self.fd, "rb") as fh:
                 data = fh.read()
         finally:
             _, status = os.waitpid(self.pid, 0)
-        if status != 0:  # not a clean exit
-            return None
-        _K_ESTIMATES[self.key] = pickle.loads(data)
-        return _K_ESTIMATES[self.key]
+            self.pid = None
+        if status == 0:
+            _K_ESTIMATES[self.key] = pickle.loads(data)
 
     def kill(self) -> None:
-        os.kill(self.pid, signal.SIGKILL)
-        self.result()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.reap()
 
     @classmethod
     def start(cls, config: cfgmod.RunConfig):
-        """The child of a run whose probe is large enough and not yet made
-        in this process, else None (also when the system cannot fork: the
-        run then probes K itself)."""
-        scen = config.scenario
-        if sys.platform != "linux" or scen.n * config.k_trials < K_CHILD_MIN:
+        """The child of a run whose probe is not yet made in this process,
+        else None (also off Linux, or when the system cannot fork: the run
+        then probes K itself)."""
+        if sys.platform != "linux":
             return None
-        key = _k_key(config, scen.make_grid())
+        key = _k_key(config, config.scenario.make_grid())
         if key in _K_ESTIMATES:
             return None
         try:
@@ -240,12 +237,10 @@ class _KChild:
             return None
 
 
-def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory,
-                     kest: diag.KEstimate | None = None) -> dict:
+def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory) -> dict:
     scen = config.scenario
     last = traj.rows[-1]
-    if kest is None:
-        kest = _estimate_K(*_k_key(config, traj.grid))
+    kest = _estimate_K(*_k_key(config, traj.grid))
     consts = diag.theory_constants(kest.K, scen.a, scen.monitors.T0, scen.laws.alpha)
     return {
         "scenario": scen.name,
@@ -282,29 +277,30 @@ def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory,
     }
 
 
-def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: str,
-                     kest: diag.KEstimate | None = None) -> None:
-    """The run's artifacts; ``kest`` is its K estimate, computed here if None."""
+def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: str) -> None:
+    """The run's artifacts.  The summary, with its K estimate, is built
+    before any file is written, so a summary that raises leaves none."""
+    summary = json.dumps(_summary_payload(config, traj), indent=2, sort_keys=True) + "\n"
+    try:
+        text = cfgmod.serialize_config(config)
+    except ConfigError:
+        text = None  # tabulated laws: keep the user's original file authoritative
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(traj.rows, os.path.join(out_dir, "timeseries.csv"))
     write_final_state(traj.final_state, traj.grid, os.path.join(out_dir, "final_state.csv"))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(_summary_payload(config, traj, kest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    try:
-        text = cfgmod.serialize_config(config)
-    except ConfigError:
-        return  # tabulated laws: keep the user's original file authoritative
-    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
-        fh.write(text)
+        fh.write(summary)
+    if text is not None:
+        with open(os.path.join(out_dir, "config.ini"), "w") as fh:
+            fh.write(text)
 
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
     """Execute one configured run and write its artifacts.
 
-    A large K probe runs in a :class:`_KChild` beside the trajectory; if the
-    child sends nothing, the probe runs here, so that it fails as it would
-    have.  No child outlives the call.
+    On Linux the K probe runs in a :class:`_KChild` beside the trajectory;
+    if the child sends nothing, the probe runs here, so that it fails as it
+    would have.  No child outlives the call.
     """
     try:
         config = cfgmod.parse_config(config_path)
@@ -326,8 +322,9 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    kest = None if child is None else child.result()
-    _write_artifacts(config, traj, config.out_dir, kest)
+    if child is not None:
+        child.reap()
+    _write_artifacts(config, traj, config.out_dir)
     if traj.status == "aborted":
         print(f"solver failure after {traj.steps_taken} steps: {traj.error}", file=sys.stderr)
     elif traj.status == "blowup_halt":
@@ -384,6 +381,12 @@ def _sweep_point(task):
     points run as one ensemble (a single point on its own), and it returns
     one row per point.  Any exception stays with its point: the row reads
     status ``failed`` and carries the error, and the other points still run.
+
+    On Linux the K probe of the first valid point runs in a :class:`_KChild`
+    while the points integrate; every point of a task has the same probe key
+    (an ``ensemble`` axis changes none of its arguments, and other axes run
+    one point per task).  The child is reaped before the first artifacts are
+    written, and killed if no point gets that far or the task raises.
     """
     base, axis, values, subdirs = task
     rows, configs = {}, {}
@@ -392,18 +395,25 @@ def _sweep_point(task):
             configs[i] = _point_config(base, axis, val, sub)
         except Exception as exc:  # one bad point must not end the sweep
             rows[i] = _failed_row(axis, val, exc)
-    trajs = dict(zip(configs, _run_ensemble(list(configs.values())) or ()))
-    for i, config in configs.items():
-        try:
-            traj = trajs[i] if i in trajs else _run(config)
-            _write_artifacts(config, traj, config.out_dir)
-            rows[i] = {"axis": axis, "value": values[i], "status": traj.status,
-                       "drift_max": traj.max_drift,
-                       "blowup": traj.blowup is not None and traj.blowup.fired,
-                       "monitors_finite": traj.monitors.all_finite(),
-                       "error": traj.error or ""}
-        except Exception as exc:
-            rows[i] = _failed_row(axis, values[i], exc)
+    child = _KChild.start(next(iter(configs.values()))) if configs else None
+    try:
+        trajs = dict(zip(configs, _run_ensemble(list(configs.values())) or ()))
+        for i, config in configs.items():
+            try:
+                traj = trajs[i] if i in trajs else _run(config)
+                if child is not None:
+                    child.reap()
+                _write_artifacts(config, traj, config.out_dir)
+                rows[i] = {"axis": axis, "value": values[i], "status": traj.status,
+                           "drift_max": traj.max_drift,
+                           "blowup": traj.blowup is not None and traj.blowup.fired,
+                           "monitors_finite": traj.monitors.all_finite(),
+                           "error": traj.error or ""}
+            except Exception as exc:
+                rows[i] = _failed_row(axis, values[i], exc)
+    finally:
+        if child is not None:
+            child.kill()  # a no-op once reaped; else no point needed it, or the task raised
     return [rows[i] for i in range(len(values))]
 
 
@@ -419,12 +429,12 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
     """
     try:
         sweep = cfgmod.parse_sweep_config(config_path)
+        base = sweep.base if seed is None else replace(sweep.base, seed=seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = out_dir or sweep.base.out_dir
     os.makedirs(out, exist_ok=True)
-    base = sweep.base if seed is None else replace(sweep.base, seed=seed)
     workers = max(1, workers if workers else sweep.workers)
 
     values = list(sweep.values)

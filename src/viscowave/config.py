@@ -74,6 +74,8 @@ class RunConfig:
     def __post_init__(self):
         if self.k_trials < 1:
             raise ConfigError("k_trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ variant cancels it and conserves the discrete energy to roundoff.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -178,8 +179,19 @@ def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
     identically zero, so the solve conserves int Theta up to the sources
     already contained in ``rhs_``.
     """
-    op = tridiag.neumann(grid_.n, theta_weight * dt / grid_.dx ** 2)
+    op = _heat_operator(grid_.n, theta_weight * dt / grid_.dx ** 2)
     return _solve_banded(op, rhs_, tol, label="heat")
+
+
+@functools.lru_cache(maxsize=1)
+def _heat_operator(n: int, r: float) -> tridiag.Tridiag:
+    """``tridiag.neumann(n, r)``, kept while the step keeps (n, r); its
+    arrays are read-only, since every step shares them (``dgtsv`` works on
+    copies of the diagonals)."""
+    op = tridiag.neumann(n, r)
+    for w in (op.lower, op.diag, op.upper):
+        w.flags.writeable = False
+    return op
 
 
 def _heat_source(v_used, f_old, gam_mid, grid_):

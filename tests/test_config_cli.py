@@ -482,8 +482,8 @@ linux_only = pytest.mark.skipif(sys.platform != "linux", reason="the K child is 
 
 @pytest.fixture
 def k_children(monkeypatch):
-    """Every run probes K in a forked child; returns {pid: exit status or
-    None}, filled as the children are forked and reaped."""
+    """Records the K children: returns {pid: exit status or None}, filled
+    as the children are forked and reaped."""
     children = {}
     fork, waitpid = os.fork, os.waitpid
 
@@ -498,7 +498,6 @@ def k_children(monkeypatch):
         children[pid] = got[1]
         return got
 
-    monkeypatch.setattr(cli, "K_CHILD_MIN", 0)
     monkeypatch.setattr(os, "fork", forking)
     monkeypatch.setattr(os, "waitpid", reaping)
     cli._K_ESTIMATES.clear()
@@ -514,30 +513,33 @@ def _reaped(pid) -> bool:
     return False
 
 
+def _no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
 @linux_only
 def test_artifacts_are_the_same_with_and_without_a_k_child(tmp_path, monkeypatch):
     path = write_ini(tmp_path, COUPLED_INI)
     parent_calls = []
     estimate_K = diag.estimate_K
     monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: parent_calls.append(1) or estimate_K(*a, **k))
-    for limit, out in ((0, "child"), (float("inf"), "here")):
-        monkeypatch.setattr(cli, "K_CHILD_MIN", limit)
+    for out in ("child", "here"):
         cli._K_ESTIMATES.clear()
+        if out == "here":
+            monkeypatch.setattr(os, "fork", _no_fork)
         assert cli.cmd_run(path, out_dir=str(tmp_path / out)) == cli.EXIT_OK
-        assert len(parent_calls) == (limit != 0)  # the child's call is not this process's
+        assert len(parent_calls) == (out == "here")  # the child's call is not this process's
+    cli._K_ESTIMATES.clear()
     for f in ("timeseries.csv", "final_state.csv", "summary.json"):
         assert (tmp_path / "child" / f).read_bytes() == (tmp_path / "here" / f).read_bytes()
 
 
 @linux_only
 def test_a_run_that_cannot_fork_probes_k_itself(tmp_path, monkeypatch):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
     path = write_ini(tmp_path, COUPLED_INI)
     assert cli.cmd_run(path, out_dir=str(tmp_path / "here")) == cli.EXIT_OK
-    monkeypatch.setattr(cli, "K_CHILD_MIN", 0)
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    cli._K_ESTIMATES.clear()
     fds = len(os.listdir("/proc/self/fd"))
     assert cli.cmd_run(path, out_dir=str(tmp_path / "no_fork")) == cli.EXIT_OK
     assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
@@ -597,7 +599,7 @@ def test_an_interrupted_run_kills_its_k_child(tmp_path, monkeypatch, k_children)
 def test_a_k_probe_that_raises_in_the_child_raises_in_the_run(tmp_path, monkeypatch, k_children,
                                                                 exc):
     # the child sends nothing, so the run probes K itself and raises where
-    # it would have without a child: out of cmd_run, once the CSVs are written
+    # it would have without a child: out of cmd_run, before any artifact
     def failing(*args, **kwargs):
         raise exc
 
@@ -607,7 +609,41 @@ def test_a_k_probe_that_raises_in_the_child_raises_in_the_run(tmp_path, monkeypa
         cli.cmd_run(write_ini(tmp_path, COUPLED_INI), out_dir=str(out))
     [(pid, status)] = k_children.items()
     assert status != 0 and _reaped(pid)
-    assert (out / "timeseries.csv").exists() and not (out / "config.ini").exists()
+    assert not out.exists()
+
+
+def test_a_summary_that_raises_leaves_no_artifacts(tmp_path, monkeypatch):
+    # the probe runs in this process, the fork refused, and raises while the
+    # summary is built: it surfaces out of cmd_run, and no file is written
+    def failing(*args, **kwargs):
+        raise RuntimeError("probe failed")
+
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(diag, "estimate_K", failing)
+    cli._K_ESTIMATES.clear()
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="probe failed"):
+        cli.cmd_run(write_ini(tmp_path, COUPLED_INI), out_dir=str(out))
+    assert not out.exists()
+
+
+def test_a_negative_seed_is_a_config_error_before_any_step(tmp_path, monkeypatch, capsys,
+                                                          k_children):
+    # from the file or from --seed, run and sweep exit 2: no fork, no step,
+    # no run or point directory
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(dyn, "simulate", no_step)
+    bad = write_ini(tmp_path, COUPLED_INI.replace("seed = 11", "seed = -1"), name="bad.ini")
+    good = write_ini(tmp_path, COUPLED_INI)
+    sweep = write_ini(tmp_path, COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n",
+                      name="sweep.ini")
+    for argv in (["run", "--config", bad], ["run", "--config", good, "--seed", "-1"],
+                 ["sweep", "--config", sweep, "--seed", "-1", "--workers", "1"]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "seed must be non-negative" in capsys.readouterr().err
+    assert k_children == {} and not (tmp_path / "out").exists()
 
 
 def _step_raising_after(monkeypatch, calls, exc):
@@ -838,18 +874,91 @@ def test_ensemble_that_raises_outside_the_package_is_reported_and_run_point_by_p
     assert [r["status"] for r in rows] == ["completed", "completed"]
 
 
-def test_sweep_computes_estimate_K_once(tmp_path, monkeypatch):
+@linux_only
+def test_sweep_computes_estimate_K_once(tmp_path, monkeypatch, k_children):
+    # two tasks in this process (an inline pool): one child for the first,
+    # whose estimate the second reads; none of the probes runs here
     text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
     path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
     calls = []
     estimate_K = cli.diag.estimate_K
     monkeypatch.setattr(cli.diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
-    cli._K_ESTIMATES.clear()
-    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
-    assert len(calls) == 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=2) == cli.EXIT_OK
+    assert len(_InlinePool.tasks) == 2
+    [(pid, status)] = k_children.items()
+    assert status == 0 and _reaped(pid) and calls == []
     summaries = [json.loads((tmp_path / "sw" / f"point_delta_{i:02d}" / "summary.json").read_text())
                  for i in range(3)]
     assert len({json.dumps(s["theory_constants"]) for s in summaries}) == 1
+
+
+@linux_only
+def test_a_sweep_task_reaps_its_k_child_after_the_ensemble(tmp_path, monkeypatch, k_children):
+    # the child is running while the ensemble integrates, and has exited
+    # cleanly and been reaped before the first artifacts are written
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    seen = []
+    simulate, write = dyn.simulate, cli._write_artifacts
+    monkeypatch.setattr(dyn, "simulate",
+                        lambda *a, **k: seen.append(("simulate", dict(k_children))) or simulate(*a, **k))
+    monkeypatch.setattr(cli, "_write_artifacts",
+                        lambda *a, **k: seen.append(("write", dict(k_children))) or write(*a, **k))
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
+    [(pid, status)] = k_children.items()
+    assert status == 0 and _reaped(pid)
+    assert seen == [("simulate", {pid: None})] + [("write", {pid: 0})] * 3
+
+
+@linux_only
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError], ids=lambda e: e.__name__)
+def test_a_sweep_task_that_raises_kills_its_k_child(tmp_path, monkeypatch, k_children, exc):
+    # an interrupt leaves the task; an error fails each point, so that no
+    # point needs the estimate: either way the child is killed and reaped
+    def raising(*args, **kwargs):
+        raise exc("stop")
+
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05\n"
+    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
+    monkeypatch.setattr(dyn, "simulate", raising)
+    if exc is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1)
+    else:
+        assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
+    [pid] = k_children
+    assert _reaped(pid)
+    assert not list((tmp_path / "sw").glob("point_*"))
+
+
+@linux_only
+def test_a_sweep_that_cannot_fork_probes_k_itself(tmp_path, monkeypatch, k_children):
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
+    path = write_ini(tmp_path, text, name="sweep.ini")
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "child"), workers=1) == cli.EXIT_OK
+    assert len(k_children) == 1
+    cli._K_ESTIMATES.clear()
+    monkeypatch.setattr(os, "fork", _no_fork)
+    calls = []
+    estimate_K = diag.estimate_K
+    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "here"), workers=1) == cli.EXIT_OK
+    assert len(calls) == 1
+    for i in range(3):
+        for f in ("timeseries.csv", "final_state.csv", "summary.json"):
+            a, b = (tmp_path / side / f"point_delta_{i:02d}" / f for side in ("child", "here"))
+            assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "child" / "sweep.csv").read_bytes() == (tmp_path / "here" / "sweep.csv").read_bytes()
+
+
+@linux_only
+def test_a_sweep_task_with_no_valid_point_starts_no_k_child(tmp_path, k_children):
+    # alpha = 0.8 and 0.7 break the growth bound of the linear coupling
+    text = COUPLED_INI + "\n[sweep]\naxis = alpha\nvalues = 0.8, 0.7\n"
+    path = write_ini(tmp_path, text, name="sweep.ini")
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
+    assert k_children == {}
 
 
 def test_a_sweep_reads_its_config_once(tmp_path, monkeypatch):
@@ -1180,6 +1289,24 @@ def test_cli_import_does_not_load(module):
     code = f"import sys, viscowave.cli; sys.exit(int({module!r} in sys.modules))"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@linux_only
+def test_a_run_and_a_sweep_leave_numpy_random_to_the_k_child(tmp_path):
+    # the K probe is the only user of numpy.random, and it runs in a child
+    run = write_ini(tmp_path, COUPLED_INI)
+    sweep = write_ini(tmp_path, COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n",
+                      name="sweep.ini")
+    code = ("import sys\nfrom viscowave import cli\n"
+            f"assert cli.cmd_run({run!r}, {str(tmp_path / 'run')!r}) == 0\n"
+            "loaded = 'numpy.random' in sys.modules\n"
+            f"assert cli.cmd_sweep({sweep!r}, {str(tmp_path / 'sweep')!r}, workers=1) == 0\n"
+            "sys.exit(2 * loaded + ('numpy.random' in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep" / "point_delta_01" / "summary.json").exists()
 
 
 def _import_viscowave_in(env: dict, code: str) -> str:

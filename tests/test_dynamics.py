@@ -452,6 +452,26 @@ def _adapt_dt_differentiating(state, laws, grid_, cfg):
     return max(dt, 1e-14)
 
 
+def test_the_heat_operator_is_rebuilt_only_when_its_key_changes(monkeypatch):
+    # an adaptive run whose clipped last step changes dt: the stepper keeps
+    # the last (n, r) operator, read-only, and builds one for each new key
+    scen = sc.battery_scenario("coupled")
+    grid_ = scen.make_grid()
+    cfg = replace(scen.scheme, adaptive=True, dt_initial=1e-2, dt_max=1e-2)
+    built, solved = [], []
+    neumann, solve = dyn.tridiag.neumann, dyn._solve_theta_stage
+    monkeypatch.setattr(dyn.tridiag, "neumann", lambda n, r: built.append(r) or neumann(n, r))
+    monkeypatch.setattr(dyn, "_solve_theta_stage", lambda rhs_, grid_arg, dt, w, tol: (
+        solved.append(w * dt / grid_arg.dx ** 2) or solve(rhs_, grid_arg, dt, w, tol)))
+    dyn._heat_operator.cache_clear()
+    traj = dyn.simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), 0.2, cfg, scen.monitors)
+    assert traj.steps_taken == len(solved) == 29
+    assert built == [r for i, r in enumerate(solved) if i == 0 or r != solved[i - 1]]
+    assert len(built) == 2
+    op = dyn._heat_operator(grid_.n, solved[-1])
+    assert not any(w.flags.writeable for w in (op.lower, op.diag, op.upper))
+
+
 def test_adaptive_run_reads_vx_from_the_state_eval(monkeypatch):
     # in blocks of one state, the accumulators read that state's own v_x,
     # which adapt_dt has cached (a stacked block differentiates its rows once)
