@@ -29,8 +29,6 @@ import csv
 import json
 import math
 import os
-import pickle
-import signal
 import sys
 import traceback
 from dataclasses import asdict, replace
@@ -148,100 +146,14 @@ def _bounds_block(traj: dyn.Trajectory) -> dict:
     }
 
 
-_K_ESTIMATES: dict[tuple, diag.KEstimate] = {}  # by _k_key: probed here or by a _KChild
-
-
-def _estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
-                seed: int) -> diag.KEstimate:
-    """``diag.estimate_K`` once per distinct key in this process: it depends
-    on neither the data nor delta, alpha or kappa, so the points of a sweep
-    share it, and runs share it with a :class:`_KChild` of the same key."""
-    key = (p, D, trials, grid_, T, seed)
-    if key not in _K_ESTIMATES:
-        _K_ESTIMATES[key] = diag.estimate_K(p=p, D=D, trials=trials, grid_=grid_, T=T, seed=seed)
-    return _K_ESTIMATES[key]
-
-
-def _k_key(config: cfgmod.RunConfig, grid_: g.Grid1D) -> tuple:
-    """The arguments of the run's :func:`_estimate_K`."""
-    scen = config.scenario
-    return (4.0, scen.laws.gamma0, config.k_trials, grid_, scen.monitors.T0, config.seed)
-
-
-class _KChild:
-    """:func:`_estimate_K` of one key, computed in a forked child at a lower
-    priority while this process integrates, and sent back pickled through a
-    pipe.  The probe is the only code that imports ``numpy.random``, so a
-    process whose probe runs in a child never loads it.  The child leaves
-    only through ``os._exit``: it never returns into the caller.  The caller
-    must end every child by ``reap`` or ``kill``; a reaped child is not
-    touched again.  The child calls no threaded BLAS
-    kernel (``dgtsv`` is unthreaded), so BLAS worker threads left in this
-    process by a user-set ``OPENBLAS_NUM_THREADS`` do no work in it.
-    """
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.fd, w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(self.fd)
-            os.close(w)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(self.fd)
-                os.nice(10)
-                with open(w, "wb") as fh:
-                    pickle.dump(_estimate_K(*key), fh)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-
-    def reap(self) -> None:
-        """Waits for the child to exit and reaps it; if it exited cleanly,
-        its estimate is kept for its key as :func:`_estimate_K` keeps its
-        own.  Does nothing once the child is reaped."""
-        if self.pid is None:
-            return
-        try:
-            with open(self.fd, "rb") as fh:
-                data = fh.read()
-        finally:
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-        if status == 0:
-            _K_ESTIMATES[self.key] = pickle.loads(data)
-
-    def kill(self) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            self.reap()
-
-    @classmethod
-    def start(cls, config: cfgmod.RunConfig):
-        """The child of a run whose probe is not yet made in this process,
-        else None (also off Linux, or when the system cannot fork: the run
-        then probes K itself)."""
-        if sys.platform != "linux":
-            return None
-        key = _k_key(config, config.scenario.make_grid())
-        if key in _K_ESTIMATES:
-            return None
-        try:
-            return cls(key)
-        except OSError:
-            return None
-
-
 def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory) -> dict:
     scen = config.scenario
     last = traj.rows[-1]
-    kest = _estimate_K(*_k_key(config, traj.grid))
-    consts = diag.theory_constants(kest.K, scen.a, scen.monitors.T0, scen.laws.alpha)
+    # K(p, D) at p = 4, D = gamma0: the steady single-mode ratios of
+    # diag.estimate_K rise to D^-p as the mode's frequency grows, so D^-p is
+    # their supremum and a lower bound of K, with no march
+    K = scen.laws.gamma0 ** -4.0
+    consts = diag.theory_constants(K, scen.a, scen.monitors.T0, scen.laws.alpha)
     return {
         "scenario": scen.name,
         "status": traj.status,
@@ -257,7 +169,8 @@ def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory) -> dict:
         "bounds": _bounds_block(traj),
         "monitors_final": asdict(traj.monitors),
         "theory_constants": {
-            "K_est": {"value": kest.K, "provenance": "estimated (lower bound, not certified)"},
+            "K_est": {"value": K, "provenance": "closed form: the supremum of the single-mode "
+                                                "ratios, a lower bound of K"},
             "delta_est": {"value": consts.delta_est, "provenance": "estimated (from K_est lower bound)"},
             "kappa_est": {"value": consts.kappa_est, "provenance": "estimated (from K_est lower bound)"},
             "q": {"value": consts.q, "provenance": "configured (4*alpha - 2)"},
@@ -278,8 +191,8 @@ def _summary_payload(config: cfgmod.RunConfig, traj: dyn.Trajectory) -> dict:
 
 
 def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: str) -> None:
-    """The run's artifacts.  The summary, with its K estimate, is built
-    before any file is written, so a summary that raises leaves none."""
+    """The run's artifacts.  The summary is built before any file is
+    written, so a summary that raises leaves none."""
     summary = json.dumps(_summary_payload(config, traj), indent=2, sort_keys=True) + "\n"
     try:
         text = cfgmod.serialize_config(config)
@@ -296,25 +209,14 @@ def _write_artifacts(config: cfgmod.RunConfig, traj: dyn.Trajectory, out_dir: st
 
 
 def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
-    """Execute one configured run and write its artifacts.
-
-    On Linux the K probe runs in a :class:`_KChild` beside the trajectory;
-    if the child sends nothing, the probe runs here, so that it fails as it
-    would have.  No child outlives the call.
-    """
+    """Execute one configured run and write its artifacts."""
     try:
         config = cfgmod.parse_config(config_path)
         if out_dir is not None:
             config = replace(config, out_dir=out_dir)
         if seed is not None:
             config = replace(config, seed=seed)
-        child = _KChild.start(config)
-        try:
-            traj = _run(config)
-        except BaseException:
-            if child is not None:
-                child.kill()
-            raise
+        traj = _run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -322,8 +224,6 @@ def cmd_run(config_path: str, out_dir: str | None = None, seed: int | None = Non
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    if child is not None:
-        child.reap()
     _write_artifacts(config, traj, config.out_dir)
     if traj.status == "aborted":
         print(f"solver failure after {traj.steps_taken} steps: {traj.error}", file=sys.stderr)
@@ -381,12 +281,6 @@ def _sweep_point(task):
     points run as one ensemble (a single point on its own), and it returns
     one row per point.  Any exception stays with its point: the row reads
     status ``failed`` and carries the error, and the other points still run.
-
-    On Linux the K probe of the first valid point runs in a :class:`_KChild`
-    while the points integrate; every point of a task has the same probe key
-    (an ``ensemble`` axis changes none of its arguments, and other axes run
-    one point per task).  The child is reaped before the first artifacts are
-    written, and killed if no point gets that far or the task raises.
     """
     base, axis, values, subdirs = task
     rows, configs = {}, {}
@@ -395,25 +289,18 @@ def _sweep_point(task):
             configs[i] = _point_config(base, axis, val, sub)
         except Exception as exc:  # one bad point must not end the sweep
             rows[i] = _failed_row(axis, val, exc)
-    child = _KChild.start(next(iter(configs.values()))) if configs else None
-    try:
-        trajs = dict(zip(configs, _run_ensemble(list(configs.values())) or ()))
-        for i, config in configs.items():
-            try:
-                traj = trajs[i] if i in trajs else _run(config)
-                if child is not None:
-                    child.reap()
-                _write_artifacts(config, traj, config.out_dir)
-                rows[i] = {"axis": axis, "value": values[i], "status": traj.status,
-                           "drift_max": traj.max_drift,
-                           "blowup": traj.blowup is not None and traj.blowup.fired,
-                           "monitors_finite": traj.monitors.all_finite(),
-                           "error": traj.error or ""}
-            except Exception as exc:
-                rows[i] = _failed_row(axis, values[i], exc)
-    finally:
-        if child is not None:
-            child.kill()  # a no-op once reaped; else no point needed it, or the task raised
+    trajs = dict(zip(configs, _run_ensemble(list(configs.values())) or ()))
+    for i, config in configs.items():
+        try:
+            traj = trajs[i] if i in trajs else _run(config)
+            _write_artifacts(config, traj, config.out_dir)
+            rows[i] = {"axis": axis, "value": values[i], "status": traj.status,
+                       "drift_max": traj.max_drift,
+                       "blowup": traj.blowup is not None and traj.blowup.fired,
+                       "monitors_finite": traj.monitors.all_finite(),
+                       "error": traj.error or ""}
+        except Exception as exc:
+            rows[i] = _failed_row(axis, values[i], exc)
     return [rows[i] for i in range(len(values))]
 
 

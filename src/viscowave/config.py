@@ -62,18 +62,16 @@ class RunConfig:
     """A fully resolved experiment: scenario plus run-level controls.
 
     ``dump_fields`` additionally writes one x,u,v,theta snapshot file per
-    diagnostic sample into ``<out_dir>/fields/``.
+    diagnostic sample into ``<out_dir>/fields/``.  ``seed`` is echoed in the
+    summary and drives nothing.
     """
 
     scenario: sc.Scenario
     out_dir: str = "runs/out"
     seed: int = 0
-    k_trials: int = 3
     dump_fields: bool = False
 
     def __post_init__(self):
-        if self.k_trials < 1:
-            raise ConfigError("k_trials must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

@@ -7,8 +7,9 @@ integrals of ``v_x^4`` and ``(Theta+1)^{4 alpha}``, instantaneous Sobolev
 norms of the temperature and velocity, and the damped-antiderivative
 transform that turns the velocity equation into a scalar parabolic problem
 with mixed boundary conditions.  The maximal-regularity constant of that
-scalar problem is probed numerically by :func:`estimate_K`; the smallness
-parameters derived from it are assembled by :func:`theory_constants`.
+scalar problem is bounded below in closed form by D^-p, the supremum of the
+single-mode ratios that :func:`estimate_K` marches; the smallness parameters
+derived from it are assembled by :func:`theory_constants`.
 """
 
 from __future__ import annotations
@@ -397,15 +398,6 @@ class KEstimate:
 K_MIN_STEPS = 64  # the fewest time steps of a march that estimate_K accepts
 
 
-def _mixed_modes(grid_: g.Grid1D, ks, coeffs) -> np.ndarray:
-    x = grid_.nodes
-    L = grid_.length
-    out = np.zeros(grid_.n)
-    for k, c in zip(ks, coeffs):
-        out += c * np.sin((k + 0.5) * np.pi * x / L)
-    return out
-
-
 def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarray:
     """Space-time L^p integral of z_xx for z_t = D z_xx + g with z(0)=z_x(L)=0.
 
@@ -468,50 +460,49 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarr
 
 
 def estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
-               dt: float | None = None, seed: int = 0) -> KEstimate:
+               dt: float | None = None) -> KEstimate:
     """Probe the maximal-regularity ratio over a family of trial problems.
 
     Trial 0 is the pure decaying fundamental mode (closed-form ratio
-    ``(1 - e^{-4 D lambda T}) / (4 D lambda)`` for p = 4); trial 1 is pure
-    steady forcing by the same mode; later trials draw random mixed-mode
-    combinations from a seeded generator, so the trial sequence is a
-    deterministic prefix: more trials can only raise the estimate.  A trial
-    whose data vanish is skipped.  The other trials march together, as the
-    right-hand-side columns of one solve per step, each with the bits of its
-    own march.  ``dt`` (default T / 512) must give at least
-    :data:`K_MIN_STEPS` steps: a march of a few steps resolves nothing.
+    ``(1 - e^{-4 D lambda T}) / (4 D lambda)`` for p = 4); trial t >= 1 is
+    steady forcing by the single mode sin(mu_k x), mu_k = (k + 1/2) pi / L,
+    k = t - 1, which vanishes at x = 0 and is flat at x = L; its ratio has
+    the closed form
+    ``R_k = (1 / (T D^p)) int_0^T (1 - e^{-D mu_k^2 t})^p dt``, rising to
+    D^-p as k grows.  The trial sequence is a prefix: more trials can only
+    raise the estimate.  The trials march together, as the right-hand-side
+    columns of one solve per step, each with the bits of its own march.
+
+    The march must resolve its fastest mode, mu_max = mu_k at the last
+    trial: the dt it takes, T / round(T / dt), must satisfy
+    D mu_max^2 dt <= 1, or Crank-Nicolson, which does not damp a stiff mode,
+    reports fast modes' ratios above D^-p.  It must also take at least
+    :data:`K_MIN_STEPS` steps: a march of a few steps resolves nothing.  The
+    default dt is the largest of whole steps within T / 512 and
+    1 / (D mu_max^2).
     """
     if trials < 1:
         raise DomainError("estimate_K needs at least one trial")
+    mu_max = (max(trials - 2, 0) + 0.5) * np.pi / grid_.length
+    fewest = D * mu_max ** 2 * T  # the fewest steps with D mu_max^2 dt <= 1
     if dt is None:
-        dt = T / 512.0
+        dt = T / max(512, math.ceil(fewest)) if math.isfinite(fewest) else math.nan
     if not all(math.isfinite(v) and v > 0 for v in (p - 1, D, T, dt)):
         raise DomainError("estimate_K requires finite p > 1, D > 0, T > 0 and dt > 0")
     if not (math.isfinite(T / dt) and round(T / dt) >= K_MIN_STEPS):
         raise DomainError(f"estimate_K needs T / dt finite and at least {K_MIN_STEPS} steps, "
                           f"got T = {T!r}, dt = {dt!r}")
-    rng = np.random.default_rng(seed)
+    if round(T / dt) < fewest:
+        raise DomainError(f"estimate_K's dt must resolve its fastest mode, D mu_max^2 dt <= 1: "
+                          f"got {fewest / round(T / dt):.4g} at T = {T!r}, dt = {dt!r}")
+    modes = [np.sin((k + 0.5) * np.pi * grid_.nodes / grid_.length)
+             for k in range(max(trials - 1, 1))]
     zero = np.zeros(grid_.n)
-    z0s, gsrcs, denoms = [], [], []
-    for trial in range(trials):
-        if trial == 0:
-            z0, gsrc = _mixed_modes(grid_, [0], [1.0]), zero
-        elif trial == 1:
-            z0, gsrc = zero, _mixed_modes(grid_, [0], [1.0])
-        else:
-            ks = np.arange(4)
-            z0 = _mixed_modes(grid_, ks, rng.standard_normal(4) / (1.0 + ks) ** 2)
-            gsrc = _mixed_modes(grid_, ks, rng.standard_normal(4) / (1.0 + ks) ** 2)
-        z0xx = g.d2(z0, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-        denom = g.integrate(np.abs(z0xx) ** p, grid_) + T * g.integrate(np.abs(gsrc) ** p, grid_)
-        if denom == 0.0:
-            continue
-        z0s.append(z0)
-        gsrcs.append(gsrc)
-        denoms.append(denom)
-    if not denoms:
-        raise DomainError("all estimate_K trials were degenerate")
-    z0s, gsrcs = np.array(z0s), np.array(gsrcs)  # the lists of rows go before the march
+    z0s = np.array(modes[:1] + [zero] * (trials - 1))
+    gsrcs = np.array([zero] + modes[:trials - 1])
+    z0xx = g.d2(modes[0], grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
+    denoms = [g.integrate(np.abs(z0xx) ** p, grid_)]
+    denoms += [T * g.integrate(np.abs(m) ** p, grid_) for m in modes[:trials - 1]]
     nums = _solve_mixed_heat(z0s, gsrcs, D, T, dt, grid_, p)
     ratios = tuple(float(num / denom) for num, denom in zip(nums, denoms))
     return KEstimate(p=p, D=D, K=max(ratios), ratios=ratios)

@@ -134,16 +134,16 @@ EIGEN_RATIO = 0.10131594298788985  # (1 - e^{-4 lam T}) / (4 lam), lam = (pi/2)^
 def test_criterion_06_maximal_regularity_estimator():
     with criterion(6, "regularity-constant estimator vs closed form"):
         grid_ = g.Grid1D(1.0, 129)
-        one = diag.estimate_K(p=4.0, D=1.0, trials=1, grid_=grid_, T=1.0, seed=0)
+        one = diag.estimate_K(p=4.0, D=1.0, trials=1, grid_=grid_, T=1.0)
         assert one.ratios[0] == pytest.approx(EIGEN_RATIO, rel=0.02)
-        ks = [diag.estimate_K(4.0, 1.0, m, grid_, 1.0, seed=0).K for m in range(1, 6)]
+        ks = [diag.estimate_K(4.0, 1.0, m, grid_, 1.0).K for m in range(1, 6)]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
 
 
 def test_criterion_07_theory_constants_saturate():
     with criterion(7, "smallness relations saturate at 1/4"):
         grid_ = g.Grid1D(1.0, 129)
-        K = diag.estimate_K(4.0, 1.0, 3, grid_, 1.0, seed=0).K
+        K = diag.estimate_K(4.0, 1.0, 3, grid_, 1.0).K
         for a, T0, alpha in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.2)):
             c = diag.theory_constants(K, a, T0, alpha)
             assert 256.0 * K * c.delta_est ** 4 == pytest.approx(0.25, rel=1e-12)
@@ -204,7 +204,7 @@ def test_criterion_10_eps_cascade():
 def test_criterion_11_monitor_boundedness_under_sweeps():
     with criterion(11, "monitors stay finite across delta and alpha sweeps"):
         grid_ = g.Grid1D(1.0, 129)
-        K = diag.estimate_K(4.0, 1.0, 3, grid_, 1.0, seed=0).K
+        K = diag.estimate_K(4.0, 1.0, 3, grid_, 1.0).K
         delta_est = diag.theory_constants(K, 1.0, 1.0, 1.0).delta_est
         coupled = sc.battery_scenario("coupled")
         for delta in (0.0, delta_est / 2.0, delta_est):

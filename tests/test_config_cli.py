@@ -124,7 +124,7 @@ def _mms_scenario(case: str) -> sc.Scenario:
 
 
 # every battery scenario and both manufactured solutions, at non-default run controls
-ROUND_TRIP_CONFIGS = [cfgmod.RunConfig(scen, out_dir="elsewhere", seed=11, k_trials=2)
+ROUND_TRIP_CONFIGS = [cfgmod.RunConfig(scen, out_dir="elsewhere", seed=11)
                       for scen in sc.builtin_battery() + [_mms_scenario("stationary"),
                                                           _mms_scenario("exponential")]]
 
@@ -140,7 +140,7 @@ def test_round_trip_of_battery_config():
 # a valid value other than the default for every key of the dataclass-backed
 # sections that set no part of the scenario
 NON_DEFAULT_RUN = {
-    "run": (cfgmod.RunConfig, dict(out_dir="elsewhere", seed=5, k_trials=2, dump_fields=True)),
+    "run": (cfgmod.RunConfig, dict(out_dir="elsewhere", seed=5, dump_fields=True)),
     "sweep": (cfgmod.SweepConfig, dict(axis="kappa", values=(2.0, 3.0), workers=4)),
     "converge": (cfgmod.ConvergeConfig, dict(n_values=(17, 33), dt_scaling="quadratic")),
 }
@@ -212,7 +212,6 @@ scenario = custom
 name = coupled
 out_dir = runs/out
 seed = 0
-k_trials = 3
 dump_fields = False
 
 [material]
@@ -477,160 +476,22 @@ def test_field_dumps_are_the_sampled_states_written_as_final_state(tmp_path):
     assert dumps[-1].read_bytes() == (out / "final_state.csv").read_bytes()
 
 
-linux_only = pytest.mark.skipif(sys.platform != "linux", reason="the K child is forked on Linux only")
-
-
-@pytest.fixture
-def k_children(monkeypatch):
-    """Records the K children: returns {pid: exit status or None}, filled
-    as the children are forked and reaped."""
-    children = {}
-    fork, waitpid = os.fork, os.waitpid
-
-    def forking():
-        pid = fork()
-        if pid:
-            children[pid] = None
-        return pid
-
-    def reaping(pid, options):
-        got = waitpid(pid, options)
-        children[pid] = got[1]
-        return got
-
-    monkeypatch.setattr(os, "fork", forking)
-    monkeypatch.setattr(os, "waitpid", reaping)
-    cli._K_ESTIMATES.clear()
-    yield children
-    cli._K_ESTIMATES.clear()
-
-
-def _reaped(pid) -> bool:
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def _no_fork():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
-
-
-@linux_only
-def test_artifacts_are_the_same_with_and_without_a_k_child(tmp_path, monkeypatch):
-    path = write_ini(tmp_path, COUPLED_INI)
-    parent_calls = []
-    estimate_K = diag.estimate_K
-    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: parent_calls.append(1) or estimate_K(*a, **k))
-    for out in ("child", "here"):
-        cli._K_ESTIMATES.clear()
-        if out == "here":
-            monkeypatch.setattr(os, "fork", _no_fork)
-        assert cli.cmd_run(path, out_dir=str(tmp_path / out)) == cli.EXIT_OK
-        assert len(parent_calls) == (out == "here")  # the child's call is not this process's
-    cli._K_ESTIMATES.clear()
-    for f in ("timeseries.csv", "final_state.csv", "summary.json"):
-        assert (tmp_path / "child" / f).read_bytes() == (tmp_path / "here" / f).read_bytes()
-
-
-@linux_only
-def test_a_run_that_cannot_fork_probes_k_itself(tmp_path, monkeypatch):
-    path = write_ini(tmp_path, COUPLED_INI)
-    assert cli.cmd_run(path, out_dir=str(tmp_path / "here")) == cli.EXIT_OK
-    monkeypatch.setattr(os, "fork", _no_fork)
-    cli._K_ESTIMATES.clear()
-    fds = len(os.listdir("/proc/self/fd"))
-    assert cli.cmd_run(path, out_dir=str(tmp_path / "no_fork")) == cli.EXIT_OK
-    assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
-    for f in ("timeseries.csv", "final_state.csv", "summary.json"):
-        assert (tmp_path / "no_fork" / f).read_bytes() == (tmp_path / "here" / f).read_bytes()
-
-
-@linux_only
-def test_a_completed_run_reaps_its_k_child(tmp_path, k_children):
-    path = write_ini(tmp_path, COUPLED_INI)
-    assert cli.cmd_run(path) == cli.EXIT_OK
-    [(pid, status)] = k_children.items()
-    assert status == 0 and _reaped(pid)
-
-
-@linux_only
-def test_a_second_run_of_the_same_k_key_uses_the_first_childs_estimate(tmp_path, monkeypatch,
-                                                                        k_children):
-    path = write_ini(tmp_path, COUPLED_INI)
-    calls = []
-    estimate_K = diag.estimate_K
-    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
-    for out in ("first", "second"):
-        assert cli.cmd_run(path, out_dir=str(tmp_path / out)) == cli.EXIT_OK
-    [(pid, status)] = k_children.items()  # one fork, for the first run
-    assert status == 0 and _reaped(pid) and calls == []  # no probe in this process
-    assert len(cli._K_ESTIMATES) == 1
-    for f in ("timeseries.csv", "final_state.csv", "summary.json"):
-        assert (tmp_path / "first" / f).read_bytes() == (tmp_path / "second" / f).read_bytes()
-
-
-@linux_only
-def test_a_run_that_fails_its_hypotheses_kills_its_k_child(tmp_path, capsys, k_children):
-    # the laws are parsed, then rejected by dyn.run: the child is running
-    path = write_ini(tmp_path, COUPLED_INI + "\n[material]\nf_family = power\nalpha = 1.6\n")
-    assert cli.cmd_run(path) == cli.EXIT_CONFIG
-    assert "alpha" in capsys.readouterr().err
-    [pid] = k_children
-    assert _reaped(pid)
-
-
-@linux_only
-def test_an_interrupted_run_kills_its_k_child(tmp_path, monkeypatch, k_children):
-    def interrupted(*args, **kwargs):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(dyn, "run", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        cli.cmd_run(write_ini(tmp_path, COUPLED_INI))
-    [pid] = k_children
-    assert _reaped(pid)
-
-
-@linux_only
-@pytest.mark.parametrize("exc", [RuntimeError("probe failed"), DomainError("probe failed")],
-                         ids=lambda exc: type(exc).__name__)
-def test_a_k_probe_that_raises_in_the_child_raises_in_the_run(tmp_path, monkeypatch, k_children,
-                                                                exc):
-    # the child sends nothing, so the run probes K itself and raises where
-    # it would have without a child: out of cmd_run, before any artifact
-    def failing(*args, **kwargs):
-        raise exc
-
-    monkeypatch.setattr(diag, "estimate_K", failing)
-    out = tmp_path / "out"
-    with pytest.raises(type(exc), match="probe failed"):
-        cli.cmd_run(write_ini(tmp_path, COUPLED_INI), out_dir=str(out))
-    [(pid, status)] = k_children.items()
-    assert status != 0 and _reaped(pid)
-    assert not out.exists()
-
-
 def test_a_summary_that_raises_leaves_no_artifacts(tmp_path, monkeypatch):
-    # the probe runs in this process, the fork refused, and raises while the
-    # summary is built: it surfaces out of cmd_run, and no file is written
+    # the theory constants raise while the summary is built: it surfaces out
+    # of cmd_run, and no file is written
     def failing(*args, **kwargs):
-        raise RuntimeError("probe failed")
+        raise RuntimeError("constants failed")
 
-    monkeypatch.setattr(os, "fork", _no_fork)
-    monkeypatch.setattr(diag, "estimate_K", failing)
-    cli._K_ESTIMATES.clear()
+    monkeypatch.setattr(diag, "theory_constants", failing)
     out = tmp_path / "out"
-    with pytest.raises(RuntimeError, match="probe failed"):
+    with pytest.raises(RuntimeError, match="constants failed"):
         cli.cmd_run(write_ini(tmp_path, COUPLED_INI), out_dir=str(out))
     assert not out.exists()
 
 
-def test_a_negative_seed_is_a_config_error_before_any_step(tmp_path, monkeypatch, capsys,
-                                                          k_children):
-    # from the file or from --seed, run and sweep exit 2: no fork, no step,
-    # no run or point directory
+def test_a_negative_seed_is_a_config_error_before_any_step(tmp_path, monkeypatch, capsys):
+    # from the file or from --seed, run and sweep exit 2: no step, no run or
+    # point directory
     def no_step(*args, **kwargs):
         raise AssertionError("stepped")
 
@@ -643,7 +504,49 @@ def test_a_negative_seed_is_a_config_error_before_any_step(tmp_path, monkeypatch
                  ["sweep", "--config", sweep, "--seed", "-1", "--workers", "1"]):
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "seed must be non-negative" in capsys.readouterr().err
-    assert k_children == {} and not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gamma0", [None, 1.3], ids=["coupled.ini", "gamma0=1.3"])
+def test_K_est_is_the_closed_form_gamma0_to_the_minus_4(tmp_path, gamma0):
+    # K(4, D) >= D^-4 with D = gamma0, and delta_est and kappa_est follow from it
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "config", "coupled.ini")
+    if gamma0 is not None:
+        path = write_ini(tmp_path, COUPLED_INI + f"\n[material]\ngamma0 = {gamma0}\n")
+    out = tmp_path / "out"
+    assert cli.cmd_run(path, out_dir=str(out)) == cli.EXIT_OK
+    scen = cfgmod.parse_config(path).scenario
+    assert scen.laws.gamma0 == (1.0 if gamma0 is None else gamma0)
+    consts = json.loads((out / "summary.json").read_text())["theory_constants"]
+    K = scen.laws.gamma0 ** -4
+    assert consts["K_est"]["value"].hex() == K.hex()
+    assert consts["K_est"]["provenance"].startswith("closed form")
+    ref = diag.theory_constants(K, scen.a, scen.monitors.T0, scen.laws.alpha)
+    assert consts["delta_est"]["value"].hex() == ref.delta_est.hex()
+    assert consts["kappa_est"]["value"].hex() == ref.kappa_est.hex()
+
+
+def test_a_run_and_a_sweep_fork_no_process(tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    run = write_ini(tmp_path, COUPLED_INI)
+    sweep = write_ini(tmp_path, COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n",
+                      name="sweep.ini")
+    assert cli.main(["run", "--config", run, "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert cli.main(["sweep", "--config", sweep, "--workers", "1",
+                     "--out", str(tmp_path / "sweep")]) == cli.EXIT_OK
+    assert forks == []
+    assert (tmp_path / "sweep" / "point_delta_01" / "summary.json").exists()
+
+
+def test_k_trials_is_an_unknown_key(tmp_path, capsys):
+    # K_est is a closed form: no config key sets a number of K trials
+    path = write_ini(tmp_path, COUPLED_INI.replace("seed = 11\n", "seed = 11\nk_trials = 3\n"))
+    with pytest.raises(ConfigError, match="k_trials"):
+        cfgmod.parse_config(path)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert "k_trials" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _step_raising_after(monkeypatch, calls, exc):
@@ -874,93 +777,6 @@ def test_ensemble_that_raises_outside_the_package_is_reported_and_run_point_by_p
     assert [r["status"] for r in rows] == ["completed", "completed"]
 
 
-@linux_only
-def test_sweep_computes_estimate_K_once(tmp_path, monkeypatch, k_children):
-    # two tasks in this process (an inline pool): one child for the first,
-    # whose estimate the second reads; none of the probes runs here
-    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
-    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
-    calls = []
-    estimate_K = cli.diag.estimate_K
-    monkeypatch.setattr(cli.diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=2) == cli.EXIT_OK
-    assert len(_InlinePool.tasks) == 2
-    [(pid, status)] = k_children.items()
-    assert status == 0 and _reaped(pid) and calls == []
-    summaries = [json.loads((tmp_path / "sw" / f"point_delta_{i:02d}" / "summary.json").read_text())
-                 for i in range(3)]
-    assert len({json.dumps(s["theory_constants"]) for s in summaries}) == 1
-
-
-@linux_only
-def test_a_sweep_task_reaps_its_k_child_after_the_ensemble(tmp_path, monkeypatch, k_children):
-    # the child is running while the ensemble integrates, and has exited
-    # cleanly and been reaped before the first artifacts are written
-    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
-    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
-    seen = []
-    simulate, write = dyn.simulate, cli._write_artifacts
-    monkeypatch.setattr(dyn, "simulate",
-                        lambda *a, **k: seen.append(("simulate", dict(k_children))) or simulate(*a, **k))
-    monkeypatch.setattr(cli, "_write_artifacts",
-                        lambda *a, **k: seen.append(("write", dict(k_children))) or write(*a, **k))
-    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_OK
-    [(pid, status)] = k_children.items()
-    assert status == 0 and _reaped(pid)
-    assert seen == [("simulate", {pid: None})] + [("write", {pid: 0})] * 3
-
-
-@linux_only
-@pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError], ids=lambda e: e.__name__)
-def test_a_sweep_task_that_raises_kills_its_k_child(tmp_path, monkeypatch, k_children, exc):
-    # an interrupt leaves the task; an error fails each point, so that no
-    # point needs the estimate: either way the child is killed and reaped
-    def raising(*args, **kwargs):
-        raise exc("stop")
-
-    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05\n"
-    path = write_ini(tmp_path, text, name="sweep.ini", out=str(tmp_path / "sw"))
-    monkeypatch.setattr(dyn, "simulate", raising)
-    if exc is KeyboardInterrupt:
-        with pytest.raises(KeyboardInterrupt):
-            cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1)
-    else:
-        assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
-    [pid] = k_children
-    assert _reaped(pid)
-    assert not list((tmp_path / "sw").glob("point_*"))
-
-
-@linux_only
-def test_a_sweep_that_cannot_fork_probes_k_itself(tmp_path, monkeypatch, k_children):
-    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
-    path = write_ini(tmp_path, text, name="sweep.ini")
-    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "child"), workers=1) == cli.EXIT_OK
-    assert len(k_children) == 1
-    cli._K_ESTIMATES.clear()
-    monkeypatch.setattr(os, "fork", _no_fork)
-    calls = []
-    estimate_K = diag.estimate_K
-    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: calls.append(1) or estimate_K(*a, **k))
-    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "here"), workers=1) == cli.EXIT_OK
-    assert len(calls) == 1
-    for i in range(3):
-        for f in ("timeseries.csv", "final_state.csv", "summary.json"):
-            a, b = (tmp_path / side / f"point_delta_{i:02d}" / f for side in ("child", "here"))
-            assert a.read_bytes() == b.read_bytes()
-    assert (tmp_path / "child" / "sweep.csv").read_bytes() == (tmp_path / "here" / "sweep.csv").read_bytes()
-
-
-@linux_only
-def test_a_sweep_task_with_no_valid_point_starts_no_k_child(tmp_path, k_children):
-    # alpha = 0.8 and 0.7 break the growth bound of the linear coupling
-    text = COUPLED_INI + "\n[sweep]\naxis = alpha\nvalues = 0.8, 0.7\n"
-    path = write_ini(tmp_path, text, name="sweep.ini")
-    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
-    assert k_children == {}
-
-
 def test_a_sweep_reads_its_config_once(tmp_path, monkeypatch):
     # the tasks carry the parsed config, --seed included: the points do not
     # read the file again
@@ -1055,7 +871,7 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,extra,needle", [
-    ("run", "[monitors]\nT0 = 0\n", "T0"),  # else estimate_K fails once the run is over
+    ("run", "[monitors]\nT0 = 0\n", "T0"),  # else theory_constants fails once the run is over
     ("run", "[domain]\na = 0\n", "elastic modulus a"),  # else a solver error from the stepper
     ("run", "[initial]\namp_x = 0.3\n", "amp_x"),  # else a TypeError from the generator
     ("sweep", "[initial]\namp_x = 0.3\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n", "amp_x"),
@@ -1291,17 +1107,16 @@ def test_cli_import_does_not_load(module):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-@linux_only
-def test_a_run_and_a_sweep_leave_numpy_random_to_the_k_child(tmp_path):
-    # the K probe is the only user of numpy.random, and it runs in a child
+def test_a_run_a_sweep_and_estimate_K_do_not_import_numpy_random(tmp_path):
+    # nothing in viscowave draws random numbers: its trials are deterministic
     run = write_ini(tmp_path, COUPLED_INI)
     sweep = write_ini(tmp_path, COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n",
                       name="sweep.ini")
-    code = ("import sys\nfrom viscowave import cli\n"
+    code = ("import sys\nfrom viscowave import cli, diagnostics, grid\n"
             f"assert cli.cmd_run({run!r}, {str(tmp_path / 'run')!r}) == 0\n"
-            "loaded = 'numpy.random' in sys.modules\n"
             f"assert cli.cmd_sweep({sweep!r}, {str(tmp_path / 'sweep')!r}, workers=1) == 0\n"
-            "sys.exit(2 * loaded + ('numpy.random' in sys.modules))\n")
+            "diagnostics.estimate_K(4.0, 1.0, 3, grid.Grid1D(1.0, 33), 1.0)\n"
+            "sys.exit('numpy.random' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -228,21 +228,53 @@ EIGEN_RATIO = 0.10131594298788985  # (1 - e^{-4 lam}) / (4 lam), lam = (pi/2)^2
 
 def test_estimate_K_eigenmode_matches_closed_form():
     grid_ = make_grid(129)
-    est = diag.estimate_K(4.0, 1.0, trials=1, grid_=grid_, T=1.0, seed=0)
+    est = diag.estimate_K(4.0, 1.0, trials=1, grid_=grid_, T=1.0)
     assert est.ratios[0] == pytest.approx(EIGEN_RATIO, rel=0.02)
 
 
 def test_estimate_K_nondecreasing_in_trials():
     grid_ = make_grid(65)
-    ks = [diag.estimate_K(4.0, 1.0, m, grid_, 1.0, seed=0).K for m in range(1, 6)]
+    ks = [diag.estimate_K(4.0, 1.0, m, grid_, 1.0).K for m in range(1, 6)]
     assert all(b >= a for a, b in zip(ks, ks[1:]))
 
 
-def test_estimate_K_deterministic_for_seed():
+def test_estimate_K_is_deterministic():
     grid_ = make_grid(65)
-    a = diag.estimate_K(4.0, 1.0, 4, grid_, 1.0, seed=42)
-    b = diag.estimate_K(4.0, 1.0, 4, grid_, 1.0, seed=42)
+    a = diag.estimate_K(4.0, 1.0, 4, grid_, 1.0)
+    b = diag.estimate_K(4.0, 1.0, 4, grid_, 1.0)
     assert a.ratios == b.ratios
+
+
+def _steady_mode_ratio(k: int, D: float, T: float, L: float, p: int = 4) -> float:
+    """R_k = (1 / (T D^p)) int_0^T (1 - e^{-D mu_k^2 t})^p dt, mu_k = (k + 1/2) pi / L,
+    integrated term by term from the binomial expansion."""
+    rate = D * ((k + 0.5) * math.pi / L) ** 2
+    integral = T + sum(math.comb(p, j) * (-1) ** j * -math.expm1(-j * rate * T) / (j * rate)
+                       for j in range(1, p + 1))
+    return integral / (T * D ** p)
+
+
+def test_estimate_K_steady_trials_match_the_closed_form_below_D_to_the_minus_p():
+    # 17 trials: steady forcing by modes k = 0 ... 15, at the default dt,
+    # which resolves mode 15 (at dt = T / 512 the march read 1.0038 there,
+    # against the closed form 0.9991)
+    est = diag.estimate_K(4.0, 1.0, 17, make_grid(129), 1.0)
+    steady = est.ratios[1:]
+    assert len(steady) == 16
+    for k, ratio in enumerate(steady):
+        assert ratio == pytest.approx(_steady_mode_ratio(k, 1.0, 1.0, 1.0), rel=1e-4, abs=0.0), k
+        assert ratio < 1.0, k
+    assert est.K == max(steady)
+
+
+def test_estimate_K_refuses_a_dt_that_does_not_resolve_its_fastest_mode():
+    # the fastest trial forces mode k = 15: D mu^2 = (15.5 pi)^2 = 2371.2
+    grid_ = make_grid(33)
+    with pytest.raises(DomainError, match="fastest mode"):
+        diag.estimate_K(4.0, 1.0, 17, grid_, 1.0, dt=1.0 / 512)
+    with pytest.raises(DomainError, match="fastest mode"):
+        diag.estimate_K(4.0, 1.0, 17, grid_, 1.0, dt=1.0 / 2371)
+    assert len(diag.estimate_K(4.0, 1.0, 17, grid_, 1.0, dt=1.0 / 2372).ratios) == 17
 
 
 def test_estimate_K_argument_checks():
@@ -601,9 +633,9 @@ def test_estimate_K_batched_march_is_the_per_trial_dgtsv_march(n, trials, monkey
     # at n = 513 a row's trapezoid sum (numpy sums pairwise in blocks of 128
     # values) spans several blocks of the march's work array
     grid_ = g.Grid1D(1.0, n)
-    batched = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    batched = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0)
     monkeypatch.setattr(diag, "_solve_mixed_heat", _per_trial(_dgtsv_march))
-    ref = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    ref = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0)
     assert len(batched.ratios) == trials
     assert [r.hex() for r in batched.ratios] == [r.hex() for r in ref.ratios]
 
@@ -613,7 +645,7 @@ def test_estimate_K_batched_march_is_the_per_trial_dgtsv_march(n, trials, monkey
 def test_estimate_K_march_on_n_nodes_is_the_doubled_grid_march(n, trials, monkeypatch):
     # the same discrete solution, reached through other roundings
     grid_ = g.Grid1D(1.0, n)
-    est = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    est = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0)
     monkeypatch.setattr(diag, "_solve_mixed_heat", _per_trial(_doubled_march))
-    ref = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0, seed=3)
+    ref = diag.estimate_K(4.0, 1.3, trials, grid_, 1.0)
     assert est.ratios == pytest.approx(ref.ratios, rel=1e-12, abs=0.0)
