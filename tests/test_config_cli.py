@@ -539,6 +539,62 @@ def test_a_run_and_a_sweep_fork_no_process(tmp_path, monkeypatch):
     assert (tmp_path / "sweep" / "point_delta_01" / "summary.json").exists()
 
 
+def _no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def test_artifacts_are_the_same_with_and_without_a_k_child(tmp_path, monkeypatch):
+    # K_est needs no process of its own: a run whose os.fork fails writes the
+    # same bytes as one that could fork
+    path = write_ini(tmp_path, COUPLED_INI)
+    assert cli.cmd_run(path, out_dir=str(tmp_path / "fork")) == cli.EXIT_OK
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert cli.cmd_run(path, out_dir=str(tmp_path / "no_fork")) == cli.EXIT_OK
+    for f in ("timeseries.csv", "final_state.csv", "summary.json"):
+        assert (tmp_path / "fork" / f).read_bytes() == (tmp_path / "no_fork" / f).read_bytes()
+
+
+def test_a_run_that_cannot_fork_probes_k_itself(tmp_path, monkeypatch):
+    # with os.fork refused the run still reports K_est, by the closed form
+    # gamma0^-4 and without marching estimate_K
+    monkeypatch.setattr(os, "fork", _no_fork)
+    calls = []
+    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: calls.append(1))
+    out = tmp_path / "out"
+    assert cli.cmd_run(write_ini(tmp_path, COUPLED_INI), out_dir=str(out)) == cli.EXIT_OK
+    consts = json.loads((out / "summary.json").read_text())["theory_constants"]
+    assert consts["K_est"]["value"] == 1.0 and calls == []
+
+
+def test_a_sweep_that_cannot_fork_probes_k_itself(tmp_path, monkeypatch):
+    text = COUPLED_INI + "\n[sweep]\naxis = delta\nvalues = 0.0, 0.05, 0.1\n"
+    path = write_ini(tmp_path, text, name="sweep.ini")
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "fork"), workers=1) == cli.EXIT_OK
+    monkeypatch.setattr(os, "fork", _no_fork)
+    calls = []
+    monkeypatch.setattr(diag, "estimate_K", lambda *a, **k: calls.append(1))
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "no_fork"), workers=1) == cli.EXIT_OK
+    assert calls == []
+    for i in range(3):
+        for f in ("timeseries.csv", "final_state.csv", "summary.json"):
+            a, b = (tmp_path / side / f"point_delta_{i:02d}" / f for side in ("fork", "no_fork"))
+            assert a.read_bytes() == b.read_bytes()
+        consts = json.loads(b.read_text())["theory_constants"]
+        assert consts["K_est"]["value"] == 1.0
+    assert (tmp_path / "fork" / "sweep.csv").read_bytes() == (tmp_path / "no_fork" / "sweep.csv").read_bytes()
+
+
+def test_a_sweep_task_with_no_valid_point_starts_no_k_child(tmp_path, monkeypatch):
+    # alpha = 0.8 and 0.7 break the growth bound of the linear coupling
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    text = COUPLED_INI + "\n[sweep]\naxis = alpha\nvalues = 0.8, 0.7\n"
+    path = write_ini(tmp_path, text, name="sweep.ini")
+    assert cli.cmd_sweep(path, out_dir=str(tmp_path / "sw"), workers=1) == cli.EXIT_SOLVER
+    assert forks == []
+    assert not list((tmp_path / "sw").glob("point_*"))
+
+
 def test_k_trials_is_an_unknown_key(tmp_path, capsys):
     # K_est is a closed form: no config key sets a number of K trials
     path = write_ini(tmp_path, COUPLED_INI.replace("seed = 11\n", "seed = 11\nk_trials = 3\n"))
