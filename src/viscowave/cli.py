@@ -67,9 +67,9 @@ def _write_csv(path: str, header, line: str, rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def write_timeseries(rows, path: str) -> None:
+def write_timeseries(rows: diag.Timeseries, path: str) -> None:
     line = ",".join("%d" if c == "clamp_count" else "%.17g" for c in diag.DIAG_COLUMNS) + "\n"
-    _write_csv(path, diag.DIAG_COLUMNS, line, (row.as_tuple() for row in rows))
+    _write_csv(path, diag.DIAG_COLUMNS, line, map(tuple, rows.values.tolist()))
 
 
 def write_final_state(state, grid_: g.Grid1D, path: str) -> None:
@@ -129,14 +129,16 @@ def _run(config):
 
 
 def _bounds_block(traj: dyn.Trajectory) -> dict:
-    """Observed trajectory maxima against the conserved-budget bounds."""
+    """Observed trajectory maxima against the conserved-budget bounds; a NaN
+    row makes its maximum NaN."""
     init = traj.initial_state
     data = mat.InitialData(u0=init.u, v0=init.v, theta0=init.theta)
     M = mat.data_bound_M(data, traj.grid)
     lam = mat.lambda1_bound(M, traj.a, traj.grid.length)
-    max_v2 = max(2.0 * r.E_kin for r in traj.rows)
-    max_ux2 = max(2.0 * r.E_el / traj.a for r in traj.rows)
-    max_th = max(r.mass_theta for r in traj.rows)
+    col = traj.rows.column
+    max_v2 = float((2.0 * col("E_kin")).max())
+    max_ux2 = float((2.0 * col("E_el") / traj.a).max())
+    max_th = float(col("mass_theta").max())
     return {
         "M": {"value": M.M, "provenance": "measured"},
         "B": {"value": lam.B, "provenance": "measured"},

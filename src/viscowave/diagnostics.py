@@ -14,7 +14,7 @@ derived from it are assembled by :func:`theory_constants`.
 
 from __future__ import annotations
 
-import collections
+import collections.abc
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -479,7 +479,10 @@ def estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
     reports fast modes' ratios above D^-p.  It must also take at least
     :data:`K_MIN_STEPS` steps: a march of a few steps resolves nothing.  The
     default dt is the largest of whole steps within T / 512 and
-    1 / (D mu_max^2).
+    1 / (D mu_max^2).  The grid must resolve that mode in space,
+    mu_max dx <= pi / 4 (four intervals or more per half wavelength), or the
+    one-sided z_xx row at x = 0 reports fast modes' ratios above D^-p (at
+    n = 33, mode 15, mu dx = 1.52, read 1.54 against D^-p = 1).
     """
     if trials < 1:
         raise DomainError("estimate_K needs at least one trial")
@@ -495,6 +498,9 @@ def estimate_K(p: float, D: float, trials: int, grid_: g.Grid1D, T: float,
     if round(T / dt) < fewest:
         raise DomainError(f"estimate_K's dt must resolve its fastest mode, D mu_max^2 dt <= 1: "
                           f"got {fewest / round(T / dt):.4g} at T = {T!r}, dt = {dt!r}")
+    if mu_max * grid_.dx > math.pi / 4:
+        raise DomainError(f"estimate_K's grid must resolve its fastest mode, mu_max dx <= pi / 4: "
+                          f"got {mu_max * grid_.dx:.4g} at n = {grid_.n}")
     modes = [np.sin((k + 0.5) * np.pi * grid_.nodes / grid_.length)
              for k in range(max(trials - 1, 1))]
     zero = np.zeros(grid_.n)
@@ -651,11 +657,9 @@ class DiagRow:
     z_residual: float
     clamp_count: int
 
-    def as_tuple(self):
-        return tuple(getattr(self, c) for c in DIAG_COLUMNS)
-
 
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagRow))
+_CLAMP = DIAG_COLUMNS.index("clamp_count")
 
 
 def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
@@ -689,12 +693,61 @@ def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
 # the timeseries: rows evaluated in blocks of recorded states
 # --------------------------------------------------------------------------
 
-BLOCK_VALUES = 4096  # one field of a block: at most this many values (32 KiB)
+BLOCK_VALUES = 4096  # one member's field in a block: at most this many values (32 KiB)
 
 
-def block_size(members: int, n: int) -> int:
-    """The most states of ``members`` runs on ``n`` nodes that a block holds."""
-    return max(1, BLOCK_VALUES // (members * n))
+def block_size(n: int) -> int:
+    """The most states on ``n`` nodes that a block holds: as many for each
+    member of a batch as for a solo run, so a field of a B-member block
+    holds at most B x ``BLOCK_VALUES`` values."""
+    return max(1, BLOCK_VALUES // n)
+
+
+def _diag_row(values: list) -> DiagRow:
+    values[_CLAMP] = int(values[_CLAMP])
+    return DiagRow(*values)
+
+
+class Timeseries(collections.abc.Sequence):
+    """A run's timeseries rows, kept as float64 columns: the
+    ``(rows, len(DIAG_COLUMNS))`` array of each flushed block, joined into
+    one array when they are first read.
+
+    Reading index i builds the i-th :class:`DiagRow` (``clamp_count`` an
+    int), and a slice gives a list of them; a Timeseries equals the list of
+    its rows.  :meth:`column` gives one column, for reductions.
+    """
+
+    def __init__(self):
+        self._blocks = []
+
+    def extend(self, block: np.ndarray) -> None:
+        """The rows of ``block``, a ``(rows, len(DIAG_COLUMNS))`` array, follow."""
+        self._blocks.append(block)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every row, as one ``(rows, len(DIAG_COLUMNS))`` float64 array."""
+        if len(self._blocks) != 1:
+            self._blocks = [np.concatenate(self._blocks) if self._blocks
+                            else np.empty((0, len(DIAG_COLUMNS)))]
+        return self._blocks[0]
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, DIAG_COLUMNS.index(name)]
+
+    def __len__(self) -> int:
+        return sum(len(b) for b in self._blocks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(_diag_row, self.values[i].tolist()))
+        return _diag_row(self.values[i].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Timeseries)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 _Stacked = collections.namedtuple("_Stacked", "t u v theta")
@@ -730,20 +783,21 @@ class Rows:
     ``q`` and ``kappa`` are then the members' parameters as a
     :class:`material.LawRows` and (B, 1) columns, ``e0`` and the
     accumulators hold one value per member, ``sample`` takes one clamp count
-    per member, and ``rows[i]`` is the i-th member's timeseries.
+    per member, and ``rows[i]`` is the i-th member's :class:`Timeseries`.
 
     ``step`` and ``sample`` only note what a state owes; ``flush`` evaluates
     the noted states as one block.  A block is flushed once it holds
-    :func:`block_size` states and the step from its last state is noted (a
-    state a block holds owes nothing more), and by ``keep`` and ``alone``;
-    whoever reads ``rows`` flushes first.
+    :func:`block_size` states, as many as a solo run's whatever the number
+    of members, and the step from its last state is noted (a state a block
+    holds owes nothing more), and by ``keep`` and ``alone``; whoever reads
+    ``rows`` flushes first.
     """
 
     def __init__(self, laws, a: float, grid_: g.Grid1D, q, kappa, e0, members: int = 1):
         self.laws, self.a, self.grid, self.q, self.kappa, self.e0 = laws, a, grid_, q, kappa, e0
         self.cum = np.zeros((members, len(CUMULATIVE)))  # a row of accumulators per member
-        self.rows: list[list[DiagRow]] = [[] for _ in range(members)]
-        self.size = block_size(members, grid_.n)
+        self.rows = [Timeseries() for _ in range(members)]
+        self.size = block_size(grid_.n)
         self._states = []  # the block's distinct StateEvals, in order
         self._steps = []  # (state index, dt) per step, in order
         self._samples = []  # (state index, left, clamps, steps before it) per sample
@@ -766,7 +820,8 @@ class Rows:
 
     def flush(self) -> None:
         """Evaluate the block, advance the accumulators in step order and
-        append its rows in sample order.
+        append its rows in sample order: one array of columns, of which each
+        member's Timeseries keeps a view of its own rows.
 
         Every derived field is computed once over the block's states stacked
         as rows (a block of one state is that state's own StateEval, cache
@@ -822,9 +877,9 @@ class Rows:
             w12_theta=np.ravel([evs[i].w12_theta for i in at]), z_residual=np.sqrt(res2),
             clamp_count=np.ravel([s[2] for s in samples]),
             **{c: cum[:, j] for j, c in enumerate(CUMULATIVE)})
-        made = [DiagRow(*row) for row in zip(*(columns[c].tolist() for c in DIAG_COLUMNS))]
+        block = np.column_stack([columns[c] for c in DIAG_COLUMNS])
         for i, own in enumerate(self.rows):
-            own.extend(made[i::width])
+            own.extend(block[i::width])
 
     def _residuals(self, evs, blk, samples, width):
         """The :func:`z_residual` fields of ``samples``, ``(index, left)``
@@ -856,7 +911,6 @@ class Rows:
         self.flush()
         self.laws, self.q, self.kappa, self.e0 = laws, q, kappa, self.e0[idx]
         self.cum, self.rows = self.cum[idx], [self.rows[i] for i in idx]
-        self.size = block_size(len(idx), self.grid.n)
 
     def alone(self, i: int, laws, q, kappa) -> "Rows":
         """Member ``i`` alone from here, with its ``laws``, ``q`` and ``kappa``:

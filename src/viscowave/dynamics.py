@@ -397,7 +397,7 @@ class Trajectory:
     initial_state: State | None = None
     final_state: State | None = None
     times: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    rows: diag.Timeseries = field(default_factory=diag.Timeseries)
     e0: float = 0.0
     clamp_total: int = 0
     steps_taken: int = 0
@@ -415,10 +415,11 @@ class Trajectory:
 
     @property
     def max_drift(self) -> float | None:
-        """The largest |energy drift| over the rows; None without rows."""
+        """The largest |energy drift| over the rows, NaN if any is NaN; None
+        without rows."""
         if not self.rows:
             return None
-        return max(abs(r.drift) for r in self.rows)
+        return float(np.abs(self.rows.column("drift")).max())
 
     def clamp_fraction(self) -> float:
         if self.steps_taken == 0:

@@ -410,14 +410,15 @@ class _Rung(dyn.Recorder):
     run: a new sample is paired with each neighbour's latest sample of the
     same time.  The pair ``(lower rung, t, fa, fb)`` is noted in
     ``pending``, one list that the whole ladder shares, and compared in a
-    block by :func:`_compare` once a stacked field of the block would exceed
-    ``diag.BLOCK_VALUES`` values.  A rung holds only its latest sample
+    block by :func:`_compare` once it holds ``diag.block_size(n)`` pairs, so
+    that a stacked field of the block holds at most ``diag.BLOCK_VALUES``
+    values.  A rung holds only its latest sample
     ``(t, (u, v, theta))``, views of the state's arrays, not copies: nothing
     writes to a state's arrays once it is built."""
 
     def __init__(self, ladder: list, i: int, grid_: g.Grid1D, pending: list):
         self.ladder, self.i, self.grid, self.pending = ladder, i, grid_, pending
-        self.size = diag.block_size(1, grid_.n)  # pairs per block
+        self.size = diag.block_size(grid_.n)  # pairs per block
         self.latest = None, None
         self.dists = None  # against the next rung: the max over shared t of (u, v, theta, W12)
         self.compared, self.last = 0, None  # against the next rung: how many samples, up to when

@@ -507,6 +507,15 @@ def test_a_negative_seed_is_a_config_error_before_any_step(tmp_path, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+def test_a_nan_row_mid_run_makes_the_bounds_maxima_nan():
+    # as for the drift: a NaN in a middle row is not skipped
+    traj = dyn.run(replace(sc.battery_scenario("coupled"), t_end=0.01))
+    for c in ("E_kin", "E_el", "mass_theta"):
+        traj.rows.values[5, diag.DIAG_COLUMNS.index(c)] = np.nan
+    bounds = cli._bounds_block(traj)
+    assert all(np.isnan(bounds[k]["observed_max"]) for k in ("int_v2", "int_ux2", "int_theta"))
+
+
 @pytest.mark.parametrize("gamma0", [None, 1.3], ids=["coupled.ini", "gamma0=1.3"])
 def test_K_est_is_the_closed_form_gamma0_to_the_minus_4(tmp_path, gamma0):
     # K(4, D) >= D^-4 with D = gamma0, and delta_est and kappa_est follow from it

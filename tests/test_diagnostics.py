@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -269,13 +270,26 @@ def test_estimate_K_steady_trials_match_the_closed_form_below_D_to_the_minus_p()
 
 
 def test_estimate_K_refuses_a_dt_that_does_not_resolve_its_fastest_mode():
-    # the fastest trial forces mode k = 15: D mu^2 = (15.5 pi)^2 = 2371.2
-    grid_ = make_grid(33)
+    # the fastest trial forces mode k = 15: D mu^2 = (15.5 pi)^2 = 2371.2; on
+    # 129 nodes, which resolve it in space
+    grid_ = make_grid(129)
     with pytest.raises(DomainError, match="fastest mode"):
         diag.estimate_K(4.0, 1.0, 17, grid_, 1.0, dt=1.0 / 512)
     with pytest.raises(DomainError, match="fastest mode"):
         diag.estimate_K(4.0, 1.0, 17, grid_, 1.0, dt=1.0 / 2371)
     assert len(diag.estimate_K(4.0, 1.0, 17, grid_, 1.0, dt=1.0 / 2372).ratios) == 17
+
+
+def test_estimate_K_refuses_a_grid_that_does_not_resolve_its_fastest_mode():
+    # mu_max dx <= pi / 4.  On 33 nodes mode 15 (mu dx = 15.5 pi / 32 = 1.52)
+    # read 1.54 against D^-p = 1, and mode 8 (0.834) read 0.9992 against its
+    # closed form 0.9971; mode 7 (0.736) is the fastest that 33 nodes resolve
+    with pytest.raises(DomainError, match="grid must resolve"):
+        diag.estimate_K(4.0, 1.0, 17, make_grid(33), 1.0)
+    with pytest.raises(DomainError, match="grid must resolve"):
+        diag.estimate_K(4.0, 1.0, 10, make_grid(33), 1.0)
+    assert max(diag.estimate_K(4.0, 1.0, 9, make_grid(33), 1.0).ratios) < 1.0
+    assert len(diag.estimate_K(4.0, 1.0, 17, make_grid(129), 1.0).ratios) == 17
 
 
 def test_estimate_K_argument_checks():
@@ -534,7 +548,7 @@ def test_make_row_energy_decomposition_exact():
     row = diag.make_row(state, 1.0, grid_, diag.TheoryMonitors(), 2.0, 0.0, 0.0, 0)
     assert row.E_total == row.E_kin + row.E_el + row.E_th
     assert row.mass_theta == pytest.approx(row.E_th, rel=1e-14)
-    assert len(row.as_tuple()) == len(diag.DIAG_COLUMNS)
+    assert len(astuple(row)) == len(diag.DIAG_COLUMNS)
 
 
 def _reflect_extend(w, grid_):

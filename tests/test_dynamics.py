@@ -254,6 +254,16 @@ def test_a_run_without_rows_has_no_max_drift():
     assert dyn.run(scen).max_drift > 0.0  # imex_be: a float, not roundoff
 
 
+def test_a_nan_drift_mid_run_makes_max_drift_nan():
+    # max() over floats skips a NaN that is not first (max([1.0, nan, 2.0])
+    # is 2.0); the reduction of the drift column does not
+    traj = dyn.run(replace(sc.battery_scenario("coupled"), t_end=0.01))
+    finite = traj.max_drift
+    traj.rows.values[5, diag.DIAG_COLUMNS.index("drift")] = np.nan
+    assert len(traj.rows) == 11 and np.isnan(traj.rows[5].drift)
+    assert np.isfinite(finite) and np.isnan(traj.max_drift)
+
+
 def test_step_argument_checks():
     grid_ = make_grid()
     state = zero_state(grid_)
@@ -705,7 +715,7 @@ def test_rows_across_blocks_equal_per_function_replay(laws, cadence, scheme, q, 
     grid_ = make_grid(33)
     if size == 1:
         monkeypatch.setattr(diag, "BLOCK_VALUES", 1)
-    assert diag.block_size(1, 33) == size
+    assert diag.block_size(33) == size
     data = sc.gen_coupled_smooth(grid_)
     mon = diag.MonitorConfig(q=q, kappa=1.5, cadence=cadence)
     cfg = cfg_for(1e-3, scheme)
@@ -898,7 +908,7 @@ def test_run_with_rows_integrates_each_integrand_once_per_block(cadence, scheme,
                         cfg_for(1e-3, scheme), diag.MonitorConfig(cadence=cadence))
     assert traj.steps_taken == 300 and len(traj.rows) == len(traj.times) == 1 + 300 // cadence
     assert blocks == [124, 124, 53]
-    assert max(blocks) == diag.block_size(1, grid_.n)
+    assert max(blocks) == diag.block_size(grid_.n)
     assert len(calls) == 2 + 2 * len(traj.times) + (len(diag.CUMULATIVE) + 6) * len(blocks)
 
 

@@ -131,6 +131,37 @@ def test_a_kappa_ensemble_equals_its_solo_runs(scheme):
     assert len({r.z_residual for r in (ens[0].rows[-1], ens[1].rows[-1])}) == 2
 
 
+
+def test_a_members_rows_are_float_columns_in_blocks_of_the_solo_length(monkeypatch):
+    # 300 steps on 33 nodes: 301 states in blocks of 124, 124 and 53 states,
+    # for a batch of three as for each solo run
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, mons = members(grid_)
+    cfg = cfg_for(1e-3)
+    blocks, flush = [], diag.Rows.flush
+
+    def flushing(rows):
+        if rows._states:  # a flush with nothing noted evaluates no block
+            blocks.append((len(rows.rows), len(rows._states)))
+        flush(rows)
+
+    monkeypatch.setattr(diag.Rows, "flush", flushing)
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.3, cfg, mons)
+    assert blocks == [(3, 124), (3, 124), (3, 53)]
+    blocks.clear()
+    solos = solo_runs(laws, data, mons, grid_, 0.3, cfg)
+    assert blocks == [(1, 124), (1, 124), (1, 53)] * 3
+    for traj, solo in zip(ens, solos):
+        rows, ref = traj.rows, list(solo.rows)
+        assert isinstance(rows, diag.Timeseries) and len(rows) == 301
+        assert rows.values.dtype == np.float64
+        assert rows.values.shape == (len(rows), len(diag.DIAG_COLUMNS))
+        assert rows == solo.rows and rows == ref and rows != []
+        assert [bits(r) for r in rows] == [bits(r) for r in ref]
+        assert rows[::3] + rows[-1:] == ref[::3] + ref[-1:]
+        assert type(rows[-1].clamp_count) is int
+        assert rows.column("drift").tolist() == [r.drift for r in ref]
+
 def test_members_without_rows_and_with_snapshots():
     grid_ = g.Grid1D(1.0, 33)
     laws, data, mons = members(grid_, cadence=2)
@@ -403,22 +434,23 @@ def test_members_that_fail_mid_batch_go_on_where_they_stood(scheme, monkeypatch)
 
 
 def test_members_that_halt_or_resume_mid_block_equal_their_solo_runs(monkeypatch):
-    # three members on 33 nodes: a block holds 41 states, 62 once two are
-    # left.  Member 1's detector fires at its 50th sample, in the second
-    # block; member 0's full steps are rejected from t = 0.0605 on, so it
-    # leaves the batch after 61 steps, mid-block, and resumes alone at halved
-    # steps, with its own blocks
+    # three members on 33 nodes: a block holds 124 states, as a solo run's
+    # does.  Member 1's detector fires at its 150th sample, in the second
+    # block; member 0's full steps are rejected from t = 0.1995 on, so it
+    # leaves the batch after 200 steps, mid-block, and resumes alone at
+    # halved steps, with its own blocks, and a last one that t_end clips just
+    # below the full dt
     grid_ = g.Grid1D(1.0, 33)
-    assert (diag.block_size(3, 33), diag.block_size(2, 33)) == (41, 62)
+    assert diag.block_size(33) == 124
     laws, data, mons = members(grid_)
     mons[1] = diag.MonitorConfig(kappa=KAPPAS[1], q=QS[1], blowup_threshold=1e-9,
-                                 blowup_rate_min=-100.0, blowup_window=50)
+                                 blowup_rate_min=-100.0, blowup_window=150)
     cfg = cfg_for(1e-3)
-    monkeypatch.setattr(dyn, "step_with_count", _Faults({id(LAWS[0]): "rejects"}, 0.0605))
-    ens = dyn.simulate(laws, 1.0, grid_, data, 0.1, cfg, mons)
-    solos = solo_runs(laws, data, mons, grid_, 0.1, cfg)
+    monkeypatch.setattr(dyn, "step_with_count", _Faults({id(LAWS[0]): "rejects"}, 0.1995))
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.3, cfg, mons)
+    solos = solo_runs(laws, data, mons, grid_, 0.3, cfg)
     assert [t.status for t in ens] == ["completed", "blowup_halt", "completed"]
-    assert [t.steps_taken for t in ens] == [61 + 77, 49, 100]
+    assert [t.steps_taken for t in ens] == [200 + 198 + 1, 149, 300]
     for traj, solo in zip(ens, solos):
         assert_same_run(traj, solo)
 

@@ -409,7 +409,7 @@ def test_eps_cascade_compares_pairs_in_bounded_blocks(monkeypatch):
     ladder = (0.5, 0.3, 0.2, 0.1)
     held = _Held(monkeypatch)
     rep = sc.eps_cascade(scenario, ladder)
-    bound = diag.block_size(1, scenario.n)
+    bound = diag.block_size(scenario.n)
     assert bound == 124 and held.pending_most == bound
     assert held.running == [bound] * 6 and held.after == [9]
     assert sum(rep.compared) == 753
