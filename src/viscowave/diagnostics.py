@@ -47,15 +47,21 @@ class StateEval:
     value) per member.  The laws are then a :class:`material.LawRows`, and
     ``q``, ``alpha`` and ``kappa`` are ``(B, 1)`` columns: each row meets its
     own member's parameters.
+
+    ``out`` maps the name of a derived field (``vx``, ``vx2``, ``vxx``,
+    ``thxx``, ``V``) to the array it is written into, with the bits it
+    would have in a new one: :class:`Rows` evaluates a block of states in
+    work arrays kept for the run.  Any other field is made new.
     """
 
-    def __init__(self, state, grid_: g.Grid1D):
+    def __init__(self, state, grid_: g.Grid1D, out: dict | None = None):
         self.state = state
         self.grid = grid_
         self.t, self.u, self.v, self.theta = state.t, state.u, state.v, state.theta
         self._laws = None
         self._material = None
         self._members: dict[int, StateEval] = {}
+        self._out = {} if out is None else out
 
     @classmethod
     def of(cls, state, grid_: g.Grid1D) -> "StateEval":
@@ -96,7 +102,7 @@ class StateEval:
 
     @functools.cached_property
     def vx(self) -> np.ndarray:
-        return g.d1(self.v, self.grid)
+        return g.d1(self.v, self.grid, out=self._out.get("vx"))
 
     @functools.cached_property
     def ux(self) -> np.ndarray:
@@ -108,7 +114,7 @@ class StateEval:
 
     @functools.cached_property
     def vxx(self) -> np.ndarray:
-        return g.d2(self.v, self.grid, g.BcKind.DIRICHLET_BOTH)
+        return g.d2(self.v, self.grid, g.BcKind.DIRICHLET_BOTH, out=self._out.get("vxx"))
 
     @functools.cached_property
     def uxx(self) -> np.ndarray:
@@ -116,16 +122,16 @@ class StateEval:
 
     @functools.cached_property
     def thxx(self) -> np.ndarray:
-        return g.d2(self.theta, self.grid, g.BcKind.NEUMANN_BOTH)
+        return g.d2(self.theta, self.grid, g.BcKind.NEUMANN_BOTH, out=self._out.get("thxx"))
 
     @functools.cached_property
     def vx2(self) -> np.ndarray:
-        return self.vx * self.vx
+        return np.multiply(self.vx, self.vx, out=self._out.get("vx2"))
 
     @functools.cached_property
     def V(self) -> np.ndarray:
         """Antiderivative int_0^x v."""
-        return g.cumulative_integral(self.v, self.grid)
+        return g.cumulative_integral(self.v, self.grid, out=self._out.get("V"))
 
     @functools.cached_property
     def l2_thetax(self) -> float:
@@ -178,9 +184,12 @@ def energy(state, a: float, grid_: g.Grid1D) -> EnergyBudget:
     return EnergyBudget(t=state.t, kinetic=kin, elastic=_elastic(state.u, a, grid_), thermal=th)
 
 
-def _elastic(u, a: float, grid_: g.Grid1D):
-    du = g.gradient_mid(u, grid_)
-    return 0.5 * a * _scalar_or_rows((du * du).sum(axis=-1)) * grid_.dx
+def _elastic(u, a: float, grid_: g.Grid1D, work=None):
+    """(a/2) int u_x^2 by the staggered strain; ``work``, if given, of the
+    shape of ``u[..., 1:]``, takes the strain."""
+    du = g.gradient_mid(u, grid_, out=work)
+    du *= du
+    return 0.5 * a * _scalar_or_rows(du.sum(axis=-1)) * grid_.dx
 
 
 # --------------------------------------------------------------------------
@@ -242,13 +251,15 @@ def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha,
 CUMULATIVE = ("cum_vx4", "cum_theta_pow", "cum_thetaxx2", "cum_vxx2")
 
 
-def _accumulated(ev: StateEval, alpha):
+def _accumulated(ev: StateEval, alpha, out=None):
     """The integrands of the ``CUMULATIVE`` monitors at ``ev``, in order,
-    each made when it is asked for."""
-    yield ev.vx2 * ev.vx2
-    yield mat.power(ev.theta + 1.0, 4.0 * alpha)
-    yield ev.thxx ** 2
-    yield ev.vxx ** 2
+    each made when it is asked for: into ``out`` if given, each over the
+    last."""
+    yield np.multiply(ev.vx2, ev.vx2, out=out)
+    base = np.add(ev.theta, 1.0, out=out)
+    yield mat.power(base, 4.0 * alpha, out=base)
+    yield np.multiply(ev.thxx, ev.thxx, out=out)
+    yield np.multiply(ev.vxx, ev.vxx, out=out)
 
 
 def monitors_update(prev: TheoryMonitors, state, dt: float, q: float, alpha: float,
@@ -365,15 +376,31 @@ def z_residual(state_prev, state_next, laws, a: float, kappa, grid_: g.Grid1D):
     return _sqrt(g.integrate(res ** 2, grid_))
 
 
-def _residual(z_new, z_old, dt, material, ux, damp, flux, gamma0, a: float, kappa, grid_):
+def _residual(z_new, z_old, dt, material, ux, damp, flux, gamma0, a: float, kappa, grid_,
+              work=(None, None, None)):
     """The residual field of :func:`z_residual`; ``z_new`` = ``damp`` V of the
     later snapshot, ``material`` and ``ux`` and ``flux`` are taken there.  Any
-    of the scalars may be a column, one value per row."""
+    of the scalars may be a column, one value per row.
+
+    It is ``(z_new - z_old) / dt - (gamma0 z_xx - kappa z_new + h - damp flux)``
+    with ``h = (gamma - gamma0) z_xx + a damp u_x - damp f``, each operation
+    in this order; ``work``, three arrays of ``z_new``'s shape, takes z_xx, h
+    and the products, and the result is the second of them."""
     gam, f = material
-    zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
-    h = (gam - gamma0) * zxx + a * damp * ux - damp * f
-    correction = damp * flux
-    return (z_new - z_old) / dt - (gamma0 * zxx - kappa * z_new + h - correction)
+    zxx, h, tmp = work
+    zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN, out=zxx)
+    h = np.subtract(gam, gamma0, out=h)
+    h *= zxx
+    h += np.multiply(a * damp, ux, out=tmp)
+    h -= np.multiply(damp, f, out=tmp)
+    rhs = np.multiply(gamma0, zxx, out=zxx)
+    rhs -= np.multiply(kappa, z_new, out=tmp)
+    rhs += h
+    rhs -= damp * flux
+    res = np.subtract(z_new, z_old, out=h)
+    res /= dt
+    res -= rhs
+    return res
 
 
 # --------------------------------------------------------------------------
@@ -410,8 +437,7 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarr
     gets the bits of its own march.
 
     A step allocates nothing but the solve's result: the right-hand side,
-    z_xx, |z_xx|^p and the trapezoid sums go into work arrays made once, in
-    the operation order of ``g.d2`` (mixed ends) and ``g.integrate``.
+    z_xx, |z_xx|^p and the trapezoid terms go into work arrays made once.
     """
     z = z0
     nsteps = max(1, int(round(T / dt)))
@@ -424,23 +450,13 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarr
     body = rhs[:, 1:]
     inner, last = body[:, :-1], body[:, -1:]
     zxx = np.empty_like(z)
-    trap = np.empty_like(z[:, 1:])
-    dx, dx2 = grid_.dx, grid_.dx * grid_.dx
+    terms = np.empty_like(z[:, 1:])
 
     def zxx_p(w):
-        o, wt = zxx.T, w.T
-        np.multiply(2.0, wt[1:-1], out=o[1:-1])
-        np.subtract(wt[2:], o[1:-1], out=o[1:-1])
-        o[1:-1] += wt[:-2]
-        o[1:-1] /= dx2
-        o[0] = (2.0 * wt[0] - 5.0 * wt[1] + 4.0 * wt[2] - wt[3]) / dx2
-        o[-1] = 2.0 * (wt[-2] - wt[-1]) / dx2
+        g.d2(w, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN, out=zxx)
         np.abs(zxx, out=zxx)
         np.power(zxx, p, out=zxx)
-        np.add(zxx[:, 1:], zxx[:, :-1], out=trap)
-        np.multiply(dx, trap, out=trap)
-        np.divide(trap, 2.0, out=trap)
-        return trap.sum(axis=-1)
+        return g.integrate(zxx, grid_, work=terms)
 
     acc = 0.5 * zxx_p(z)
     for _ in range(nsteps):
@@ -753,26 +769,24 @@ class Timeseries(collections.abc.Sequence):
 _Stacked = collections.namedtuple("_Stacked", "t u v theta")
 
 
-def _stack(arrays: list, n: int) -> np.ndarray:
-    """The fields of states, each (n,) or (B, n), as the rows of one array;
-    a single state's without a copy."""
+def _stack(arrays: list, n: int, out=None) -> np.ndarray:
+    """The fields of states, each (n,) or (B, n), as the rows of one array
+    (``out`` if given); a single state's without a copy."""
     if len(arrays) == 1:
         return arrays[0].reshape(-1, n)
-    return np.concatenate(arrays) if arrays[0].ndim == 2 else np.stack(arrays)
-
-
-def _select(idx: list, width: int, states: int):
-    """The rows of the states ``idx`` (increasing, ``width`` rows each) among
-    ``states`` states; a slice, so no copy, when they are all of them."""
-    if len(idx) == states:
-        return slice(None)
-    return (np.array(idx, dtype=int)[:, None] * width + np.arange(width)).ravel()
+    return np.concatenate(arrays, out=out) if arrays[0].ndim == 2 else np.stack(arrays, out=out)
 
 
 def _column(p, states: int):
     """A member parameter (a scalar, or a (B, 1) column) repeated for each of
     ``states`` stacked states; as it is for one state."""
     return p if states == 1 else np.tile(np.reshape(p, (-1, 1)), (states, 1))
+
+
+def _pick(column: np.ndarray, idx: list, width: int) -> np.ndarray:
+    """The entries of a column of stacked states (``width`` each) at the
+    states ``idx``, as a column."""
+    return column.reshape(-1, width)[idx].reshape(-1, 1)
 
 
 class Rows:
@@ -791,6 +805,13 @@ class Rows:
     of members, and the step from its last state is noted (a state a block
     holds owes nothing more), and by ``keep`` and ``alone``; whoever reads
     ``rows`` flushes first.
+
+    A block is evaluated in work arrays made at the first flush that needs
+    them and kept for the run, each of ``block_size(n)`` states of every
+    member at the start (``block_size(n) x members`` rows of n values); a
+    block uses their first rows.  A block's fields would otherwise be new
+    arrays of several MiB at each flush, which the C heap hands back to the
+    system and faults in again at the next one.
     """
 
     def __init__(self, laws, a: float, grid_: g.Grid1D, q, kappa, e0, members: int = 1):
@@ -801,6 +822,8 @@ class Rows:
         self._states = []  # the block's distinct StateEvals, in order
         self._steps = []  # (state index, dt) per step, in order
         self._samples = []  # (state index, left, clamps, steps before it) per sample
+        self._arrays = {}  # the work arrays, by name
+        self._capacity = self.size * members  # rows of a work array
 
     def step(self, left: StateEval, dt) -> None:
         """The accumulators advance by ``dt`` x (integrand at ``left``)."""
@@ -818,92 +841,147 @@ class Rows:
             self._states.append(ev)
         owed.append((len(self._states) - 1, *item))
 
+    def _work(self, name: str, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of the work array ``name``, made at its
+        first use: n values a row, n - 1 for ``terms`` (trapezoid terms), and
+        the rows of one state more for ``z`` (the damped transform, whose
+        first rows hold the state left of the block)."""
+        if name not in self._arrays:
+            extra = len(self.rows) if name == "z" else 0
+            self._arrays[name] = np.empty((self._capacity + extra,
+                                           self.grid.n - (name == "terms")))
+        return self._arrays[name][:rows]
+
+    def _rows_of(self, x: np.ndarray, idx: list, name: str) -> np.ndarray:
+        """The rows of the states ``idx`` (increasing) of ``x``, stacked
+        states of ``len(rows)`` rows each: a view when the states are
+        consecutive, else gathered into the work array ``name``."""
+        width = len(self.rows)
+        if idx[-1] - idx[0] == len(idx) - 1:
+            return x[idx[0] * width:(idx[-1] + 1) * width]
+        rows = (np.array(idx)[:, None] * width + np.arange(width)).ravel()
+        return np.take(x, rows, axis=0, out=self._work(name, len(rows)))
+
+    def _integral(self, w: np.ndarray) -> np.ndarray:
+        """The trapezoid integral of each row of ``w``."""
+        return g.integrate(w, self.grid, work=self._work("terms", len(w)))
+
     def flush(self) -> None:
         """Evaluate the block, advance the accumulators in step order and
-        append its rows in sample order: one array of columns, of which each
-        member's Timeseries keeps a view of its own rows.
+        append its rows in sample order, each member's as an array of its
+        own (no two members' rows share memory).
 
         Every derived field is computed once over the block's states stacked
         as rows (a block of one state is that state's own StateEval, cache
-        and all), and each integrand is integrated on its own, over all its
-        rows at once: no buffer stacks them.  Each row keeps the bits of its
-        state's own evaluation: the operators act on the last axis and the
-        sums run along it, the powers are taken row by row
-        (:func:`material.power`), and (gamma, f) and the detector's W^{1,2}
-        norm come from each state's own cache.
+        and all), each integrand goes into one work array ``w`` and is
+        integrated on its own, over all its rows at once; v_xx and theta_xx,
+        each read once by the integrand that squares it, are written there
+        too.  Nothing a flush keeps is a view of a work array.  Each row
+        keeps the bits of its state's own evaluation: the operators act on
+        the last axis and the sums run along it, the operations keep their
+        order when written into given arrays, the powers are taken per
+        exponent (:func:`material.power`), and u_xx, (gamma, f) and the
+        detector's W^{1,2} norm come from each state's own cache, where the
+        stepper left them.
         """
         if not self._states:
             return
         evs, steps, samples = self._states, self._steps, self._samples
         self._states, self._steps, self._samples = [], [], []
         n, k, width = self.grid.n, len(evs), len(self.rows)
-        blk = evs[0] if k == 1 else StateEval(_Stacked(None, *(
-            _stack([getattr(ev, f) for ev in evs], n) for f in ("u", "v", "theta"))), self.grid)
-
-        def rows(x, sel=slice(None)):
-            return x.reshape(-1, n)[sel]
-
-        def integrals(ws):  # (rows, len(ws)): one trapezoid call per integrand
-            return np.array([g.integrate(w, self.grid) for w in ws]).T
+        w = self._work("w", k * width)
+        blk = evs[0]
+        if k > 1:  # v_xx and theta_xx are read once, by _accumulated; V becomes z
+            out = dict(vx=self._work("vx", k * width), vx2=self._work("vx2", k * width),
+                       vxx=w, thxx=w, V=self._work("z", (k + 1) * width)[width:])
+            blk = StateEval(_Stacked(None, *(
+                _stack([getattr(ev, f) for ev in evs], n, self._work(f, k * width))
+                for f in ("u", "v", "theta"))), self.grid, out)
 
         cums = [self.cum]  # cums[j]: the accumulators after the block's first j steps
-        if steps:
-            sel = _select([i for i, _ in steps], width, k)
-            acc = integrals(rows(w, sel) for w in _accumulated(blk, _column(self.laws.alpha, k)))
-            for (_, dt), got in zip(steps, acc.reshape(len(steps), width, len(CUMULATIVE))):
-                cums.append(cums[-1] + dt * got)
+        if steps:  # integrated over every state of the block, then picked
+            acc = np.array([self._integral(x) for x in _accumulated(
+                blk, _column(self.laws.alpha, k), w)]).T.reshape(k, width, len(CUMULATIVE))
+            for (i, dt) in steps:
+                cums.append(cums[-1] + dt * acc[i])
             self.cum = cums[-1]
         if not samples:
             return
         at = [s[0] for s in samples]
-        sel = _select(at, width, k)
-        u, v, theta = (rows(x, sel) for x in (blk.u, blk.v, blk.theta))
-        res2 = np.zeros_like(v)  # 0 at t = 0, which has no left state
+        w = w[:len(samples) * width]
+
+        def take(x):  # the sample rows of a block field
+            return self._rows_of(x.reshape(-1, n), at, "w")
+
+        z_res = np.zeros((len(samples), width))  # 0 at t = 0, which has no left state
         zs = [j for j, s in enumerate(samples) if s[1] is not None]
         if zs:
-            res2[_select(zs, width, len(samples))] = self._residuals(
-                evs, blk, [samples[j][:2] for j in zs], width) ** 2
-        kin, th, l2_vx, l2_uxx, lq, res2 = integrals([
-            v ** 2, theta, rows(blk.vx2, sel), rows(blk.uxx, sel) ** 2,
-            mat.power(theta + 1.0, _column(self.q, len(samples))), res2]).T
-        kin, ela = 0.5 * kin, _elastic(u, self.a, self.grid)
+            z_res[zs] = np.sqrt(self._residuals(evs, blk, [samples[j][:2] for j in zs])
+                                ).reshape(-1, width)
+        v = take(blk.v)
+        kin = 0.5 * self._integral(np.multiply(v, v, out=w))
+        theta = take(blk.theta)
+        th, min_theta = self._integral(theta), theta.min(axis=-1)
+        l2_vx = self._integral(take(blk.vx2))
+        uxx = _stack([evs[i].uxx for i in at], n, w)
+        l2_uxx = self._integral(np.multiply(uxx, uxx, out=w))
+        base = np.add(take(blk.theta), 1.0, out=w)
+        lq = self._integral(mat.power(base, _column(self.q, len(samples)), out=base))
+        ela = _elastic(take(blk.u), self.a, self.grid, self._work("terms", len(w)))
         total = kin + ela + th
         cum = np.concatenate([cums[s[3]] for s in samples])
         columns = dict(
             t=np.repeat([evs[i].t for i in at], width), E_total=total, E_kin=kin, E_el=ela,
             E_th=th, drift=(total.reshape(-1, width) - self.e0).ravel(), mass_theta=th,
-            min_theta=theta.min(axis=-1), l2_vx=l2_vx, l2_uxx=l2_uxx,
+            min_theta=min_theta, l2_vx=l2_vx, l2_uxx=l2_uxx,
             l2_thetax=np.ravel([evs[i].l2_thetax for i in at]), lq_value=lq,
-            w12_theta=np.ravel([evs[i].w12_theta for i in at]), z_residual=np.sqrt(res2),
+            w12_theta=np.ravel([evs[i].w12_theta for i in at]), z_residual=z_res.ravel(),
             clamp_count=np.ravel([s[2] for s in samples]),
             **{c: cum[:, j] for j, c in enumerate(CUMULATIVE)})
         block = np.column_stack([columns[c] for c in DIAG_COLUMNS])
         for i, own in enumerate(self.rows):
-            own.extend(block[i::width])
+            own.extend(np.ascontiguousarray(block[i::width]))
 
-    def _residuals(self, evs, blk, samples, width):
-        """The :func:`z_residual` fields of ``samples``, ``(index, left)``
-        pairs into the block ``evs`` stacked as ``blk``, as stacked rows.  A
-        left state outside the block gives its own V."""
-        n, z, laws = self.grid.n, len(samples), self.laws
+    def _residuals(self, evs, blk, samples) -> np.ndarray:
+        """The integrals of the squared :func:`z_residual` fields of
+        ``samples``, ``(index, left)`` pairs into the block ``evs`` evaluated
+        as ``blk``, one per stacked row.
+
+        z = e^{-kappa t} V is made once for each state of the block, in place
+        of the block's V, behind the rows of the first sample's left state
+        when that state is outside the block (then only the block's first
+        state has a left outside it: any other sample's left is the state
+        before it).  A sample's z_old is then the z of the state before it,
+        the same rows its own z_new had as a sample: the same damping column
+        times the same V row.  u_x is taken at the samples only, into the
+        work array ``w``, which the residual's first product then overwrites
+        in place."""
+        n, width, laws = self.grid.n, len(self.rows), self.laws
+        at = [i for i, _ in samples]
+        m = len(at) * width
         kappas = np.reshape(self.kappa, (-1, 1))
-
-        def damping(times):  # a column: each state's damping of each member
-            return np.concatenate([_damping(kappas, t) for t in times])
-
-        V = blk.V.reshape(-1, n)
-        v_old = _stack([V[(i - 1) * width:i * width] if i and evs[i - 1] is left
-                        else left.V.reshape(-1, n) for i, left in samples], n)
-        z_old = damping([left.t for _, left in samples]) * v_old
-        damp = damping([evs[i].t for i, _ in samples])
+        damp = np.concatenate([_damping(kappas, ev.t) for ev in evs])
+        z = self._work("z", (len(evs) + 1) * width)  # z of state i at slot i + 1
+        np.multiply(damp, blk.V.reshape(-1, n), out=z[width:])
+        if at[0] == 0:
+            left = samples[0][1]
+            np.multiply(_damping(kappas, left.t), left.V.reshape(-1, n), out=z[:width])
+        z_new = self._rows_of(z, [i + 1 for i in at], "z_new")
+        z_old = self._rows_of(z, at, "z_old")
         dt = np.repeat([evs[i].t - left.t for i, left in samples], width)[:, None]
-        sel = _select([i for i, _ in samples], width, len(evs))
-        vx, ux = (x.reshape(-1, n)[sel] for x in (blk.vx, blk.ux))
+        damp = _pick(damp, at, width)
         mats = [evs[i].material(laws) for i, _ in samples]
-        material = tuple(_stack([m[j] for m in mats], n) for j in (0, 1))
-        flux = _end_flux(material, vx, ux, self.a)
-        return _residual(damp * V[sel], z_old, dt, material, ux, damp, flux,
-                         _column(laws.gamma0, z), self.a, _column(self.kappa, z), self.grid)
+        material = tuple(_stack([mt[j] for mt in mats], n, self._work(name, m))
+                         for j, name in enumerate(("gam", "f")))
+        w = self._work("w", m)
+        ux = g.d1(self._rows_of(blk.u.reshape(-1, n), at, "u_samples"), self.grid, out=w)
+        vx0 = _pick(blk.vx.reshape(-1, n)[:, 0], at, width)
+        flux = _end_flux(material, vx0, ux, self.a)
+        res = _residual(z_new, z_old, dt, material, ux, damp, flux, _column(laws.gamma0, len(at)),
+                        self.a, _column(self.kappa, len(at)), self.grid,
+                        (self._work("zxx", m), self._work("h", m), w))
+        res *= res
+        return self._integral(res)
 
     def keep(self, idx: list, laws, q, kappa) -> None:
         """Go on with the members at rows ``idx`` only, whose parameters are

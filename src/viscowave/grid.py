@@ -77,18 +77,21 @@ def _check_size(w: FloatArray, grid: Grid1D, name: str = "field") -> FloatArray:
 # operation is a full ufunc call.
 
 
-def d1(w: FloatArray, grid: Grid1D) -> FloatArray:
+def d1(w: FloatArray, grid: Grid1D, out: FloatArray | None = None) -> FloatArray:
     """First derivative: central interior, one-sided second order at the ends.
 
     Exact on polynomials up to degree 2 (the boundary stencils included).
+    Written into ``out`` if given (an array of ``w``'s shape, not ``w``
+    itself), with the same bits.
     """
     w = _check_size(w, grid)
-    dx = grid.dx
-    out = np.empty_like(w)
+    two_dx = 2.0 * grid.dx
+    out = np.empty_like(w) if out is None else out
     o, w = out.T, w.T
-    o[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
-    o[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dx)
-    o[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dx)
+    inner = np.subtract(w[2:], w[:-2], out=o[1:-1])
+    inner /= two_dx
+    o[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / two_dx
+    o[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / two_dx
     return out
 
 
@@ -113,18 +116,23 @@ def d1_lowend(w: FloatArray, grid: Grid1D) -> FloatArray:
     return out
 
 
-def d2(w: FloatArray, grid: Grid1D, bc: BcKind) -> FloatArray:
+def d2(w: FloatArray, grid: Grid1D, bc: BcKind, out: FloatArray | None = None) -> FloatArray:
     """Second derivative with boundary closures selected by ``bc``.
 
     Interior nodes use the standard 3-point stencil.  Neumann ends use the
     mirror ghost node (zero flux), Dirichlet ends a one-sided 4-point stencil
-    that is exact on cubics.
+    that is exact on cubics.  Written into ``out`` if given (an array of
+    ``w``'s shape, not ``w`` itself), with the same bits: the interior is
+    ``(w[i+1] - 2 w[i] + w[i-1]) / dx^2`` in this order either way.
     """
     w = _check_size(w, grid)
     dx2 = grid.dx * grid.dx
-    out = np.empty_like(w)
+    out = np.empty_like(w) if out is None else out
     o, w = out.T, w.T
-    o[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx2
+    inner = np.multiply(2.0, w[1:-1], out=o[1:-1])
+    np.subtract(w[2:], inner, out=inner)
+    inner += w[:-2]
+    inner /= dx2
 
     def left_dirichlet():
         return (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / dx2
@@ -146,10 +154,13 @@ def d2(w: FloatArray, grid: Grid1D, bc: BcKind) -> FloatArray:
     return out
 
 
-def gradient_mid(w: FloatArray, grid: Grid1D) -> FloatArray:
-    """Staggered first difference on the n-1 cell midpoints."""
+def gradient_mid(w: FloatArray, grid: Grid1D, out: FloatArray | None = None) -> FloatArray:
+    """Staggered first difference on the n-1 cell midpoints; written into
+    ``out`` if given (an array of the shape of ``w[..., 1:]``)."""
     w = _check_size(w, grid)
-    return np.diff(w) / grid.dx
+    out = np.subtract(w[..., 1:], w[..., :-1], out=out)
+    out /= grid.dx
+    return out
 
 
 def mid_to_node(psi_mid: FloatArray, grid: Grid1D) -> FloatArray:
@@ -188,23 +199,34 @@ def div_flux(coef: FloatArray, w: FloatArray, grid: Grid1D) -> FloatArray:
     return out
 
 
-def integrate(w: FloatArray, grid: Grid1D) -> float:
+def integrate(w: FloatArray, grid: Grid1D, work: FloatArray | None = None) -> float:
     """Trapezoid quadrature over (0, L); exact for piecewise-linear node data.
 
-    A float for one field, one value per row for a batch.
+    A float for one field, one value per row for a batch.  ``work``, if
+    given, is a C-contiguous array of the shape of ``w[..., 1:]`` that takes
+    the trapezoid terms; the result has the same bits either way.
     """
     w = _check_size(w, grid)
-    # np.trapezoid's own expression, without its call overhead; the sum runs
-    # along the contiguous last axis, so a row sums pairwise like one field
-    total = (grid.dx * (w[..., 1:] + w[..., :-1]) / 2.0).sum(axis=-1)
+    # np.trapezoid's expression dx * (w[1:] + w[:-1]) / 2, in its order and
+    # without its call overhead; the sum runs along the contiguous last axis,
+    # so a row sums pairwise like one field
+    terms = np.add(w[..., 1:], w[..., :-1], out=work)
+    np.multiply(grid.dx, terms, out=terms)
+    terms /= 2.0
+    total = terms.sum(axis=-1)
     return float(total) if w.ndim == 1 else total
 
 
-def cumulative_integral(w: FloatArray, grid: Grid1D) -> FloatArray:
-    """Running trapezoid antiderivative from the left end; result[0] == 0."""
-    w = _check_size(w, grid)
-    out = np.empty_like(w)
-    out[..., 0] = 0.0
-    np.cumsum(0.5 * grid.dx * (w[..., 1:] + w[..., :-1]), axis=-1, out=out[..., 1:])
-    return out
+def cumulative_integral(w: FloatArray, grid: Grid1D, out: FloatArray | None = None) -> FloatArray:
+    """Running trapezoid antiderivative from the left end; result[0] == 0.
 
+    Written into ``out`` if given (an array of ``w``'s shape, not ``w``
+    itself), with the same bits.
+    """
+    w = _check_size(w, grid)
+    out = np.empty_like(w) if out is None else out
+    out[..., 0] = 0.0
+    terms = np.add(w[..., 1:], w[..., :-1], out=out[..., 1:])
+    terms *= 0.5 * grid.dx
+    np.cumsum(terms, axis=-1, out=terms)
+    return out

@@ -89,15 +89,29 @@ def _check_xi(xi):
     return xi
 
 
-def power(base: np.ndarray, p) -> np.ndarray:
-    """``base ** p``; a ``(B, 1)`` column ``p`` raises each row to its own
-    scalar, as in a solo run: an array exponent may take another numpy path
-    (no fast ``square`` for 2, say) and round differently."""
+def power(base: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """``base ** p``, written into ``out`` if given (``out`` may be ``base``).
+
+    A ``(B, 1)`` column ``p`` raises each row to its own scalar, as in a solo
+    run: the rows that share an exponent are raised in one ``**`` by that
+    float (an array exponent may take another numpy path, no fast ``square``
+    for 2, say, and round differently)."""
+    if out is None:
+        if not isinstance(p, np.ndarray):
+            return base ** p
+        out = base.copy()
+    elif out is not base:
+        np.copyto(out, base)
     if not isinstance(p, np.ndarray):
-        return base ** p
-    out = np.empty_like(base)
-    for i, e in enumerate(p[:, 0].tolist()):
-        out[i] = base[i] ** e
+        out **= p
+        return out
+    exps = p[:, 0]
+    for e in dict.fromkeys(exps.tolist()):
+        rows = exps == e if e == e else np.isnan(exps)  # a NaN equals no exponent
+        if rows.all():
+            out **= e
+        else:
+            out[rows] **= e
     return out
 
 

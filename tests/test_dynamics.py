@@ -494,7 +494,7 @@ def test_adaptive_run_reads_vx_from_the_state_eval(monkeypatch):
         d1 = g.d1
         with monkeypatch.context() as m:
             m.setattr(diag, "BLOCK_VALUES", 1)
-            m.setattr(g, "d1", lambda w, grid_arg: calls.append(1) or d1(w, grid_arg))
+            m.setattr(g, "d1", lambda w, grid_arg, **kw: calls.append(1) or d1(w, grid_arg, **kw))
             traj = dyn.simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), 0.1, cfg,
                                 scen.monitors)
         return traj, len(calls)
@@ -893,9 +893,9 @@ def test_run_with_rows_integrates_each_integrand_once_per_block(cadence, scheme,
     calls, blocks = [], []
     integrate, flush = g.integrate, diag.Rows.flush
 
-    def counting(w, grid_arg):
+    def counting(w, grid_arg, **kw):
         calls.append(1)
-        return integrate(w, grid_arg)
+        return integrate(w, grid_arg, **kw)
 
     def flushing(rows):
         if rows._states:  # a flush with nothing noted evaluates no block

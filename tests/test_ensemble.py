@@ -1,6 +1,7 @@
 """Ensemble runs: ``simulate`` over a batch of members gives every member the
 bits of its own run, whatever happens to the other members."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,57 @@ def test_a_members_rows_are_float_columns_in_blocks_of_the_solo_length(monkeypat
         assert rows[::3] + rows[-1:] == ref[::3] + ref[-1:]
         assert type(rows[-1].clamp_count) is int
         assert rows.column("drift").tolist() == [r.drift for r in ref]
+
+
+def test_no_two_members_rows_share_memory_nor_a_work_array(monkeypatch):
+    # each member's blocks are arrays of its own, and nothing a flush keeps
+    # (rows, accumulators) is a view of the work arrays the next block reuses
+    grid_ = g.Grid1D(1.0, 33)
+    laws, data, mons = members(grid_)
+    tables, flush = [], diag.Rows.flush
+
+    def flushing(rows):
+        tables.append(rows)
+        flush(rows)
+
+    monkeypatch.setattr(diag.Rows, "flush", flushing)
+    ens = dyn.simulate(laws, 1.0, grid_, data, 0.3, cfg_for(1e-3), mons)
+    (table,) = set(tables)
+    blocks = [b for traj in ens for b in traj.rows._blocks]
+    assert len(blocks) == 3 * 3
+    for i, b in enumerate(blocks):
+        assert b.flags.c_contiguous
+        assert not any(np.shares_memory(b, other) for other in blocks[i + 1:])
+        assert not any(np.shares_memory(b, w) for w in table._arrays.values())
+    assert not any(np.shares_memory(table.cum, w) for w in table._arrays.values())
+    for traj, solo in zip(ens, solo_runs(laws, data, mons, grid_, 0.3, cfg_for(1e-3))):
+        assert [bits(r) for r in traj.rows] == [bits(r) for r in solo.rows]
+
+
+def test_a_flush_after_the_first_allocates_less_than_half_a_mib(monkeypatch):
+    # an 8-member batch at n = 129 (blocks of 31 states): the first flush
+    # makes the work arrays, every later one evaluates its block in them
+    scen = sc.battery_scenario("coupled")
+    scens = [replace(scen, t_end=0.2, laws=replace(scen.laws, delta=0.02 * i)) for i in range(8)]
+    assert scen.make_grid().n == 129
+    peaks, flush = [], diag.Rows.flush
+
+    def measured(rows):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        flush(rows)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(diag.Rows, "flush", measured)
+    tracemalloc.start()
+    try:
+        ens = dyn.run(scens)
+    finally:
+        tracemalloc.stop()
+    assert [len(traj.rows) for traj in ens] == [201] * 8
+    assert len(peaks) >= 4
+    assert max(peaks[1:]) < 0.5 * 2 ** 20, peaks
+
 
 def test_members_without_rows_and_with_snapshots():
     grid_ = g.Grid1D(1.0, 33)

@@ -201,3 +201,26 @@ def test_operators_act_row_wise_on_batches(n):
         assert row.tobytes() == g.div_flux(ci, wi, grid_).tobytes()
     with pytest.raises(ConfigError):
         g.d1(np.zeros((2, 3, n)), grid_)
+
+
+@pytest.mark.parametrize("n", [4, 33, 129])
+def test_operators_write_the_same_bits_into_given_arrays(n):
+    grid_ = g.Grid1D(2.0, n)
+    w = np.random.default_rng(n).standard_normal((5, n))
+    ops = {
+        "d1": lambda f, out: g.d1(f, grid_, out=out),
+        "cumulative_integral": lambda f, out: g.cumulative_integral(f, grid_, out=out),
+        **{f"d2_{bc.name}": (lambda f, out, bc=bc: g.d2(f, grid_, bc, out=out))
+           for bc in g.BcKind},
+    }
+    for name, op in ops.items():
+        for f in (w, w[0]):
+            out = np.full_like(f, np.nan)
+            assert op(f, out) is out, name
+            assert out.tobytes() == op(f, None).tobytes(), name
+    for f in (w, w[0]):
+        mids = np.full_like(f[..., 1:], np.nan)
+        assert g.gradient_mid(f, grid_, out=mids) is mids
+        assert mids.tobytes() == g.gradient_mid(f, grid_).tobytes()
+        total = g.integrate(f, grid_, work=np.full_like(f[..., 1:], np.nan))
+        assert np.asarray(total).tobytes() == np.asarray(g.integrate(f, grid_)).tobytes()

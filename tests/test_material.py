@@ -161,8 +161,8 @@ def test_law_rows_evaluate_each_row_by_its_own_law(case):
 
 
 def test_law_rows_apply_a_family_formula_once(monkeypatch):
-    # one formula call per family, not one per member; tables and power
-    # exponents alone go row by row
+    # one formula call per family, not one per member; tables alone go row
+    # by row, power exponents once per distinct exponent
     calls = []
     for name in ("_gamma", "_f", "_check_xi"):
         real = getattr(mat, name)
@@ -302,3 +302,18 @@ def test_lambda1_argument_checks():
         mat.lambda1_bound(1.0, a=0.0, length=1.0)
     with pytest.raises(DomainError):
         mat.lambda1_bound(1.0, a=1.0, length=-2.0)
+
+
+def test_power_raises_the_rows_of_each_exponent_as_a_solo_run_would():
+    # a column of exponents: bit for bit the row-by-row powers, with and
+    # without an output array (which may be the base)
+    base = np.random.default_rng(3).uniform(0.5, 3.0, (3, 17))
+    p = np.array([[2.0], [5.8], [2.0]])
+    ref = np.array([base[i] ** e for i, e in enumerate((2.0, 5.8, 2.0))])
+    assert mat.power(base, p).tobytes() == ref.tobytes()
+    out = np.empty_like(base)
+    assert mat.power(base, p, out=out) is out and out.tobytes() == ref.tobytes()
+    inplace = base.copy()
+    assert mat.power(inplace, p, out=inplace).tobytes() == ref.tobytes()
+    assert mat.power(base, 5.8).tobytes() == (base ** 5.8).tobytes()
+    assert mat.power(base, np.full((3, 1), 5.8)).tobytes() == (base ** 5.8).tobytes()
