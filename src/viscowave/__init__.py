@@ -60,7 +60,6 @@ from .diagnostics import (
     energy,
     estimate_K,
     lq_balance,
-    monitors_update,
     theory_constants,
     z_residual,
     z_transform,

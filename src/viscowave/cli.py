@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from dataclasses import asdict, replace
@@ -104,6 +105,13 @@ class FieldDump(dyn.Recorder):
         if self.made_dir:
             os.rmdir(self.dir)
 
+    def prune(self) -> None:
+        """Removes every ``fields_NNNNN.csv`` in the directory that this
+        recorder did not write, say one of an earlier, longer run."""
+        for name in os.listdir(self.dir):
+            if re.fullmatch(r"fields_\d{5,}\.csv", name) and int(name[7:-4]) >= self.count:
+                os.remove(os.path.join(self.dir, name))
+
 
 def _run(config):
     """``dyn.run`` of the config's scenario with the rows, plus the field
@@ -111,21 +119,23 @@ def _run(config):
 
     A run that raises leaves no dumps behind, like it leaves no other
     artifact; a run that ends on a status (``aborted``, ``blowup_halt``)
-    keeps them.
+    keeps them.  A run that returns leaves its own dumps in ``fields/`` and
+    no other ``fields_NNNNN.csv``, such as a longer earlier run's.
     """
     batch = isinstance(config, list)
     scens = [c.scenario for c in config] if batch else config.scenario
     dumps = [[FieldDump(os.path.join(c.out_dir, "fields"))] if c.dump_fields else []
              for c in (config if batch else [config])]
-    if not any(dumps):
-        return dyn.run(scens)
+    made = [dump for recs in dumps for dump in recs]
     try:
-        return dyn.run(scens, recorders=dumps if batch else dumps[0])
+        trajs = dyn.run(scens, recorders=dumps if batch else dumps[0])
     except BaseException:
-        for recs in dumps:
-            for dump in recs:
-                dump.discard()
+        for dump in made:
+            dump.discard()
         raise
+    for dump in made:
+        dump.prune()
+    return trajs
 
 
 def _bounds_block(traj: dyn.Trajectory) -> dict:

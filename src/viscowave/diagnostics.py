@@ -17,7 +17,7 @@ from __future__ import annotations
 import collections.abc
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -262,15 +262,6 @@ def _accumulated(ev: StateEval, alpha, out=None):
     yield np.multiply(ev.vxx, ev.vxx, out=out)
 
 
-def monitors_update(prev: TheoryMonitors, state, dt: float, q: float, alpha: float,
-                    grid_: g.Grid1D) -> TheoryMonitors:
-    """Advance the accumulators by ``dt`` x (integrand at ``state``) and set
-    the instantaneous fields to their values at ``state``."""
-    ev = StateEval.of(state, grid_)
-    return replace(accumulate_monitors(prev, ev, dt, alpha, grid_),
-                   **instantaneous_monitors(ev, q, grid_))
-
-
 # --------------------------------------------------------------------------
 # Lq balance
 # --------------------------------------------------------------------------
@@ -429,46 +420,31 @@ def _solve_mixed_heat(z0, gsrc, D, T, dt, grid_: g.Grid1D, p: float) -> np.ndarr
     """Space-time L^p integral of z_xx for z_t = D z_xx + g with z(0)=z_x(L)=0.
 
     One problem per row of the (B, n) arrays ``z0`` and ``gsrc``; returns B
-    integrals.  Solved on the grid's n nodes (Crank-Nicolson in time): row 0
-    is the Dirichlet identity, row n-1 the mirror-ghost Neumann row, whose
-    ghost value z[n-2] stands in for the node beyond x = L; the quadrature in
-    time is trapezoidal.  Every problem has the same matrix, so each step is
-    one solve with the B rows as its right-hand-side columns, and each row
-    gets the bits of its own march.
-
-    A step allocates nothing but the solve's result: the right-hand side,
-    z_xx, |z_xx|^p and the trapezoid terms go into work arrays made once.
+    integrals.  A plain forward march on the grid's n nodes (Crank-Nicolson
+    in time): row 0 is the Dirichlet identity, row n-1 the mirror-ghost
+    Neumann row, whose ghost value z[n-2] stands in for the node beyond
+    x = L; the quadrature in time is trapezoidal.  Every problem has the same
+    matrix, so each step is one solve with the B rows as its right-hand-side
+    columns, and each row gets the bits of its own march.
     """
-    z = z0
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     r = 0.5 * dt * D / grid_.dx ** 2
     op = tridiag.neumann(grid_.n, r)  # one matrix for every step and row
     op.diag[0], op.upper[0] = 1.0, 0.0  # the Dirichlet row at x = 0
-    src = dt * gsrc[:, 1:]
-    rhs = np.zeros_like(z)  # the work array of every step; its row 0 stays 0
-    body = rhs[:, 1:]
-    inner, last = body[:, :-1], body[:, -1:]
-    zxx = np.empty_like(z)
-    terms = np.empty_like(z[:, 1:])
 
     def zxx_p(w):
-        g.d2(w, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN, out=zxx)
-        np.abs(zxx, out=zxx)
-        np.power(zxx, p, out=zxx)
-        return g.integrate(zxx, grid_, work=terms)
+        zxx = g.d2(w, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN)
+        return g.integrate(np.abs(zxx) ** p, grid_)
 
+    z = z0
     acc = 0.5 * zxx_p(z)
     for _ in range(nsteps):
-        # rows 1..n-1: z + (r (right - 2 z + left) + src), in this order; the
+        # rows 1..n-1: z + (r (right - 2 z + left) + dt g), in this order; the
         # right neighbour of row n-1 is its ghost z[n-2]
-        np.multiply(2.0, z[:, 1:], out=body)
-        np.subtract(z[:, 2:], inner, out=inner)
-        np.subtract(z[:, -2:-1], last, out=last)
-        body += z[:, :-1]
-        body *= r
-        body += src
-        body += z[:, 1:]
+        right = np.concatenate((z[:, 2:], z[:, -2:-1]), axis=1)
+        rhs = np.zeros_like(z)  # row 0 stays 0
+        rhs[:, 1:] = z[:, 1:] + (r * (right - 2.0 * z[:, 1:] + z[:, :-1]) + dt * gsrc[:, 1:])
         z = op.solve(rhs)
         acc += zxx_p(z)
     acc -= 0.5 * zxx_p(z)

@@ -87,6 +87,8 @@ class SchemeConfig:
             raise ConfigError("cfl_safety must lie in (0, 1]")
         if self.positivity_tolerance < 0 or self.solver_tol <= 0:
             raise ConfigError("tolerances must be positive")
+        if self.max_step_retries < 0:
+            raise ConfigError(f"max_step_retries must be nonnegative, got {self.max_step_retries}")
 
 
 @dataclass(frozen=True)
@@ -516,10 +518,11 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
     returns an :class:`Ensemble` of their trajectories.  ``laws``,
     ``monitor_cfg`` and ``recorders`` (if any) then hold one entry per
     member, a sequence of recorders each.  The members share the grid, ``a``,
-    ``t_end`` and ``scheme_cfg``.  With a fixed dt, one cadence and no forcing
-    they run as one batch, else one after another.  A batch holds their
-    fields as the rows of (B, n) arrays: every operator, the accumulators
-    and the rows act on all of them at once, and each stage is one stacked
+    ``t_end``, ``scheme_cfg`` and ``forcing``.  With a fixed dt and one
+    cadence they run as one batch, else one after another.  A batch holds
+    their fields as the rows of (B, n) arrays: every operator, the
+    accumulators and the rows act on all of them at once, the forcing's
+    fields broadcast over the rows, and each stage is one stacked
     tridiagonal solve.  Each member keeps its own laws, monitors, clamp
     count, detector, verdict and recorders, and gets the bits of its own
     run.  A member that halts leaves the batch.  When a batch step raises
@@ -545,8 +548,7 @@ def simulate(laws, a: float, grid_: g.Grid1D, data, t_end: float, scheme_cfg: Sc
         raise ConfigError("t_end must be positive")
 
     members = [_Member(*inputs, grid_, a) for inputs in zip(laws, data, monitor_cfg, recorders)]
-    together = (not scheme_cfg.adaptive and forcing is None
-                and len({c.cadence for c in monitor_cfg}) == 1)
+    together = not scheme_cfg.adaptive and len({c.cadence for c in monitor_cfg}) == 1
     for m in _march(members, a, grid_, t_end, scheme_cfg, forcing, rows) if together else members:
         _march([m], a, grid_, t_end, scheme_cfg, forcing, rows)  # from t = 0, or where it failed
     trajs = [m.traj for m in members]

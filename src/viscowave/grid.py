@@ -74,22 +74,36 @@ def _check_size(w: FloatArray, grid: Grid1D, name: str = "field") -> FloatArray:
 # The stencils index the node axis through the transpose: ``w.T[0]`` is a
 # numpy scalar for one field and the column of end values for a batch, while
 # ``w[..., 0]`` of a 1D array is a 0-d array, on which every arithmetic
-# operation is a full ufunc call.
+# operation is a full ufunc call.  ``d1`` and ``d2`` compute their interior
+# over the rows laid end to end, in one contiguous pass: a strided pass over
+# a small batch costs numpy's buffered iterator more than the arithmetic.
+# The entries that straddle a seam between two rows are end values, which
+# the closures then set.
+
+
+def _end_to_end(w: FloatArray, out: FloatArray | None) -> tuple:
+    """``out``, or a new array of ``w``'s shape, then the rows of ``w`` and of
+    ``out`` laid end to end.  A given ``out`` must be C-contiguous, or the
+    rows laid end to end would be a copy of it."""
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("a stencil's out array must be C-contiguous")
+    out = np.empty(w.shape) if out is None else out
+    return out, w.reshape(-1), out.reshape(-1)
 
 
 def d1(w: FloatArray, grid: Grid1D, out: FloatArray | None = None) -> FloatArray:
     """First derivative: central interior, one-sided second order at the ends.
 
     Exact on polynomials up to degree 2 (the boundary stencils included).
-    Written into ``out`` if given (an array of ``w``'s shape, not ``w``
-    itself), with the same bits.
+    Written into ``out`` if given (a C-contiguous array of ``w``'s shape, not
+    ``w`` itself), with the same bits.
     """
     w = _check_size(w, grid)
     two_dx = 2.0 * grid.dx
-    out = np.empty_like(w) if out is None else out
-    o, w = out.T, w.T
-    inner = np.subtract(w[2:], w[:-2], out=o[1:-1])
+    out, flat, out_flat = _end_to_end(w, out)
+    inner = np.subtract(flat[2:], flat[:-2], out=out_flat[1:-1])
     inner /= two_dx
+    o, w = out.T, w.T
     o[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / two_dx
     o[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / two_dx
     return out
@@ -121,18 +135,19 @@ def d2(w: FloatArray, grid: Grid1D, bc: BcKind, out: FloatArray | None = None) -
 
     Interior nodes use the standard 3-point stencil.  Neumann ends use the
     mirror ghost node (zero flux), Dirichlet ends a one-sided 4-point stencil
-    that is exact on cubics.  Written into ``out`` if given (an array of
-    ``w``'s shape, not ``w`` itself), with the same bits: the interior is
-    ``(w[i+1] - 2 w[i] + w[i-1]) / dx^2`` in this order either way.
+    that is exact on cubics.  Written into ``out`` if given (a C-contiguous
+    array of ``w``'s shape, not ``w`` itself), with the same bits: the
+    interior is ``(w[i+1] - 2 w[i] + w[i-1]) / dx^2`` in this order either
+    way.
     """
     w = _check_size(w, grid)
     dx2 = grid.dx * grid.dx
-    out = np.empty_like(w) if out is None else out
-    o, w = out.T, w.T
-    inner = np.multiply(2.0, w[1:-1], out=o[1:-1])
-    np.subtract(w[2:], inner, out=inner)
-    inner += w[:-2]
+    out, flat, out_flat = _end_to_end(w, out)
+    inner = np.multiply(2.0, flat[1:-1], out=out_flat[1:-1])
+    np.subtract(flat[2:], inner, out=inner)
+    inner += flat[:-2]
     inner /= dx2
+    o, w = out.T, w.T
 
     def left_dirichlet():
         return (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / dx2

@@ -262,10 +262,6 @@ class ValidationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def __str__(self):
-        lines = [f"[{'ok' if c.passed else 'FAIL'}] {c.name}" + (f": {c.detail}" if c.detail else "") for c in self.checks]
-        return "\n".join(lines)
-
 
 def validate_hypotheses(laws: MaterialLaws, xi_max: float = 50.0, n_samples: int = 400) -> ValidationReport:
     """Sample-check the structural hypotheses on gamma and f over [0, xi_max].

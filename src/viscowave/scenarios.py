@@ -143,51 +143,40 @@ def _assemble_forcing(laws, a, derivs) -> dyn.Forcing:
 def mms_case(case_id: str) -> MmsCase:
     """Return a named manufactured-solution case.
 
-    ``stationary``: zero displacement, constant unit temperature, zero
-    forcing.  ``exponential``: u = e^{-t} sin(pi x / L),
+    There is one, ``exponential``: u = e^{-t} sin(pi x / L),
     Theta = 1 + e^{-t} cos(pi x / L) with saturating viscosity and linear
-    coupling.
+    coupling.  The state at rest is the built-in ``stationary`` scenario,
+    whose exact fields :meth:`Scenario.exact_fields` gives.
     """
-    if case_id == "stationary":
-        laws = mat.MaterialLaws(gamma_family="constant", f_family="zero", gamma0=1.0)
-        zero2 = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-        derivs = {k: zero2 for k in
-                  ("v_t", "v_x", "v_xx", "u_xx", "theta_x", "theta_xx", "theta_t")}
-        derivs["theta"] = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
-        return MmsCase(
-            name="stationary", laws=laws, a=1.0, length=1.0,
-            u=zero2, v=zero2, theta=derivs["theta"],
-            forcing=_assemble_forcing(laws, 1.0, derivs),
-        )
-    if case_id == "exponential":
-        laws = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
-                                gamma0=1.0, delta=0.1, K_f=1.0, alpha=1.0)
-        a, L = 1.0, 1.0
-        w = np.pi / L
+    if case_id != "exponential":
+        raise ConfigError(f"unknown MMS case {case_id!r}")
+    laws = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
+                            gamma0=1.0, delta=0.1, K_f=1.0, alpha=1.0)
+    a, L = 1.0, 1.0
+    w = np.pi / L
 
-        def u(x, t):
-            return np.exp(-t) * np.sin(w * x)
+    def u(x, t):
+        return np.exp(-t) * np.sin(w * x)
 
-        def v(x, t):
-            return -np.exp(-t) * np.sin(w * x)
+    def v(x, t):
+        return -np.exp(-t) * np.sin(w * x)
 
-        def theta(x, t):
-            return 1.0 + np.exp(-t) * np.cos(w * x)
+    def theta(x, t):
+        return 1.0 + np.exp(-t) * np.cos(w * x)
 
-        derivs = {
-            "v_t": lambda x, t: np.exp(-t) * np.sin(w * x),
-            "v_x": lambda x, t: -w * np.exp(-t) * np.cos(w * x),
-            "v_xx": lambda x, t: w * w * np.exp(-t) * np.sin(w * x),
-            "u_xx": lambda x, t: -w * w * np.exp(-t) * np.sin(w * x),
-            "theta": theta,
-            "theta_x": lambda x, t: -w * np.exp(-t) * np.sin(w * x),
-            "theta_xx": lambda x, t: -w * w * np.exp(-t) * np.cos(w * x),
-            "theta_t": lambda x, t: -np.exp(-t) * np.cos(w * x),
-        }
-        return MmsCase(name="exponential", laws=laws, a=a, length=L,
-                       u=u, v=v, theta=theta,
-                       forcing=_assemble_forcing(laws, a, derivs))
-    raise ConfigError(f"unknown MMS case {case_id!r}")
+    derivs = {
+        "v_t": lambda x, t: np.exp(-t) * np.sin(w * x),
+        "v_x": lambda x, t: -w * np.exp(-t) * np.cos(w * x),
+        "v_xx": lambda x, t: w * w * np.exp(-t) * np.sin(w * x),
+        "u_xx": lambda x, t: -w * w * np.exp(-t) * np.sin(w * x),
+        "theta": theta,
+        "theta_x": lambda x, t: -w * np.exp(-t) * np.sin(w * x),
+        "theta_xx": lambda x, t: -w * w * np.exp(-t) * np.cos(w * x),
+        "theta_t": lambda x, t: -np.exp(-t) * np.cos(w * x),
+    }
+    return MmsCase(name="exponential", laws=laws, a=a, length=L,
+                   u=u, v=v, theta=theta,
+                   forcing=_assemble_forcing(laws, a, derivs))
 
 
 # --------------------------------------------------------------------------
@@ -460,20 +449,21 @@ def _compare(pending: list, grid_: g.Grid1D) -> None:
     pending.clear()
 
 
-def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None = None) -> CascadeReport:
+def eps_cascade(scenario: Scenario, eps_ladder) -> CascadeReport:
     """Run the scenario with data mollified at each rung of the ladder and
     measure sup-norm distances between consecutive solutions.
 
-    All runs share the grid, the fixed step size (an adaptive scheme is a
-    ConfigError: its rungs would not share sample times) and the sampling
-    cadence.  The rungs are the members of one :func:`dynamics.simulate`
-    batch, compared as they run at every sample while they step in
-    lockstep; each rung holds one sample.  A run that halts early is
-    compared no further, and one that leaves the batch on a failed step
-    only where a later sample falls on a neighbour's final sample time.
-    An aborted rung ends the ladder.  The report flags Cauchy behavior per
-    field: each consecutive distance smaller than the previous one; for each
-    pair it gives the number of samples compared and the last time compared.
+    All runs share the grid, the scenario's scheme with its fixed step size
+    (an adaptive scheme is a ConfigError: its rungs would not share sample
+    times) and the sampling cadence.  The rungs are the members of one
+    :func:`dynamics.simulate` batch, compared as they run at every sample
+    while they step in lockstep; each rung holds one sample.  A run that
+    halts early is compared no further, and one that leaves the batch on a
+    failed step only where a later sample falls on a neighbour's final
+    sample time.  An aborted rung ends the ladder.  The report flags Cauchy
+    behavior per field: each consecutive distance smaller than the previous
+    one; for each pair it gives the number of samples compared and the last
+    time compared.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if not eps_ladder:
@@ -482,8 +472,7 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
         raise ConfigError("eps ladder must be strictly decreasing")
     if any(not (0.0 < e < 1.0) for e in eps_ladder):
         raise ConfigError("eps values must lie in (0, 1)")
-    scheme = scheme or scenario.scheme
-    if scheme.adaptive:
+    if scenario.scheme.adaptive:
         raise ConfigError("the eps ladder needs a fixed dt: adaptive rungs share no sample times")
 
     grid_ = scenario.make_grid()
@@ -493,7 +482,7 @@ def eps_cascade(scenario: Scenario, eps_ladder, scheme: dyn.SchemeConfig | None 
     pending: list = []  # the pairs noted and not yet compared
     ladder.extend(_Rung(ladder, i, grid_, pending) for i in range(len(data)))
     trajs = dyn.simulate([scenario.laws] * len(data), scenario.a, grid_, data, scenario.t_end,
-                         scheme, [scenario.monitors] * len(data), rows=False,
+                         scenario.scheme, [scenario.monitors] * len(data), rows=False,
                          recorders=[(r,) for r in ladder])
     _compare(pending, grid_)
     statuses = [traj.status for traj in trajs]
@@ -527,15 +516,15 @@ class EtaCascadeReport:
     slope: float
 
 
-def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D,
-                v0: np.ndarray, u0: np.ndarray, etas, t_end: float, dt: float,
-                cfg: dyn.SchemeConfig | None = None) -> EtaCascadeReport:
+def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D, v0: np.ndarray,
+                u0: np.ndarray, etas, t_end: float, dt: float) -> EtaCascadeReport:
     """Run the triangular system for each eta and against the eta = 0
     reference, tracking  y(t) = int (v_eta - v)^2 + a int (u_eta - u)_x^2.
 
     Returns the sup-in-time of y per eta and the fitted log-log slope of
     sup y against eta.  Every eta and the reference step as the rows of one
-    batch, by :func:`dynamics.step_eta`'s body with its operators built once.
+    batch, by :func:`dynamics.step_eta`'s body with its operators built once,
+    its solves checked against the default ``SchemeConfig.solver_tol``.
     """
     etas = tuple(float(e) for e in etas)
     if any(e <= 0 for e in etas):
@@ -547,7 +536,6 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D,
             raise ConfigError(f"eta cascade {name} must be finite and positive, got {value}")
     if not math.isfinite(t_end / dt):
         raise ConfigError(f"eta cascade t_end / dt = {t_end} / {dt} overflows")
-    cfg = cfg or dyn.SchemeConfig(dt_initial=dt, dt_max=dt)
     nsteps = max(1, int(round(t_end / dt)))
     dt = t_end / nsteps
 
@@ -558,7 +546,7 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D,
     y_max = np.zeros(len(etas))
     for step in range(nsteps + 1):
         if step:
-            st = dyn._step_eta(st, ops, a, grid_, cfg.solver_tol, dt)
+            st = dyn._step_eta(st, ops, a, grid_, dyn.SchemeConfig.solver_tol, dt)
         dv = st.v_eta[1:] - st.v_eta[0]
         du_mid = g.gradient_mid(st.u_eta[1:] - st.u_eta[0], grid_)
         y = g.integrate(dv ** 2, grid_) + a * (du_mid ** 2).sum(axis=-1) * grid_.dx

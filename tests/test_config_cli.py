@@ -123,10 +123,9 @@ def _mms_scenario(case: str) -> sc.Scenario:
                        generator="mms", t_end=0.25, mms_id=case)
 
 
-# every battery scenario and both manufactured solutions, at non-default run controls
+# every battery scenario and the manufactured solution, at non-default run controls
 ROUND_TRIP_CONFIGS = [cfgmod.RunConfig(scen, out_dir="elsewhere", seed=11)
-                      for scen in sc.builtin_battery() + [_mms_scenario("stationary"),
-                                                          _mms_scenario("exponential")]]
+                      for scen in sc.builtin_battery() + [_mms_scenario("exponential")]]
 
 
 def test_round_trip_of_battery_config():
@@ -474,6 +473,24 @@ def test_field_dumps_are_the_sampled_states_written_as_final_state(tmp_path):
         cli.write_final_state(state, traj.grid, str(ref))
         assert dump.read_bytes() == ref.read_bytes()
     assert dumps[-1].read_bytes() == (out / "final_state.csv").read_bytes()
+
+
+def test_a_shorter_rerun_leaves_only_its_own_field_dumps(tmp_path):
+    # 10 steps at cadence 2 dump 6 states, then 4 steps into the same
+    # directory dump 3: the first run's last three go, and no other file
+    text = COUPLED_INI.replace("seed = 11\n", "seed = 11\ndump_fields = true\n") \
+        + "\n[monitors]\ncadence = 2\n"
+    out, kept = tmp_path / "dumps", []
+    for t_end, count in (("0.01", 6), ("0.004", 3)):
+        path = write_ini(tmp_path, text.replace("T_end = 0.05", f"T_end = {t_end}"), out=str(out))
+        assert cli.cmd_run(path, out_dir=str(out)) == cli.EXIT_OK
+        rows = np.atleast_1d(np.genfromtxt(out / "timeseries.csv", delimiter=",", names=True))
+        names = sorted(p.name for p in (out / "fields").iterdir())
+        assert len(rows) == count
+        assert names == sorted([f"fields_{i:05d}.csv" for i in range(count)] + kept)
+        kept = ["fields_notes.csv", "fields_00001.txt", "notes.txt"]
+        for name in kept:
+            (out / "fields" / name).write_text("kept\n")
 
 
 def test_a_summary_that_raises_leaves_no_artifacts(tmp_path, monkeypatch):
@@ -867,10 +884,10 @@ def test_cmd_sweep_records_failing_point_and_exits_solver(tmp_path, monkeypatch,
     path = write_ini(tmp_path, text, name="sweep.ini", out=str(out))
     real_run = cli.dyn.run
 
-    def run(scenario):
+    def run(scenario, **kwargs):
         if scenario.laws.delta == 0.05:
             raise RuntimeError("injected fault, with a comma")
-        return real_run(scenario)
+        return real_run(scenario, **kwargs)
 
     monkeypatch.setattr(cli.dyn, "run", run)
     code = cli.main(["sweep", "--config", path, "--out", str(out), "--workers", "1"])
@@ -948,6 +965,8 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     ("run", "solver_tol = nan\n", "[time] solver_tol"),
     ("run", "solver_tol = inf\n", "[time] solver_tol"),
     ("run", "positivity_tolerance = nan\n", "[time] positivity_tolerance"),
+    # else a reject_step run aborts at its first rejection
+    ("run", "max_step_retries = -3\n", "max_step_retries"),
     ("run", "dt_initial = nan\n", "[time] dt_initial"),
     ("run", "T_end = inf\n", "[time] T_end"),
     ("run", "[monitors]\nblowup_threshold = nan\n", "[monitors] blowup_threshold"),
@@ -971,6 +990,7 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     ("sweep", "[sweep]\naxis = delta\nvalues = 0.0, 0.1\nworker = 2\n", "worker"),
 ], ids=["run-T0", "run-a", "run-gen_param", "sweep-gen_param", "run-T_end", "sweep-T_end",
         "run-solver_tol-nan", "run-solver_tol-inf", "run-positivity_tolerance-nan",
+        "run-max_step_retries-negative",
         "run-dt_initial-nan", "run-T_end-inf", "run-blowup_threshold-nan", "run-q-nan",
         "run-kappa-nan", "run-delta-nan", "run-gamma0-nan", "run-L-nan", "run-gen_param-nan",
         "sweep-values-nan", "sweep-grid_n-fraction", "sweep-delta-negative",

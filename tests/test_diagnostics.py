@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -363,9 +363,16 @@ def test_theory_constants_argument_checks():
 # --------------------------------------------------------------------------
 
 
+def monitors_update(prev, state, dt, q, alpha, grid_):
+    """The accumulators advanced by ``dt`` x (integrand at ``state``), and
+    the instantaneous monitors at ``state``."""
+    return replace(diag.accumulate_monitors(prev, state, dt, alpha, grid_),
+                   **diag.instantaneous_monitors(state, q, grid_))
+
+
 def test_monitors_update_zero_state():
     grid_ = make_grid(65)
-    out = diag.monitors_update(diag.TheoryMonitors(), state_of(grid_), 0.01, 2.0, 1.0, grid_)
+    out = monitors_update(diag.TheoryMonitors(), state_of(grid_), 0.01, 2.0, 1.0, grid_)
     assert out.cum_theta_pow == pytest.approx(0.01 * grid_.length, rel=1e-12)
     assert out.lq_value == pytest.approx(grid_.length, rel=1e-12)  # int (0+1)^q
     for name in ("cum_vx4", "cum_thetaxx2", "cum_vxx2", "l2_thetax", "l2_vx", "l2_uxx", "w12_theta"):
@@ -376,8 +383,8 @@ def test_monitors_cumulative_linear_growth():
     grid_ = make_grid(65)
     x = grid_.nodes
     state = state_of(grid_, theta=1.0 + 0.5 * np.cos(np.pi * x))
-    m1 = diag.monitors_update(diag.TheoryMonitors(), state, 0.01, 2.0, 1.0, grid_)
-    m2 = diag.monitors_update(m1, state, 0.01, 2.0, 1.0, grid_)
+    m1 = monitors_update(diag.TheoryMonitors(), state, 0.01, 2.0, 1.0, grid_)
+    m2 = monitors_update(m1, state, 0.01, 2.0, 1.0, grid_)
     assert m2.cum_thetaxx2 == pytest.approx(2.0 * m1.cum_thetaxx2, rel=1e-12)
     assert m2.cum_theta_pow == pytest.approx(2.0 * m1.cum_theta_pow, rel=1e-12)
     assert m2.l2_thetax == m1.l2_thetax  # instantaneous, not accumulated
@@ -400,7 +407,7 @@ def test_monitors_heat_eigenmode_closed_form():
 def test_monitors_require_positive_dt():
     grid_ = make_grid(33)
     with pytest.raises(DomainError):
-        diag.monitors_update(diag.TheoryMonitors(), state_of(grid_), 0.0, 2.0, 1.0, grid_)
+        monitors_update(diag.TheoryMonitors(), state_of(grid_), 0.0, 2.0, 1.0, grid_)
 
 
 def _sign_changing_velocities(n):

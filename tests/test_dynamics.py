@@ -274,6 +274,13 @@ def test_step_argument_checks():
                             CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
 
 
+def test_negative_step_retries_are_a_config_error():
+    # else a reject_step run aborts at its first rejection
+    with pytest.raises(ConfigError, match="max_step_retries"):
+        dyn.SchemeConfig(max_step_retries=-3)
+    assert dyn.SchemeConfig(max_step_retries=0).max_step_retries == 0
+
+
 def test_step_needs_four_nodes():
     with pytest.raises(ConfigError):
         grid_ = make_grid(3)
@@ -663,7 +670,7 @@ def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
             state = prev
             break
         left = prev
-        monitors = diag.monitors_update(monitors, prev, dt, mon.q, laws.alpha, grid_)
+        monitors = diag.accumulate_monitors(monitors, prev, dt, laws.alpha, grid_)
         clamp_total += clamped
         steps += 1
         since += 1

@@ -359,11 +359,11 @@ def test_a_batch_failure_no_member_repeats_alone_propagates(monkeypatch):
     real = dyn.step_with_count
     batch_steps = []
 
-    def batch_fails(state, laws, *args):
+    def batch_fails(state, laws, *args, **kwargs):
         if isinstance(laws, mat.LawRows):
             batch_steps.append(state.t)
             raise StepError("the batch step failed")
-        return real(state, laws, *args)
+        return real(state, laws, *args, **kwargs)
 
     monkeypatch.setattr(dyn, "step_with_count", batch_fails)
     with pytest.raises(StepError, match="the batch step failed"):
@@ -413,25 +413,40 @@ def test_ensemble_arguments_checked():
         dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg_for(1e-3), mons[:2])
 
 
-@pytest.mark.parametrize("case", ["forcing", "adaptive", "cadences"])
-def test_members_that_cannot_share_steps_run_one_after_another(case, monkeypatch):
+def _members_against_solos(monkeypatch, cfg, mons, forcing=None):
+    """The members' ensemble run, its ``_march`` calls (members each) and
+    the members' solo runs."""
     grid_ = g.Grid1D(1.0, 33)
-    laws, data, mons = members(grid_)
-    cfg, forcing = cfg_for(1e-3), None
-    if case == "forcing":
-        forcing = dyn.Forcing(fv=lambda x, t: np.sin(np.pi * x) * t,
-                              ftheta=lambda x, t: np.ones_like(x))
-    elif case == "adaptive":
-        cfg = dyn.SchemeConfig(dt_initial=1e-3, dt_max=4e-3, adaptive=True)
-    else:
-        mons = mons[:2] + [diag.MonitorConfig(cadence=2)]
+    laws, data, _ = members(grid_)
     solos = [dyn.simulate(l, 1.0, grid_, d, 0.01, cfg, m, forcing)
              for l, d, m in zip(laws, data, mons)]
     marched = []
     real = dyn._march
     monkeypatch.setattr(dyn, "_march", lambda act, *args: marched.append(len(act)) or real(act, *args))
-    ens = dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg, mons, forcing)
+    return dyn.simulate(laws, 1.0, grid_, data, 0.01, cfg, mons, forcing), marched, solos
+
+
+@pytest.mark.parametrize("case", ["adaptive", "cadences"])
+def test_members_that_cannot_share_steps_run_one_after_another(case, monkeypatch):
+    cfg, mons = cfg_for(1e-3), members(g.Grid1D(1.0, 33))[2]
+    if case == "adaptive":
+        cfg = dyn.SchemeConfig(dt_initial=1e-3, dt_max=4e-3, adaptive=True)
+    else:
+        mons = mons[:2] + [diag.MonitorConfig(cadence=2)]
+    ens, marched, solos = _members_against_solos(monkeypatch, cfg, mons)
     assert marched == [1, 1, 1]
+    for traj, solo in zip(ens, solos):
+        assert_same_run(traj, solo)
+    assert ens.steps_taken == sum(s.steps_taken for s in solos)
+
+
+def test_forced_members_share_their_steps(monkeypatch):
+    # one forcing for every member: its fields broadcast over the batch's rows
+    forcing = dyn.Forcing(fv=lambda x, t: np.sin(np.pi * x) * t,
+                          ftheta=lambda x, t: np.ones_like(x))
+    mons = members(g.Grid1D(1.0, 33))[2]
+    ens, marched, solos = _members_against_solos(monkeypatch, cfg_for(1e-3), mons, forcing)
+    assert marched == [3]
     for traj, solo in zip(ens, solos):
         assert_same_run(traj, solo)
     assert ens.steps_taken == sum(s.steps_taken for s in solos)
@@ -447,14 +462,14 @@ class _Faults:
     def __init__(self, faults: dict, t_fail: float):
         self.faults, self.t_fail, self.real = faults, t_fail, dyn.step_with_count
 
-    def __call__(self, state, laws, a, grid_, cfg, dt, forcing=None):
+    def __call__(self, state, laws, a, grid_, cfg, dt, *args, **kwargs):
         batch = isinstance(laws, mat.LawRows)
         for law in (laws if batch else [laws]):
             fault = self.faults.get(id(law)) if state.t >= self.t_fail else None
             if fault == "aborts" or fault == "rejects" and dt == cfg.dt_initial:
                 raise StepError(f"{fault} at t = {state.t:g}",
                                 suggested_dt=0.5 * dt if fault == "rejects" else None)
-        return self.real(state, laws, a, grid_, cfg, dt, forcing)
+        return self.real(state, laws, a, grid_, cfg, dt, *args, **kwargs)
 
 
 @pytest.mark.parametrize("scheme", ["imex_be", "imex_cn"])
@@ -534,9 +549,9 @@ def test_a_resumed_member_writes_each_field_dump_once(tmp_path, monkeypatch):
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(ens, solo))
 
 
-def test_run_over_mms_configs_passes_the_forcing_and_runs_members_alone(monkeypatch):
+def test_run_over_mms_configs_passes_the_forcing_and_batches_the_members(monkeypatch):
     # scenarios that share an MMS case share its forcing: dyn.run passes it on,
-    # and simulate runs the members one after another, each with its solo bits
+    # and simulate runs the members as one batch, each with its solo bits
     scen = sc.Scenario(name="mms", laws=sc.mms_case("exponential").laws, a=1.0, length=1.0,
                        n=33, generator="mms", t_end=0.004,
                        scheme=cfg_for(2e-4, "imex_cn"), mms_id="exponential")
@@ -549,8 +564,8 @@ def test_run_over_mms_configs_passes_the_forcing_and_runs_members_alone(monkeypa
     real = dyn._march
     monkeypatch.setattr(dyn, "_march", lambda act, *args: marched.append(len(act)) or real(act, *args))
     ens = dyn.run(scens)
-    assert marched == [1, 1, 1]
+    assert marched == [3]
     for traj, solo in zip(ens, solos):
         assert_same_run(traj, solo)
     with pytest.raises(ConfigError, match="mms case"):
-        dyn.run([scens[0], replace(scens[1], mms_id="stationary")])
+        dyn.run([scens[0], replace(scens[1], mms_id=None)])

@@ -224,3 +224,21 @@ def test_operators_write_the_same_bits_into_given_arrays(n):
         assert mids.tobytes() == g.gradient_mid(f, grid_).tobytes()
         total = g.integrate(f, grid_, work=np.full_like(f[..., 1:], np.nan))
         assert np.asarray(total).tobytes() == np.asarray(g.integrate(f, grid_)).tobytes()
+
+
+def test_stencils_refuse_an_out_array_that_is_not_c_contiguous():
+    # d1 and d2 write their interior through out.reshape(-1), which would
+    # copy a strided array and leave it unwritten
+    grid_ = g.Grid1D(1.0, 33)
+    w = np.random.default_rng(3).standard_normal((4, 33))
+    for strided in (np.empty((33, 4)).T, np.empty((4, 66))[:, ::2]):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            g.d1(w, grid_, out=strided)
+        for bc in g.BcKind:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                g.d2(w, grid_, bc, out=strided)
+    # a strided input is read as its values: the bits of its C-ordered copy
+    for f in (np.asfortranarray(w), np.repeat(w, 2, axis=1)[:, ::2]):
+        assert g.d1(f, grid_).tobytes() == g.d1(w, grid_).tobytes()
+        for bc in g.BcKind:
+            assert g.d2(f, grid_, bc).tobytes() == g.d2(w, grid_, bc).tobytes()

@@ -21,15 +21,6 @@ def make_grid(n=129, L=1.0):
 # --------------------------------------------------------------------------
 
 
-def test_mms_stationary_zero_forcing():
-    case = sc.mms_case("stationary")
-    x = np.linspace(0.0, 1.0, 33)
-    assert np.all(case.forcing.fv(x, 0.3) == 0.0)
-    assert np.all(case.forcing.ftheta(x, 0.3) == 0.0)
-    assert np.all(case.u(x, 1.0) == 0.0)
-    assert np.all(case.theta(x, 1.0) == 1.0)
-
-
 def test_mms_exponential_fields_at_t0():
     case = sc.mms_case("exponential")
     grid_ = make_grid(65)
@@ -57,6 +48,16 @@ def test_mms_exponential_forcing_frozen_oracle_values():
 def test_mms_unknown_id():
     with pytest.raises(ConfigError):
         sc.mms_case("nope")
+
+
+def test_the_state_at_rest_is_the_stationary_scenario_not_an_mms_case():
+    with pytest.raises(ConfigError, match="unknown MMS case 'stationary'"):
+        sc.mms_case("stationary")
+    exact = sc.battery_scenario("stationary").exact_fields()
+    x = np.linspace(0.0, 1.0, 33)
+    assert np.all(exact["u"](x, 1.0) == 0.0)
+    assert np.all(exact["v"](x, 1.0) == 0.0)
+    assert np.all(exact["theta"](x, 1.0) == 1.0)
 
 
 def test_mms_backward_euler_temporal_order():
@@ -300,7 +301,7 @@ class _RungFault:
         self.fault, self.theta0, self.last = fault, theta0, None
         self.real = dyn.step_with_count
 
-    def __call__(self, state, laws, a, grid_, cfg, dt, forcing=None):
+    def __call__(self, state, laws, a, grid_, cfg, dt, *args, **kwargs):
         mark = self.theta0 if state.t == 0.0 else self.last
         rows = np.atleast_2d(state.theta)
         hit = [i for i, row in enumerate(rows) if np.array_equal(row, mark)]
@@ -313,7 +314,7 @@ class _RungFault:
                 v = np.array(state.v)
                 np.atleast_2d(v)[i, 1:-1] = np.nan
                 state = dyn.State(state.t, state.u, v, state.theta)
-        new, clamped = self.real(state, laws, a, grid_, cfg, dt, forcing)
+        new, clamped = self.real(state, laws, a, grid_, cfg, dt, *args, **kwargs)
         if hit:
             self.last = np.atleast_2d(new.theta)[hit[0]]
         return new, clamped
@@ -432,8 +433,6 @@ def test_eps_cascade_batches_a_fixed_dt_and_rejects_an_adaptive_one(monkeypatch)
     assert marched == [3]
     # adaptive rungs take their own steps, so they share no sample times
     adaptive = replace(base.scheme, adaptive=True, dt_max=1e-2)
-    with pytest.raises(ConfigError, match="fixed dt"):
-        sc.eps_cascade(base, ladder, adaptive)
     with pytest.raises(ConfigError, match="fixed dt"):
         sc.eps_cascade(replace(base, scheme=adaptive), ladder)
 
