@@ -61,8 +61,6 @@ from .diagnostics import (
     estimate_K,
     lq_balance,
     theory_constants,
-    z_residual,
-    z_transform,
 )
 from .scenarios import (
     CascadeReport,

@@ -105,12 +105,14 @@ class FieldDump(dyn.Recorder):
         if self.made_dir:
             os.rmdir(self.dir)
 
-    def prune(self) -> None:
-        """Removes every ``fields_NNNNN.csv`` in the directory that this
-        recorder did not write, say one of an earlier, longer run."""
-        for name in os.listdir(self.dir):
-            if re.fullmatch(r"fields_\d{5,}\.csv", name) and int(name[7:-4]) >= self.count:
-                os.remove(os.path.join(self.dir, name))
+
+def _prune(fields_dir: str, written: int) -> None:
+    """Removes every ``fields_NNNNN.csv`` in ``fields_dir``, if it exists,
+    numbered ``written`` or more: those a run that wrote ``written`` dumps
+    did not write, say an earlier, longer run's."""
+    for name in os.listdir(fields_dir) if os.path.isdir(fields_dir) else ():
+        if re.fullmatch(r"fields_\d{5,}\.csv", name) and int(name[7:-4]) >= written:
+            os.remove(os.path.join(fields_dir, name))
 
 
 def _run(config):
@@ -119,22 +121,23 @@ def _run(config):
 
     A run that raises leaves no dumps behind, like it leaves no other
     artifact; a run that ends on a status (``aborted``, ``blowup_halt``)
-    keeps them.  A run that returns leaves its own dumps in ``fields/`` and
-    no other ``fields_NNNNN.csv``, such as a longer earlier run's.
+    keeps them.  A run that returns leaves its own dumps in ``fields/``, if
+    any, and no other ``fields_NNNNN.csv``, such as an earlier run's.
     """
     batch = isinstance(config, list)
-    scens = [c.scenario for c in config] if batch else config.scenario
-    dumps = [[FieldDump(os.path.join(c.out_dir, "fields"))] if c.dump_fields else []
-             for c in (config if batch else [config])]
+    configs = config if batch else [config]
+    dirs = [os.path.join(c.out_dir, "fields") for c in configs]
+    dumps = [[FieldDump(d)] if c.dump_fields else [] for c, d in zip(configs, dirs)]
     made = [dump for recs in dumps for dump in recs]
     try:
-        trajs = dyn.run(scens, recorders=dumps if batch else dumps[0])
+        trajs = dyn.run([c.scenario for c in configs] if batch else config.scenario,
+                        recorders=dumps if batch else dumps[0])
     except BaseException:
         for dump in made:
             dump.discard()
         raise
-    for dump in made:
-        dump.prune()
+    for d, recs in zip(dirs, dumps):
+        _prune(d, recs[0].count if recs else 0)
     return trajs
 
 
@@ -363,12 +366,15 @@ def cmd_sweep(config_path: str, out_dir: str | None = None, workers: int = 1,
 
 
 def _converge_errors(scen, n_values, dt_scaling: str):
-    """Run the study and return {field: [error per n]} plus dx list."""
+    """Run the study and return {field: [error per n]}, the dx list, and the
+    last run's trajectory: the study stops at a run that does not complete."""
     exact = scen.exact_fields()
     if exact is None:
-        raise ConfigError(
-            f"scenario {scen.name!r} has no exact solution; converge needs an mms_case, "
-            "the zero generator, or the heat_eigenmode generator with f_family = zero")
+        raise ConfigError(f"scenario {scen.name!r} has no exact solution; " + (
+            f"the fields of mms case {scen.mms_id!r} do not solve it: the case's forcing is "
+            f"built for its laws, a, L and data, and the scenario has {scen.mms_mismatch()}"
+            if scen.mms_id else "converge needs an mms_case, the zero generator, or the "
+            "heat_eigenmode generator with f_family = zero"))
     base_dx = scen.length / (n_values[0] - 1)
     base_dt = scen.scheme.dt_initial
     errors: dict[str, list[float]] = {f: [] for f in exact}
@@ -378,28 +384,34 @@ def _converge_errors(scen, n_values, dt_scaling: str):
         dt = base_dt if dt_scaling == "fixed" else base_dt * (dx / base_dx) ** 2
         point = replace(scen, n=int(n), scheme=replace(scen.scheme, dt_initial=dt, dt_max=dt))
         traj = dyn.run(point, rows=False)
-        st = traj.final_state
-        grid_ = traj.grid
+        if traj.status != "completed":
+            break
+        st, nodes = traj.final_state, traj.grid.nodes
         for fname, fn in exact.items():
-            ref = fn(grid_.nodes, st.t)
-            errors[fname].append(float(np.max(np.abs(getattr(st, fname) - ref))))
+            errors[fname].append(float(np.max(np.abs(getattr(st, fname) - fn(nodes, st.t)))))
         dxs.append(dx)
-    return errors, dxs
+    return errors, dxs, traj
 
 
 def cmd_converge(config_path: str, out_dir: str | None = None, mms_only: bool = False) -> int:
-    """Grid-refinement study against the scenario's exact fields."""
+    """Grid-refinement study against the scenario's exact fields.  A study
+    with a run that does not complete stops there and reports no order: it
+    exits with that run's :func:`_exit_code`."""
     try:
         conv = cfgmod.parse_converge_config(config_path)
         if mms_only and conv.base.scenario.mms_id is None:
             raise ConfigError("mms-verify requires a scenario with an mms_case")
-        errors, dxs = _converge_errors(conv.base.scenario, conv.n_values, conv.dt_scaling)
+        errors, dxs, traj = _converge_errors(conv.base.scenario, conv.n_values, conv.dt_scaling)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ViscowaveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    if traj.status != "completed":  # no order from a run that did not reach T_end
+        print(f"the run at n = {traj.grid.n} ended {traj.status} at t = {traj.final_state.t:g}"
+              + (f": {traj.error}" if traj.error else ""), file=sys.stderr)
+        return _exit_code([traj.status])
 
     lines = [f"# convergence study: {conv.base.scenario.name}",
              f"n values: {list(conv.n_values)}  dt scaling: {conv.dt_scaling}"]

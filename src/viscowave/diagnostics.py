@@ -105,10 +105,6 @@ class StateEval:
         return g.d1(self.v, self.grid, out=self._out.get("vx"))
 
     @functools.cached_property
-    def ux(self) -> np.ndarray:
-        return g.d1(self.u, self.grid)
-
-    @functools.cached_property
     def thx(self) -> np.ndarray:
         return g.d1(self.theta, self.grid)
 
@@ -140,11 +136,7 @@ class StateEval:
     @functools.cached_property
     def w12_theta(self) -> float:
         """W^{1,2} norm of the temperature, the blow-up detector's input."""
-        return _sqrt(g.integrate(self.theta ** 2, self.grid) + self.l2_thetax)
-
-
-def _sqrt(x):
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+        return np.sqrt(g.integrate(self.theta ** 2, self.grid) + self.l2_thetax)
 
 
 def _scalar_or_rows(x):
@@ -219,35 +211,6 @@ class TheoryMonitors:
         return all(math.isfinite(getattr(self, f.name)) for f in fields(self))
 
 
-def instantaneous_monitors(state, q, grid_: g.Grid1D) -> dict:
-    """Pointwise-in-time monitor values for one snapshot."""
-    ev = StateEval.of(state, grid_)
-    return {
-        "l2_thetax": ev.l2_thetax,
-        "l2_vx": g.integrate(ev.vx2, grid_),
-        "l2_uxx": g.integrate(ev.uxx ** 2, grid_),
-        "lq_value": g.integrate(mat.power(ev.theta + 1.0, q), grid_),
-        "w12_theta": ev.w12_theta,
-    }
-
-
-def accumulate_monitors(prev: TheoryMonitors, state, dt: float, alpha,
-                        grid_: g.Grid1D) -> TheoryMonitors:
-    """Advance only the four ``cum_*`` accumulators by ``dt`` x (integrand at
-    ``state``); the instantaneous fields of the result are zero.
-
-    The time quadrature is the left-rectangle rule: the caller passes the
-    snapshot at the left end of the step about to be taken.  The ``v_x^4``
-    integrand is ``vx2 * vx2``: numpy computes ``vx ** 4`` on a sign-changing
-    array one scalar ``pow`` at a time, tens of times slower.
-    """
-    if dt <= 0:
-        raise DomainError("monitor update requires dt > 0")
-    ev = StateEval.of(state, grid_)
-    return TheoryMonitors(**{k: getattr(prev, k) + dt * g.integrate(w, grid_)
-                             for k, w in zip(CUMULATIVE, _accumulated(ev, alpha))})
-
-
 CUMULATIVE = ("cum_vx4", "cum_theta_pow", "cum_thetaxx2", "cum_vxx2")
 
 
@@ -301,97 +264,14 @@ def lq_balance(state, laws: mat.MaterialLaws, q: float, grid_: g.Grid1D) -> LqBa
 
 
 # --------------------------------------------------------------------------
-# damped antiderivative transform and its residual
+# damped antiderivative transform
 # --------------------------------------------------------------------------
 
 
-def _damping(kappa, t: float):
-    """e^{-kappa t} by ``math.exp``; a column of rates, entry by entry
-    (``np.exp`` may round differently)."""
-    if isinstance(kappa, np.ndarray):
-        return np.array([math.exp(-k * t) for k in kappa[:, 0].tolist()])[:, None]
-    return math.exp(-kappa * t)
-
-
-def z_transform(state, kappa, grid_: g.Grid1D):
-    """Antiderivative V(x) = int_0^x v and its damped version z = e^{-kappa t} V.
-
-    Both vanish at x = 0 by construction; the right-end slope of V equals
-    v(L), so states with pinned velocity give z the mixed boundary pair
-    z(0) = 0, z_x(L) = 0 up to stencil error.
-    """
-    ev = StateEval.of(state, grid_)
-    return _damping(kappa, ev.t) * ev.V, ev.V
-
-
-def left_end_flux(state, laws, a: float, grid_: g.Grid1D):
-    """Discrete left-boundary flux  gamma(Theta) v_x + a u_x - f(Theta)  at x=0.
-
-    Integrating the velocity equation from the left end picks up this term;
-    the scalar parabolic form of the antiderivative is exact only after it is
-    subtracted, so the residual below carries it as a spatially constant
-    source correction.  (gamma, f) are the state's own ``material(laws)``,
-    those the step uses: on an ensemble state, a (B, 1) column of fluxes.
-    """
-    ev = StateEval.of(state, grid_)
-    flux = _end_flux(ev.material(laws), ev.vx, ev.ux, a)
-    return float(flux[0]) if flux.ndim == 1 else flux
-
-
-def _end_flux(material, vx, ux, a: float) -> np.ndarray:
-    """gamma v_x + a u_x - f at node 0 of each row, a column (one value for
-    one field)."""
-    gam, f = material
-    return gam[..., :1] * vx[..., :1] + a * ux[..., :1] - f[..., :1]
-
-
-def z_residual(state_prev, state_next, laws, a: float, kappa, grid_: g.Grid1D):
-    """L2 norm of the discrete residual of the transformed parabolic problem.
-
-    The pair of consecutive snapshots provides the backward time difference;
-    the source is assembled from the later snapshot: the viscosity-excess
-    diffusion ``(gamma(Theta) - gamma0) z_xx``, the damped elastic term
-    ``a e^{-kappa t} u_x``, the damped coupling ``-e^{-kappa t} f(Theta)``,
-    and the left-end flux correction.  Vanishes at first order in dt and
-    second order in dx along smooth trajectories.  On ensemble states, one
-    value per member.
-    """
-    dt = state_next.t - state_prev.t
-    if dt <= 0:
-        raise DomainError("z_residual needs snapshots in increasing time order")
-    new = StateEval.of(state_next, grid_)
-    damp = _damping(kappa, new.t)
-    z_old, _ = z_transform(state_prev, kappa, grid_)
-    res = _residual(damp * new.V, z_old, dt, new.material(laws), new.ux, damp,
-                    left_end_flux(new, laws, a, grid_), laws.gamma0, a, kappa, grid_)
-    return _sqrt(g.integrate(res ** 2, grid_))
-
-
-def _residual(z_new, z_old, dt, material, ux, damp, flux, gamma0, a: float, kappa, grid_,
-              work=(None, None, None)):
-    """The residual field of :func:`z_residual`; ``z_new`` = ``damp`` V of the
-    later snapshot, ``material`` and ``ux`` and ``flux`` are taken there.  Any
-    of the scalars may be a column, one value per row.
-
-    It is ``(z_new - z_old) / dt - (gamma0 z_xx - kappa z_new + h - damp flux)``
-    with ``h = (gamma - gamma0) z_xx + a damp u_x - damp f``, each operation
-    in this order; ``work``, three arrays of ``z_new``'s shape, takes z_xx, h
-    and the products, and the result is the second of them."""
-    gam, f = material
-    zxx, h, tmp = work
-    zxx = g.d2(z_new, grid_, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN, out=zxx)
-    h = np.subtract(gam, gamma0, out=h)
-    h *= zxx
-    h += np.multiply(a * damp, ux, out=tmp)
-    h -= np.multiply(damp, f, out=tmp)
-    rhs = np.multiply(gamma0, zxx, out=zxx)
-    rhs -= np.multiply(kappa, z_new, out=tmp)
-    rhs += h
-    rhs -= damp * flux
-    res = np.subtract(z_new, z_old, out=h)
-    res /= dt
-    res -= rhs
-    return res
+def _damping(kappa: np.ndarray, t: float) -> np.ndarray:
+    """e^{-kappa t} for a (B, 1) column of rates, entry by entry by
+    ``math.exp`` (``np.exp`` may round differently)."""
+    return np.array([math.exp(-k * t) for k in kappa[:, 0].tolist()])[:, None]
 
 
 # --------------------------------------------------------------------------
@@ -654,33 +534,6 @@ DIAG_COLUMNS = tuple(f.name for f in fields(DiagRow))
 _CLAMP = DIAG_COLUMNS.index("clamp_count")
 
 
-def make_row(state, a: float, grid_: g.Grid1D, monitors: TheoryMonitors, q,
-             e0, z_res, clamp_count):
-    """Assemble one timeseries row: energy split, mass, min(theta) and the
-    instantaneous monitors at the sampled state; cumulative monitors are
-    taken from the accumulator.  A run's rows are made in blocks by
-    :class:`Rows`, with the same values as this function gives."""
-    ev = StateEval.of(state, grid_)
-    budget = energy(ev, a, grid_)
-    values = dict(
-        E_total=budget.total,
-        E_kin=budget.kinetic,
-        E_el=budget.elastic,
-        E_th=budget.thermal,
-        drift=budget.total - e0,
-        mass_theta=budget.thermal,
-        min_theta=_scalar_or_rows(ev.theta.min(axis=-1)),
-        cum_vx4=monitors.cum_vx4,
-        cum_theta_pow=monitors.cum_theta_pow,
-        cum_thetaxx2=monitors.cum_thetaxx2,
-        cum_vxx2=monitors.cum_vxx2,
-        z_residual=z_res,
-        clamp_count=clamp_count,
-        **instantaneous_monitors(ev, q, grid_),
-    )
-    return DiagRow(t=ev.t, **values)
-
-
 # --------------------------------------------------------------------------
 # the timeseries: rows evaluated in blocks of recorded states
 # --------------------------------------------------------------------------
@@ -919,19 +772,33 @@ class Rows:
             own.extend(np.ascontiguousarray(block[i::width]))
 
     def _residuals(self, evs, blk, samples) -> np.ndarray:
-        """The integrals of the squared :func:`z_residual` fields of
-        ``samples``, ``(index, left)`` pairs into the block ``evs`` evaluated
-        as ``blk``, one per stacked row.
+        """The integrals of the squared residual fields of the transformed
+        parabolic problem at ``samples``, ``(index, left)`` pairs into the
+        block ``evs`` evaluated as ``blk``, one per stacked row.
 
-        z = e^{-kappa t} V is made once for each state of the block, in place
-        of the block's V, behind the rows of the first sample's left state
-        when that state is outside the block (then only the block's first
-        state has a left outside it: any other sample's left is the state
-        before it).  A sample's z_old is then the z of the state before it,
-        the same rows its own z_new had as a sample: the same damping column
-        times the same V row.  u_x is taken at the samples only, into the
-        work array ``w``, which the residual's first product then overwrites
-        in place."""
+        The damped antiderivatives z = e^{-kappa t} V, V = int_0^x v, of a
+        sample's left state and of the sample give the backward time
+        difference; the source is assembled from the sample: the
+        viscosity-excess diffusion ``(gamma(Theta) - gamma0) z_xx``, the
+        damped elastic term ``a e^{-kappa t} u_x``, the damped coupling
+        ``-e^{-kappa t} f(Theta)``, and the left-end flux correction:
+        integrating the velocity equation from x = 0 picks up ``flux`` =
+        gamma v_x + a u_x - f there.  The field vanishes at first order in dt
+        and second order in dx along smooth trajectories.  With damp =
+        e^{-kappa t} at the sample, it is
+        ``(z_new - z_old) / dt - (gamma0 z_xx - kappa z_new + h - damp flux)``
+        with ``h = (gamma - gamma0) z_xx + a damp u_x - damp f``, each
+        operation in this order.
+
+        z is made once for each state of the block, in place of the block's
+        V, behind the rows of the first sample's left state when that state
+        is outside the block (then only the block's first state has a left
+        outside it: any other sample's left is the state before it).  A
+        sample's z_old is then the z of the state before it, the same rows
+        its own z_new had as a sample: the same damping column times the
+        same V row.  u_x is taken at the samples only, into the work array
+        ``w``, which the first product then overwrites in place; z_xx and h
+        go into the work arrays ``zxx`` and ``h``, and the residual into h."""
         n, width, laws = self.grid.n, len(self.rows), self.laws
         at = [i for i, _ in samples]
         m = len(at) * width
@@ -947,15 +814,26 @@ class Rows:
         dt = np.repeat([evs[i].t - left.t for i, left in samples], width)[:, None]
         damp = _pick(damp, at, width)
         mats = [evs[i].material(laws) for i, _ in samples]
-        material = tuple(_stack([mt[j] for mt in mats], n, self._work(name, m))
-                         for j, name in enumerate(("gam", "f")))
+        gam, f = (_stack([mt[j] for mt in mats], n, self._work(name, m))
+                  for j, name in enumerate(("gam", "f")))
         w = self._work("w", m)
         ux = g.d1(self._rows_of(blk.u.reshape(-1, n), at, "u_samples"), self.grid, out=w)
         vx0 = _pick(blk.vx.reshape(-1, n)[:, 0], at, width)
-        flux = _end_flux(material, vx0, ux, self.a)
-        res = _residual(z_new, z_old, dt, material, ux, damp, flux, _column(laws.gamma0, len(at)),
-                        self.a, _column(self.kappa, len(at)), self.grid,
-                        (self._work("zxx", m), self._work("h", m), w))
+        flux = gam[:, :1] * vx0 + self.a * ux[:, :1] - f[:, :1]  # at x = 0
+        gamma0, kappa = _column(laws.gamma0, len(at)), _column(self.kappa, len(at))
+        zxx = g.d2(z_new, self.grid, g.BcKind.MIXED_LEFT_DIRICHLET_RIGHT_NEUMANN,
+                   out=self._work("zxx", m))
+        h = np.subtract(gam, gamma0, out=self._work("h", m))
+        h *= zxx
+        h += np.multiply(self.a * damp, ux, out=w)
+        h -= np.multiply(damp, f, out=w)
+        rhs = np.multiply(gamma0, zxx, out=zxx)
+        rhs -= np.multiply(kappa, z_new, out=w)
+        rhs += h
+        rhs -= damp * flux
+        res = np.subtract(z_new, z_old, out=h)
+        res /= dt
+        res -= rhs
         res *= res
         return self._integral(res)
 

@@ -42,6 +42,11 @@ from .errors import ConfigError, DomainError, StepError
 SCHEMES = ("imex_be", "imex_cn")
 POSITIVITY_POLICIES = ("clamp_and_count", "reject_step")
 
+CFL_SAFETY = 0.9  # the fraction of its explicit-term limits an adaptive dt takes
+POSITIVITY_TOLERANCE = 1e-8  # how far below 0 theta may dip before reject_step rejects
+SOLVER_TOL = 1e-8  # bound on each tridiagonal solve's residual (see _solve_banded)
+MAX_STEP_RETRIES = 20  # how often a rejected step is retried with a halved dt
+
 
 @dataclass(frozen=True)
 class State:
@@ -59,22 +64,13 @@ class State:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time-stepping controls.
-
-    ``solver_tol`` bounds the residual of each tridiagonal solve (a failed
-    bound signals pathological coefficients); ``max_step_retries`` caps how
-    often a positivity-rejected step is retried with a halved dt.
-    """
+    """Time-stepping controls."""
 
     scheme: str = "imex_be"
     dt_initial: float = 1e-3
     dt_max: float = 1e-2
-    cfl_safety: float = 0.9
     positivity_policy: str = "clamp_and_count"
-    positivity_tolerance: float = 1e-8
     adaptive: bool = False
-    solver_tol: float = 1e-8
-    max_step_retries: int = 20
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -83,12 +79,6 @@ class SchemeConfig:
             raise ConfigError(f"unknown positivity_policy {self.positivity_policy!r}")
         if self.dt_initial <= 0 or self.dt_max <= 0:
             raise ConfigError("time steps must be positive")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ConfigError("cfl_safety must lie in (0, 1]")
-        if self.positivity_tolerance < 0 or self.solver_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.max_step_retries < 0:
-            raise ConfigError(f"max_step_retries must be nonnegative, got {self.max_step_retries}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,7 @@ class Forcing:
 def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) -> float:
     """Step-size suggestion from the explicit terms.
 
-    dt = min(dt_max, cfl_safety * dx / max(1, |v|_inf), cfl_safety / L) where
+    dt = min(dt_max, CFL_SAFETY * dx / max(1, |v|_inf), CFL_SAFETY / L) where
     L is the nodal Lipschitz scale of the explicit sources; inactive terms
     (zero velocity, zero source slope) impose no restriction, so the zero
     state returns dt_max.  ``state`` may be a :class:`diagnostics.StateEval`,
@@ -114,14 +104,14 @@ def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) 
     dt = cfg.dt_max
     vmax = float(np.max(np.abs(ev.v)))
     if vmax > 0.0:
-        dt = min(dt, cfg.cfl_safety * grid_.dx / max(1.0, vmax))
+        dt = min(dt, CFL_SAFETY * grid_.dx / max(1.0, vmax))
     theta = ev.theta_pos
     lip = float(np.max(
         np.abs(np.asarray(mat.eval_f_prime(laws, theta))) * np.abs(ev.vx)
         + np.abs(np.asarray(mat.eval_gamma_prime(laws, theta))) * ev.vx2
     ))
     if lip > 0.0:
-        dt = min(dt, cfg.cfl_safety / lip)
+        dt = min(dt, CFL_SAFETY / lip)
     if dt < 1e-14:
         raise StepError(f"adaptive dt {dt:.3e} is below its floor 1e-14")
     return dt
@@ -132,9 +122,10 @@ def adapt_dt(state, laws: mat.MaterialLaws, grid_: g.Grid1D, cfg: SchemeConfig) 
 # --------------------------------------------------------------------------
 
 
-def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
+def _solve_banded(op: tridiag.Tridiag, rhs_, *, label):
     """Solve ``op x = rhs_``; check that x is finite and that the residual
-    is at most ``tol * max(1, |rhs_|_inf)``.
+    is at most ``SOLVER_TOL * max(1, |rhs_|_inf)`` (a failed bound signals
+    pathological coefficients).
 
     A batch (``rhs_`` of shape (B, n)) is solved in one stacked call, and
     each member's residual is checked at its own scale.  A failure raises
@@ -148,12 +139,12 @@ def _solve_banded(op: tridiag.Tridiag, rhs_, tol, *, label):
         raise StepError(f"{label} solve produced non-finite values")
     res = np.abs(op.residual(x, rhs_)).max(axis=-1)
     scale = np.abs(rhs_).max(axis=-1)
-    if ((res > tol) & (res > tol * scale)).any():  # res > tol * max(1, scale)
+    if ((res > SOLVER_TOL) & (res > SOLVER_TOL * scale)).any():  # > SOLVER_TOL * max(1, scale)
         raise StepError(f"{label} solve residual exceeds tolerance")
     return x
 
 
-def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
+def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight):
     """Implicit velocity stage shared by both schemes.
 
     Solves (I - theta_weight*dt*L_gamma - a*(theta_weight*dt)^2*D2) v_new =
@@ -171,10 +162,10 @@ def _solve_v_stage(src, gam_mid, a, grid_, dt, theta_weight, tol):
     upper[..., 1:] = -w * gam_mid[..., 1:] / dx2 - a * w * w / dx2
     rhs_ = np.zeros(shape)
     rhs_[..., 1:-1] = src
-    return _solve_banded(tridiag.Tridiag(lower, diag_, upper), rhs_, tol, label="velocity")
+    return _solve_banded(tridiag.Tridiag(lower, diag_, upper), rhs_, label="velocity")
 
 
-def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
+def _solve_theta_stage(rhs_, grid_, dt, theta_weight):
     """Implicit heat stage: (I - theta_weight*dt*D2_N) theta_new = rhs.
 
     The mirror-ghost Neumann rows keep the trapezoid mass of the operator
@@ -182,7 +173,7 @@ def _solve_theta_stage(rhs_, grid_, dt, theta_weight, tol):
     already contained in ``rhs_``.
     """
     op = _heat_operator(grid_.n, theta_weight * dt / grid_.dx ** 2)
-    return _solve_banded(op, rhs_, tol, label="heat")
+    return _solve_banded(op, rhs_, label="heat")
 
 
 @functools.lru_cache(maxsize=1)
@@ -250,7 +241,7 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
             + 0.25 * a * dt * dt * d2v - dt * dfdx
     if forcing is not None:
         src = src + dt * forcing.fv(grid_.nodes, t_force)[1:-1]
-    v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, w, cfg.solver_tol)
+    v_new = _solve_v_stage(src, gam_mid, a, grid_, dt, w)
     if cfg.scheme == "imex_be":
         u_new = state.u + dt * v_new
         v_used = v_new
@@ -261,14 +252,14 @@ def step_with_count(state, laws: mat.MaterialLaws, a: float, grid_: g.Grid1D,
         theta_rhs = state.theta + 0.5 * dt * ev.thxx
     heat_extra = np.zeros(n) if forcing is None else forcing.ftheta(grid_.nodes, t_force)
     rhs_theta = theta_rhs + dt * (_heat_source(v_used, f_old, gam_mid, grid_) + heat_extra)
-    theta_new = _solve_theta_stage(rhs_theta, grid_, dt, w, cfg.solver_tol)
+    theta_new = _solve_theta_stage(rhs_theta, grid_, dt, w)
 
     v_new[..., 0] = v_new[..., -1] = 0.0
     u_new[..., 0] = u_new[..., -1] = 0.0
 
     clamped = np.zeros(theta_new.shape[:-1], dtype=int)
     if cfg.positivity_policy == "reject_step":
-        if theta_new.min() < -cfg.positivity_tolerance:
+        if theta_new.min() < -POSITIVITY_TOLERANCE:
             raise StepError(f"temperature dipped to {theta_new.min():.3e}; retry with smaller dt",
                             suggested_dt=0.5 * dt)
     elif theta_new.min() < 0.0:
@@ -303,7 +294,7 @@ class EtaState:
 
 
 def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
-             grid_: g.Grid1D, cfg: SchemeConfig, dt: float) -> EtaState:
+             grid_: g.Grid1D, dt: float) -> EtaState:
     """One step of the triangular cross-diffusion system
 
         v_t = A(x) v_xx + a u_xx + g(x),    u_t = eta u_xx + v,
@@ -317,8 +308,7 @@ def step_eta(state: EtaState, A: np.ndarray, gsrc: np.ndarray, a: float,
     step: the velocity stage is one stacked solve, and the rows with eta > 0
     share one stacked displacement solve.
     """
-    return _step_eta(state, _eta_operators(A, gsrc, state.eta, grid_, dt), a, grid_,
-                     cfg.solver_tol, dt)
+    return _step_eta(state, _eta_operators(A, gsrc, state.eta, grid_, dt), a, grid_, dt)
 
 
 def _eta_operators(A: np.ndarray, gsrc: np.ndarray, eta, grid_: g.Grid1D, dt: float) -> tuple:
@@ -340,21 +330,20 @@ def _eta_operators(A: np.ndarray, gsrc: np.ndarray, eta, grid_: g.Grid1D, dt: fl
     return gsrc, tridiag.dirichlet(n, dt * A[1:-1] / dx2), rows, disp
 
 
-def _step_eta(state: EtaState, ops: tuple, a: float, grid_: g.Grid1D, tol: float,
-              dt: float) -> EtaState:
+def _step_eta(state: EtaState, ops: tuple, a: float, grid_: g.Grid1D, dt: float) -> EtaState:
     """The step of :func:`step_eta`, with ``ops`` from :func:`_eta_operators`."""
     gsrc, velocity, rows, disp = ops
     d2u = g.d2(state.u_eta, grid_, g.BcKind.DIRICHLET_BOTH)[..., 1:-1]
     rhs_ = np.zeros(state.v_eta.shape)
     rhs_[..., 1:-1] = state.v_eta[..., 1:-1] + dt * (a * d2u + gsrc[1:-1])
-    v_new = _solve_banded(velocity, rhs_, tol, label="eta velocity")
+    v_new = _solve_banded(velocity, rhs_, label="eta velocity")
     v_new[..., 0] = v_new[..., -1] = 0.0
 
     u_new = state.u_eta + dt * v_new  # the backward update, and the right-hand side where eta > 0
     u_new[..., 0] = u_new[..., -1] = 0.0
     if disp is not None:
         u2 = u_new.reshape(-1, grid_.n)  # a view; a single state is a batch of one
-        u2[rows] = _solve_banded(disp, u2[rows], tol, label="eta displacement")
+        u2[rows] = _solve_banded(disp, u2[rows], label="eta displacement")
     u_new[..., 0] = u_new[..., -1] = 0.0
     return EtaState(t=state.t + dt, v_eta=v_new, u_eta=u_new, eta=state.eta)
 
@@ -480,11 +469,6 @@ def _listed(x) -> list:
     return x.tolist() if isinstance(x, np.ndarray) else [x]
 
 
-def _rows(ev: diag.StateEval, idx: list) -> diag.StateEval:
-    s = ev.state
-    return diag.StateEval(State(s.t, s.u[idx], s.v[idx], s.theta[idx]), ev.grid)
-
-
 def _fails_alone(ev, laws, a, grid_, cfg, dt, forcing) -> bool:
     """Whether one member's own step from ``ev`` raises StepError."""
     try:
@@ -602,7 +586,8 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
         laws, q, kappa = _params(act, batch)
         if row_rec is not None:
             row_rec.keep(idx, laws, q, kappa)
-        return [_rows(ev, idx) for ev in evs]
+        return [diag.StateEval(State(ev.t, ev.u[idx], ev.v[idx], ev.theta[idx]), grid_)
+                for ev in evs]
 
     if act[0].resume is not None:  # it left a batch: it goes on from where it stood
         ev, left, steps_since_sample, row_rec = act[0].resume
@@ -653,7 +638,7 @@ def _march(act: list, a, grid_, t_end, scheme_cfg, forcing, rows) -> list:
                     if not act:
                         return done()
                     continue
-                if exc.suggested_dt is None or retries >= scheme_cfg.max_step_retries:
+                if exc.suggested_dt is None or retries >= MAX_STEP_RETRIES:
                     return abort(exc)
                 dt = min(exc.suggested_dt, t_end - prev.t)
                 retries += 1

